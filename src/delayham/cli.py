@@ -84,7 +84,7 @@ def load_config(raw: dict) -> RunConfig:
     if not tol > 0:
         raise ConfigError("/tol", "must be positive")
     samples = raw.get("samples", 100)
-    if not isinstance(samples, int) or samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ConfigError("/samples", "must be a positive integer")
     n = raw.get("steps_per_delay", 64)
     if not isinstance(n, int) or n < 8:

@@ -852,35 +852,6 @@ def parse(source: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# canonical ordering (order-insensitive structural comparison)
-# ---------------------------------------------------------------------------
-
-_CANON_CACHE: dict[int, Expr] = {}
-
-
-def canonical(e: Expr) -> Expr:
-    """Rebuild with commutative children in a deterministic order."""
-    got = _CANON_CACHE.get(id(e))
-    if got is not None:
-        return got
-    if isinstance(e, Add):
-        kids = sorted((canonical(c) for c in e.terms), key=to_source)
-        out = add(*kids)
-    elif isinstance(e, Mul):
-        kids = sorted((canonical(c) for c in e.factors), key=to_source)
-        out = mul(*kids)
-    else:
-        out = _rebuild(e, canonical)
-    _CANON_CACHE[id(e)] = out
-    return out
-
-
-def equivalent(a: Expr, b: Expr) -> bool:
-    """Structural equality up to reordering of commutative children."""
-    return canonical(a) is canonical(b)
-
-
-# ---------------------------------------------------------------------------
 # jet points and evaluation
 # ---------------------------------------------------------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, add, cos, mul, neg, partial, sin
-from .solver import History, SolverError, Trajectory, _grid
+from .solver import History, SolverError, Trajectory, _grid, _history
 
 
 class RecursionError_(RuntimeError):
@@ -109,8 +109,7 @@ def recurse(
     the seam is allowed (the jump propagates) but triggers a warning.
     """
     n = steps_per_delay
-    k, h, t = _grid(hist, t_end, n)
-    m = len(t) - 1
+    _, _, t = _grid(hist, t_end, n)
     gq, gp = seam_gap(rel, hist)
     scale = 1.0 + abs(hist.q_at(hist.t0)) + abs(hist.p_at(hist.t0))
     if max(gq, gp) > 1e-9 * scale:
@@ -120,17 +119,8 @@ def recurse(
             stacklevel=2,
         )
 
-    q = np.full(m + 1, np.nan)
-    p = np.full(m + 1, np.nan)
-    qd = np.full(m + 1, np.nan)
-    pd = np.full(m + 1, np.nan)
-    for i in range(2 * n + 1):
-        tv = t[i]
-        q[i] = hist.q_at(tv)
-        p[i] = hist.p_at(tv)
-        qd[i] = hist.qd_at(tv)
-        pd[i] = hist.pd_at(tv)
-
+    tl = t.tolist()
+    q, p, qd, pd = _history(tl, n, (hist.q_at, hist.p_at, hist.qd_at, hist.pd_at))
     slots = [math.nan] * ex.NSLOTS
     slots[ex.TAU_INDEX] = hist.tau
     ti = ex.symbol("t", 0, 0).index
@@ -139,13 +129,14 @@ def recurse(
     fgq_d = ex.compiled(partial(rel.g_q, "t"))
     fgp_d = ex.compiled(partial(rel.g_p, "t"))
     c = rel.c_mid
-    for i in range(2 * n + 1, m + 1):
-        slots[ti] = t[i] - hist.tau
-        q[i] = fgq(slots) - c * q[i - n] - q[i - 2 * n]
-        p[i] = fgp(slots) - c * p[i - n] - p[i - 2 * n]
-        qd[i] = fgq_d(slots) - c * qd[i - n] - qd[i - 2 * n]
-        pd[i] = fgp_d(slots) - c * pd[i - n] - pd[i - 2 * n]
+    for i in range(2 * n + 1, len(tl)):
+        slots[ti] = tl[i] - hist.tau
+        q.append(fgq(slots) - c * q[i - n] - q[i - 2 * n])
+        p.append(fgp(slots) - c * p[i - n] - p[i - 2 * n])
+        qd.append(fgq_d(slots) - c * qd[i - n] - qd[i - 2 * n])
+        pd.append(fgp_d(slots) - c * pd[i - n] - pd[i - 2 * n])
 
+    q, p, qd, pd = (np.array(x) for x in (q, p, qd, pd))
     return Trajectory(
         hist.tau, n, t, q, p, qd, pd,
         qd_left=qd.copy(), pd_left=pd.copy(), start_index=2 * n,

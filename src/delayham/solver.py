@@ -3,15 +3,24 @@
 The canonical pair relates the state at t - tau, t, and t + tau.  Rebasing the
 equations one delay back turns them into an explicit ODE for the newest
 segment: the unknowns at time t enter only through the shifted slots of the
-rebased equation.  Each delay-length interval is integrated with classical
-fixed-step fourth-order Runge-Kutta; the grid step is an exact divisor of the
-delay so shifted values sit on nodes, and lagged values at stage midpoints
-come from cubic Hermite interpolation of stored (value, derivative) pairs.
+rebased equation.  Both formulations integrate a two-component state with the
+one driver `_method_of_steps`: (q, p) for the canonical pair, (q, q') for the
+second-order Lagrangian equation.  Each supplies only its history functions
+and a pointwise right-hand side of the state and of the lagged values and
+rates one and two delays back.
 
-Derivatives of the solution jump at the knots t0 + k*tau (the usual smoothing
-behaviour of delay equations).  Both one-sided derivatives are stored at every
-node: interpolation over a segment uses the derivative branch belonging to
-that segment, and integration never steps across a knot.
+The driver owns everything else.  The grid step is an exact divisor of the
+delay, so shifted values sit on nodes.  It fills the history on
+[t0 - 2*tau, t0] (`recursion.recurse` reuses that fill).  It integrates each
+delay-length interval with classical fixed-step fourth-order Runge-Kutta, and
+takes lagged values at stage midpoints from cubic Hermite interpolation of the
+stored (value, rate) pairs.  Rates of the solution jump at the knots
+t0 + k*tau (the usual smoothing behaviour of delay equations), so both
+one-sided rates are stored at every node, interpolation over a segment uses
+the branch belonging to that segment, and integration never steps across a
+knot.  A state or rate that is not finite, or an overflow, division by zero or
+domain error in the right-hand side, raises `SolverError` naming the first
+grid time t where it happened.
 """
 
 from __future__ import annotations
@@ -51,14 +60,11 @@ class History:
             names = ", ".join(sorted(s.name for s in bad))
             raise ValueError(f"history expressions may only involve t (got {names})")
 
-    def _fn(self, e: Expr):
-        return ex.compiled(e)
-
     def _eval(self, e: Expr, tv: float) -> float:
         slots = [math.nan] * ex.NSLOTS
         slots[ex.TAU_INDEX] = self.tau
         slots[symbol("t", 0, 0).index] = tv
-        out = self._fn(e)(slots)
+        out = ex.compiled(e)(slots)
         if not math.isfinite(out):
             raise SolverError(f"history expression is not finite at t={tv}")
         return out
@@ -115,29 +121,8 @@ class Trajectory:
         return list(range(self.start_index, len(self.t), n))
 
 
-def _hermite(theta: float, h: float, y0: float, d0: float, y1: float, d1: float) -> float:
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        (2 * t3 - 3 * t2 + 1) * y0
-        + (t3 - 2 * t2 + theta) * h * d0
-        + (-2 * t3 + 3 * t2) * y1
-        + (t3 - t2) * h * d1
-    )
-
-
-def _hermite_rate(theta: float, h: float, y0: float, d0: float, y1: float, d1: float) -> float:
-    t2 = theta * theta
-    return (
-        (6 * t2 - 6 * theta) * y0 / h
-        + (3 * t2 - 4 * theta + 1) * d0
-        + (-6 * t2 + 6 * theta) * y1 / h
-        + (3 * t2 - 2 * theta) * d1
-    )
-
-
 class _Segmented:
-    """Lagged lookup over one smooth piece [lo, hi] (grid indices)."""
+    """Lagged lookup over one smooth piece of the solution ending at node hi."""
 
     def __init__(self, values, d_right, d_left, h):
         self.values = values
@@ -145,21 +130,34 @@ class _Segmented:
         self.d_left = d_left
         self.h = h
 
-    def at(self, x: float, lo: int, hi: int) -> tuple[float, float]:
+    def at(self, x: float, hi: int) -> tuple[float, float]:
+        """Value and rate at grid position x, by cubic Hermite between nodes.
+
+        A node takes its right rate, except the piece's end node `hi`, which
+        takes its left rate.
+        """
         j = int(math.floor(x + 1e-9))
         frac = x - j
         if abs(frac) < 1e-9:
-            if j <= lo:
-                return self.values[j], self.d_right[j]
-            if j >= hi:
-                return self.values[j], self.d_left[j]
-            return self.values[j], self.d_right[j]
+            return self.values[j], (self.d_left if j >= hi else self.d_right)[j]
+        h = self.h
         y0, d0 = self.values[j], self.d_right[j]
         y1, d1 = self.values[j + 1], self.d_left[j + 1]
-        return (
-            _hermite(frac, self.h, y0, d0, y1, d1),
-            _hermite_rate(frac, self.h, y0, d0, y1, d1),
+        t2 = frac * frac
+        t3 = t2 * frac
+        value = (
+            (2 * t3 - 3 * t2 + 1) * y0
+            + (t3 - 2 * t2 + frac) * h * d0
+            + (-2 * t3 + 3 * t2) * y1
+            + (t3 - t2) * h * d1
         )
+        rate = (
+            (6 * t2 - 6 * frac) * y0 / h
+            + (3 * t2 - 4 * frac + 1) * d0
+            + (-6 * t2 + 6 * frac) * y1 / h
+            + (3 * t2 - 2 * frac) * d1
+        )
+        return value, rate
 
 
 def _grid(hist: History, t_end: float, n: int) -> tuple[int, float, np.ndarray]:
@@ -175,6 +173,74 @@ def _grid(hist: History, t_end: float, n: int) -> tuple[int, float, np.ndarray]:
     m = (k + 2) * n
     t = hist.t0 + (np.arange(m + 1) - 2 * n) * h
     return k, h, t
+
+
+def _history(t: list[float], n: int, fns) -> list[list[float]]:
+    """Sample each history function at the 2n + 1 nodes up to t0, node by node."""
+    rows = [[f(tv) for f in fns] for tv in t[: 2 * n + 1]]
+    return [list(column) for column in zip(*rows)]
+
+
+def _method_of_steps(hist: History, t_end: float, n: int, fill, rhs):
+    """RK4 method of steps for a rebased two-component state (a, b).
+
+    `fill` gives the history functions of t for a, b, a' and b'.
+    `rhs(tv, a, b, a1, da1, b1, db1, a2, da2, b2, db2)` returns (a', b') for
+    the state (a, b) at the current time, where tv is the time two delays
+    back and the suffixes 1 and 2 mark the lagged values and rates one and
+    two delays back.  Returns the grid and the node arrays
+    (t, a, b, da_right, da_left, db_right, db_left); the final node's right
+    branch holds its left limit.
+    """
+    k, h, t_arr = _grid(hist, t_end, n)
+    t = t_arr.tolist()
+    a, b, da_r, db_r = _history(t, n, fill)
+    da_l, db_l = da_r[:], db_r[:]
+    look_a = _Segmented(a, da_r, da_l, h)
+    look_b = _Segmented(b, db_r, db_l, h)
+    t0 = hist.t0
+    isfinite = math.isfinite
+
+    def rates(x: float, av: float, bv: float, hi: int) -> tuple[float, float]:
+        # x is the grid index of the current time; the rebased equation sits
+        # one delay back and references two smooth pieces, ending at hi and
+        # at hi - n.
+        a1, da1 = look_a.at(x - n, hi)
+        b1, db1 = look_b.at(x - n, hi)
+        a2, da2 = look_a.at(x - 2 * n, hi - n)
+        b2, db2 = look_b.at(x - 2 * n, hi - n)
+        return rhs(t0 + (x - 2 * n) * h, av, bv, a1, da1, b1, db1, a2, da2, b2, db2)
+
+    try:
+        for start in range(2 * n, (k + 2) * n, n):
+            node = start
+            da, db = rates(start, a[start], b[start], start)
+            if not (isfinite(da) and isfinite(db)):
+                raise SolverError(f"state or rate is not finite at t={t[node]}")
+            da_r[start], db_r[start] = da, db
+            for i in range(start, start + n):
+                node = i + 1
+                av, bv = a[i], b[i]
+                k1a, k1b = da_r[i], db_r[i]
+                k2a, k2b = rates(i + 0.5, av + h / 2 * k1a, bv + h / 2 * k1b, start)
+                k3a, k3b = rates(i + 0.5, av + h / 2 * k2a, bv + h / 2 * k2b, start)
+                k4a, k4b = rates(i + 1.0, av + h * k3a, bv + h * k3b, start)
+                av = av + h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+                bv = bv + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+                da, db = rates(i + 1.0, av, bv, start)
+                if not (isfinite(av) and isfinite(bv) and isfinite(da) and isfinite(db)):
+                    raise SolverError(f"state or rate is not finite at t={t[node]}")
+                # at the closing knot both branches hold the left limit until
+                # the next interval overwrites the right one
+                a.append(av)
+                b.append(bv)
+                da_r.append(da)
+                da_l.append(da)
+                db_r.append(db)
+                db_l.append(db)
+    except (OverflowError, ZeroDivisionError, ValueError) as err:
+        raise SolverError(f"right-hand side failed at t={t[node]}: {err}") from None
+    return (t_arr, *(np.array(x) for x in (a, b, da_r, da_l, db_r, db_l)))
 
 
 def step_hamiltonian(
@@ -194,109 +260,48 @@ def step_hamiltonian(
     a23 = a2 + a3
     if hist.p is None:
         raise SolverError("the canonical equations need a momentum history")
-    n = steps_per_delay
-    k, h, t = _grid(hist, t_end, n)
-    m = len(t) - 1
-
-    q = np.full(m + 1, np.nan)
-    p = np.full(m + 1, np.nan)
-    qd_r = np.full(m + 1, np.nan)
-    qd_l = np.full(m + 1, np.nan)
-    pd_r = np.full(m + 1, np.nan)
-    pd_l = np.full(m + 1, np.nan)
-
-    for i in range(2 * n + 1):
-        tv = t[i]
-        q[i] = hist.q_at(tv)
-        p[i] = hist.p_at(tv)
-        qd_r[i] = qd_l[i] = hist.qd_at(tv)
-        pd_r[i] = pd_l[i] = hist.pd_at(tv)
+    tau = hist.tau
 
     phi_p = ex.compiled(shifted_pair_partial(ham.h, "p"))
     phi_q = ex.compiled(shifted_pair_partial(ham.h, "q"))
     slots = [math.nan] * ex.NSLOTS
-    slots[ex.TAU_INDEX] = hist.tau
-    idx = {name: symbol(*key).index for name, key in {
-        "t": ("t", 0, 0), "tm": ("t", -1, 0), "tp": ("t", 1, 0),
-        "q": ("q", 0, 0), "qm": ("q", -1, 0), "qp": ("q", 1, 0),
-        "p": ("p", 0, 0), "pm": ("p", -1, 0), "pp": ("p", 1, 0),
-    }.items()}
+    slots[ex.TAU_INDEX] = tau
+    it, itm, itp, iq, iqm, iqp, ip, ipm, ipp = (
+        symbol(name, shift, 0).index for name in "tqp" for shift in (0, -1, 1)
+    )
 
-    look_q = _Segmented(q, qd_r, qd_l, h)
-    look_p = _Segmented(p, pd_r, pd_l, h)
-
-    def rhs(x: float, qv: float, pv: float, lo1: int, hi1: int) -> tuple[float, float]:
-        # x is the grid index of the current time; the rebased equation sits
-        # one delay back and references two smooth pieces of history.
-        lo2, hi2 = lo1 - n, hi1 - n
-        qs, dqs = look_q.at(x - n, lo1, hi1)
-        ps, dps = look_p.at(x - n, lo1, hi1)
-        qs2, dqs2 = look_q.at(x - 2 * n, lo2, hi2)
-        ps2, dps2 = look_p.at(x - 2 * n, lo2, hi2)
-        tv = hist.t0 + (x - 2 * n) * h
-        slots[idx["t"]] = tv - hist.tau
-        slots[idx["tm"]] = tv - 2 * hist.tau
-        slots[idx["tp"]] = tv
-        slots[idx["q"]] = qs
-        slots[idx["qm"]] = qs2
-        slots[idx["qp"]] = qv
-        slots[idx["p"]] = ps
-        slots[idx["pm"]] = ps2
-        slots[idx["pp"]] = pv
+    def rhs(tv, qv, pv, qs, dqs, ps, dps, qs2, dqs2, ps2, dps2):
+        slots[it] = tv - tau
+        slots[itm] = tv - 2 * tau
+        slots[itp] = tv
+        slots[iq] = qs
+        slots[iqm] = qs2
+        slots[iqp] = qv
+        slots[ip] = ps
+        slots[ipm] = ps2
+        slots[ipp] = pv
         qdot = (phi_p(slots) - a23 * dqs - a4 * dqs2) / a1
         pdot = (-phi_q(slots) - a23 * dps - a1 * dps2) / a4
         return qdot, pdot
 
-    for j in range(1, k + 1):
-        b = 2 * n + (j - 1) * n
-        lo1, hi1 = b - n, b
-        qd_r[b], pd_r[b] = rhs(b, q[b], p[b], lo1, hi1)
-        for step in range(n):
-            i = b + step
-            qv, pv = q[i], p[i]
-            k1q, k1p = qd_r[i], pd_r[i]
-            k2q, k2p = rhs(i + 0.5, qv + h / 2 * k1q, pv + h / 2 * k1p, lo1, hi1)
-            k3q, k3p = rhs(i + 0.5, qv + h / 2 * k2q, pv + h / 2 * k2p, lo1, hi1)
-            k4q, k4p = rhs(i + 1.0, qv + h * k3q, pv + h * k3p, lo1, hi1)
-            q[i + 1] = qv + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-            p[i + 1] = pv + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            dq, dp = rhs(i + 1.0, q[i + 1], p[i + 1], lo1, hi1)
-            if i + 1 < b + n:
-                qd_r[i + 1] = qd_l[i + 1] = dq
-                pd_r[i + 1] = pd_l[i + 1] = dp
-            else:
-                qd_l[i + 1] = dq
-                pd_l[i + 1] = dp
-
-    qd = qd_r.copy()
-    pd = pd_r.copy()
-    qd[m] = qd_l[m]
-    pd[m] = pd_l[m]
+    fill = (hist.q_at, hist.p_at, hist.qd_at, hist.pd_at)
+    t, q, p, qd, qd_l, pd, pd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, rhs)
     return Trajectory(
-        hist.tau, n, t, q, p, qd, pd,
-        qd_left=qd_l, pd_left=pd_l, start_index=2 * n,
+        tau, steps_per_delay, t, q, p, qd, pd,
+        qd_left=qd_l, pd_left=pd_l, start_index=2 * steps_per_delay,
     )
 
 
 def step_elsgolts(
     lag: QuadraticLagrangian, hist: History, t_end: float, steps_per_delay: int
 ) -> Trajectory:
-    """Integrate the second-order delay variational equation for q alone."""
+    """Integrate the second-order delay variational equation for q alone.
+
+    The state is (q, v) with v = q'; velocities are continuous, so only the
+    second derivatives carry jumps at the knots.
+    """
     beta = float(lag.beta)
     ag = float(lag.alpha + lag.gamma)
-    n = steps_per_delay
-    k, h, t = _grid(hist, t_end, n)
-    m = len(t) - 1
-
-    q = np.full(m + 1, np.nan)
-    v = np.full(m + 1, np.nan)
-    dd_r = np.full(m + 1, np.nan)
-    dd_l = np.full(m + 1, np.nan)
-    for i in range(2 * n + 1):
-        tv = t[i]
-        q[i] = hist.q_at(tv)
-        v[i] = hist.qd_at(tv)
-        dd_r[i] = dd_l[i] = hist.qdd_at(tv)
 
     psi = ex.compiled(shifted_pair_partial(lag.phi, "q"))
     slots = [math.nan] * ex.NSLOTS
@@ -305,48 +310,17 @@ def step_elsgolts(
     qmi = symbol("q", -1, 0).index
     qpi = symbol("q", 1, 0).index
 
-    look_q = _Segmented(q, v, v, h)
-    look_a = _Segmented(v, dd_r, dd_l, h)
-
-    def accel(x: float, qv: float, lo1: int, hi1: int) -> float:
-        lo2, hi2 = lo1 - n, hi1 - n
-        qs, _ = look_q.at(x - n, lo1, hi1)
-        qs2, _ = look_q.at(x - 2 * n, lo2, hi2)
-        _, as1 = look_a.at(x - n, lo1, hi1)
-        _, as2 = look_a.at(x - 2 * n, lo2, hi2)
+    def rhs(tv, qv, vv, qs, dqs, vs, as1, qs2, dqs2, vs2, as2):
         slots[qi] = qs
         slots[qmi] = qs2
         slots[qpi] = qv
-        return -(ag * as1 + beta * as2 + psi(slots)) / beta
+        return vv, -(ag * as1 + beta * as2 + psi(slots)) / beta
 
-    for j in range(1, k + 1):
-        b = 2 * n + (j - 1) * n
-        lo1, hi1 = b - n, b
-        dd_r[b] = accel(b, q[b], lo1, hi1)
-        for step in range(n):
-            i = b + step
-            qv, vv = q[i], v[i]
-            k1q, k1v = vv, dd_r[i]
-            k2v = accel(i + 0.5, qv + h / 2 * k1q, lo1, hi1)
-            k2q = vv + h / 2 * k1v
-            k3v = accel(i + 0.5, qv + h / 2 * k2q, lo1, hi1)
-            k3q = vv + h / 2 * k2v
-            k4v = accel(i + 1.0, qv + h * k3q, lo1, hi1)
-            k4q = vv + h * k3v
-            q[i + 1] = qv + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-            v[i + 1] = vv + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            dd = accel(i + 1.0, q[i + 1], lo1, hi1)
-            if i + 1 < b + n:
-                dd_r[i + 1] = dd_l[i + 1] = dd
-            else:
-                dd_l[i + 1] = dd
-
-    # velocities are continuous here; second derivatives carry the jumps
-    qdd = dd_r.copy()
-    qdd[m] = dd_l[m]
+    fill = (hist.q_at, hist.qd_at, hist.qd_at, hist.qdd_at)
+    t, q, v, _, _, qdd, qdd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, rhs)
     return Trajectory(
-        hist.tau, n, t, q, None, v.copy(), None,
-        qd_left=v.copy(), qdd=qdd, qdd_left=dd_l, start_index=2 * n,
+        hist.tau, steps_per_delay, t, q, None, v, None,
+        qd_left=v.copy(), qdd=qdd, qdd_left=qdd_l, start_index=2 * steps_per_delay,
     )
 
 

@@ -179,6 +179,47 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_boolean_samples_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, samples=True)))
+    rc = cli.main(["transform", "--config", str(path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "/samples" in capsys.readouterr().err
+
+
+BLOW_UP_HISTORY = {"q": "3+t", "p": "3+t"}
+
+
+@pytest.mark.parametrize(
+    "model, horizon, extra",
+    [
+        # exp(q*qm) overflows inside the compiled right-hand side
+        ({"hamiltonian": {"H": "p*pm + exp(q*qm)", "alphas": [1, 0, 0, 1]}}, 30, []),
+        # the trajectory turns non-finite without any exception
+        ({"hamiltonian": {"H": "p*pm + q*q*q*qm*qm*qm", "alphas": [1, 0, 0, 1]}}, 40, []),
+        (
+            {"lagrangian": {"alpha": 0, "beta": 1, "gamma": 0, "phi": "q*q*q*qm*qm*qm"}},
+            40,
+            ["--formulation", "lagrangian"],
+        ),
+        # cos of an infinite stage value is a math domain error
+        ({"hamiltonian": {"H": "p*pm + cos(q*q*q*qm*qm*qm)", "alphas": [1, 0, 0, 1]}}, 40, []),
+        # q - qm - 1 vanishes on this history
+        ({"hamiltonian": {"H": "p*pm + 1/(q - qm - 1)", "alphas": [1, 0, 0, 1]}}, 40, []),
+    ],
+    ids=["overflow", "hamiltonian-nan", "lagrangian-nan", "domain-error", "division-by-zero"],
+)
+def test_blow_up_is_a_numeric_failure(tmp_path, capsys, model, horizon, extra):
+    cfg = dict(model, tau=1.0, history=BLOW_UP_HISTORY, steps_per_delay=8, horizon=horizon)
+    path = tmp_path / "blow.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "blow.csv"
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(out), *extra])
+    assert rc == cli.EXIT_NUMERIC
+    assert "t=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reruns_are_byte_identical(osc_config, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

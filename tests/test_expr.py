@@ -283,12 +283,6 @@ def test_is_zero_deterministic_per_seed():
 # ---------------------------------------------------------------------------
 
 
-def test_equivalent_modulo_commutative_order():
-    assert E.equivalent(E.parse("q + p"), E.parse("p + q"))
-    assert E.equivalent(E.parse("q*p*sin(t)"), E.parse("sin(t)*q*p"))
-    assert not E.equivalent(E.parse("q - p"), E.parse("p - q"))
-
-
 def test_substitute_momentum_expression():
     e = E.parse("p*pm + q*qm")
     out = E.substitute(e, {"p": E.qd, "pm": E.qdm})

@@ -101,6 +101,25 @@ def test_first_derivative_jumps_are_represented(oscillator):
     assert gap > 1e-3  # inconsistent history forces a genuine kink
 
 
+def test_second_derivative_jumps_are_represented(oscillator):
+    lag, _ = oscillator
+    hist = S.History(0.0, 1.0, E.parse("sin(t) + t/4"), None)
+    traj = S.step_elsgolts(lag, hist, 3.0, 32)
+    start = traj.start_index
+    assert abs(traj.qdd[start] - traj.qdd_left[start]) > 1e-3
+
+
+def test_final_node_carries_left_branch(oscillator):
+    lag, ham = oscillator
+    hist = S.History(0.0, 1.0, E.parse("sin(t) + t/4"), E.parse("cos(t) + t/4"))
+    a = S.step_hamiltonian(ham, hist, 3.0, 32)
+    assert a.qd[-1] == a.qd_left[-1]
+    assert a.pd[-1] == a.pd_left[-1]
+    b = S.step_elsgolts(lag, hist, 3.0, 32)
+    assert b.qd[-1] == b.qd_left[-1]
+    assert b.qdd[-1] == b.qdd_left[-1]
+
+
 def test_rejects_non_commensurate_horizon(oscillator, sincos_history):
     _, ham = oscillator
     with pytest.raises(S.SolverError):
