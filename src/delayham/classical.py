@@ -79,15 +79,12 @@ def classical_first_integral(
     integral = sub(mul(ex.p, g.eta), mul(g.xi, ch.h))
     if check:
         inv = classical_invariance(ch, g)
-        worst = 0.0
-        for k in range(samples):
-            jet = classical_on_shell_jet(ch, seed, k)
-            value, mag = ex.evaluate_with_magnitude(inv, jet)
-            worst = max(worst, abs(value) / (1.0 + mag))
-        if worst > tol:
+        jets = (classical_on_shell_jet(ch, seed, k) for k in range(samples))
+        chk = ex.is_zero_at(inv, jets, tol=tol)
+        if not chk.ok:
             warnings.warn(
                 f"generator is not an invariance of this Hamiltonian "
-                f"(on-shell residual {worst:.3e}); the returned quantity need "
+                f"(on-shell residual {chk.worst:.3e}); the returned quantity need "
                 "not be conserved",
                 stacklevel=2,
             )

@@ -527,8 +527,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return EXIT_CONFIG
+    except ex.EvalError as err:
+        where = "" if err.jet is None else f" at {err.jet!r}"
+        print(f"numeric failure: {err}{where}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (solver.SolverError, recursion.RecursionError_, legendre.LegendreError,
-            noether.DriftError, ex.EvalError) as err:
+            noether.DriftError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except noether.IntegralVerificationError as err:

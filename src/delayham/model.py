@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
 from . import expr as ex
 from .expr import (
     Expr,
@@ -23,14 +26,14 @@ from .expr import (
     add,
     as_expr,
     div,
-    evaluate,
+    evaluate_array,
     is_zero,
     is_zero_at,
     mul,
     neg,
     partial,
     powi,
-    random_jet,
+    random_jets,
     shift,
     sub,
     symbol,
@@ -169,9 +172,8 @@ class Generator:
             ("q", 2): zeta_eta2,
             ("p", 2): zeta_nu2,
         }
-        used = symbols_of(e)
         terms = []
-        for s in used:
+        for s in sorted(symbols_of(e), key=lambda s: s.index):
             base_coeff = coeff.get((s.base, s.order))
             if base_coeff is None:
                 continue
@@ -331,10 +333,16 @@ def momentum_substitution(p_of_qd: Expr) -> dict:
     }
 
 
-def on_shell_jet(
-    h: DelayHamiltonian, seed: int, index: int = 0, second_order: bool = False
-) -> JetPoint:
-    """Random jet point constrained by the two delay canonical equations.
+_SLOT = {name: ex.SYMBOL_BY_NAME[name].index for name in (
+    "qd", "qdm", "qdp", "pd", "pdm", "pdp", "qdd", "qddm", "qddp", "pdd", "pddm", "pddp",
+)}
+
+
+def on_shell_jets(
+    h: DelayHamiltonian, seed: int, n: int, second_order: bool = False, start: int = 0
+) -> np.ndarray:
+    """`(NSLOTS, n)` slot array of random jets constrained by the two delay
+    canonical equations; column k is `on_shell_jet(h, seed, start + k, ...)`.
 
     The forward derivatives qdp and pdp are solved from the equations (this
     needs a1 != 0 and a4 != 0); with `second_order` the forward second
@@ -344,19 +352,29 @@ def on_shell_jet(
     a1, a2, a3, a4 = h.alphas
     if a1 == 0 or a4 == 0:
         raise ValueError("on-shell construction needs a1 != 0 and a4 != 0")
-    jet = random_jet(seed, index)
+    c1, c23, c4 = float(a1), float(a2 + a3), float(a4)
+    A = random_jets(seed, n, start)
     dp = shifted_pair_partial(h.h, "p")
     dq = shifted_pair_partial(h.h, "q")
-    qdp_v = (evaluate(dp, jet) - float(a2 + a3) * jet.value("qd") - float(a4) * jet.value("qdm")) / float(a1)
-    pdp_v = (-evaluate(dq, jet) - float(a2 + a3) * jet.value("pd") - float(a1) * jet.value("pdm")) / float(a4)
-    jet = jet.with_values({"qdp": qdp_v, "pdp": pdp_v})
+    A[_SLOT["qdp"]] = (evaluate_array(dp, A) - c23 * A[_SLOT["qd"]] - c4 * A[_SLOT["qdm"]]) / c1
+    A[_SLOT["pdp"]] = (-evaluate_array(dq, A) - c23 * A[_SLOT["pd"]] - c1 * A[_SLOT["pdm"]]) / c4
     if second_order:
         ddp = total_derivative(dp)
         ddq = total_derivative(dq)
-        qddp_v = (evaluate(ddp, jet) - float(a2 + a3) * jet.value("qdd") - float(a4) * jet.value("qddm")) / float(a1)
-        pddp_v = (-evaluate(ddq, jet) - float(a2 + a3) * jet.value("pdd") - float(a1) * jet.value("pddm")) / float(a4)
-        jet = jet.with_values({"qddp": qddp_v, "pddp": pddp_v})
-    return jet
+        A[_SLOT["qddp"]] = (
+            evaluate_array(ddp, A) - c23 * A[_SLOT["qdd"]] - c4 * A[_SLOT["qddm"]]
+        ) / c1
+        A[_SLOT["pddp"]] = (
+            -evaluate_array(ddq, A) - c23 * A[_SLOT["pdd"]] - c1 * A[_SLOT["pddm"]]
+        ) / c4
+    return A
+
+
+def on_shell_jet(
+    h: DelayHamiltonian, seed: int, index: int = 0, second_order: bool = False
+) -> JetPoint:
+    """Sample `index` of `on_shell_jets` as a jet point."""
+    return JetPoint.from_slots(on_shell_jets(h, seed, 1, second_order, index)[:, 0])
 
 
 def is_zero_on_shell(
@@ -368,7 +386,5 @@ def is_zero_on_shell(
 ) -> ZeroCheck:
     """Sampled vanishing of `e` on jets satisfying the canonical equations."""
     need_second = any(s.order >= 2 for s in symbols_of(e))
-    jets = (
-        on_shell_jet(h, seed, k, second_order=need_second) for k in range(samples)
-    )
+    jets = ex.jet_points(on_shell_jets(h, seed, samples, second_order=need_second))
     return is_zero_at(e, jets, tol=tol)

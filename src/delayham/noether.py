@@ -35,13 +35,14 @@ from .expr import (
     sub,
     symbol,
     symbols_of,
+    to_source,
     total_derivative,
 )
 from .model import (
     DelayHamiltonian,
     Generator,
     action_density,
-    on_shell_jet,
+    on_shell_jets,
     variational_p,
     variational_q,
     variational_residuals,
@@ -221,22 +222,25 @@ def _fit(
     need_second = any(
         s.order >= 2 for e in column_images + [target] for s in symbols_of(e)
     )
-    if on_shell is None:
-        jets = [ex.random_jet(seed, k) for k in range(n)]
-    else:
-        jets = [on_shell_jet(on_shell, seed, k, second_order=need_second) for k in range(n)]
-    fns = [ex.compiled(e) for e in column_images]
-    ftarget = ex.compiled(target)
+
+    def sample(at_seed: int, count: int) -> np.ndarray:
+        if on_shell is None:
+            return ex.random_jets(at_seed, count)
+        return on_shell_jets(on_shell, at_seed, count, second_order=need_second)
+
+    slots = sample(seed, n)
     a_mat = np.empty((n, len(columns)))
-    b_vec = np.empty(n)
-    for k, jet in enumerate(jets):
-        slots = jet.slots()
-        for i, fn in enumerate(fns):
-            a_mat[k, i] = fn(slots)
-        b_vec[k] = ftarget(slots)
+    for i, e in enumerate(column_images):
+        a_mat[:, i] = ex.evaluate_array(e, slots)
+    b_vec = ex.evaluate_array(target, slots)
+    finite = np.isfinite(a_mat).all(axis=1) & np.isfinite(b_vec)
+    if not finite.all():
+        bad = ex.JetPoint.from_slots(slots[:, int(np.argmin(finite))])
+        raise ex.EvalError("design-matrix row is not finite", bad)
     coeffs, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
-    if rel > fit_tol:
+    with np.errstate(all="ignore"):
+        rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
+    if not (rel <= fit_tol):
         return None
     scale = max(1.0, float(np.max(np.abs(coeffs))))
     cleaned: list[tuple[int, object]] = []
@@ -250,11 +254,7 @@ def _fit(
     if on_shell is None:
         check = is_zero(residual, samples=120, tol=verify_tol, seed=seed + 7919)
     else:
-        jets2 = (
-            on_shell_jet(on_shell, seed + 7919, k, second_order=need_second)
-            for k in range(120)
-        )
-        check = is_zero_at(residual, jets2, tol=verify_tol)
+        check = is_zero_at(residual, ex.jet_points(sample(seed + 7919, 120)), tol=verify_tol)
     return candidate if check.ok else None
 
 
@@ -352,7 +352,7 @@ def differential_integral(
     if ham is not None:
         p_eff = sub(parts.p_quantity, wd)
         residual = sub(sub(shift(p_eff, +1), p_eff), D(sub(v, vd)))
-        jets = (on_shell_jet(ham, seed, k) for k in range(samples))
+        jets = ex.jet_points(on_shell_jets(ham, seed, samples))
         check = is_zero_at(residual, jets, tol=tol)
         if not check.ok:
             raise IntegralVerificationError(
@@ -383,7 +383,7 @@ def difference_integral(
         w_extra = sub(w, wd)
         residual = sub(D(sub(parts.c, vd)), sub(shift(w_extra, +1), w_extra))
         need_second = any(s.order >= 2 for s in symbols_of(residual))
-        jets = (on_shell_jet(ham, seed, k, second_order=need_second) for k in range(samples))
+        jets = ex.jet_points(on_shell_jets(ham, seed, samples, second_order=need_second))
         check = is_zero_at(residual, jets, tol=tol)
         if not check.ok:
             raise IntegralVerificationError(
@@ -482,23 +482,37 @@ class DriftReport:
     n_points: int
 
 
-def _node_slots(traj, i: int, n: int) -> list[float]:
-    slots = [math.nan] * ex.NSLOTS
+def _trajectory_slots(traj, lo: int, hi: int) -> np.ndarray:
+    """Slot array whose column i - lo is the jet at grid node i, lo <= i < hi.
+
+    Shifted slots are the same samples one delay (`steps_per_delay` nodes)
+    either side; slots the trajectory does not carry, or that fall off the
+    grid, are nan.
+    """
+    n = traj.steps_per_delay
+    size = len(traj.t)
+    slots = np.full((ex.NSLOTS, hi - lo), math.nan)
     slots[ex.TAU_INDEX] = traj.tau
-
-    def put(base: str, arr, darr, sh: int, j: int):
-        slots[symbol(base, sh, 0).index] = arr[j]
-        if darr is not None:
-            slots[symbol(base, sh, 1).index] = darr[j]
-
-    for sh, j in ((-1, i - n), (0, i), (1, i + n)):
-        if j < 0 or j >= len(traj.t):
+    samples = (("t", 0, traj.t), ("q", 0, traj.q), ("q", 1, traj.qd), ("p", 0, traj.p), ("p", 1, traj.pd))
+    for sh in (-1, 0, 1):
+        first, last = max(lo + sh * n, 0), min(hi + sh * n, size)
+        if first >= last:
             continue
-        slots[symbol("t", sh, 0).index] = traj.t[j]
-        put("q", traj.q, traj.qd, sh, j)
-        if traj.p is not None:
-            put("p", traj.p, traj.pd, sh, j)
+        columns = slice(first - sh * n - lo, last - sh * n - lo)
+        for base, order, values in samples:
+            if values is not None:
+                slots[symbol(base, sh, order).index, columns] = values[first:last]
     return slots
+
+
+def _values_along(e: Expr, traj, lo: int, hi: int) -> np.ndarray:
+    """Values of `e` at grid nodes lo <= i < hi; non-finite ones are a `DriftError`."""
+    values = ex.evaluate_array(e, _trajectory_slots(traj, lo, hi))
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = lo + int(np.argmin(finite))
+        raise DriftError(f"{to_source(e)} is not finite at t={traj.t[bad]}")
+    return values
 
 
 def drift(integral: Expr, traj, kind: str = "differential") -> DriftReport:
@@ -525,28 +539,16 @@ def drift(integral: Expr, traj, kind: str = "differential") -> DriftReport:
     m = len(traj.t) - 1
     if m < 2 * n:
         raise DriftError("trajectory is shorter than the span of the integral")
-    fn = ex.compiled(integral)
-    worst = 0.0
-    t_at = traj.t[n]
-    npts = 0
+    # nodes n..m-n are admissible; a difference integral also needs them one delay later
+    count = m - 2 * n + 1
     if kind == "differential":
-        ref = fn(_node_slots(traj, n, n))
-        for i in range(n, m - n + 1):
-            val = fn(_node_slots(traj, i, n))
-            npts += 1
-            dev = abs(val - ref)
-            if dev > worst:
-                worst, t_at = dev, traj.t[i]
-        return DriftReport("differential", worst, t_at, ref, npts)
-    ref = fn(_node_slots(traj, n, n))
-    for i in range(n, m - n + 1):
-        here = fn(_node_slots(traj, i, n))
-        there = fn(_node_slots(traj, i + n, n))
-        npts += 1
-        dev = abs(there - here)
-        if dev > worst:
-            worst, t_at = dev, traj.t[i]
-    return DriftReport("difference", worst, t_at, ref, npts)
+        values = _values_along(integral, traj, n, n + count)
+        deviation = np.abs(values - values[0])
+    else:
+        values = _values_along(integral, traj, n, m + 1)
+        deviation = np.abs(values[n:] - values[:count])
+    k = int(np.argmax(deviation))
+    return DriftReport(kind, float(deviation[k]), traj.t[n + k], values[0], count)
 
 
 def constrained_difference_check(parts: NoetherQuantities, traj) -> tuple[DriftReport, float]:
@@ -556,12 +558,9 @@ def constrained_difference_check(parts: NoetherQuantities, traj) -> tuple[DriftR
     report = drift(parts.c, traj, kind="differential")
     n = traj.steps_per_delay
     m = len(traj.t) - 1
-    fn = ex.compiled(parts.p_quantity)
-    worst = 0.0
-    for i in range(n, m - n + 1):
-        gap = abs(fn(_node_slots(traj, i + n, n)) - fn(_node_slots(traj, i, n)))
-        worst = max(worst, gap)
-    return report, worst
+    values = _values_along(parts.p_quantity, traj, n, m + 1)
+    gap = np.abs(values[n:] - values[: m - 2 * n + 1])
+    return report, float(gap.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,12 @@ class ComparisonReport:
 
 
 def compare(a, b) -> ComparisonReport:
-    """Per-component max and discrete L2 differences on a shared grid."""
+    """Per-component max and discrete L2 differences on a shared grid.
+
+    A component is skipped when either trajectory lacks it: absent, or not
+    finite in any row (as the momenta of a Lagrangian run).  A non-finite
+    value in a component both carry raises `SolverError` naming its t.
+    """
     if len(a.t) != len(b.t) or not np.allclose(a.t, b.t, rtol=0, atol=1e-12):
         raise SolverError("trajectories are not on the same grid")
     dt = float(a.t[1] - a.t[0]) if len(a.t) > 1 else 1.0
@@ -193,11 +198,14 @@ def compare(a, b) -> ComparisonReport:
         xb = getattr(b, name, None)
         if xa is None or xb is None:
             continue
-        mask = np.isfinite(xa) & np.isfinite(xb)
-        if not mask.any():
+        fa, fb = np.isfinite(xa), np.isfinite(xb)
+        if not fa.any() or not fb.any():
             continue
+        finite = fa & fb
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise SolverError(f"component {name} is not finite at t={a.t[bad]}")
         diff = np.abs(np.asarray(xa) - np.asarray(xb))
-        diff = np.where(mask, diff, 0.0)
         imax = int(np.argmax(diff))
         out[name] = DiffStats(
             float(diff[imax]),

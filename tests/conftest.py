@@ -50,27 +50,40 @@ def sincos_history():
 # ---------------------------------------------------------------------------
 
 
-def random_expr(rng: np.random.Generator, atoms, depth: int = 3) -> E.Expr:
-    """Random expression over the surface grammar; kept numerically tame."""
+def random_expr(rng: np.random.Generator, atoms, depth: int = 3, extended: bool = False) -> E.Expr:
+    """Random expression over the surface grammar; kept numerically tame.
+
+    With `extended`, `exp` and division nodes are drawn as well (denominators
+    are kept away from zero; `exp` arguments are not bounded).
+    """
     if depth == 0 or rng.uniform() < 0.25:
         r = rng.uniform()
         if r < 0.35:
             return E.const(round(float(rng.uniform(-2, 2)), 3))
         return atoms[rng.integers(len(atoms))]
-    op = rng.integers(7)
+
+    def sub_expr():
+        return random_expr(rng, atoms, depth - 1, extended)
+
+    op = rng.integers(9 if extended else 7)
     if op == 0:
-        return E.add(random_expr(rng, atoms, depth - 1), random_expr(rng, atoms, depth - 1))
+        return E.add(sub_expr(), sub_expr())
     if op == 1:
-        return E.sub(random_expr(rng, atoms, depth - 1), random_expr(rng, atoms, depth - 1))
+        return E.sub(sub_expr(), sub_expr())
     if op == 2:
-        return E.mul(random_expr(rng, atoms, depth - 1), random_expr(rng, atoms, depth - 1))
+        return E.mul(sub_expr(), sub_expr())
     if op == 3:
-        return E.neg(random_expr(rng, atoms, depth - 1))
+        return E.neg(sub_expr())
     if op == 4:
-        return E.powi(random_expr(rng, atoms, depth - 1), int(rng.integers(2, 4)))
+        return E.powi(sub_expr(), int(rng.integers(2, 4)))
     if op == 5:
-        return E.sin(random_expr(rng, atoms, depth - 1))
-    return E.cos(random_expr(rng, atoms, depth - 1))
+        return E.sin(sub_expr())
+    if op == 6:
+        return E.cos(sub_expr())
+    if op == 7:
+        return E.exp(sub_expr())
+    den = sub_expr()
+    return E.div(sub_expr(), E.add(E.const(0.5), E.mul(den, den)))
 
 
 def random_polynomial(rng: np.random.Generator, atoms, terms: int = 3) -> E.Expr:

@@ -247,3 +247,70 @@ def test_transform_extended_model(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["velocity_map"]["qd"] == "2*p + q"
     assert len(payload["alphas"]) == 4
+
+
+def test_fit_overflow_is_a_numeric_failure(tmp_path, capsys):
+    # exp(200*q*p) overflows on a few of the fit's sampled jets
+    cfg = {
+        "tau": 1.0,
+        "hamiltonian": {"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]},
+        "generators": [{"name": "G", "eta": "exp(200*q*p)", "nu": "0"}],
+        "samples": 20,
+        "seed": 1,
+    }
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "fit-report.json"
+    rc = cli.main(["noether", "--config", str(path), "--out", str(out)])
+    assert rc == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric overflow at JetPoint(" in err
+    assert not out.exists()
+
+
+def test_compare_fails_on_a_non_finite_row(osc_config, tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    assert cli.main(["simulate", "--config", osc_config, "--out", str(a)]) == 0
+    lines = a.read_text().splitlines()
+    row = lines[5].split(",")
+    row[1] = "nan"
+    lines[5] = ",".join(row)
+    b = tmp_path / "b.csv"
+    b.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["compare", "--a", str(a), "--b", str(b), "--max-diff", "1e-5"])
+    assert rc == cli.EXIT_NUMERIC
+    assert f"q is not finite at t={float(row[0])}" in capsys.readouterr().err
+
+
+def test_compare_skips_components_a_run_does_not_carry(osc_config, tmp_path, capsys):
+    ham = tmp_path / "ham.csv"
+    lag = tmp_path / "lag.csv"
+    assert cli.main(["simulate", "--config", osc_config, "--out", str(ham)]) == 0
+    args = ["simulate", "--config", osc_config, "--formulation", "lagrangian", "--out", str(lag)]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", "--a", str(ham), "--b", str(lag), "--max-diff", "1e-5"]) == 0
+    components = json.loads(capsys.readouterr().out)["components"]
+    assert sorted(components) == ["q", "qd"]
+
+
+def test_check_identity_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import delayham
+
+    cfg = dict(OSC_CONFIG, generators=OSC_CONFIG["generators"][:2], samples=40)
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(delayham.__file__))
+    outputs = []
+    for hash_seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "delayham.cli", "check-identity", "--config", str(path)],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

@@ -294,3 +294,154 @@ def test_fraction_constants_survive_roundtrip():
     assert isinstance(e, E.Mul)
     assert e.factors[0].value == 0.75
     assert E.parse(E.to_source(e)) is e
+
+
+# ---------------------------------------------------------------------------
+# batched sampling and the array binding
+# ---------------------------------------------------------------------------
+
+KERNEL_ATOMS = [E.t, E.tm, E.tp, E.q, E.qm, E.qp, E.p, E.pm, E.qd, E.pdp, E.qdd, E.tau]
+
+
+def _same_bits(a, b) -> bool:
+    """Equal as IEEE doubles, bit for bit; every NaN equals every NaN."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    if not np.array_equal(nan, np.isnan(b)):
+        return False
+    return np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+def _reference_jet_slots(seed: int, k: int) -> list[float]:
+    """One jet drawn value by value with `Generator.uniform`."""
+    rng = np.random.default_rng((seed & 0xFFFFFFFF, k))
+    tau_value = rng.uniform(0.3, 1.5)
+    t_value = rng.uniform(-3.0, 3.0)
+    slots = list(E.JetPoint(tau_value, t_value=t_value).slots())
+    for s in E.SYMBOLS:
+        if s.base != "t":
+            slots[s.index] = rng.uniform(-2.0, 2.0)
+    return slots
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260810, -3, 2**40 + 5])
+def test_random_jets_columns_match_single_draws(seed):
+    slots = E.random_jets(seed, 40)
+    assert slots.shape == (E.NSLOTS, 40)
+    for k in range(40):
+        column = slots[:, k]
+        assert _same_bits(column, _reference_jet_slots(seed, k))
+        assert _same_bits(column, E.random_jet(seed, k).slots())
+    assert _same_bits(E.random_jets(seed, 5, start=17), slots[:, 17:22])
+
+
+def test_array_binding_matches_scalar_kernel_bit_for_bit():
+    rng = np.random.default_rng(4242)
+    slots = E.random_jets(99, 24)
+    columns = slots.T.tolist()
+    compared = 0
+    for _ in range(400):
+        e = random_expr(rng, KERNEL_ATOMS, depth=4, extended=True)
+        scalar = E.compiled(e)
+        scalar_mag = E.compiled(e, with_magnitude=True)
+        try:
+            want = [scalar(c) for c in columns]
+            want_mag = [scalar_mag(c) for c in columns]
+        except (OverflowError, ZeroDivisionError, ValueError):
+            with pytest.raises(E.EvalError):
+                E.evaluate_array(e, slots)
+            continue
+        with np.errstate(all="ignore"):
+            got = np.broadcast_to(scalar.array(slots), (24,))
+            got_value, got_mag = (np.broadcast_to(x, (24,)) for x in scalar_mag.array(slots))
+        assert _same_bits(got, want), E.to_source(e)
+        assert _same_bits(got_value, [v for v, _ in want_mag]), E.to_source(e)
+        finite = np.isfinite(got)
+        assert _same_bits(got_mag[finite], [m for (_, m), f in zip(want_mag, finite) if f])
+        assert _same_bits(E.evaluate_array(e, slots), want)
+        compared += 1
+    assert compared > 300
+
+
+def test_constant_expression_evaluates_to_every_column():
+    e = E.mul(E.const(3), E.sin(E.const(1)))
+    values = E.evaluate_array(e, E.random_jets(1, 5))
+    assert values.shape == (5,)
+    assert _same_bits(values, [E.evaluate(e, E.random_jet(1, 0))] * 5)
+
+
+def _loop_zero_check(e, jets, tol):
+    """The plain per-jet zero check the batched one must agree with."""
+    fn = E.compiled(e, with_magnitude=True)
+    worst = 0.0
+    for jet in jets:
+        value, mag = fn(jet.slots())
+        ratio = abs(value) / (1.0 + mag)
+        if not (ratio <= tol):
+            return False, jet, ratio
+        worst = max(worst, ratio)
+    return True, None, worst
+
+
+def test_is_zero_agrees_with_a_per_jet_loop():
+    rng = np.random.default_rng(77)
+    atoms = [E.t, E.q, E.qm, E.p, E.pm, E.qd]
+    outcomes = set()
+    for k in range(150):
+        a = random_expr(rng, atoms, depth=3)
+        b = random_expr(rng, atoms, depth=2)
+        # true identities, near misses and plain non-zeros
+        e = E.sub(E.total_derivative(E.mul(a, b)),
+                  E.add(E.mul(E.total_derivative(a), b), E.mul(a, E.total_derivative(b))))
+        if k % 3 == 1:
+            e = E.add(e, E.mul(E.const(1e-9), E.q))
+        elif k % 3 == 2:
+            e = E.add(e, a)
+        for tol in (1e-12, 1e-9):
+            chk = E.is_zero(e, samples=30, tol=tol, seed=k)
+            ok, witness, worst = _loop_zero_check(e, [E.random_jet(k, j) for j in range(30)], tol)
+            assert chk.ok is ok
+            assert _same_bits(chk.worst, worst)
+            if ok:
+                assert chk.witness is None
+            else:
+                assert chk.witness.slots() == witness.slots()
+            outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_is_zero_overflow_is_an_eval_error():
+    with pytest.raises(E.EvalError, match="numeric overflow") as err:
+        E.is_zero(E.parse("exp(200*q*qm)"))
+    assert err.value.jet.slots() == E.random_jet(0, 0).slots()
+
+
+def test_zero_check_stops_at_the_first_witness():
+    e = E.parse("exp(200*q*qm) - q - 1")
+    fine = E.JetPoint(1.0, {"q": 0.5, "qm": 0.0}, t_value=0.0)
+    overflow = E.JetPoint(1.0, {"q": 2.0, "qm": 2.0}, t_value=0.0)
+    chk = E.is_zero_at(e, [fine, overflow])
+    assert not chk.ok
+    assert chk.witness is fine
+    assert chk.worst == _loop_zero_check(e, [fine, overflow], 1e-9)[2]
+    with pytest.raises(E.EvalError, match="numeric overflow") as err:
+        E.is_zero_at(e, [overflow, fine])
+    assert err.value.jet is overflow
+
+
+def test_is_zero_at_missing_symbol_names_it():
+    jet = E.JetPoint(1.0, {"q": 1.0}, t_value=0.0)
+    with pytest.raises(E.MissingSymbolError) as err:
+        E.is_zero_at(E.parse("q*qm"), [jet])
+    assert err.value.symbol.name == "qm"
+    assert err.value.jet is jet
+
+
+def test_evaluate_array_names_the_first_failing_jet():
+    slots = E.random_jets(3, 6)
+    slots[E.SYMBOL_BY_NAME["qm"].index, 2] = slots[E.SYMBOL_BY_NAME["q"].index, 2]
+    slots[E.SYMBOL_BY_NAME["qm"].index, 4] = slots[E.SYMBOL_BY_NAME["q"].index, 4]
+    with pytest.raises(E.EvalError, match="division by zero") as err:
+        E.evaluate_array(E.parse("1/(q - qm)"), slots)
+    assert err.value.jet.slots() == slots[:, 2].tolist()

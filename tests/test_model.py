@@ -270,3 +270,39 @@ def test_prolonged_apply_handles_second_order():
     e = E.parse("qdd*p + qddm*sin(t)")
     out = g.apply(e)
     assert any(s.order == 2 for s in E.symbols_of(out))
+
+
+def _reference_on_shell_slots(h, seed, k, second_order):
+    """One on-shell jet solved value by value with the scalar evaluator."""
+    a1, a2, a3, a4 = (float(a) for a in h.alphas)
+    jet = E.random_jet(seed, k)
+    dp = M.shifted_pair_partial(h.h, "p")
+    dq = M.shifted_pair_partial(h.h, "q")
+    v = jet.value
+    jet = jet.with_values({
+        "qdp": (E.evaluate(dp, jet) - (a2 + a3) * v("qd") - a4 * v("qdm")) / a1,
+        "pdp": (-E.evaluate(dq, jet) - (a2 + a3) * v("pd") - a1 * v("pdm")) / a4,
+    })
+    if second_order:
+        v = jet.value
+        jet = jet.with_values({
+            "qddp": (E.evaluate(E.total_derivative(dp), jet) - (a2 + a3) * v("qdd") - a4 * v("qddm")) / a1,
+            "pddp": (-E.evaluate(E.total_derivative(dq), jet) - (a2 + a3) * v("pdd") - a1 * v("pddm")) / a4,
+        })
+    return jet.slots()
+
+
+@pytest.mark.parametrize("second_order", [False, True])
+def test_batched_on_shell_columns_match_single_jets(oscillator, second_order):
+    rng = np.random.default_rng(31)
+    hams = [oscillator[1], M.DelayHamiltonian(E.parse("sin(t)*p*pm + q^3*qm + exp(q/4)"), (2, 1, -1, 3))]
+    for _ in range(6):
+        ham = random_quadratic_hamiltonian(rng)
+        if ham.alphas[0] != 0 and ham.alphas[3] != 0:
+            hams.append(ham)
+    for ham in hams:
+        slots = M.on_shell_jets(ham, 55, 12, second_order=second_order)
+        for k in range(12):
+            column = slots[:, k].tolist()
+            assert column == M.on_shell_jet(ham, 55, k, second_order=second_order).slots()
+            assert column == _reference_on_shell_slots(ham, 55, k, second_order)

@@ -9,6 +9,21 @@ from delayham import solver as S
 from conftest import random_generator, random_quadratic_hamiltonian
 
 
+def _node_slots(traj, i, n):
+    """Slot vector of the jet at grid node i, filled one node at a time."""
+    slots = [float("nan")] * E.NSLOTS
+    slots[E.TAU_INDEX] = traj.tau
+    for sh, j in ((-1, i - n), (0, i), (1, i + n)):
+        if 0 <= j < len(traj.t):
+            slots[E.symbol("t", sh, 0).index] = traj.t[j]
+            for base, arr, darr in (("q", traj.q, traj.qd), ("p", traj.p, traj.pd)):
+                if arr is not None:
+                    slots[E.symbol(base, sh, 0).index] = arr[j]
+                    if darr is not None:
+                        slots[E.symbol(base, sh, 1).index] = darr[j]
+    return slots
+
+
 def z(e, seed=0, samples=50, tol=1e-10):
     return E.is_zero(e, samples=samples, tol=tol, seed=seed)
 
@@ -358,13 +373,13 @@ def test_relation_residual_converges_at_solver_order(oscillator, oscillator_gene
         knots = set(traj.knot_indices())
         worst_sym = worst_fd = 0.0
         for i in range(n, m - n + 1):
-            worst_sym = max(worst_sym, abs(fn_rel(N._node_slots(traj, i, n))))
+            worst_sym = max(worst_sym, abs(fn_rel(_node_slots(traj, i, n))))
             near_knot = any((i + d) in knots for d in range(-2, 3))
             if i - 2 < n or i + 2 > m - n or near_knot:
                 continue
-            stencil = [fn_cv(N._node_slots(traj, i + d, n)) for d in (-2, -1, 1, 2)]
+            stencil = [fn_cv(_node_slots(traj, i + d, n)) for d in (-2, -1, 1, 2)]
             d_fd = (-stencil[3] + 8 * stencil[2] - 8 * stencil[1] + stencil[0]) / (12 * h)
-            worst_fd = max(worst_fd, abs(d_fd - fn_sp(N._node_slots(traj, i, n))))
+            worst_fd = max(worst_fd, abs(d_fd - fn_sp(_node_slots(traj, i, n))))
         worsts_symbolic.append(worst_sym)
         worsts_fd.append(worst_fd)
     assert all(w <= 1e-12 for w in worsts_symbolic), worsts_symbolic
@@ -427,3 +442,30 @@ def test_pipeline_time_translation_note(oscillator, oscillator_generators):
     assert rep.invariance.classification is N.Classification.VARIATIONAL
     assert rep.parts.differential_integral is None
     assert any("temporal" in n for n in rep.notes)
+
+
+def test_fit_rejects_a_nan_residual():
+    # the target reaches 1e300 on these jets, so the fit residual norm
+    # overflows and the relative residual is nan; that is no fit
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert N.fit_total_derivative(E.parse("exp(200*q*qm)"), seed=1) is None
+
+
+def test_fit_row_that_overflows_names_its_jet():
+    target = E.parse("exp(200*q*qm)")
+    with pytest.raises(E.EvalError, match="numeric overflow") as err:
+        N.fit_total_derivative(target, seed=0)
+    jet = err.value.jet
+    assert jet.slots() == E.random_jet(0, 0).slots()
+    assert 200 * jet.value("q") * jet.value("qm") > 709.8
+
+
+def test_drift_of_a_non_finite_integral_is_a_numeric_failure(oscillator_trajectory):
+    # the product overflows to inf without an exception where q > 0.79
+    with pytest.raises(N.DriftError, match="not finite at t="):
+        N.drift(E.parse("exp(300*q)*exp(300*q)*exp(300*q)"), oscillator_trajectory, "differential")
+    with pytest.raises(E.EvalError, match="division by zero"):
+        N.drift(E.parse("1/(q - q)"), oscillator_trajectory, "difference")
