@@ -19,12 +19,12 @@ from .expr import (
     JetPoint,
     add,
     div,
-    evaluate,
+    evaluate_array,
     mul,
     neg,
     partial,
     powi,
-    random_jet,
+    random_jets,
     sub,
     symbol,
     total_derivative,
@@ -79,7 +79,7 @@ def classical_first_integral(
     integral = sub(mul(ex.p, g.eta), mul(g.xi, ch.h))
     if check:
         inv = classical_invariance(ch, g)
-        jets = (classical_on_shell_jet(ch, seed, k) for k in range(samples))
+        jets = ex.jet_points(classical_on_shell_jets(ch, seed, samples))
         chk = ex.is_zero_at(inv, jets, tol=tol)
         if not chk.ok:
             warnings.warn(
@@ -123,22 +123,31 @@ def euler_lagrange_residual(lagrangian: Expr) -> Expr:
     return sub(partial(lagrangian, "q"), total_derivative(partial(lagrangian, "qd")))
 
 
+_QD, _PD, _QDD, _PDD = (symbol(base, 0, order).index for order in (1, 2) for base in "qp")
+
+
+def classical_on_shell_jets(
+    ch: ClassicalHamiltonian, seed: int, n: int, second_order: bool = True, start: int = 0
+) -> np.ndarray:
+    """`(NSLOTS, n)` slot array of random jets with qd = H_p, pd = -H_q (and
+    consistent second derivatives); column k is sample `start + k`."""
+    A = random_jets(seed, n, start)
+    hp = partial(ch.h, "p")
+    hq = partial(ch.h, "q")
+    A[_QD] = evaluate_array(hp, A)
+    A[_PD] = -evaluate_array(hq, A)
+    if second_order:
+        qdd = evaluate_array(total_derivative(hp), A)
+        pdd = -evaluate_array(total_derivative(hq), A)
+        A[_QDD], A[_PDD] = qdd, pdd
+    return A
+
+
 def classical_on_shell_jet(
     ch: ClassicalHamiltonian, seed: int, index: int = 0, second_order: bool = True
 ) -> JetPoint:
-    """Random jet with qd = H_p, pd = -H_q (and consistent second derivatives)."""
-    jet = random_jet(seed, index)
-    hp = partial(ch.h, "p")
-    hq = partial(ch.h, "q")
-    jet = jet.with_values({"qd": evaluate(hp, jet), "pd": -evaluate(hq, jet)})
-    if second_order:
-        jet = jet.with_values(
-            {
-                "qdd": evaluate(total_derivative(hp), jet),
-                "pdd": -evaluate(total_derivative(hq), jet),
-            }
-        )
-    return jet
+    """Sample `index` of `classical_on_shell_jets` as a jet point."""
+    return JetPoint.from_slots(classical_on_shell_jets(ch, seed, 1, second_order, index)[:, 0])
 
 
 def integrate_canonical(
@@ -184,25 +193,9 @@ def integral_drift(
     integral: Expr, ts: np.ndarray, qs: np.ndarray, ps: np.ndarray, tau_value: float = 1.0
 ) -> float:
     """Max |I(t) - I(t0)| along a classical trajectory."""
-    fn = ex.compiled(integral)
-    ti = symbol("t", 0, 0).index
-    tmi = symbol("t", -1, 0).index
-    tpi = symbol("t", 1, 0).index
-    qi = symbol("q", 0, 0).index
-    pi = symbol("p", 0, 0).index
-    slots = [math.nan] * ex.NSLOTS
-    slots[ex.TAU_INDEX] = tau_value
-    worst = 0.0
-    ref = None
-    for tv, qv, pv in zip(ts, qs, ps):
-        slots[ti] = tv
-        slots[tmi] = tv - tau_value
-        slots[tpi] = tv + tau_value
-        slots[qi] = qv
-        slots[pi] = pv
-        val = fn(slots)
-        if ref is None:
-            ref = val
-        else:
-            worst = max(worst, abs(val - ref))
-    return worst
+    ts = np.asarray(ts, dtype=float)
+    rows = {symbol("t", sh, 0): ts + sh * tau_value for sh in (-1, 1)}
+    rows.update({symbol("t", 0, 0): ts, symbol("q", 0, 0): qs, symbol("p", 0, 0): ps})
+    values = evaluate_array(integral, ex.grid_slots(tau_value, rows))
+    # like a running max, fmax passes over a nan deviation
+    return float(np.fmax.reduce(np.abs(values[1:] - values[0]), initial=0.0))

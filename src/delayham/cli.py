@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -186,7 +187,7 @@ def _resolved_hamiltonian(cfg: RunConfig) -> DelayHamiltonian:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -196,6 +197,12 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _maybe(e: Expr | None) -> str | None:
     return None if e is None else to_source(e)
+
+
+def _check_entry(name: str, chk: ex.ZeroCheck) -> dict:
+    """One `check-identity` row; a non-finite worst ratio is written as null."""
+    worst = chk.worst if math.isfinite(chk.worst) else None
+    return {"name": name, "ok": chk.ok, "worst": worst}
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +407,19 @@ def cmd_check_identity(cfg: RunConfig, args) -> int:
             )
             res = classical_identity_residual(ClassicalHamiltonian(h_expr), gen)
             chk = ex.is_zero(res, samples=cfg.samples, tol=cfg.tol, seed=cfg.seed + k)
-            checks.append({"name": f"classical-identity-{k}", "ok": chk.ok, "worst": chk.worst})
+            checks.append(_check_entry(f"classical-identity-{k}", chk))
     else:
         ham = _resolved_hamiltonian(cfg)
         for name, gen, _, _ in cfg.generators:
             chk = noether.verify_hamiltonian_identity(
                 ham, gen, samples=cfg.samples, tol=cfg.tol, seed=cfg.seed
             )
-            checks.append({"name": f"identity-{name}", "ok": chk.ok, "worst": chk.worst})
+            checks.append(_check_entry(f"identity-{name}", chk))
             rep = noether.variational_derivative_identities(
                 ham, gen, samples=cfg.samples, tol=cfg.tol, seed=cfg.seed
             )
             for key, sub_chk in rep.checks.items():
-                checks.append(
-                    {"name": f"variation-{key}-{name}", "ok": sub_chk.ok, "worst": sub_chk.worst}
-                )
+                checks.append(_check_entry(f"variation-{key}-{name}", sub_chk))
     _emit({"checks": checks}, args.out)
     return EXIT_OK if all(c["ok"] for c in checks) else EXIT_VERIFY
 

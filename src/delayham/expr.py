@@ -1019,6 +1019,15 @@ def random_jet(seed: int, index: int = 0) -> JetPoint:
     return JetPoint.from_slots(_draw_jets(int(seed) & 0xFFFFFFFF, 1, int(index))[:, 0])
 
 
+def grid_slots(tau_value: float, rows: Mapping[Symbol, np.ndarray]) -> np.ndarray:
+    """`(NSLOTS, N)` slot array of the given symbol rows and tau; other slots are nan."""
+    out = np.full((NSLOTS, len(next(iter(rows.values())))), math.nan)
+    out[TAU_INDEX] = tau_value
+    for s, values in rows.items():
+        out[s.index] = values
+    return out
+
+
 def jet_points(slots: np.ndarray) -> list[JetPoint]:
     """The columns of a slot array as jet points."""
     return [JetPoint.from_slots(column) for column in slots.T.tolist()]

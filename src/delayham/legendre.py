@@ -174,26 +174,26 @@ class ExtendedLagrangian:
 
     def _sample_checks(self):
         grid = np.linspace(-2.0, 2.0, 17)
-        fa = ex.compiled(self.alpha)
-        fb = ex.compiled(self.beta)
-        fg = ex.compiled(self.gamma)
-        fm = ex.compiled(self.mu)
-        slots = [math.nan] * ex.NSLOTS
-        qi = symbol("q", 0, 0).index
-        qmi = symbol("q", -1, 0).index
-        for qv in grid:
-            slots[qi] = qv
-            if abs(fm(slots)) < 1e-9:
-                raise LegendreError(f"mu vanishes near q={qv} (singular momentum map)")
-            for qmv in grid:
-                slots[qmi] = qmv
-                b = fb(slots)
-                if abs(b) < 1e-12:
-                    raise LegendreError(f"beta vanishes near (q={qv}, qm={qmv})")
-                if abs(fa(slots) * fg(slots) - b * b) < 1e-12:
-                    raise LegendreError(
-                        f"alpha*gamma - beta^2 vanishes near (q={qv}, qm={qmv})"
-                    )
+        q, qm = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+        slots = ex.grid_slots(math.nan, {symbol("q", 0, 0): q, symbol("q", -1, 0): qm})
+        mu, alpha, beta, gamma = (
+            ex.evaluate_array(e, slots) for e in (self.mu, self.alpha, self.beta, self.gamma)
+        )
+        # one row per (q, qm) point of a sweep over q, then qm; mu depends on
+        # q alone, so its failure shows from the first point of its sweep
+        failed = np.stack(
+            [np.abs(mu) < 1e-9, np.abs(beta) < 1e-12, np.abs(alpha * gamma - beta * beta) < 1e-12],
+            axis=1,
+        )
+        if not failed.any():
+            return
+        k, check = divmod(int(np.argmax(failed)), 3)
+        messages = (
+            f"mu vanishes near q={q[k]} (singular momentum map)",
+            f"beta vanishes near (q={q[k]}, qm={qm[k]})",
+            f"alpha*gamma - beta^2 vanishes near (q={q[k]}, qm={qm[k]})",
+        )
+        raise LegendreError(messages[check])
 
     def expr(self) -> Expr:
         lam_m = shift(self.lam, -1)

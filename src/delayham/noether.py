@@ -13,7 +13,6 @@ sampling; user-supplied candidates are always accepted for checking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -33,7 +32,6 @@ from .expr import (
     partial,
     shift,
     sub,
-    symbol,
     symbols_of,
     to_source,
     total_derivative,
@@ -332,6 +330,23 @@ def classify_invariance(
 # ---------------------------------------------------------------------------
 
 
+def _verified_integral(
+    parts: NoetherQuantities, kind: str, integral: Expr, residual: Expr | None,
+    ham: DelayHamiltonian | None, samples: int, tol: float, seed: int, failure: str,
+) -> Expr:
+    """Store `integral` as `parts.<kind>_integral` once `residual`, the premise
+    it rests on, vanishes on sampled on-shell jets of `ham` (unchecked
+    without `ham`)."""
+    if ham is not None:
+        need_second = any(s.order >= 2 for s in symbols_of(residual))
+        jets = ex.jet_points(on_shell_jets(ham, seed, samples, second_order=need_second))
+        check = is_zero_at(residual, jets, tol=tol)
+        if not check.ok:
+            raise IntegralVerificationError(failure, check.worst)
+    setattr(parts, f"{kind}_integral", integral)
+    return integral
+
+
 def differential_integral(
     parts: NoetherQuantities,
     v: Expr,
@@ -347,21 +362,15 @@ def differential_integral(
     difference part.  With `ham` given, the telescoping premise is re-checked
     on sampled on-shell jets before the integral is returned."""
     v = as_expr(v)
-    vd = as_expr(v_div if v_div is not None else 0)
-    wd = as_expr(w_div if w_div is not None else 0)
+    residual = None
     if ham is not None:
-        p_eff = sub(parts.p_quantity, wd)
-        residual = sub(sub(shift(p_eff, +1), p_eff), D(sub(v, vd)))
-        jets = ex.jet_points(on_shell_jets(ham, seed, samples))
-        check = is_zero_at(residual, jets, tol=tol)
-        if not check.ok:
-            raise IntegralVerificationError(
-                "difference part does not telescope into the supplied total derivative",
-                check.worst,
-            )
-    integral = sub(parts.c, v)
-    parts.differential_integral = integral
-    return integral
+        p_eff = sub(parts.p_quantity, as_expr(w_div if w_div is not None else 0))
+        v_extra = sub(v, as_expr(v_div if v_div is not None else 0))
+        residual = sub(sub(shift(p_eff, +1), p_eff), D(v_extra))
+    return _verified_integral(
+        parts, "differential", sub(parts.c, v), residual, ham, samples, tol, seed,
+        "difference part does not telescope into the supplied total derivative",
+    )
 
 
 def difference_integral(
@@ -377,22 +386,15 @@ def difference_integral(
 ) -> Expr:
     """J = P - W, the two-point conserved quantity of the opposite splitting."""
     w = as_expr(w)
-    vd = as_expr(v_div if v_div is not None else 0)
-    wd = as_expr(w_div if w_div is not None else 0)
+    residual = None
     if ham is not None:
-        w_extra = sub(w, wd)
-        residual = sub(D(sub(parts.c, vd)), sub(shift(w_extra, +1), w_extra))
-        need_second = any(s.order >= 2 for s in symbols_of(residual))
-        jets = ex.jet_points(on_shell_jets(ham, seed, samples, second_order=need_second))
-        check = is_zero_at(residual, jets, tol=tol)
-        if not check.ok:
-            raise IntegralVerificationError(
-                "total-derivative part is not the supplied shift difference",
-                check.worst,
-            )
-    integral = sub(parts.p_quantity, w)
-    parts.difference_integral = integral
-    return integral
+        c_eff = sub(parts.c, as_expr(v_div if v_div is not None else 0))
+        w_extra = sub(w, as_expr(w_div if w_div is not None else 0))
+        residual = sub(D(c_eff), sub(shift(w_extra, +1), w_extra))
+    return _verified_integral(
+        parts, "difference", sub(parts.p_quantity, w), residual, ham, samples, tol, seed,
+        "total-derivative part is not the supplied shift difference",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,32 +484,9 @@ class DriftReport:
     n_points: int
 
 
-def _trajectory_slots(traj, lo: int, hi: int) -> np.ndarray:
-    """Slot array whose column i - lo is the jet at grid node i, lo <= i < hi.
-
-    Shifted slots are the same samples one delay (`steps_per_delay` nodes)
-    either side; slots the trajectory does not carry, or that fall off the
-    grid, are nan.
-    """
-    n = traj.steps_per_delay
-    size = len(traj.t)
-    slots = np.full((ex.NSLOTS, hi - lo), math.nan)
-    slots[ex.TAU_INDEX] = traj.tau
-    samples = (("t", 0, traj.t), ("q", 0, traj.q), ("q", 1, traj.qd), ("p", 0, traj.p), ("p", 1, traj.pd))
-    for sh in (-1, 0, 1):
-        first, last = max(lo + sh * n, 0), min(hi + sh * n, size)
-        if first >= last:
-            continue
-        columns = slice(first - sh * n - lo, last - sh * n - lo)
-        for base, order, values in samples:
-            if values is not None:
-                slots[symbol(base, sh, order).index, columns] = values[first:last]
-    return slots
-
-
 def _values_along(e: Expr, traj, lo: int, hi: int) -> np.ndarray:
     """Values of `e` at grid nodes lo <= i < hi; non-finite ones are a `DriftError`."""
-    values = ex.evaluate_array(e, _trajectory_slots(traj, lo, hi))
+    values = ex.evaluate_array(e, traj.slots(lo, hi))
     finite = np.isfinite(values)
     if not finite.all():
         bad = lo + int(np.argmin(finite))

@@ -6,7 +6,8 @@ combinations q(t+tau) + c*q(t) + q(t-tau) and p(t+tau) + c*p(t) + p(t-tau)
 to A,B-weighted sine/cosine data.  Evaluating the relations inside the
 starting interval recovers A and B; rewriting them one delay back then
 propagates the solution forward by pure algebra, one delay interval at a
-time.
+time: a new node needs only the nodes one and two delays back, so each delay
+block is one array expression over the two blocks before it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, add, cos, mul, neg, partial, sin
-from .solver import History, SolverError, Trajectory, _grid, _history
+from .solver import History, SolverError, Trajectory, _grid
+
+_T = ex.symbol("t", 0, 0)
 
 
 class RecursionError_(RuntimeError):
@@ -47,6 +50,13 @@ def relation_from_constants(c_mid: int, a: float, b: float) -> SumFormRelation:
     return SumFormRelation(c_mid, g_q, g_p, float(a), float(b))
 
 
+def _seam(hist: History) -> tuple[np.ndarray, np.ndarray]:
+    """q and p history at t0, t0 - tau and t0 - 2*tau."""
+    ts = (hist.t0, hist.t0 - hist.tau, hist.t0 - 2 * hist.tau)
+    hq, hp, _, _ = hist.fill(second_order=False)
+    return hist.sample(hq, ts), hist.sample(hp, ts)
+
+
 def recover_constants(hist: History, c_mid: int) -> tuple[float, float]:
     """Recover the two integral values from the history alone.
 
@@ -60,8 +70,9 @@ def recover_constants(hist: History, c_mid: int) -> tuple[float, float]:
     if hist.p is None:
         raise RecursionError_("constant recovery needs both q and p history")
     t0, tau = hist.t0, hist.tau
-    u = hist.q_at(t0) + c_mid * hist.q_at(t0 - tau) + hist.q_at(t0 - 2 * tau)
-    v = hist.p_at(t0) + c_mid * hist.p_at(t0 - tau) + hist.p_at(t0 - 2 * tau)
+    q, p = _seam(hist)
+    u = float(q[0] + c_mid * q[1] + q[2])
+    v = float(p[0] + c_mid * p[1] + p[2])
     s = t0 - tau
     if c_mid == 0 and t0 == 0.0:
         # closed forms at base time -tau
@@ -84,18 +95,11 @@ def seam_gap(rel: SumFormRelation, hist: History) -> tuple[float, float]:
     Zero (up to round-off) exactly when the history already satisfies the sum
     relations at the seam; a nonzero gap propagates as a genuine jump.
     """
-    t0, tau = hist.t0, hist.tau
-    slots = [math.nan] * ex.NSLOTS
-    slots[ex.TAU_INDEX] = tau
-    ti = ex.symbol("t", 0, 0).index
-
-    def g(e, tv):
-        slots[ti] = tv
-        return ex.compiled(e)(slots)
-
-    q_rec = g(rel.g_q, t0 - tau) - rel.c_mid * hist.q_at(t0 - tau) - hist.q_at(t0 - 2 * tau)
-    p_rec = g(rel.g_p, t0 - tau) - rel.c_mid * hist.p_at(t0 - tau) - hist.p_at(t0 - 2 * tau)
-    return abs(q_rec - hist.q_at(t0)), abs(p_rec - hist.p_at(t0))
+    q, p = _seam(hist)
+    base = [hist.t0 - hist.tau]
+    gap_q = hist.sample(rel.g_q, base)[0] - rel.c_mid * q[1] - q[2] - q[0]
+    gap_p = hist.sample(rel.g_p, base)[0] - rel.c_mid * p[1] - p[2] - p[0]
+    return float(abs(gap_q)), float(abs(gap_p))
 
 
 def recurse(
@@ -110,33 +114,28 @@ def recurse(
     """
     n = steps_per_delay
     _, _, t = _grid(hist, t_end, n)
+    start = 2 * n + 1
+    base = t[start:] - hist.tau
+    rhs = (rel.g_q, rel.g_p, partial(rel.g_q, "t"), partial(rel.g_p, "t"))
+    state = []
+    for e, g in zip(hist.fill(second_order=False), rhs):
+        values = np.empty(len(t))
+        values[:start] = hist.sample(e, t[:start])
+        gv = hist.sample(g, base)
+        for lo in range(start, len(t), n):
+            hi = lo + n
+            back1, back2 = values[lo - n : hi - n], values[lo - 2 * n : hi - 2 * n]
+            values[lo:hi] = gv[lo - start : hi - start] - rel.c_mid * back1 - back2
+        state.append(values)
+    q, p, qd, pd = state
+
     gq, gp = seam_gap(rel, hist)
-    scale = 1.0 + abs(hist.q_at(hist.t0)) + abs(hist.p_at(hist.t0))
-    if max(gq, gp) > 1e-9 * scale:
+    if max(gq, gp) > 1e-9 * (1.0 + abs(q[2 * n]) + abs(p[2 * n])):
         warnings.warn(
             f"history does not satisfy the sum relations at the seam "
             f"(gaps q={gq:.3e}, p={gp:.3e}); the recursed solution jumps there",
             stacklevel=2,
         )
-
-    tl = t.tolist()
-    q, p, qd, pd = _history(tl, n, (hist.q_at, hist.p_at, hist.qd_at, hist.pd_at))
-    slots = [math.nan] * ex.NSLOTS
-    slots[ex.TAU_INDEX] = hist.tau
-    ti = ex.symbol("t", 0, 0).index
-    fgq = ex.compiled(rel.g_q)
-    fgp = ex.compiled(rel.g_p)
-    fgq_d = ex.compiled(partial(rel.g_q, "t"))
-    fgp_d = ex.compiled(partial(rel.g_p, "t"))
-    c = rel.c_mid
-    for i in range(2 * n + 1, len(tl)):
-        slots[ti] = tl[i] - hist.tau
-        q.append(fgq(slots) - c * q[i - n] - q[i - 2 * n])
-        p.append(fgp(slots) - c * p[i - n] - p[i - 2 * n])
-        qd.append(fgq_d(slots) - c * qd[i - n] - qd[i - 2 * n])
-        pd.append(fgp_d(slots) - c * pd[i - n] - pd[i - 2 * n])
-
-    q, p, qd, pd = (np.array(x) for x in (q, p, qd, pd))
     return Trajectory(
         hist.tau, n, t, q, p, qd, pd,
         qd_left=qd.copy(), pd_left=pd.copy(), start_index=2 * n,
@@ -144,22 +143,17 @@ def recurse(
 
 
 def relation_residuals(rel: SumFormRelation, traj: Trajectory) -> tuple[float, float]:
-    """Largest violation of the two sum relations on the trajectory grid."""
+    """Largest violation of the two sum relations on the trajectory grid
+    (nan violations are skipped)."""
     n = traj.steps_per_delay
-    m = len(traj.t) - 1
-    slots = [math.nan] * ex.NSLOTS
-    slots[ex.TAU_INDEX] = traj.tau
-    ti = ex.symbol("t", 0, 0).index
-    fgq = ex.compiled(rel.g_q)
-    fgp = ex.compiled(rel.g_p)
-    worst_q = worst_p = 0.0
-    for i in range(n, m - n + 1):
-        slots[ti] = traj.t[i]
-        rq = traj.q[i + n] + rel.c_mid * traj.q[i] + traj.q[i - n] - fgq(slots)
-        rp = traj.p[i + n] + rel.c_mid * traj.p[i] + traj.p[i - n] - fgp(slots)
-        worst_q = max(worst_q, abs(rq))
-        worst_p = max(worst_p, abs(rp))
-    return worst_q, worst_p
+    size = len(traj.t)
+    mid = slice(n, size - n)
+    worst = []
+    for values, g in ((traj.q, rel.g_q), (traj.p, rel.g_p)):
+        g_values = ex.evaluate_array(g, ex.grid_slots(traj.tau, {_T: traj.t[mid]}))
+        gap = values[2 * n :] + rel.c_mid * values[mid] + values[: size - 2 * n] - g_values
+        worst.append(float(np.fmax.reduce(np.abs(gap), initial=0.0)))
+    return worst[0], worst[1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,25 @@ equations one delay back turns them into an explicit ODE for the newest
 segment: the unknowns at time t enter only through the shifted slots of the
 rebased equation.  Both formulations integrate a two-component state with the
 one driver `_method_of_steps`: (q, p) for the canonical pair, (q, q') for the
-second-order Lagrangian equation.  Each supplies only its history functions
-and a pointwise right-hand side of the state and of the lagged values and
-rates one and two delays back.
+second-order Lagrangian equation.  Each supplies only its history expressions
+(`History.fill`) and a pointwise right-hand side of the state and of the
+lagged values and rates one and two delays back.
 
 The driver owns everything else.  The grid step is an exact divisor of the
-delay, so shifted values sit on nodes.  It fills the history on
-[t0 - 2*tau, t0] (`recursion.recurse` reuses that fill).  It integrates each
-delay-length interval with classical fixed-step fourth-order Runge-Kutta, and
-takes lagged values at stage midpoints from cubic Hermite interpolation of the
-stored (value, rate) pairs.  Rates of the solution jump at the knots
-t0 + k*tau (the usual smoothing behaviour of delay equations), so both
-one-sided rates are stored at every node, interpolation over a segment uses
-the branch belonging to that segment, and integration never steps across a
-knot.  A state or rate that is not finite, or an overflow, division by zero or
-domain error in the right-hand side, raises `SolverError` naming the first
-grid time t where it happened.
+delay, so shifted values sit on nodes.  It samples the history on
+[t0 - 2*tau, t0] with `History.sample`, one array pass per expression (also
+used by `recursion`).  It integrates each delay-length interval with
+classical fixed-step fourth-order Runge-Kutta, and takes lagged values at
+stage midpoints from cubic Hermite interpolation of the stored (value, rate)
+pairs.  Rates of the solution jump at the knots t0 + k*tau (the usual
+smoothing behaviour of delay equations), so both one-sided rates are stored at
+every node, interpolation over a segment uses the branch belonging to that
+segment, and integration never steps across a knot.  A state or rate that is
+not finite, or an overflow, division by zero or domain error in the
+right-hand side or the history, raises `SolverError` naming the first grid
+time t where it happened.  Grid nodes become jet points only in
+`Trajectory.slots`, over which `residual_report` and the `noether` drift
+monitors evaluate each expression in one array pass.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr, partial, symbol, symbols_of
+from .expr import Expr, partial, symbol, symbols_of, to_source
 from .model import DelayHamiltonian, QuadraticLagrangian, shifted_pair_partial, variational_residuals
 
-_T_ONLY = frozenset((symbol("t", 0, 0),))
+_T = symbol("t", 0, 0)
 
 
 class SolverError(RuntimeError):
@@ -53,40 +56,38 @@ class History:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        bad = symbols_of(self.q) - _T_ONLY
+        bad = symbols_of(self.q) - {_T}
         if self.p is not None:
-            bad |= symbols_of(self.p) - _T_ONLY
+            bad |= symbols_of(self.p) - {_T}
         if bad:
             names = ", ".join(sorted(s.name for s in bad))
             raise ValueError(f"history expressions may only involve t (got {names})")
 
-    def _eval(self, e: Expr, tv: float) -> float:
-        slots = [math.nan] * ex.NSLOTS
-        slots[ex.TAU_INDEX] = self.tau
-        slots[symbol("t", 0, 0).index] = tv
-        out = ex.compiled(e)(slots)
-        if not math.isfinite(out):
-            raise SolverError(f"history expression is not finite at t={tv}")
-        return out
+    def sample(self, e: Expr, ts) -> np.ndarray:
+        """Values of the t-expression `e` at every time in `ts`, in one pass.
 
-    def q_at(self, tv: float) -> float:
-        return self._eval(self.q, tv)
+        A value that is not finite, or an overflow, division by zero or domain
+        error, raises `SolverError` naming the first such t.
+        """
+        ts = np.asarray(ts, dtype=float)
+        try:
+            values = ex.evaluate_array(e, ex.grid_slots(self.tau, {_T: ts}))
+        except ex.EvalError as err:
+            raise SolverError(f"{to_source(e)} failed at t={err.jet.t}: {err}") from None
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise SolverError(f"{to_source(e)} is not finite at t={float(ts[np.argmax(bad)])}")
+        return values
 
-    def qd_at(self, tv: float) -> float:
-        return self._eval(partial(self.q, "t"), tv)
-
-    def qdd_at(self, tv: float) -> float:
-        return self._eval(partial(partial(self.q, "t"), "t"), tv)
-
-    def p_at(self, tv: float) -> float:
+    def fill(self, second_order: bool) -> tuple[Expr, Expr, Expr, Expr]:
+        """History of a two-component state and its rates: (q, p, q', p'),
+        or (q, q', q', q'') for the second-order equation in q alone."""
+        qd = partial(self.q, "t")
+        if second_order:
+            return self.q, qd, qd, partial(qd, "t")
         if self.p is None:
             raise SolverError("history carries no momentum expression")
-        return self._eval(self.p, tv)
-
-    def pd_at(self, tv: float) -> float:
-        if self.p is None:
-            raise SolverError("history carries no momentum expression")
-        return self._eval(partial(self.p, "t"), tv)
+        return self.q, self.p, qd, partial(self.p, "t")
 
 
 @dataclass
@@ -119,6 +120,29 @@ class Trajectory:
     def knot_indices(self) -> list[int]:
         n = self.steps_per_delay
         return list(range(self.start_index, len(self.t), n))
+
+    def slots(self, lo: int, hi: int, qdd=None, pdd=None) -> np.ndarray:
+        """Slot array whose column i - lo is the jet at grid node i, lo <= i < hi.
+
+        Shifted slots are the same samples one delay (`steps_per_delay` nodes)
+        either side; `qdd`/`pdd` are optional node arrays for the second
+        derivatives.  Slots the trajectory does not carry, or that fall off
+        the grid, are nan.
+        """
+        rows = [(b, o, v) for b, o, v in (
+            ("t", 0, self.t), ("q", 0, self.q), ("q", 1, self.qd), ("q", 2, qdd),
+            ("p", 0, self.p), ("p", 1, self.pd), ("p", 2, pdd),
+        ) if v is not None]
+        out = ex.grid_slots(self.tau, {symbol(b, 0, o): v[lo:hi] for b, o, v in rows})
+        n = self.steps_per_delay
+        for sh in (-1, 1):
+            first, last = max(lo + sh * n, 0), min(hi + sh * n, len(self.t))
+            if first >= last:
+                continue
+            columns = slice(first - sh * n - lo, last - sh * n - lo)
+            for b, o, v in rows:
+                out[symbol(b, sh, o).index, columns] = v[first:last]
+        return out
 
 
 class _Segmented:
@@ -175,16 +199,10 @@ def _grid(hist: History, t_end: float, n: int) -> tuple[int, float, np.ndarray]:
     return k, h, t
 
 
-def _history(t: list[float], n: int, fns) -> list[list[float]]:
-    """Sample each history function at the 2n + 1 nodes up to t0, node by node."""
-    rows = [[f(tv) for f in fns] for tv in t[: 2 * n + 1]]
-    return [list(column) for column in zip(*rows)]
-
-
 def _method_of_steps(hist: History, t_end: float, n: int, fill, rhs):
     """RK4 method of steps for a rebased two-component state (a, b).
 
-    `fill` gives the history functions of t for a, b, a' and b'.
+    `fill` gives the history expressions in t for a, b, a' and b'.
     `rhs(tv, a, b, a1, da1, b1, db1, a2, da2, b2, db2)` returns (a', b') for
     the state (a, b) at the current time, where tv is the time two delays
     back and the suffixes 1 and 2 mark the lagged values and rates one and
@@ -194,7 +212,7 @@ def _method_of_steps(hist: History, t_end: float, n: int, fill, rhs):
     """
     k, h, t_arr = _grid(hist, t_end, n)
     t = t_arr.tolist()
-    a, b, da_r, db_r = _history(t, n, fill)
+    a, b, da_r, db_r = (hist.sample(e, t_arr[: 2 * n + 1]).tolist() for e in fill)
     da_l, db_l = da_r[:], db_r[:]
     look_a = _Segmented(a, da_r, da_l, h)
     look_b = _Segmented(b, db_r, db_l, h)
@@ -284,7 +302,7 @@ def step_hamiltonian(
         pdot = (-phi_q(slots) - a23 * dps - a1 * dps2) / a4
         return qdot, pdot
 
-    fill = (hist.q_at, hist.p_at, hist.qd_at, hist.pd_at)
+    fill = hist.fill(second_order=False)
     t, q, p, qd, qd_l, pd, pd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, rhs)
     return Trajectory(
         tau, steps_per_delay, t, q, p, qd, pd,
@@ -316,7 +334,7 @@ def step_elsgolts(
         slots[qpi] = qv
         return vv, -(ag * as1 + beta * as2 + psi(slots)) / beta
 
-    fill = (hist.q_at, hist.qd_at, hist.qd_at, hist.qdd_at)
+    fill = hist.fill(second_order=True)
     t, q, v, _, _, qdd, qdd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, rhs)
     return Trajectory(
         hist.tau, steps_per_delay, t, q, None, v, None,
@@ -345,44 +363,44 @@ class ResidualTable:
         return {"Rp": mx(self.rp), "Rq": mx(self.rq), "Rt": mx(self.rt)}
 
 
+def _centred(values: np.ndarray, h: float) -> np.ndarray:
+    """Centred differences of node values; nan at the first and last node."""
+    out = np.full(len(values), math.nan)
+    out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
+    return out
+
+
+_SECOND = {sh: frozenset(symbol(base, sh, 2) for base in "qp") for sh in (-1, 1)}
+
+
 def residual_report(traj: Trajectory, ham: DelayHamiltonian) -> ResidualTable:
     """Evaluate the three variational residuals at every interior node.
 
     First derivatives come from the stored samples (right-limit branch, so
     the check is one-sidedly consistent at knots); second derivatives, needed
-    only by the horizontal residual, are centered finite differences.  The
-    horizontal residual is reported, not asserted: it does not vanish on
-    solutions of the canonical pair.
+    only by the horizontal residual, are centred finite differences, missing
+    at the first and last grid node.  A residual that reads a missing one is
+    nan at that row.  The horizontal residual is reported, not asserted: it
+    does not vanish on solutions of the canonical pair.
     """
     if traj.p is None:
         raise SolverError("residual evaluation needs a phase-space trajectory")
-    rp_e, rq_e, rt_e = variational_residuals(ham)
-    fns = [ex.compiled(e) for e in (rp_e, rq_e, rt_e)]
     n = traj.steps_per_delay
-    m = len(traj.t) - 1
-    h = traj.h
-    slots_template = [math.nan] * ex.NSLOTS
-    slots_template[ex.TAU_INDEX] = traj.tau
+    lo, hi = n, len(traj.t) - n
+    slots = traj.slots(lo, hi, _centred(traj.qd, traj.h), _centred(traj.pd, traj.h))
 
-    def second(arr, j):
-        if j - 1 < 0 or j + 1 > m:
-            return math.nan
-        return (arr[j + 1] - arr[j - 1]) / (2 * h)
+    def along(e: Expr) -> np.ndarray:
+        # grid nodes 0 and m are reached only from the first row one delay
+        # back and from the last row one delay forward
+        syms = symbols_of(e)
+        first = 1 if syms & _SECOND[-1] else 0
+        last = hi - lo - (1 if syms & _SECOND[1] else 0)
+        out = np.full(hi - lo, math.nan)
+        out[first:last] = ex.evaluate_array(e, slots[:, first:last])
+        return out
 
-    rows = []
-    for i in range(n, m - n + 1):
-        slots = list(slots_template)
-        for sh, j in ((-1, i - n), (0, i), (1, i + n)):
-            slots[symbol("t", sh, 0).index] = traj.t[j]
-            slots[symbol("q", sh, 0).index] = traj.q[j]
-            slots[symbol("p", sh, 0).index] = traj.p[j]
-            slots[symbol("q", sh, 1).index] = traj.qd[j]
-            slots[symbol("p", sh, 1).index] = traj.pd[j]
-            slots[symbol("q", sh, 2).index] = second(traj.qd, j)
-            slots[symbol("p", sh, 2).index] = second(traj.pd, j)
-        rows.append((i, traj.t[i], fns[0](slots), fns[1](slots), fns[2](slots)))
-    arr = np.array(rows)
-    return ResidualTable(arr[:, 0].astype(int), arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
+    rp, rq, rt = (along(e) for e in variational_residuals(ham))
+    return ResidualTable(np.arange(lo, hi), traj.t[lo:hi], rp, rq, rt)
 
 
 # ---------------------------------------------------------------------------

@@ -145,3 +145,13 @@ def curve_jet(t_value: float, tau_value: float, fq=CURVE_Q, fp=CURVE_P) -> E.Jet
         values["pd" + suffix] = fp[1](s)
         values["pdd" + suffix] = fp[2](s)
     return E.JetPoint(tau_value, values, t_value=t_value)
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit where `want` is a number, and nan exactly where it is."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    missing = np.isnan(want)
+    assert np.array_equal(np.isnan(got), missing)
+    assert got[~missing].tobytes() == want[~missing].tobytes()

@@ -7,7 +7,7 @@ from delayham import classical as C
 from delayham import expr as E
 from delayham import model as M
 
-from conftest import random_expr
+from conftest import assert_same_bits, random_expr
 
 
 OSC = C.ClassicalHamiltonian(E.parse("(p^2 + q^2)/2"))
@@ -128,3 +128,29 @@ def test_equation_invariance_conditions_oscillator_rotation():
         jet = C.classical_on_shell_jet(OSC, 13, k)
         assert abs(E.evaluate(M.variational_p(inv), jet)) < 1e-10
         assert abs(E.evaluate(M.variational_q(inv), jet)) < 1e-10
+
+
+def _on_shell_jet_by_value(ch, seed, index, second_order):
+    """One jet built value by value (the reference construction)."""
+    jet = E.random_jet(seed, index)
+    hp = E.partial(ch.h, "p")
+    hq = E.partial(ch.h, "q")
+    jet = jet.with_values({"qd": E.evaluate(hp, jet), "pd": -E.evaluate(hq, jet)})
+    if second_order:
+        jet = jet.with_values(
+            {
+                "qdd": E.evaluate(E.total_derivative(hp), jet),
+                "pdd": -E.evaluate(E.total_derivative(hq), jet),
+            }
+        )
+    return jet
+
+
+@pytest.mark.parametrize("second_order", [False, True])
+def test_batched_classical_on_shell_columns_match_single_jets(second_order):
+    ch = C.ClassicalHamiltonian(E.parse("p^2/2 + exp(q/3)*sin(t) + q^3*p/5"))
+    slots = C.classical_on_shell_jets(ch, 23, 12, second_order, start=4)
+    for k in range(12):
+        want = _on_shell_jet_by_value(ch, 23, 4 + k, second_order)
+        assert_same_bits(slots[:, k], want.slots())
+        assert_same_bits(C.classical_on_shell_jet(ch, 23, 4 + k, second_order).slots(), want.slots())

@@ -188,36 +188,79 @@ def test_boolean_samples_is_a_config_error(tmp_path, capsys):
 
 
 BLOW_UP_HISTORY = {"q": "3+t", "p": "3+t"}
+OSC_HAMILTONIAN = {"hamiltonian": {"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]}}
+# exp(-1000*t) overflows on the history interval; 1/(t+1) divides by zero at t = -1
+OVERFLOW_HISTORY = {"q": "exp(-1000*t)", "p": "cos(t)"}
+POLE_HISTORY = {"q": "1/(t+1)", "p": "cos(t)"}
 
 
 @pytest.mark.parametrize(
-    "model, horizon, extra",
+    "model, history, horizon, argv",
     [
         # exp(q*qm) overflows inside the compiled right-hand side
-        ({"hamiltonian": {"H": "p*pm + exp(q*qm)", "alphas": [1, 0, 0, 1]}}, 30, []),
+        (
+            {"hamiltonian": {"H": "p*pm + exp(q*qm)", "alphas": [1, 0, 0, 1]}},
+            BLOW_UP_HISTORY, 30, ["simulate"],
+        ),
         # the trajectory turns non-finite without any exception
-        ({"hamiltonian": {"H": "p*pm + q*q*q*qm*qm*qm", "alphas": [1, 0, 0, 1]}}, 40, []),
+        (
+            {"hamiltonian": {"H": "p*pm + q*q*q*qm*qm*qm", "alphas": [1, 0, 0, 1]}},
+            BLOW_UP_HISTORY, 40, ["simulate"],
+        ),
         (
             {"lagrangian": {"alpha": 0, "beta": 1, "gamma": 0, "phi": "q*q*q*qm*qm*qm"}},
-            40,
-            ["--formulation", "lagrangian"],
+            BLOW_UP_HISTORY, 40, ["simulate", "--formulation", "lagrangian"],
         ),
         # cos of an infinite stage value is a math domain error
-        ({"hamiltonian": {"H": "p*pm + cos(q*q*q*qm*qm*qm)", "alphas": [1, 0, 0, 1]}}, 40, []),
+        (
+            {"hamiltonian": {"H": "p*pm + cos(q*q*q*qm*qm*qm)", "alphas": [1, 0, 0, 1]}},
+            BLOW_UP_HISTORY, 40, ["simulate"],
+        ),
         # q - qm - 1 vanishes on this history
-        ({"hamiltonian": {"H": "p*pm + 1/(q - qm - 1)", "alphas": [1, 0, 0, 1]}}, 40, []),
+        (
+            {"hamiltonian": {"H": "p*pm + 1/(q - qm - 1)", "alphas": [1, 0, 0, 1]}},
+            BLOW_UP_HISTORY, 40, ["simulate"],
+        ),
+        (OSC_HAMILTONIAN, OVERFLOW_HISTORY, 4, ["simulate"]),
+        (OSC_HAMILTONIAN, OVERFLOW_HISTORY, 4, ["recurse"]),
+        (OSC_HAMILTONIAN, OVERFLOW_HISTORY, 4, ["noether"]),
+        (OSC_HAMILTONIAN, POLE_HISTORY, 4, ["simulate"]),
+        (OSC_HAMILTONIAN, POLE_HISTORY, 4, ["recurse"]),
+        (OSC_HAMILTONIAN, POLE_HISTORY, 4, ["noether"]),
     ],
-    ids=["overflow", "hamiltonian-nan", "lagrangian-nan", "domain-error", "division-by-zero"],
+    ids=[
+        "overflow", "hamiltonian-nan", "lagrangian-nan", "domain-error", "division-by-zero",
+        "history-overflow-simulate", "history-overflow-recurse", "history-overflow-noether",
+        "history-pole-simulate", "history-pole-recurse", "history-pole-noether",
+    ],
 )
-def test_blow_up_is_a_numeric_failure(tmp_path, capsys, model, horizon, extra):
-    cfg = dict(model, tau=1.0, history=BLOW_UP_HISTORY, steps_per_delay=8, horizon=horizon)
+def test_blow_up_is_a_numeric_failure(tmp_path, capsys, model, history, horizon, argv):
+    cfg = dict(model, tau=1.0, history=history, steps_per_delay=8, horizon=horizon)
     path = tmp_path / "blow.json"
     path.write_text(json.dumps(cfg))
-    out = tmp_path / "blow.csv"
-    rc = cli.main(["simulate", "--config", str(path), "--out", str(out), *extra])
+    out = tmp_path / "blow.out"
+    rc = cli.main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]])
     assert rc == cli.EXIT_NUMERIC
     assert "t=" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_check_identity_writes_strict_json(tmp_path):
+    # the squared exponential overflows to inf on every sampled jet, so each
+    # worst ratio is inf/inf
+    cfg = dict(OSC_CONFIG, generators=[{"name": "G", "eta": "exp(350*q)*exp(350*q)", "nu": "0"}])
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "checks.json"
+    rc = cli.main(["check-identity", "--config", str(path), "--out", str(out)])
+    assert rc == cli.EXIT_VERIFY
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    checks = json.loads(out.read_text(), parse_constant=reject)["checks"]
+    assert len(checks) == 5
+    assert all(c["ok"] is False and c["worst"] is None for c in checks)
 
 
 def test_reruns_are_byte_identical(osc_config, tmp_path):

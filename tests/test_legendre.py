@@ -263,3 +263,44 @@ def test_extended_rejects_vanishing_mu():
 def test_extended_rejects_degenerate_kinetic_form():
     with pytest.raises(L.LegendreError):
         L.ExtendedLagrangian(E.const(2), E.ONE, E.const(Fraction(1, 2)), E.ZERO, E.ONE, E.ZERO)
+
+
+def _sweep_failure(alpha, beta, gamma, mu):
+    """First failing sample check of a point-by-point sweep over q, then qm."""
+    grid = np.linspace(-2.0, 2.0, 17)
+    fa, fb, fg, fm = (E.compiled(e) for e in (alpha, beta, gamma, mu))
+    slots = [float("nan")] * E.NSLOTS
+    for qv in grid:
+        slots[E.symbol("q", 0, 0).index] = qv
+        if abs(fm(slots)) < 1e-9:
+            return f"mu vanishes near q={qv} (singular momentum map)"
+        for qmv in grid:
+            slots[E.symbol("q", -1, 0).index] = qmv
+            b = fb(slots)
+            if abs(b) < 1e-12:
+                return f"beta vanishes near (q={qv}, qm={qmv})"
+            if abs(fa(slots) * fg(slots) - b * b) < 1e-12:
+                return f"alpha*gamma - beta^2 vanishes near (q={qv}, qm={qmv})"
+    return None
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, gamma, mu",
+    [
+        ("2", "1", "1/3", "2"),
+        ("2", "1", "1/3", "q - 1"),
+        ("2", "qm + 1", "1/3", "q - 1"),
+        ("2", "q - qm", "1/3", "q + 2"),
+        ("q^2 + 1", "q*qm", "qm^2", "exp(q)"),
+        ("2 + sin(q)", "1", "1/(2 + sin(q))", "2"),
+    ],
+)
+def test_extended_sample_checks_match_point_sweep(alpha, beta, gamma, mu):
+    parts = [E.parse(src) for src in (alpha, beta, gamma, mu)]
+    want = _sweep_failure(*parts)
+    try:
+        L.ExtendedLagrangian(parts[0], parts[1], parts[2], E.ZERO, parts[3], E.ZERO)
+        got = None
+    except L.LegendreError as err:
+        got = str(err)
+    assert got == want

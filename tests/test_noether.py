@@ -6,7 +6,7 @@ from delayham import model as M
 from delayham import noether as N
 from delayham import solver as S
 
-from conftest import random_generator, random_quadratic_hamiltonian
+from conftest import assert_same_bits, random_generator, random_quadratic_hamiltonian
 
 
 def _node_slots(traj, i, n):
@@ -387,6 +387,39 @@ def test_relation_residual_converges_at_solver_order(oscillator, oscillator_gene
 
     for order in observed_orders(worsts_fd):
         assert order >= 2.5, worsts_fd
+
+
+@pytest.mark.parametrize("formulation", ["hamiltonian", "lagrangian"])
+def test_trajectory_slots_match_node_slots(oscillator, sincos_history, formulation):
+    lag, ham = oscillator
+    if formulation == "hamiltonian":
+        traj = S.step_hamiltonian(ham, sincos_history, 3.0, 8)
+    else:
+        traj = S.step_elsgolts(lag, sincos_history, 3.0, 8)
+    size = len(traj.t)
+    for lo, hi in ((0, size), (8, size - 8), (3, 4), (size - 1, size)):
+        slots = traj.slots(lo, hi)
+        for i in range(lo, hi):
+            assert_same_bits(slots[:, i - lo], _node_slots(traj, i, 8))
+
+
+def test_differential_integral_checks_second_order_premise_on_shell(oscillator, oscillator_generators):
+    # X vanishes on solutions together with D(X), which reads qddp: the
+    # premise holds on jets that satisfy the differentiated equations too
+    _, ham = oscillator
+    g = oscillator_generators["sin"]
+    inv = N.classify_invariance(ham, g, seed=3)
+    parts = N.noether_parts(ham, g)
+    a1, a2, a3, a4 = (float(a) for a in ham.alphas)
+    qdp_on_shell = E.div(
+        E.sub(M.shifted_pair_partial(ham.h, "p"), E.add(E.mul(a2 + a3, E.qd), E.mul(a4, E.qdm))),
+        a1,
+    )
+    x = E.sub(E.qdp, qdp_on_shell)
+    assert any(s.order == 2 for s in E.symbols_of(E.total_derivative(x)))
+    v_total = E.add(inv.v, E.parse("cos(t)*qp - cos(tm)*q"), x)
+    integral = N.differential_integral(parts, v_total, v_div=inv.v, ham=ham)
+    assert parts.differential_integral is integral
 
 
 def test_constrained_route_monitoring():

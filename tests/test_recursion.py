@@ -10,6 +10,8 @@ from delayham import noether as N
 from delayham import recursion as R
 from delayham import solver as S
 
+from conftest import assert_same_bits
+
 
 def test_recovered_constants_match_closed_forms(sincos_history):
     a, b = R.recover_constants(sincos_history, 0)
@@ -148,3 +150,52 @@ def test_relation_validation():
     hist = S.History(0.0, 1.0, E.parse("sin(t)"), None)
     with pytest.raises(R.RecursionError_):
         R.recover_constants(hist, 0)
+
+
+def _at(e, t_value, tau=1.0):
+    slots = [float("nan")] * E.NSLOTS
+    slots[E.TAU_INDEX] = tau
+    slots[E.symbol("t", 0, 0).index] = t_value
+    return E.compiled(e)(slots)
+
+
+def _recurse_by_node(rel, hist, t_end, n):
+    """The recursion stepped one node at a time (the reference order)."""
+    tl = S._grid(hist, t_end, n)[2].tolist()
+    exprs = hist.fill(second_order=False)
+    q, p, qd, pd = ([_at(e, tv, hist.tau) for tv in tl[: 2 * n + 1]] for e in exprs)
+    gs = [rel.g_q, rel.g_p, E.partial(rel.g_q, "t"), E.partial(rel.g_p, "t")]
+    c = rel.c_mid
+    for i in range(2 * n + 1, len(tl)):
+        base = tl[i] - hist.tau
+        for values, g in zip((q, p, qd, pd), gs):
+            values.append(_at(g, base, hist.tau) - c * values[i - n] - values[i - 2 * n])
+    return q, p, qd, pd
+
+
+def _relation_residuals_by_node(rel, traj):
+    n = traj.steps_per_delay
+    m = len(traj.t) - 1
+    worst_q = worst_p = 0.0
+    for i in range(n, m - n + 1):
+        rq = traj.q[i + n] + rel.c_mid * traj.q[i] + traj.q[i - n] - _at(rel.g_q, traj.t[i], traj.tau)
+        rp = traj.p[i + n] + rel.c_mid * traj.p[i] + traj.p[i - n] - _at(rel.g_p, traj.t[i], traj.tau)
+        worst_q = max(worst_q, abs(rq))
+        worst_p = max(worst_p, abs(rp))
+    return worst_q, worst_p
+
+
+@pytest.mark.parametrize("c_mid", [0, 2])
+def test_recurse_matches_node_loop(c_mid):
+    hist = S.History(0.5, 0.75, E.parse("sin(t) + t^2/7"), E.parse("cos(2*t) - exp(t/3)"))
+    rel = R.relation_from_history(hist, c_mid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = R.recurse(rel, hist, 0.5 + 4 * 0.75, 16)
+    want = _recurse_by_node(rel, hist, 0.5 + 4 * 0.75, 16)
+    for got, values in zip((traj.q, traj.p, traj.qd, traj.pd), want):
+        assert_same_bits(got, values)
+    got_q, got_p = R.relation_residuals(rel, traj)
+    want_q, want_p = _relation_residuals_by_node(rel, traj)
+    assert (got_q, got_p) == (want_q, want_p)
+    assert want_q > 0 or want_p > 0

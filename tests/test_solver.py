@@ -7,6 +7,8 @@ from delayham import expr as E
 from delayham import model as M
 from delayham import solver as S
 
+from conftest import assert_same_bits
+
 
 def test_exact_solution_reproduced(oscillator, sincos_history):
     # sine/cosine history continues the delayed oscillator exactly
@@ -144,10 +146,11 @@ def test_history_validation():
     with pytest.raises(ValueError):
         S.History(0.0, -1.0, E.t, None)
     hist = S.History(0.0, 1.0, E.parse("sin(t)"), None)
-    assert hist.qd_at(0.0) == pytest.approx(1.0)
-    assert hist.qdd_at(0.0) == pytest.approx(0.0)
+    _, qd, _, qdd = hist.fill(second_order=True)
+    assert hist.sample(qd, [0.0])[0] == pytest.approx(1.0)
+    assert hist.sample(qdd, [0.0])[0] == pytest.approx(0.0)
     with pytest.raises(S.SolverError):
-        hist.p_at(0.0)
+        hist.fill(second_order=False)
 
 
 def test_csv_round_trip(oscillator, sincos_history):
@@ -167,3 +170,54 @@ def test_csv_round_trip(oscillator, sincos_history):
 def test_csv_rejects_wrong_header():
     with pytest.raises(S.SolverError):
         S.read_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+def _residual_rows(traj, ham):
+    """Residual table evaluated one node at a time (the reference layout)."""
+    rp_e, rq_e, rt_e = M.variational_residuals(ham)
+    fns = [E.compiled(e) for e in (rp_e, rq_e, rt_e)]
+    n = traj.steps_per_delay
+    m = len(traj.t) - 1
+    h = traj.h
+    template = [float("nan")] * E.NSLOTS
+    template[E.TAU_INDEX] = traj.tau
+
+    def second(arr, j):
+        if j - 1 < 0 or j + 1 > m:
+            return float("nan")
+        return (arr[j + 1] - arr[j - 1]) / (2 * h)
+
+    rows = []
+    for i in range(n, m - n + 1):
+        slots = list(template)
+        for sh, j in ((-1, i - n), (0, i), (1, i + n)):
+            slots[E.symbol("t", sh, 0).index] = traj.t[j]
+            slots[E.symbol("q", sh, 0).index] = traj.q[j]
+            slots[E.symbol("p", sh, 0).index] = traj.p[j]
+            slots[E.symbol("q", sh, 1).index] = traj.qd[j]
+            slots[E.symbol("p", sh, 1).index] = traj.pd[j]
+            slots[E.symbol("q", sh, 2).index] = second(traj.qd, j)
+            slots[E.symbol("p", sh, 2).index] = second(traj.pd, j)
+        rows.append((i, traj.t[i], fns[0](slots), fns[1](slots), fns[2](slots)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "h_src, hist_q, hist_p",
+    [
+        ("p*pm + q*qm", "sin(t)", "cos(t)"),
+        ("p*pm + q^2*qm/4 + exp(q*qm)/8 + sin(t)*q", "sin(t)/2", "cos(t)/2 + t/5"),
+    ],
+    ids=["oscillator", "pow-exp-sin"],
+)
+def test_residual_report_matches_node_loop(h_src, hist_q, hist_p):
+    ham = M.DelayHamiltonian(E.parse(h_src), (1, 0, 0, 1))
+    hist = S.History(0.0, 1.0, E.parse(hist_q), E.parse(hist_p))
+    traj = S.step_hamiltonian(ham, hist, 4.0, 16)
+    table = S.residual_report(traj, ham)
+    want = _residual_rows(traj, ham)
+    assert np.array_equal(table.indices, want[:, 0].astype(int))
+    for got, column in ((table.t, 1), (table.rp, 2), (table.rq, 3), (table.rt, 4)):
+        assert_same_bits(got, want[:, column])
+    # the centred second difference is missing one delay back of the first row
+    assert np.isnan(table.rt[0]) and np.isfinite(table.rt[-1])
