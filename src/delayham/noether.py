@@ -112,13 +112,6 @@ def invariance_residual(h: DelayHamiltonian, g: Generator) -> Expr:
     )
 
 
-def invariance_residual_via_action(h: DelayHamiltonian, g: Generator) -> Expr:
-    """Same residual built as X(density) + density*D(xi) with the prolonged
-    generator; agreement with `invariance_residual` is a sampling test."""
-    density = action_density(h)
-    return add(g.apply(density), mul(density, D(g.xi)))
-
-
 def noether_parts(h: DelayHamiltonian, g: Generator) -> NoetherQuantities:
     """The total-derivative part C and the shift-difference part P."""
     a1, a2, a3, a4 = h.alphas
@@ -528,18 +521,6 @@ def drift(integral: Expr, traj, kind: str = "differential") -> DriftReport:
         deviation = np.abs(values[n:] - values[:count])
     k = int(np.argmax(deviation))
     return DriftReport(kind, float(deviation[k]), traj.t[n + k], values[0], count)
-
-
-def constrained_difference_check(parts: NoetherQuantities, traj) -> tuple[DriftReport, float]:
-    """Monitoring for the constrained route: when (S+ - 1)P = 0 is imposed,
-    C itself is the candidate integral; returns its drift and the largest
-    constraint violation observed along the trajectory."""
-    report = drift(parts.c, traj, kind="differential")
-    n = traj.steps_per_delay
-    m = len(traj.t) - 1
-    values = _values_along(parts.p_quantity, traj, n, m + 1)
-    gap = np.abs(values[n:] - values[: m - 2 * n + 1])
-    return report, float(gap.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

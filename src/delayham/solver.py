@@ -18,16 +18,21 @@ stage midpoints from cubic Hermite interpolation of the stored (value, rate)
 pairs.  Rates of the solution jump at the knots t0 + k*tau (the usual
 smoothing behaviour of delay equations), so both one-sided rates are stored at
 every node, interpolation over a segment uses the branch belonging to that
-segment, and integration never steps across a knot.  A state or rate that is
-not finite, or an overflow, division by zero or domain error in the
-right-hand side or the history, raises `SolverError` naming the first grid
-time t where it happened.  Grid nodes become jet points only in
-`Trajectory.slots`, over which `residual_report` and the `noether` drift
-monitors evaluate each expression in one array pass.
+segment, and integration never steps across a knot.  Every lagged value an
+interval reads lies on pieces complete when it starts, so they are computed
+once per interval in one numpy pass (`_lagged`); only the right-hand side on
+the current state runs point by point.  A state or rate that is not finite,
+or an overflow, division by zero or domain error in the right-hand side or
+the history, raises `SolverError` naming the first grid time t where it
+happened.  Grid nodes become jet points only in `Trajectory.slots`, over
+which `residual_report` and the `noether` drift monitors evaluate each
+expression in one array pass.  CSV files are written and read in row blocks.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -145,43 +150,23 @@ class Trajectory:
         return out
 
 
-class _Segmented:
-    """Lagged lookup over one smooth piece of the solution ending at node hi."""
-
-    def __init__(self, values, d_right, d_left, h):
-        self.values = values
-        self.d_right = d_right
-        self.d_left = d_left
-        self.h = h
-
-    def at(self, x: float, hi: int) -> tuple[float, float]:
-        """Value and rate at grid position x, by cubic Hermite between nodes.
-
-        A node takes its right rate, except the piece's end node `hi`, which
-        takes its left rate.
-        """
-        j = int(math.floor(x + 1e-9))
-        frac = x - j
-        if abs(frac) < 1e-9:
-            return self.values[j], (self.d_left if j >= hi else self.d_right)[j]
-        h = self.h
-        y0, d0 = self.values[j], self.d_right[j]
-        y1, d1 = self.values[j + 1], self.d_left[j + 1]
-        t2 = frac * frac
-        t3 = t2 * frac
-        value = (
-            (2 * t3 - 3 * t2 + 1) * y0
-            + (t3 - 2 * t2 + frac) * h * d0
-            + (-2 * t3 + 3 * t2) * y1
-            + (t3 - t2) * h * d1
-        )
-        rate = (
-            (6 * t2 - 6 * frac) * y0 / h
-            + (3 * t2 - 4 * frac + 1) * d0
-            + (-6 * t2 + 6 * frac) * y1 / h
-            + (3 * t2 - 2 * frac) * d1
-        )
-        return value, rate
+def _lagged(y, d_right, d_left, hi: int, n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values and rates of one component at the 2n + 1 grid positions hi - n,
+    hi - n + 1/2, ..., hi of the smooth piece ending at node hi.  A node takes
+    its right rate, except hi its left rate; a half-node takes the cubic
+    Hermite interpolant of its two nodes on the branches of this piece."""
+    lo = hi - n
+    value, rate = np.empty((2, 2 * n + 1))
+    value[::2] = y[lo : hi + 1]
+    rate[::2] = d_right[lo:hi] + d_left[hi : hi + 1]
+    y0, d0 = value[:-1:2], rate[:-1:2]
+    y1, d1 = value[2::2], np.array(d_left[lo + 1 : hi + 1])
+    # the cubic Hermite basis at frac = 1/2 (exact constants), summed in the
+    # order of the pointwise formula so that the bits are the same
+    with np.errstate(over="ignore", invalid="ignore"):
+        value[1::2] = 0.5 * y0 + 0.125 * h * d0 + 0.5 * y1 - 0.125 * h * d1
+        rate[1::2] = -1.5 * y0 / h - 0.25 * d0 + 1.5 * y1 / h - 0.25 * d1
+    return value, rate
 
 
 def _grid(hist: History, t_end: float, n: int) -> tuple[int, float, np.ndarray]:
@@ -203,7 +188,7 @@ def _method_of_steps(hist: History, t_end: float, n: int, fill, rhs):
     """RK4 method of steps for a rebased two-component state (a, b).
 
     `fill` gives the history expressions in t for a, b, a' and b'.
-    `rhs(tv, a, b, a1, da1, b1, db1, a2, da2, b2, db2)` returns (a', b') for
+    `rhs(a, b, tv, a1, da1, b1, db1, a2, da2, b2, db2)` returns (a', b') for
     the state (a, b) at the current time, where tv is the time two delays
     back and the suffixes 1 and 2 mark the lagged values and rates one and
     two delays back.  Returns the grid and the node arrays
@@ -214,38 +199,40 @@ def _method_of_steps(hist: History, t_end: float, n: int, fill, rhs):
     t = t_arr.tolist()
     a, b, da_r, db_r = (hist.sample(e, t_arr[: 2 * n + 1]).tolist() for e in fill)
     da_l, db_l = da_r[:], db_r[:]
-    look_a = _Segmented(a, da_r, da_l, h)
-    look_b = _Segmented(b, db_r, db_l, h)
-    t0 = hist.t0
     isfinite = math.isfinite
+    h2, h6 = h / 2, h / 6
+    half = np.arange(2 * n + 1) * 0.5
 
-    def rates(x: float, av: float, bv: float, hi: int) -> tuple[float, float]:
-        # x is the grid index of the current time; the rebased equation sits
-        # one delay back and references two smooth pieces, ending at hi and
-        # at hi - n.
-        a1, da1 = look_a.at(x - n, hi)
-        b1, db1 = look_b.at(x - n, hi)
-        a2, da2 = look_a.at(x - 2 * n, hi - n)
-        b2, db2 = look_b.at(x - 2 * n, hi - n)
-        return rhs(t0 + (x - 2 * n) * h, av, bv, a1, da1, b1, db1, a2, da2, b2, db2)
+    def piece(hi: int) -> list[np.ndarray]:
+        return [*_lagged(a, da_r, da_l, hi, n, h), *_lagged(b, db_r, db_l, hi, n, h)]
 
+    # the rebased equation sits one delay back and references two smooth
+    # pieces; every lagged value an interval needs is known when it starts,
+    # and its one-delay piece is the next interval's two-delay piece
+    two = piece(n)
     try:
         for start in range(2 * n, (k + 2) * n, n):
             node = start
-            da, db = rates(start, a[start], b[start], start)
+            one = piece(start)
+            # row 2j holds the node start + j, row 2j + 1 the half-node after it
+            lag = np.vstack((hist.t0 + (start - 2 * n + half) * h, *one, *two)).T.tolist()
+            two = one
+            da, db = rhs(a[start], b[start], *lag[0])
             if not (isfinite(da) and isfinite(db)):
                 raise SolverError(f"state or rate is not finite at t={t[node]}")
             da_r[start], db_r[start] = da, db
-            for i in range(start, start + n):
+            for j in range(n):
+                i = start + j
                 node = i + 1
+                mid, end = lag[2 * j + 1], lag[2 * j + 2]
                 av, bv = a[i], b[i]
                 k1a, k1b = da_r[i], db_r[i]
-                k2a, k2b = rates(i + 0.5, av + h / 2 * k1a, bv + h / 2 * k1b, start)
-                k3a, k3b = rates(i + 0.5, av + h / 2 * k2a, bv + h / 2 * k2b, start)
-                k4a, k4b = rates(i + 1.0, av + h * k3a, bv + h * k3b, start)
-                av = av + h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-                bv = bv + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-                da, db = rates(i + 1.0, av, bv, start)
+                k2a, k2b = rhs(av + h2 * k1a, bv + h2 * k1b, *mid)
+                k3a, k3b = rhs(av + h2 * k2a, bv + h2 * k2b, *mid)
+                k4a, k4b = rhs(av + h * k3a, bv + h * k3b, *end)
+                av = av + h6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+                bv = bv + h6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+                da, db = rhs(av, bv, *end)
                 if not (isfinite(av) and isfinite(bv) and isfinite(da) and isfinite(db)):
                     raise SolverError(f"state or rate is not finite at t={t[node]}")
                 # at the closing knot both branches hold the left limit until
@@ -288,7 +275,7 @@ def step_hamiltonian(
         symbol(name, shift, 0).index for name in "tqp" for shift in (0, -1, 1)
     )
 
-    def rhs(tv, qv, pv, qs, dqs, ps, dps, qs2, dqs2, ps2, dps2):
+    def rhs(qv, pv, tv, qs, dqs, ps, dps, qs2, dqs2, ps2, dps2):
         slots[it] = tv - tau
         slots[itm] = tv - 2 * tau
         slots[itp] = tv
@@ -328,7 +315,7 @@ def step_elsgolts(
     qmi = symbol("q", -1, 0).index
     qpi = symbol("q", 1, 0).index
 
-    def rhs(tv, qv, vv, qs, dqs, vs, as1, qs2, dqs2, vs2, as2):
+    def rhs(qv, vv, tv, qs, dqs, vs, as1, qs2, dqs2, vs2, as2):
         slots[qi] = qs
         slots[qmi] = qs2
         slots[qpi] = qv
@@ -366,7 +353,8 @@ class ResidualTable:
 def _centred(values: np.ndarray, h: float) -> np.ndarray:
     """Centred differences of node values; nan at the first and last node."""
     out = np.full(len(values), math.nan)
-    out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:-1] = (values[2:] - values[:-2]) / (2 * h)
     return out
 
 
@@ -380,8 +368,9 @@ def residual_report(traj: Trajectory, ham: DelayHamiltonian) -> ResidualTable:
     the check is one-sidedly consistent at knots); second derivatives, needed
     only by the horizontal residual, are centred finite differences, missing
     at the first and last grid node.  A residual that reads a missing one is
-    nan at that row.  The horizontal residual is reported, not asserted: it
-    does not vanish on solutions of the canonical pair.
+    nan at that row; any other value that is not finite raises `SolverError`
+    naming the first such t.  The horizontal residual is reported, not
+    asserted: it does not vanish on solutions of the canonical pair.
     """
     if traj.p is None:
         raise SolverError("residual evaluation needs a phase-space trajectory")
@@ -389,7 +378,9 @@ def residual_report(traj: Trajectory, ham: DelayHamiltonian) -> ResidualTable:
     lo, hi = n, len(traj.t) - n
     slots = traj.slots(lo, hi, _centred(traj.qd, traj.h), _centred(traj.pd, traj.h))
 
-    def along(e: Expr) -> np.ndarray:
+    bad = []
+
+    def along(name: str, e: Expr) -> np.ndarray:
         # grid nodes 0 and m are reached only from the first row one delay
         # back and from the last row one delay forward
         syms = symbols_of(e)
@@ -397,9 +388,15 @@ def residual_report(traj: Trajectory, ham: DelayHamiltonian) -> ResidualTable:
         last = hi - lo - (1 if syms & _SECOND[1] else 0)
         out = np.full(hi - lo, math.nan)
         out[first:last] = ex.evaluate_array(e, slots[:, first:last])
+        finite = np.isfinite(out[first:last])
+        if not finite.all():
+            bad.append((first + int(np.argmin(finite)), name))
         return out
 
-    rp, rq, rt = (along(e) for e in variational_residuals(ham))
+    rp, rq, rt = (along(*pair) for pair in zip(("Rp", "Rq", "Rt"), variational_residuals(ham)))
+    if bad:
+        row, name = min(bad)
+        raise SolverError(f"residual {name} is not finite at t={traj.t[lo + row]}")
     return ResidualTable(np.arange(lo, hi), traj.t[lo:hi], rp, rq, rt)
 
 
@@ -408,33 +405,26 @@ def residual_report(traj: Trajectory, ham: DelayHamiltonian) -> ResidualTable:
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "t,q,p,qdot,pdot,Rp,Rq,Rt"
+_CSV_CELLS = CSV_HEADER.count(",") + 1
+_CSV_ROW = ",".join(["%.17g"] * _CSV_CELLS) + "\n"
+_CSV_BLOCK = 1024  # rows formatted or parsed at a time, so memory stays bounded
 
 
 def write_csv(traj: Trajectory, stream, residuals: ResidualTable | None = None) -> None:
     """Emit the trajectory in the fixed column schema, 17 significant digits."""
-    close = False
-    if isinstance(stream, (str,)):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
-        stream.write(CSV_HEADER + "\n")
-        res = {}
-        if residuals is not None:
-            for row, tv in enumerate(residuals.indices):
-                res[int(tv)] = (residuals.rp[row], residuals.rq[row], residuals.rt[row])
-        for i in range(len(traj.t)):
-            cells = [
-                traj.t[i],
-                traj.q[i],
-                traj.p[i] if traj.p is not None else math.nan,
-                traj.qd[i] if traj.qd is not None else math.nan,
-                traj.pd[i] if traj.pd is not None else math.nan,
-                *res.get(i, (math.nan, math.nan, math.nan)),
-            ]
-            stream.write(",".join(f"{c:.17g}" for c in cells) + "\n")
-    finally:
-        if close:
-            stream.close()
+    m = len(traj.t)
+    table = np.full((m, _CSV_CELLS), math.nan)
+    for column, values in enumerate((traj.t, traj.q, traj.p, traj.qd, traj.pd)):
+        if values is not None:
+            table[:, column] = values
+    if residuals is not None:
+        table[residuals.indices, 5:] = np.column_stack((residuals.rp, residuals.rq, residuals.rt))
+    with (open(stream, "w", encoding="utf-8", newline="\n") if isinstance(stream, str)
+          else contextlib.nullcontext(stream)) as out:
+        out.write(CSV_HEADER + "\n")
+        for lo in range(0, m, _CSV_BLOCK):
+            block = table[lo : lo + _CSV_BLOCK]
+            out.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass
@@ -448,20 +438,49 @@ class CsvTrajectory:
     pd: np.ndarray | None
 
 
+def _parse_block(lines: list[str], first: int) -> np.ndarray:
+    """Parse CSV lines, numbered from `first`, into a (rows, 8) array."""
+    if all(line.count(",") == _CSV_CELLS - 1 for line in lines):
+        with contextlib.suppress(ValueError):
+            return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), _CSV_CELLS)
+    rows = []
+    for number, line in enumerate(lines, first):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != _CSV_CELLS:
+            raise SolverError(f"CSV line {number}: expected {_CSV_CELLS} cells, got {len(cells)}")
+        try:
+            rows.append(np.array(cells, dtype=float))
+        except ValueError as err:
+            raise SolverError(f"CSV line {number}: {err}") from None
+    return np.array(rows).reshape(-1, _CSV_CELLS)
+
+
 def read_csv(path_or_stream) -> CsvTrajectory:
-    """Read the fixed schema back; delay metadata is left unset (zero)."""
-    if isinstance(path_or_stream, str):
-        with open(path_or_stream, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = path_or_stream.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise SolverError(f"expected header '{CSV_HEADER}'")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    """Read the fixed schema back; delay metadata is left unset (zero).
+
+    A malformed row (named by its 1-based line) or a file without rows
+    raises `SolverError`.
+    """
+    blocks = [np.empty((0, _CSV_CELLS))]
+    with (open(path_or_stream, "r", encoding="utf-8") if isinstance(path_or_stream, str)
+          else contextlib.nullcontext(path_or_stream)) as stream:
+        lines = iter(stream)
+        number, header = next(((k, ln) for k, ln in enumerate(lines, 1) if ln.strip()), (0, ""))
+        if header.strip() != CSV_HEADER:
+            raise SolverError(f"expected header '{CSV_HEADER}'")
+        while block := list(itertools.islice(lines, _CSV_BLOCK)):
+            blocks.append(_parse_block(block, number + 1))
+            number += len(block)
+    data = np.concatenate(blocks)
+    if not len(data):
+        raise SolverError("CSV has no data rows")
+
     def col(i):
         column = data[:, i]
         return None if np.all(np.isnan(column)) else column
+
     return CsvTrajectory(0.0, 0, data[:, 0], data[:, 1], col(2), col(3), col(4))
 
 

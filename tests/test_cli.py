@@ -227,11 +227,17 @@ POLE_HISTORY = {"q": "1/(t+1)", "p": "cos(t)"}
         (OSC_HAMILTONIAN, POLE_HISTORY, 4, ["simulate"]),
         (OSC_HAMILTONIAN, POLE_HISTORY, 4, ["recurse"]),
         (OSC_HAMILTONIAN, POLE_HISTORY, 4, ["noether"]),
+        # 6e306*t^5 in the horizontal residual overflows on a finite trajectory
+        (
+            {"hamiltonian": {"H": "p*pm + q*qm + 1e306*t^6", "alphas": [1, 0, 0, 1]}},
+            {"q": "sin(t)", "p": "cos(t)"}, 4, ["simulate"],
+        ),
     ],
     ids=[
         "overflow", "hamiltonian-nan", "lagrangian-nan", "domain-error", "division-by-zero",
         "history-overflow-simulate", "history-overflow-recurse", "history-overflow-noether",
         "history-pole-simulate", "history-pole-recurse", "history-pole-noether",
+        "residual-overflow",
     ],
 )
 def test_blow_up_is_a_numeric_failure(tmp_path, capsys, model, history, horizon, argv):
@@ -325,6 +331,28 @@ def test_compare_fails_on_a_non_finite_row(osc_config, tmp_path, capsys):
     assert f"q is not finite at t={float(row[0])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [["1", "2", "3"], None, "x"],
+    ids=["short-row", "long-row", "non-numeric-cell"],
+)
+def test_compare_fails_on_a_malformed_row(osc_config, tmp_path, capsys, cells):
+    a = tmp_path / "a.csv"
+    assert cli.main(["simulate", "--config", osc_config, "--out", str(a)]) == 0
+    lines = a.read_text().splitlines()
+    row = lines[6].split(",")
+    if cells is None:
+        cells = row + row
+    elif cells == "x":
+        cells = row[:3] + ["x"] + row[4:]
+    lines[6] = ",".join(cells)
+    b = tmp_path / "b.csv"
+    b.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["compare", "--a", str(a), "--b", str(b), "--max-diff", "1e-5"])
+    assert rc == cli.EXIT_NUMERIC
+    assert "numeric failure: CSV line 7: " in capsys.readouterr().err
+
+
 def test_compare_skips_components_a_run_does_not_carry(osc_config, tmp_path, capsys):
     ham = tmp_path / "ham.csv"
     lag = tmp_path / "lag.csv"
@@ -357,3 +385,53 @@ def test_check_identity_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         )
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+# The config printed in the README, and the sha256 of each command's output.
+README_CONFIG = {
+    "tau": 1.0,
+    "lagrangian": {"alpha": 0, "beta": 1, "gamma": 0, "phi": "q*qm"},
+    "history": {"q": "sin(t)", "p": "cos(t)"},
+    "generators": [
+        {"name": "X1", "eta": "sin(t)", "nu": "cos(t)"},
+        {"name": "X5", "eta": "p", "nu": "-q"},
+    ],
+    "steps_per_delay": 128,
+    "horizon": 10,
+    "seed": 20260810,
+    "tol": 1e-9,
+}
+README_OUTPUTS = {
+    10: {
+        "simulate": "b315e90e01b27fa776f9d54c781e6dc668b7ef1971f65488b052b5d733d657d6",
+        "lagrangian": "98651691898c37dbe313b8043806e201257985b954e6a65965a8e488a15e9a89",
+        "recurse": "bf16d83f7f5ba1d3b8038d5547caa272b513d28c2ff9706fda13dd5d9b6bab4e",
+        "noether": "e811f0d2cb47520c8de4a8e6bbe19226672d517afc281e3edb4fdaca50e34d1b",
+    },
+    100: {
+        "simulate": "56c374af0d61abede15013984f8a2eb02e6999efac14dcbe617ad5e5a103a8f6",
+        "lagrangian": "99c9c348de2d214a6678ab30e494748b31750adcbea09ce09d6381d0d271726c",
+        "recurse": "ade7bceaeb8100d7888a97588644f19bc8e4d5d7109d6236d7c68ec964f4bbc1",
+        "noether": "a6e67bd59a4eea053f94dc6fa9dbb8b66d9b0d670007805c28e561dbaf1cd0e8",
+    },
+}
+
+
+@pytest.mark.parametrize("horizon", sorted(README_OUTPUTS))
+def test_readme_outputs_are_byte_identical(tmp_path, horizon):
+    import hashlib
+
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(dict(README_CONFIG, horizon=horizon)))
+    commands = {
+        "simulate": ["simulate"],
+        "lagrangian": ["simulate", "--formulation", "lagrangian"],
+        "recurse": ["recurse"],
+        "noether": ["noether"],
+    }
+    got = {}
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == README_OUTPUTS[horizon]

@@ -63,13 +63,20 @@ def test_residual_rotation_generator(oscillator, oscillator_generators):
     assert not z(E.sub(om, E.total_derivative(E.parse("-(p*pm + q*qm)")))).ok
 
 
+def _invariance_residual_via_action(h, g):
+    """The invariance residual built as X(density) + density*D(xi) with the
+    prolonged generator: an independent route to `N.invariance_residual`."""
+    density = M.action_density(h)
+    return E.add(g.apply(density), E.mul(density, E.total_derivative(g.xi)))
+
+
 def test_residual_agrees_with_prolonged_action():
     for k in range(6):
         rng = np.random.default_rng(5000 + k)
         ham = random_quadratic_hamiltonian(rng)
         gen = random_generator(rng)
         gap = E.sub(
-            N.invariance_residual(ham, gen), N.invariance_residual_via_action(ham, gen)
+            N.invariance_residual(ham, gen), _invariance_residual_via_action(ham, gen)
         )
         assert z(gap, seed=k).ok
 
@@ -422,6 +429,18 @@ def test_differential_integral_checks_second_order_premise_on_shell(oscillator, 
     assert parts.differential_integral is integral
 
 
+def _constrained_difference_check(parts, traj):
+    """Monitoring for the constrained route: when (S+ - 1)P = 0 is imposed,
+    C itself is the candidate integral; returns its drift and the largest
+    constraint violation observed along the trajectory."""
+    report = N.drift(parts.c, traj, kind="differential")
+    n = traj.steps_per_delay
+    m = len(traj.t) - 1
+    values = E.evaluate_array(parts.p_quantity, traj.slots(n, m + 1))
+    gap = np.abs(values[n:] - values[: m - 2 * n + 1])
+    return report, float(gap.max(initial=0.0))
+
+
 def test_constrained_route_monitoring():
     # H with no q-dependence: P vanishes, the constraint holds exactly, and
     # C = pp + pm is conserved along solutions
@@ -430,7 +449,7 @@ def test_constrained_route_monitoring():
     parts = N.noether_parts(ham, gen)
     hist = S.History(0.0, 1.0, E.parse("sin(t)"), E.parse("cos(t)"))
     traj = S.step_hamiltonian(ham, hist, 5.0, 32)
-    report, violation = N.constrained_difference_check(parts, traj)
+    report, violation = _constrained_difference_check(parts, traj)
     assert violation <= 1e-12
     assert report.max_drift <= 1e-8
 

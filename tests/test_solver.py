@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -221,3 +223,232 @@ def test_residual_report_matches_node_loop(h_src, hist_q, hist_p):
         assert_same_bits(got, want[:, column])
     # the centred second difference is missing one delay back of the first row
     assert np.isnan(table.rt[0]) and np.isfinite(table.rt[-1])
+
+
+def _first_non_finite(traj, ham):
+    """(t, name) of the first residual value the node loop gives that is not
+    finite, leaving out the documented nan row of Rt, and how many of the
+    three residuals have such a value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _residual_rows(traj, ham)
+    bad = ~np.isfinite(want[:, 2:])
+    bad[0, 2] = False
+    row = int(np.argmax(bad.any(axis=1)))
+    assert bad[row].any()
+    return want[row, 1], ("Rp", "Rq", "Rt")[int(np.argmax(bad[row]))], int(bad.any(axis=0).sum())
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["time-term-overflow", "planted-velocity"])
+def test_residual_report_rejects_non_finite_values(planted):
+    # 6e306*t^5 overflows to inf on both sides of Rt once t > ~1.97, while the
+    # right-hand side (the q- and p-partials) stays finite
+    ham = M.DelayHamiltonian(E.parse("p*pm + q*qm + 1e306*t^6"), (1, 0, 0, 1))
+    hist = S.History(0.0, 1.0, E.parse("sin(t)"), E.parse("cos(t)"))
+    traj = S.step_hamiltonian(ham, hist, 4.0, 16)
+    assert np.isfinite(traj.q).all() and np.isfinite(traj.pd).all()
+    if planted:
+        # large but finite velocities at nodes 20 and 52: their centred
+        # differences overflow in Rt near node 20, and qdp + qdm in Rp one
+        # delay later, so the residuals fail first at different rows
+        qd = traj.qd.copy()
+        qd[[20, 52]] = 1e308
+        traj = dataclasses.replace(traj, qd=qd)
+    t, name, failing = _first_non_finite(traj, ham)
+    assert failing == (2 if planted else 1)
+    with pytest.raises(S.SolverError, match=f"residual {name} is not finite at t={t}$"):
+        S.residual_report(traj, ham)
+
+
+def test_lagged_matches_segmented_lookup_on_distinct_branches():
+    # random pieces whose right and left rates differ at every node
+    rng = np.random.default_rng(7)
+    n, h = 8, 0.1
+    y, d_right, d_left = (rng.uniform(-3, 3, 3 * n + 1).tolist() for _ in range(3))
+    look = _Segmented(y, d_right, d_left, h)
+    for hi in (n, 2 * n, 3 * n):
+        value, rate = S._lagged(y, d_right, d_left, hi, n, h)
+        want = np.array([look.at(hi - n + k / 2, hi) for k in range(2 * n + 1)])
+        assert_same_bits(value, want[:, 0])
+        assert_same_bits(rate, want[:, 1])
+
+
+# ---------------------------------------------------------------------------
+# per-interval lagged data against a per-position lookup
+# ---------------------------------------------------------------------------
+
+
+class _Segmented:
+    """Lagged lookup over one smooth piece of the solution ending at node hi,
+    one position at a time: the reference for `solver._lagged`."""
+
+    def __init__(self, values, d_right, d_left, h):
+        self.values = values
+        self.d_right = d_right
+        self.d_left = d_left
+        self.h = h
+
+    def at(self, x: float, hi: int) -> tuple[float, float]:
+        """Value and rate at grid position x, by cubic Hermite between nodes.
+
+        A node takes its right rate, except the piece's end node `hi`, which
+        takes its left rate.
+        """
+        j = int(math.floor(x + 1e-9))
+        frac = x - j
+        if abs(frac) < 1e-9:
+            return self.values[j], (self.d_left if j >= hi else self.d_right)[j]
+        h = self.h
+        y0, d0 = self.values[j], self.d_right[j]
+        y1, d1 = self.values[j + 1], self.d_left[j + 1]
+        t2 = frac * frac
+        t3 = t2 * frac
+        value = (
+            (2 * t3 - 3 * t2 + 1) * y0
+            + (t3 - 2 * t2 + frac) * h * d0
+            + (-2 * t3 + 3 * t2) * y1
+            + (t3 - t2) * h * d1
+        )
+        rate = (
+            (6 * t2 - 6 * frac) * y0 / h
+            + (3 * t2 - 4 * frac + 1) * d0
+            + (-6 * t2 + 6 * frac) * y1 / h
+            + (3 * t2 - 2 * frac) * d1
+        )
+        return value, rate
+
+
+@pytest.mark.parametrize("formulation", ["hamiltonian", "lagrangian"])
+def test_lagged_pieces_match_segmented_lookup(oscillator, monkeypatch, formulation):
+    # a history that is not a solution makes both one-sided rates differ at
+    # every knot, so each piece's end nodes pick distinct branches
+    lag, ham = oscillator
+    hist = S.History(0.0, 1.0, E.parse("sin(t) + t/4"), E.parse("cos(t) + t/4"))
+    n, horizon = 16, 4
+    seen = []
+    lagged = S._lagged
+
+    def checked(y, d_right, d_left, hi, pieces_n, h):
+        value, rate = lagged(y, d_right, d_left, hi, pieces_n, h)
+        look = _Segmented(list(y), list(d_right), list(d_left), h)
+        want = np.array([look.at(hi - n + k / 2, hi) for k in range(2 * n + 1)])
+        assert_same_bits(value, want[:, 0])
+        assert_same_bits(rate, want[:, 1])
+        seen.append((hi, d_right[hi - n] != d_left[hi - n], d_right[hi] != d_left[hi]))
+        return value, rate
+
+    monkeypatch.setattr(S, "_lagged", checked)
+    if formulation == "hamiltonian":
+        traj = S.step_hamiltonian(ham, hist, float(horizon), n)
+    else:
+        traj = S.step_elsgolts(lag, hist, float(horizon), n)
+    # one piece per component for each delay interval, plus the history piece
+    # two delays back of the first interval
+    his = [hi for hi, _, _ in seen]
+    assert sorted(his) == sorted(2 * list(range(n, (horizon + 2) * n, n)))
+    assert any(jump for _, start_jump, end_jump in seen for jump in (start_jump, end_jump))
+    assert len(traj.t) == (horizon + 2) * n + 1
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes against the row-by-row writer
+# ---------------------------------------------------------------------------
+
+
+def _csv_rows(traj, residuals=None) -> str:
+    """The trajectory CSV formatted one cell at a time (the reference layout)."""
+    out = [S.CSV_HEADER + "\n"]
+    res = {}
+    if residuals is not None:
+        for row, tv in enumerate(residuals.indices):
+            res[int(tv)] = (residuals.rp[row], residuals.rq[row], residuals.rt[row])
+    for i in range(len(traj.t)):
+        cells = [
+            traj.t[i],
+            traj.q[i],
+            traj.p[i] if traj.p is not None else math.nan,
+            traj.qd[i] if traj.qd is not None else math.nan,
+            traj.pd[i] if traj.pd is not None else math.nan,
+            *res.get(i, (math.nan, math.nan, math.nan)),
+        ]
+        out.append(",".join(f"{c:.17g}" for c in cells) + "\n")
+    return "".join(out)
+
+
+SPECIAL_CELLS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
+                 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3]
+
+
+def _with_special_cells(traj, table):
+    """Copies of `traj` and `table` with every special value planted in each
+    column at a few rows, the last block of rows included."""
+    traj = dataclasses.replace(
+        traj, **{name: getattr(traj, name).copy() for name in ("t", "q", "p", "qd", "pd")
+                 if getattr(traj, name) is not None}
+    )
+    columns = [getattr(traj, name) for name in ("t", "q", "p", "qd", "pd")]
+    if table is not None:
+        table = dataclasses.replace(
+            table, rp=table.rp.copy(), rq=table.rq.copy(), rt=table.rt.copy()
+        )
+        columns += [table.rp, table.rq, table.rt]
+    for c, column in enumerate(columns):
+        if column is None:
+            continue
+        for k, value in enumerate(SPECIAL_CELLS):
+            column[(37 * c + 101 * k) % len(column)] = value
+            column[-1 - k] = value
+    return traj, table
+
+
+@pytest.mark.parametrize(
+    "formulation, residuals",
+    [("hamiltonian", True), ("hamiltonian", False), ("lagrangian", False)],
+    ids=["hamiltonian-residuals", "hamiltonian", "lagrangian"],
+)
+def test_write_csv_matches_row_loop_and_reads_back_bit_exactly(
+    oscillator, sincos_history, formulation, residuals
+):
+    lag, ham = oscillator
+    # 1,633 rows: more than one block of rows
+    if formulation == "hamiltonian":
+        traj = S.step_hamiltonian(ham, sincos_history, 100.0, 16)
+    else:
+        traj = S.step_elsgolts(lag, sincos_history, 100.0, 16)
+    table = S.residual_report(traj, ham) if residuals else None
+    assert len(traj.t) > S._CSV_BLOCK
+    for case in (traj, table), _with_special_cells(traj, table):
+        buf = io.StringIO()
+        S.write_csv(case[0], buf, case[1])
+        text = buf.getvalue()
+        assert text == _csv_rows(*case)
+        back = S.read_csv(io.StringIO(text))
+        for name in ("t", "q", "p", "qd", "pd"):
+            want = getattr(case[0], name)
+            if want is None:
+                assert getattr(back, name) is None
+            else:
+                assert_same_bits(getattr(back, name), want)
+
+
+def test_read_csv_skips_blank_lines_and_names_bad_ones():
+    row = ",".join(["1.5"] * 8)
+    back = S.read_csv(io.StringIO(f"\n{S.CSV_HEADER}\n{row}\n\n  \n{row}\n"))
+    assert back.t.tolist() == [1.5, 1.5]
+    # a block of lines may be blank only; a file needs one row at least
+    for text in (f"{S.CSV_HEADER}\n", f"{S.CSV_HEADER}\n\n\n"):
+        with pytest.raises(S.SolverError, match="CSV has no data rows$"):
+            S.read_csv(io.StringIO(text))
+    blank_block = "\n" * S._CSV_BLOCK
+    assert len(S.read_csv(io.StringIO(f"{S.CSV_HEADER}\n{row}\n{blank_block}")).t) == 1
+    for bad, message in (
+        ("1,2,3", "line 4: expected 8 cells, got 3"),
+        (",".join(["1"] * 16), "line 4: expected 8 cells, got 16"),
+        (",".join(["1"] * 7 + ["x"]), "line 4: could not convert string to float: 'x'"),
+        (",".join(["1"] * 7 + [""]), "line 4: could not convert string to float: ''"),
+    ):
+        with pytest.raises(S.SolverError, match=f"CSV {message}$"):
+            S.read_csv(io.StringIO(f"{S.CSV_HEADER}\n{row}\n\n{bad}\n{row}\n"))
+    # a short and a long row that together hold a whole number of rows
+    long_row = ",".join(["1"] * 13)
+    with pytest.raises(S.SolverError, match="CSV line 3: expected 8 cells, got 3$"):
+        S.read_csv(io.StringIO(f"{S.CSV_HEADER}\n{row}\n1,2,3\n{long_row}\n{row}\n"))
