@@ -79,8 +79,7 @@ def classical_first_integral(
     integral = sub(mul(ex.p, g.eta), mul(g.xi, ch.h))
     if check:
         inv = classical_invariance(ch, g)
-        jets = ex.jet_points(classical_on_shell_jets(ch, seed, samples))
-        chk = ex.is_zero_at(inv, jets, tol=tol)
+        chk = ex.is_zero_on(inv, classical_on_shell_jets(ch, seed, samples), tol=tol)
         if not chk.ok:
             warnings.warn(
                 f"generator is not an invariance of this Hamiltonian "

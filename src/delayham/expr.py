@@ -25,7 +25,9 @@ numpy, whose results match Python's, while integer powers and `exp`, where
 numpy and Python round differently, run elementwise on Python floats.  When
 the array binding raises, or yields a value that is not finite, the scalar
 binding is re-run jet by jet in order, so errors and their witnesses are the
-ones a plain loop over the jets would give.
+ones a plain loop over the jets would give.  `evaluate_many` compiles a list
+of roots into one array kernel over their shared subtrees, with the same
+bits and errors as evaluating the roots one by one.
 
 Rational constants are kept exact (`fractions.Fraction`) until evaluation;
 evaluation itself is plain IEEE double arithmetic.
@@ -1028,11 +1030,6 @@ def grid_slots(tau_value: float, rows: Mapping[Symbol, np.ndarray]) -> np.ndarra
     return out
 
 
-def jet_points(slots: np.ndarray) -> list[JetPoint]:
-    """The columns of a slot array as jet points."""
-    return [JetPoint.from_slots(column) for column in slots.T.tolist()]
-
-
 def _elementwise(fn: Callable) -> Callable:
     """Apply a Python float function to every entry, so it rounds as Python does."""
 
@@ -1059,47 +1056,80 @@ _ARRAY_BINDING = {
 }
 
 _COMPILE_CACHE: dict[tuple[int, bool], Callable] = {}
+# Keyed by the root tuple itself, so the roots stay alive while their kernel does.
+_MANY_CACHE: dict[tuple[Expr, ...], Callable] = {}
+
+
+def _kernel_lines(n: Expr, names: dict[int, str], lines: list[str]) -> str:
+    """Append a `v_i = ...` line for every subtree of `n` not named yet
+    (children first, left to right) and return the name of `n`."""
+    got = names.get(id(n))
+    if got is not None:
+        return got
+
+    def rec(c: Expr) -> str:
+        return _kernel_lines(c, names, lines)
+
+    if isinstance(n, Const):
+        src = repr(float(n.value))
+    elif isinstance(n, Sym):
+        src = f"A[{n.symbol.index}]"
+    elif isinstance(n, TauConst):
+        src = f"A[{TAU_INDEX}]"
+    elif isinstance(n, Add):
+        src = " + ".join(rec(c) for c in n.terms)
+    elif isinstance(n, Mul):
+        src = "*".join(rec(c) for c in n.factors)
+    elif isinstance(n, Neg):
+        src = f"-{rec(n.arg)}"
+    elif isinstance(n, Div):
+        src = f"{rec(n.num)} / {rec(n.den)}"
+    elif isinstance(n, Pow):
+        src = f"_pow({rec(n.base)}, {n.exponent})"
+    elif isinstance(n, Func):
+        src = f"_{n.name}({rec(n.arg)})"
+    else:  # pragma: no cover
+        raise TypeError(type(n).__name__)
+    name = f"v{len(names)}"
+    names[id(n)] = name
+    lines.append(f"{name} = {src}")
+    return name
 
 
 def _kernel_source(e: Expr, with_magnitude: bool) -> str:
     """Straight-line source of `_f(A)`, one line per distinct subtree."""
     names: dict[int, str] = {}
     lines: list[str] = []
-
-    def rec(n: Expr) -> str:
-        got = names.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Const):
-            src = repr(float(n.value))
-        elif isinstance(n, Sym):
-            src = f"A[{n.symbol.index}]"
-        elif isinstance(n, TauConst):
-            src = f"A[{TAU_INDEX}]"
-        elif isinstance(n, Add):
-            src = " + ".join(rec(c) for c in n.terms)
-        elif isinstance(n, Mul):
-            src = "*".join(rec(c) for c in n.factors)
-        elif isinstance(n, Neg):
-            src = f"-{rec(n.arg)}"
-        elif isinstance(n, Div):
-            src = f"{rec(n.num)} / {rec(n.den)}"
-        elif isinstance(n, Pow):
-            src = f"_pow({rec(n.base)}, {n.exponent})"
-        elif isinstance(n, Func):
-            src = f"_{n.name}({rec(n.arg)})"
-        else:  # pragma: no cover
-            raise TypeError(type(n).__name__)
-        name = f"v{len(names)}"
-        names[id(n)] = name
-        lines.append(f"{name} = {src}")
-        return name
-
-    root = rec(e)
+    root = _kernel_lines(e, names, lines)
     if with_magnitude:
         root = f"{root}, _maxabs(({', '.join(names.values())},))"
     body = "\n    ".join(lines)
     return f"def _f(A):\n    {body}\n    return {root}\n"
+
+
+_NAME_RE = re.compile(r"\bv\d+\b")
+
+
+def _many_source(roots: tuple[Expr, ...]) -> str:
+    """Straight-line source of `_f(A, out)` over the union of the roots'
+    subtrees: root j goes to `out[j]` as soon as it is computed, and every
+    name is deleted after its last use."""
+    names: dict[int, str] = {}
+    lines: list[str] = []
+    for j, root in enumerate(roots):
+        name = _kernel_lines(root, names, lines)
+        lines.append(f"out[{j}] = {name}")
+    last_use = {name: i for i, line in enumerate(lines) for name in _NAME_RE.findall(line)}
+    dead: dict[int, list[str]] = {}
+    for name, i in last_use.items():
+        dead.setdefault(i, []).append(name)
+    body = []
+    for i, line in enumerate(lines):
+        body.append(line)
+        if i in dead:
+            body.append("del " + ", ".join(dead[i]))
+    body.append("return out")
+    return "def _f(A, out):\n    " + "\n    ".join(body) + "\n"
 
 
 def _bind(code, binding: dict) -> Callable:
@@ -1144,14 +1174,22 @@ def _run_scalar(e: Expr, vals: list[float], with_magnitude: bool, jet: JetPoint 
         raise EvalError("math domain error", point()) from None
 
 
+def _guarded(kernel: Callable, *args):
+    """`kernel(*args)` for an array-bound kernel, or None when it raised a
+    numeric error (numpy's divide and invalid raise; over- and underflow do not)."""
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+            return kernel(*args)
+    except (OverflowError, ZeroDivisionError, ValueError, FloatingPointError):
+        return None
+
+
 def _run_array(e: Expr, slots: np.ndarray, with_magnitude: bool) -> tuple[np.ndarray, ...] | None:
     """Array binding over `slots` as a tuple of `(N,)` arrays, or None when it
     raised or gave a non-finite entry (the scalar binding then decides)."""
     n = slots.shape[1]
-    try:
-        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
-            out = compiled(e, with_magnitude).array(slots)
-    except (OverflowError, ZeroDivisionError, ValueError, FloatingPointError):
+    out = _guarded(compiled(e, with_magnitude).array, slots)
+    if out is None:
         return None
     parts = tuple(np.broadcast_to(x, (n,)) for x in (out if with_magnitude else (out,)))
     if not all(np.isfinite(x).all() for x in parts):
@@ -1174,6 +1212,28 @@ def evaluate_array(e: Expr, slots: np.ndarray) -> np.ndarray:
     if got is not None:
         return np.array(got[0])
     return np.array([_run_scalar(e, column, False) for column in slots.T.tolist()], dtype=float)
+
+
+def evaluate_many(roots: Iterable[Expr], slots: np.ndarray) -> np.ndarray:
+    """`(len(roots), N)` array whose row j is `evaluate_array(roots[j], slots)`.
+
+    One kernel computes every distinct subtree of the roots once, with each
+    node's own operation order, so the rows are bit-identical to the per-root
+    calls.  When the kernel raises, every root is re-run with
+    `evaluate_array` in order; a row that is not finite re-runs its own root.
+    Either way the first failing root raises its `EvalError`.
+    """
+    roots = tuple(roots)
+    fn = _MANY_CACHE.get(roots)
+    if fn is None:
+        fn = _bind(compile(_many_source(roots), "<delayham-expr>", "exec"), _ARRAY_BINDING)
+        _MANY_CACHE[roots] = fn
+    out = _guarded(fn, slots, np.empty((len(roots), slots.shape[1])))
+    if out is None:
+        return np.array([evaluate_array(root, slots) for root in roots])
+    for j in np.flatnonzero(~np.isfinite(out).all(axis=1)):
+        out[j] = evaluate_array(roots[j], slots)
+    return out
 
 
 class ZeroCheck(NamedTuple):
@@ -1221,12 +1281,17 @@ def is_zero(e: Expr, samples: int = 100, tol: float = 1e-9, seed: int = 0) -> Ze
         raise ValueError("samples must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    slots = random_jets(seed, samples)
+    return is_zero_on(e, random_jets(seed, samples), tol)
+
+
+def is_zero_on(e: Expr, slots: np.ndarray, tol: float = 1e-9) -> ZeroCheck:
+    """Like `is_zero` but over the columns of a caller-supplied `(NSLOTS, N)`
+    slot array (e.g. on-shell jets); a witness is its column as a jet point."""
     return _zero_check(e, slots, tol, lambda k: JetPoint.from_slots(slots[:, k]))
 
 
 def is_zero_at(e: Expr, jets: Iterable[JetPoint], tol: float = 1e-9) -> ZeroCheck:
-    """Like `is_zero` but over caller-supplied jet points (e.g. on-shell ones)."""
+    """`is_zero_on` over a list of jet points; a witness is one of them."""
     jets = list(jets)
     slots = np.array([jet._vals for jet in jets], dtype=float).reshape(len(jets), NSLOTS).T
     return _zero_check(e, slots, tol, jets.__getitem__)

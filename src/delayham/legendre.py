@@ -23,7 +23,6 @@ from .expr import (
     div,
     mul,
     neg,
-    partial,
     powi,
     shift,
     sub,
@@ -249,54 +248,3 @@ def extended_momentum_substitution(l: ExtendedLagrangian) -> dict:
     """Symbol map p -> (qd - lam(q)) / mu(q), with shifted and dotted copies."""
     p_of_qd = div(sub(ex.qd, l.lam), l.mu)
     return momentum_substitution(p_of_qd)
-
-
-def extended_elsgolts_display(l: ExtendedLagrangian) -> Expr:
-    """The expanded second-order variational equation of the extended family.
-
-    Written out term by term (coefficient derivatives times velocity
-    products); agrees with the operator route `elsgolts_residual_general`
-    applied to `l.expr()`, which the test-suite verifies by sampling.
-    """
-    a, b, g = l.alpha, l.beta, l.gamma
-    lam = l.lam
-    lam_m = shift(lam, -1)
-    lam_p = shift(lam, +1)
-    a_q = partial(a, "q")
-    a_qm = partial(a, "qm")
-    b_q = partial(b, "q")
-    b_qm = partial(b, "qm")
-    g_q = partial(g, "q")
-    g_qm = partial(g, "qm")
-    # the dotted gauge terms are derivatives with respect to the argument q
-    lam_dot = partial(lam, "q")
-    bp = shift(b, +1)
-    gp = shift(g, +1)
-    return add(
-        neg(mul(bp, ex.qddp)),
-        neg(mul(add(a, gp), ex.qdd)),
-        neg(mul(b, ex.qddm)),
-        mul(sub(div(shift(a_qm, +1), 2), shift(b_q, +1)), powi(ex.qdp, 2)),
-        neg(mul(shift(g_q, +1), ex.qdp, ex.qd)),
-        neg(mul(div(add(a_q, shift(g_qm, +1)), 2), powi(ex.qd, 2))),
-        neg(mul(a_qm, ex.qd, ex.qdm)),
-        mul(sub(div(g_q, 2), b_qm), powi(ex.qdm, 2)),
-        mul(
-            add(
-                mul(bp, sub(shift(lam_dot, +1), lam_dot)),
-                mul(sub(shift(b_q, +1), shift(a_qm, +1)), lam_p),
-                mul(sub(shift(g_q, +1), shift(b_qm, +1)), lam),
-            ),
-            ex.qdp,
-        ),
-        mul(
-            add(
-                mul(b, sub(shift(lam_dot, -1), lam_dot)),
-                mul(sub(a_qm, b_q), lam),
-                mul(sub(b_qm, g_q), lam_m),
-            ),
-            ex.qdm,
-        ),
-        neg(partial(l.phi, "q")),
-        neg(shift(partial(l.phi, "qm"), +1)),
-    )

@@ -22,13 +22,11 @@ from . import expr as ex
 from .expr import (
     Expr,
     JetPoint,
-    ZeroCheck,
     add,
     as_expr,
     div,
     evaluate_array,
     is_zero,
-    is_zero_at,
     mul,
     neg,
     partial,
@@ -287,15 +285,6 @@ def elsgolts_residual(l: QuadraticLagrangian) -> Expr:
     )
 
 
-def elsgolts_residual_general(lagrangian: Expr) -> Expr:
-    """Vertical variation of an arbitrary L(t, tm, q, qm, qd, qdm)."""
-    here = sub(partial(lagrangian, "q"), total_derivative(partial(lagrangian, "qd")))
-    lagged = shift(
-        sub(partial(lagrangian, "qm"), total_derivative(partial(lagrangian, "qdm"))), +1
-    )
-    return add(here, lagged)
-
-
 def local_extremal_residual(h: DelayHamiltonian, g: Generator) -> Expr:
     """Variation of the action along the group orbit of `g`."""
     rp, rq, rt = variational_residuals(h)
@@ -375,16 +364,3 @@ def on_shell_jet(
 ) -> JetPoint:
     """Sample `index` of `on_shell_jets` as a jet point."""
     return JetPoint.from_slots(on_shell_jets(h, seed, 1, second_order, index)[:, 0])
-
-
-def is_zero_on_shell(
-    e: Expr,
-    h: DelayHamiltonian,
-    samples: int = 100,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> ZeroCheck:
-    """Sampled vanishing of `e` on jets satisfying the canonical equations."""
-    need_second = any(s.order >= 2 for s in symbols_of(e))
-    jets = ex.jet_points(on_shell_jets(h, seed, samples, second_order=need_second))
-    return is_zero_at(e, jets, tol=tol)

@@ -8,14 +8,18 @@ quantities along solutions: a differential first integral I = C - V when the
 difference part telescopes into a total derivative, and a difference first
 integral J = P - W in the opposite case.  V and W are found by a linear fit
 over a fixed monomial-times-trigonometric dictionary and re-verified by
-sampling; user-supplied candidates are always accepted for checking.
+sampling; user-supplied candidates are always accepted for checking.  Each
+dictionary and its images are built once per process, and each design matrix
+is one kernel call over them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from .expr import (
     add,
     as_expr,
     is_zero,
-    is_zero_at,
+    is_zero_on,
     mul,
     neg,
     partial,
@@ -175,16 +179,30 @@ def _trig_factors() -> list[Expr]:
     return [ex.ONE, ex.sin(ex.t), ex.cos(ex.t), ex.sin(ex.tm), ex.cos(ex.tm), ex.t]
 
 
-def _v_dictionary() -> list[Expr]:
+_Dictionary = tuple[tuple[Expr, ...], tuple[Expr, ...], bool]
+
+
+def _dictionary(columns: list[Expr], image: Callable[[Expr], Expr]) -> _Dictionary:
+    """The columns, their images under the fitted operator, and whether an
+    image needs second-derivative slots."""
+    images = tuple(image(c) for c in columns)
+    return tuple(columns), images, any(s.order >= 2 for e in images for s in symbols_of(e))
+
+
+@functools.cache
+def _v_dictionary() -> _Dictionary:
+    """Monomials of degree <= 2 in q, p at three points times trig factors, under D."""
     singles = [ex.q, ex.qm, ex.qp, ex.p, ex.pm, ex.pp]
     monos = list(singles)
     for i, a in enumerate(singles):
         for b in singles[i:]:
             monos.append(mul(a, b))
-    return [mul(m, f) for m in monos for f in _trig_factors()]
+    return _dictionary([mul(m, f) for m in monos for f in _trig_factors()], D)
 
 
-def _w_dictionary() -> list[Expr]:
+@functools.cache
+def _w_dictionary() -> _Dictionary:
+    """Values, rates and their products at two points times trig factors, under S+ - 1."""
     values = [ex.q, ex.qm, ex.p, ex.pm]
     rates = [ex.qd, ex.qdm, ex.pd, ex.pdm]
     monos = list(values) + list(rates)
@@ -194,13 +212,13 @@ def _w_dictionary() -> list[Expr]:
     for r in rates:
         for v in values:
             monos.append(mul(r, v))
-    return [mul(m, f) for m in monos for f in _trig_factors()]
+    columns = [mul(m, f) for m in monos for f in _trig_factors()]
+    return _dictionary(columns, lambda c: sub(shift(c, +1), c))
 
 
 def _fit(
     target: Expr,
-    columns: list[Expr],
-    column_images: list[Expr],
+    dictionary: _Dictionary,
     *,
     seed: int,
     on_shell: DelayHamiltonian | None,
@@ -209,10 +227,9 @@ def _fit(
     verify_tol: float,
 ) -> Expr | None:
     """Least-squares fit of target = sum_i c_i * image_i, re-verified exactly."""
+    columns, images, second = dictionary
     n = samples or max(400, 3 * len(columns))
-    need_second = any(
-        s.order >= 2 for e in column_images + [target] for s in symbols_of(e)
-    )
+    need_second = second or any(s.order >= 2 for s in symbols_of(target))
 
     def sample(at_seed: int, count: int) -> np.ndarray:
         if on_shell is None:
@@ -220,9 +237,7 @@ def _fit(
         return on_shell_jets(on_shell, at_seed, count, second_order=need_second)
 
     slots = sample(seed, n)
-    a_mat = np.empty((n, len(columns)))
-    for i, e in enumerate(column_images):
-        a_mat[:, i] = ex.evaluate_array(e, slots)
+    a_mat = ex.evaluate_many(images, slots).T
     b_vec = ex.evaluate_array(target, slots)
     finite = np.isfinite(a_mat).all(axis=1) & np.isfinite(b_vec)
     if not finite.all():
@@ -241,11 +256,11 @@ def _fit(
         frac = Fraction(float(c)).limit_denominator(24)
         cleaned.append((i, frac if abs(float(frac) - c) <= 1e-6 * max(1.0, abs(c)) else float(c)))
     candidate = add(*[mul(ex.const(c), columns[i]) for i, c in cleaned])
-    residual = sub(target, add(*[mul(ex.const(c), column_images[i]) for i, c in cleaned]))
+    residual = sub(target, add(*[mul(ex.const(c), images[i]) for i, c in cleaned]))
     if on_shell is None:
         check = is_zero(residual, samples=120, tol=verify_tol, seed=seed + 7919)
     else:
-        check = is_zero_at(residual, ex.jet_points(sample(seed + 7919, 120)), tol=verify_tol)
+        check = is_zero_on(residual, sample(seed + 7919, 120), tol=verify_tol)
     return candidate if check.ok else None
 
 
@@ -259,10 +274,8 @@ def fit_total_derivative(
     verify_tol: float = 1e-8,
 ) -> Expr | None:
     """Find V in the dictionary span with D(V) = target; None when absent."""
-    columns = _v_dictionary()
-    images = [D(c) for c in columns]
     return _fit(
-        target, columns, images,
+        target, _v_dictionary(),
         seed=seed, on_shell=on_shell, samples=samples,
         fit_tol=fit_tol, verify_tol=verify_tol,
     )
@@ -278,10 +291,8 @@ def fit_shift_difference(
     verify_tol: float = 1e-8,
 ) -> Expr | None:
     """Find W in the dictionary span with (S+ - 1)W = target; None when absent."""
-    columns = _w_dictionary()
-    images = [sub(shift(c, +1), c) for c in columns]
     return _fit(
-        target, columns, images,
+        target, _w_dictionary(),
         seed=seed, on_shell=on_shell, samples=samples,
         fit_tol=fit_tol, verify_tol=verify_tol,
     )
@@ -332,8 +343,7 @@ def _verified_integral(
     without `ham`)."""
     if ham is not None:
         need_second = any(s.order >= 2 for s in symbols_of(residual))
-        jets = ex.jet_points(on_shell_jets(ham, seed, samples, second_order=need_second))
-        check = is_zero_at(residual, jets, tol=tol)
+        check = is_zero_on(residual, on_shell_jets(ham, seed, samples, second_order=need_second), tol=tol)
         if not check.ok:
             raise IntegralVerificationError(failure, check.worst)
     setattr(parts, f"{kind}_integral", integral)

@@ -1,5 +1,5 @@
 """Shared builders for the test-suite: reference systems, random expressions,
-and jets lying on smooth curves."""
+jets lying on smooth curves, and oracle routes the library itself does not use."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from delayham import expr as E
+from delayham import legendre as L
 from delayham import model as M
 from delayham import solver as S
+from delayham.expr import add, div, mul, neg, partial, powi, shift, sub, total_derivative
 
 
 @pytest.fixture(scope="session")
@@ -155,3 +157,75 @@ def assert_same_bits(got, want):
     missing = np.isnan(want)
     assert np.array_equal(np.isnan(got), missing)
     assert got[~missing].tobytes() == want[~missing].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# oracle routes
+# ---------------------------------------------------------------------------
+
+
+def elsgolts_residual_general(lagrangian: E.Expr) -> E.Expr:
+    """Vertical variation of an arbitrary L(t, tm, q, qm, qd, qdm)."""
+    here = sub(partial(lagrangian, "q"), total_derivative(partial(lagrangian, "qd")))
+    lagged = shift(
+        sub(partial(lagrangian, "qm"), total_derivative(partial(lagrangian, "qdm"))), +1
+    )
+    return add(here, lagged)
+
+
+def extended_elsgolts_display(l: L.ExtendedLagrangian) -> E.Expr:
+    """The expanded second-order variational equation of the extended family.
+
+    Written out term by term (coefficient derivatives times velocity
+    products); agrees with the operator route `elsgolts_residual_general`
+    applied to `l.expr()`, which the test-suite verifies by sampling.
+    """
+    a, b, g = l.alpha, l.beta, l.gamma
+    lam = l.lam
+    lam_m = shift(lam, -1)
+    lam_p = shift(lam, +1)
+    a_q = partial(a, "q")
+    a_qm = partial(a, "qm")
+    b_q = partial(b, "q")
+    b_qm = partial(b, "qm")
+    g_q = partial(g, "q")
+    g_qm = partial(g, "qm")
+    # the dotted gauge terms are derivatives with respect to the argument q
+    lam_dot = partial(lam, "q")
+    bp = shift(b, +1)
+    gp = shift(g, +1)
+    return add(
+        neg(mul(bp, E.qddp)),
+        neg(mul(add(a, gp), E.qdd)),
+        neg(mul(b, E.qddm)),
+        mul(sub(div(shift(a_qm, +1), 2), shift(b_q, +1)), powi(E.qdp, 2)),
+        neg(mul(shift(g_q, +1), E.qdp, E.qd)),
+        neg(mul(div(add(a_q, shift(g_qm, +1)), 2), powi(E.qd, 2))),
+        neg(mul(a_qm, E.qd, E.qdm)),
+        mul(sub(div(g_q, 2), b_qm), powi(E.qdm, 2)),
+        mul(
+            add(
+                mul(bp, sub(shift(lam_dot, +1), lam_dot)),
+                mul(sub(shift(b_q, +1), shift(a_qm, +1)), lam_p),
+                mul(sub(shift(g_q, +1), shift(b_qm, +1)), lam),
+            ),
+            E.qdp,
+        ),
+        mul(
+            add(
+                mul(b, sub(shift(lam_dot, -1), lam_dot)),
+                mul(sub(a_qm, b_q), lam),
+                mul(sub(b_qm, g_q), lam_m),
+            ),
+            E.qdm,
+        ),
+        neg(partial(l.phi, "q")),
+        neg(shift(partial(l.phi, "qm"), +1)),
+    )
+
+
+def is_zero_on_shell(e: E.Expr, h: M.DelayHamiltonian, samples: int = 100,
+                     tol: float = 1e-9, seed: int = 0) -> E.ZeroCheck:
+    """Sampled vanishing of `e` on jets satisfying the canonical equations."""
+    need_second = any(s.order >= 2 for s in E.symbols_of(e))
+    return E.is_zero_on(e, M.on_shell_jets(h, seed, samples, second_order=need_second), tol)

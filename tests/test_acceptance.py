@@ -18,7 +18,13 @@ from delayham import noether as N
 from delayham import recursion as R
 from delayham import solver as S
 
-from conftest import random_generator, random_quadratic_hamiltonian
+from conftest import (
+    elsgolts_residual_general,
+    extended_elsgolts_display,
+    is_zero_on_shell,
+    random_generator,
+    random_quadratic_hamiltonian,
+)
 
 TAU = 1.0
 
@@ -216,7 +222,7 @@ def test_criterion_07_negative_controls():
     gap_q = E.sub(M.variational_q(omega, extended=True), E.mul(2, M.variational_q(density)))
     assert E.is_zero(gap_p, samples=80, tol=1e-9, seed=48).ok
     assert E.is_zero(gap_q, samples=80, tol=1e-9, seed=48).ok
-    assert M.is_zero_on_shell(
+    assert is_zero_on_shell(
         M.variational_p(omega, extended=True), OSC_HAM, samples=40, tol=1e-9, seed=49
     ).ok
 
@@ -259,12 +265,12 @@ def test_criterion_09_extended_transform_equivalence():
     res = L.legendre_extended(ext)
     rp, rq = L.extended_residuals(res)
     sub = L.extended_momentum_substitution(ext)
-    display = L.extended_elsgolts_display(ext)
+    display = extended_elsgolts_display(ext)
     assert E.is_zero(E.substitute(rp, sub), samples=30, tol=1e-8, seed=61).ok
     gap = E.sub(E.substitute(rq, sub), display)
     chk = E.is_zero(gap, samples=30, tol=1e-8, seed=61)
     assert chk.ok, chk.worst
     # and the display itself equals the generic vertical variation of L
-    oper = M.elsgolts_residual_general(ext.expr())
+    oper = elsgolts_residual_general(ext.expr())
     assert E.is_zero(E.sub(display, oper), samples=30, tol=1e-8, seed=61).ok
     _report(9, "extended transform reproduces the second-order equation on 30 jets")

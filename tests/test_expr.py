@@ -1,9 +1,12 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from delayham import expr as E
 
-from conftest import curve_jet, random_expr
+from conftest import assert_same_bits, curve_jet, random_expr
 
 
 # ---------------------------------------------------------------------------
@@ -445,3 +448,89 @@ def test_evaluate_array_names_the_first_failing_jet():
     with pytest.raises(E.EvalError, match="division by zero") as err:
         E.evaluate_array(E.parse("1/(q - qm)"), slots)
     assert err.value.jet.slots() == slots[:, 2].tolist()
+
+
+# ---------------------------------------------------------------------------
+# one kernel for many roots
+# ---------------------------------------------------------------------------
+
+
+def _loop_rows(roots, slots):
+    """The per-root evaluation `evaluate_many` must agree with."""
+    return np.array([E.evaluate_array(r, slots) for r in roots]).reshape(len(roots), slots.shape[1])
+
+
+def _roots_with_shared_subtrees(rng, count):
+    base = [random_expr(rng, KERNEL_ATOMS, depth=3, extended=True) for _ in range(count)]
+    roots = list(base)
+    for i in range(count):
+        a, b = base[i], base[int(rng.integers(count))]
+        roots += [E.add(a, b), E.mul(a, E.sin(b)), E.div(a, E.add(E.const(0.5), E.mul(b, b)))]
+    roots += [base[0], roots[-1], E.const(2.5), E.sin(E.const(1)), E.tau]  # repeats and constants
+    return roots
+
+
+def test_evaluate_many_matches_per_root_calls_bit_for_bit():
+    slots = E.random_jets(123, 40)
+    compared = 0
+    for k in range(12):
+        rng = np.random.default_rng(5100 + k)
+        roots = []
+        for r in _roots_with_shared_subtrees(rng, 8):
+            try:
+                E.evaluate_array(r, slots)
+            except E.EvalError:
+                continue
+            roots.append(r)
+        got = E.evaluate_many(roots, slots)
+        assert got.shape == (len(roots), 40)
+        assert_same_bits(got, _loop_rows(roots, slots))
+        compared += len(roots)
+    assert compared > 300
+    assert E.evaluate_many([], slots).shape == (0, 40)
+
+
+def _failure(fn):
+    with pytest.raises(E.EvalError) as err:
+        fn()
+    return type(err.value), str(err.value), err.value.jet.slots()
+
+
+def test_evaluate_many_raises_the_first_failing_root_like_the_loop():
+    slots = E.random_jets(8, 12)
+    q, qm = E.SYMBOL_BY_NAME["q"].index, E.SYMBOL_BY_NAME["qm"].index
+    slots[[q, qm], 3] = 2.0  # exp(200*q*qm) overflows here
+    slots[qm, 7] = slots[q, 7]  # 1/(q - qm) divides by zero here
+    slots[E.SYMBOL_BY_NAME["qdd"].index, 5] = np.nan  # qdd is missing here only
+    overflow = E.parse("exp(200*q*qm)")
+    divide = E.parse("1/(q - qm)")
+    missing = E.parse("qdd*q")
+    inf_row = E.parse("exp(300*q)*exp(300*q)*exp(300*q)")  # inf without an exception
+    fine = [E.parse("sin(q)*p + qm^2"), E.parse("p/(1 + q^2)"), E.const(3)]
+    # the kernel raises (overflow, divide) or yields a non-finite row (missing)
+    for bad in ([overflow, divide], [divide, overflow], [missing, divide], [overflow, missing],
+                [missing], [divide]):
+        for positions in itertools.combinations(range(len(fine) + len(bad) + 1), len(bad)):
+            roots = list(fine) + [inf_row]
+            for at, root in zip(positions, bad):
+                roots.insert(at, root)
+            want = _failure(lambda: _loop_rows(roots, slots))
+            got = _failure(lambda: E.evaluate_many(roots, slots))
+            assert got[:2] == want[:2]
+            assert_same_bits(got[2], want[2])
+    roots = fine + [inf_row]
+    assert_same_bits(E.evaluate_many(roots, slots), _loop_rows(roots, slots))
+
+
+def test_many_kernel_deletes_every_temporary_after_its_last_use():
+    rng = np.random.default_rng(6060)
+    roots = _roots_with_shared_subtrees(rng, 6)
+    lines = E._many_source(tuple(roots)).splitlines()[1:]
+    uses = [set(re.findall(r"\bv\d+\b", line)) for line in lines]
+    root_names = {line.split("= ")[1] for line in lines if line.lstrip().startswith("out[")}
+    temporaries = set().union(*uses) - root_names
+    assert temporaries
+    for name in temporaries:
+        last = max(i for i, names in enumerate(uses) if name in names and "del " not in lines[i])
+        assert lines[last + 1].lstrip().startswith("del ") and name in uses[last + 1], name
+        assert all(name not in names for names in uses[last + 2:]), name

@@ -7,6 +7,8 @@ from delayham import expr as E
 from delayham import legendre as L
 from delayham import model as M
 
+from conftest import elsgolts_residual_general, extended_elsgolts_display
+
 
 def z(e, seed=0, samples=40, tol=1e-10):
     return E.is_zero(e, samples=samples, tol=tol, seed=seed)
@@ -234,7 +236,7 @@ def test_extended_display_matches_operator_route():
         mu,
         E.parse("q^2*qm/3"),
     )
-    gap = E.sub(L.extended_elsgolts_display(ext), M.elsgolts_residual_general(ext.expr()))
+    gap = E.sub(extended_elsgolts_display(ext), elsgolts_residual_general(ext.expr()))
     assert E.is_zero(gap, samples=100, tol=1e-10, seed=19).ok
 
 
@@ -244,7 +246,7 @@ def test_extended_residuals_match_second_order_equation():
     rp, rq = L.extended_residuals(res)
     sub = L.extended_momentum_substitution(ext)
     assert E.is_zero(E.substitute(rp, sub), samples=30, tol=1e-8, seed=17).ok
-    gap = E.sub(E.substitute(rq, sub), L.extended_elsgolts_display(ext))
+    gap = E.sub(E.substitute(rq, sub), extended_elsgolts_display(ext))
     assert E.is_zero(gap, samples=30, tol=1e-8, seed=17).ok
 
 

@@ -521,3 +521,35 @@ def test_drift_of_a_non_finite_integral_is_a_numeric_failure(oscillator_trajecto
         N.drift(E.parse("exp(300*q)*exp(300*q)*exp(300*q)"), oscillator_trajectory, "differential")
     with pytest.raises(E.EvalError, match="division by zero"):
         N.drift(E.parse("1/(q - q)"), oscillator_trajectory, "difference")
+
+
+@pytest.mark.parametrize("fit, dictionary", [
+    (N.fit_total_derivative, N._v_dictionary),
+    (N.fit_shift_difference, N._w_dictionary),
+])
+def test_design_matrix_equals_the_column_loop(fit, dictionary, oscillator, monkeypatch):
+    _, ham = oscillator
+    lstsq = np.linalg.lstsq
+    seen = []
+
+    def capture(a, b, rcond=None):
+        seen.append((np.array(a), np.array(b)))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", capture)
+    _, images, _ = dictionary()
+    for target, on_shell, second in (
+        (E.parse("q*qd + sin(t)*pm"), None, False),
+        (E.parse("q*qd + sin(t)*pm"), ham, False),
+        (E.parse("qddp*q + qd^2*pm"), ham, True),  # qddp is solved only for second order
+    ):
+        fit(target, seed=5, on_shell=on_shell)
+        a_mat, b_vec = seen[-1]
+        n = len(b_vec)
+        if on_shell is None:
+            slots = E.random_jets(5, n)
+        else:
+            slots = M.on_shell_jets(ham, 5, n, second_order=second)
+        assert_same_bits(a_mat, np.column_stack([E.evaluate_array(e, slots) for e in images]))
+        assert_same_bits(b_vec, E.evaluate_array(target, slots))
+    assert len(seen) == 3
