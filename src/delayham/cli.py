@@ -9,6 +9,7 @@ fixed config and seed.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -429,7 +430,9 @@ def cmd_check_identity(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="delayham",
         description="Hamiltonian structure, symmetries, and first integrals "

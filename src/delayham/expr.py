@@ -29,6 +29,11 @@ ones a plain loop over the jets would give.  `evaluate_many` compiles a list
 of roots into one array kernel over their shared subtrees, with the same
 bits and errors as evaluating the roots one by one.
 
+Sampled checks and fits run on seeded random jets.  Sample k of seed s is
+numpy's `default_rng((s mod 2**32, k))` stream mapped to coordinates, so it
+depends only on (s, k).  `random_jets` draws a whole block of samples in one
+vectorised pass that reproduces those streams bit for bit.
+
 Rational constants are kept exact (`fractions.Fraction`) until evaluation;
 evaluation itself is plain IEEE double arithmetic.
 """
@@ -984,12 +989,105 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _draw_jets(seed: int, n: int, start: int) -> np.ndarray:
-    """`random_jets` without the memo; `seed` is already reduced to 32 bits."""
-    u = np.empty((2 + len(_FREE_SLOTS), n))
-    for k in range(n):
-        u[:, k] = np.random.default_rng((seed, start + k)).random(u.shape[0])
-    out = np.empty((NSLOTS, n))
+# Sample k of a block is numpy's `default_rng((seed, k)).random(_DRAWS)`.
+# `_draw_units` computes that stream for every column of a block at once, in
+# three steps.  SeedSequence hashes the entropy words [seed, k mod 2**32,
+# k >> 32] into a pool of 4 words; numpy pads a short pool with 0, so the zero
+# high word of k < 2**32 needs no case of its own.  PCG64 seeds from the
+# pool's 8 output words.  Draw r comes from the 128-bit LCG state r steps
+# after seeding, which is A_r * initstate + B_r * inc in closed form (Brown,
+# "Random number generation with arbitrary strides", 1994), put through the
+# XSL-RR output function.  All unsigned arithmetic wraps, as in numpy's C code.
+
+_DRAWS = 2 + len(_FREE_SLOTS)
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The multiplier SeedSequence's hash holds before each of `calls` calls and after the last."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# 4 calls fill the pool and 12 mix it; 8 calls give the output words.
+_POOL_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _split128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit integers as `(hi, lo)` uint64 columns."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64)[:, None],
+        np.array([v & _MASK64 for v in values], dtype=np.uint64)[:, None],
+    )
+
+
+# srandom leaves the state at M * initstate + (M + 1) * inc, and every draw
+# steps once before its output, so the state behind draw r = 1, 2, ... is
+# M**(r+1) * initstate + (1 + M + ... + M**(r+1)) * inc (mod 2**128).
+_POWERS = [pow(_PCG_MULT, j, 2**128) for j in range(_DRAWS + 2)]
+_JUMP_STATE = _split128(_POWERS[2:])
+_JUMP_INC = _split128([sum(_POWERS[: r + 3]) % 2**128 for r in range(_DRAWS)])
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """SeedSequence's `hashmix` for its calls lo..hi-1, one call per row."""
+    value = (value ^ consts[lo:hi]) * consts[lo + 1 : hi + 1]
+    return value ^ (value >> 16)
+
+
+def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products x * y, from 32-bit halves."""
+    x0, x1 = x & _MASK32, x >> 32
+    y0, y1 = y & _MASK32, y >> 32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2**128 for `(hi, lo)` pairs."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _draw_units(seed: int, n: int, start: int) -> np.ndarray:
+    """`(_DRAWS, n)` array whose column k is `default_rng((seed, start + k)).random(_DRAWS)`."""
+    if start < 0 or start + n > 2**64:
+        raise ValueError(f"sample indices [{start}, {start + n}) are outside [0, 2**64)")
+    k = np.arange(n, dtype=np.uint64) + np.uint64(start)
+    with np.errstate(over="ignore"):
+        pool = np.zeros((4, n), dtype=np.uint32)
+        pool[0] = seed
+        pool[1] = k & _MASK32
+        pool[2] = k >> 32
+        pool = _hashmix(pool, _POOL_HASH, 0, 4)
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            mixed = _hashmix(pool[src], _POOL_HASH, 3 * src + 4, 3 * src + 7)
+            x = _MIX_L * pool[dst] - _MIX_R * mixed
+            pool[dst] = x ^ (x >> 16)
+        words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUTPUT_HASH, 0, 8).astype(np.uint64)
+        state_hi, state_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << 32)
+        inc = ((seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1)
+        a_hi, a_lo = _mul128(_JUMP_STATE, (state_hi, state_lo))
+        b_hi, b_lo = _mul128(_JUMP_INC, inc)
+        lo = a_lo + b_lo
+        hi = a_hi + b_hi + (lo < a_lo)
+        x = hi ^ lo
+        rot = hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11) * 2.0**-53
+
+
+def _jet_slots(u: np.ndarray) -> np.ndarray:
+    """`(NSLOTS, n)` jets from `(_DRAWS, n)` unit draws: tau, then t, then the free slots."""
+    out = np.empty((NSLOTS, u.shape[1]))
     tau_values = _uniform(u[0], 0.3, 1.5)
     t_values = _uniform(u[1], -3.0, 3.0)
     out[TAU_INDEX] = tau_values
@@ -1000,6 +1098,11 @@ def _draw_jets(seed: int, n: int, start: int) -> np.ndarray:
     return out
 
 
+def _draw_jets(seed: int, n: int, start: int) -> np.ndarray:
+    """`random_jets` without the memo; `seed` is already reduced to 32 bits."""
+    return _jet_slots(_draw_units(seed, n, start))
+
+
 # One analysis samples the same (seed, n) block many times: every check of a
 # run shares its seed, and the off- and on-shell fits share theirs.
 _cached_jets = functools.lru_cache(maxsize=16)(_draw_jets)
@@ -1008,17 +1111,24 @@ _cached_jets = functools.lru_cache(maxsize=16)(_draw_jets)
 def random_jets(seed: int, n: int, start: int = 0) -> np.ndarray:
     """`(NSLOTS, n)` slot array of deterministic pseudo-random jet points.
 
-    Column k is sample `start + k`, drawn from its own generator keyed by
-    (seed, start + k), so it depends only on those two numbers.  Coordinate
-    values are uniform in [-2, 2], tau in [0.3, 1.5], t in [-3, 3].  The
-    array is the caller's to modify.
+    Column k is sample `start + k`: the 20 draws of numpy's
+    `default_rng((seed mod 2**32, start + k)).random(20)`, so it depends only
+    on those two numbers.  The whole block is drawn in one vectorised pass
+    that reproduces those streams bit for bit.  Coordinate values are uniform
+    in [-2, 2], tau in [0.3, 1.5], t in [-3, 3].  Sample indices must lie in
+    [0, 2**64) (`ValueError` otherwise).  The array is the caller's to modify.
     """
-    return _cached_jets(int(seed) & 0xFFFFFFFF, int(n), int(start)).copy()
+    return _cached_jets(int(seed) & _MASK32, int(n), int(start)).copy()
 
 
 def random_jet(seed: int, index: int = 0) -> JetPoint:
-    """Sample `index` of `random_jets(seed, ...)` as a jet point."""
-    return JetPoint.from_slots(_draw_jets(int(seed) & 0xFFFFFFFF, 1, int(index))[:, 0])
+    """Sample `index` of `random_jets(seed, ...)` as a jet point.
+
+    One column is cheaper to draw with numpy's own generator than with the
+    block pass of `random_jets`, whose fixed cost is several single draws.
+    """
+    u = np.random.default_rng((int(seed) & _MASK32, int(index))).random(_DRAWS)
+    return JetPoint.from_slots(_jet_slots(u[:, None])[:, 0])
 
 
 def grid_slots(tau_value: float, rows: Mapping[Symbol, np.ndarray]) -> np.ndarray:

@@ -159,6 +159,18 @@ def assert_same_bits(got, want):
     assert got[~missing].tobytes() == want[~missing].tobytes()
 
 
+def reference_jet_slots(seed: int, k: int) -> list[float]:
+    """Sample k of `E.random_jets(seed, ...)`, drawn value by value with `Generator.uniform`."""
+    rng = np.random.default_rng((seed & 0xFFFFFFFF, k))
+    tau_value = rng.uniform(0.3, 1.5)
+    t_value = rng.uniform(-3.0, 3.0)
+    slots = list(E.JetPoint(tau_value, t_value=t_value).slots())
+    for s in E.SYMBOLS:
+        if s.base != "t":
+            slots[s.index] = rng.uniform(-2.0, 2.0)
+    return slots
+
+
 # ---------------------------------------------------------------------------
 # oracle routes
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from delayham import expr as E
 
-from conftest import assert_same_bits, curve_jet, random_expr
+from conftest import assert_same_bits, curve_jet, random_expr, reference_jet_slots
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +316,36 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
 
 
-def _reference_jet_slots(seed: int, k: int) -> list[float]:
-    """One jet drawn value by value with `Generator.uniform`."""
-    rng = np.random.default_rng((seed & 0xFFFFFFFF, k))
-    tau_value = rng.uniform(0.3, 1.5)
-    t_value = rng.uniform(-3.0, 3.0)
-    slots = list(E.JetPoint(tau_value, t_value=t_value).slots())
-    for s in E.SYMBOLS:
-        if s.base != "t":
-            slots[s.index] = rng.uniform(-2.0, 2.0)
-    return slots
+# (seed, start, n): 40 columns from 0 for each seed, then blocks that cross and
+# pass 2**32, where a sample index takes a second 32-bit entropy word, and a
+# negative start, which numpy's seeding rejects.
+JET_BLOCKS = [(seed, 0, 40) for seed in [0, 7, 20260810, -3, 2**40 + 5]] + [
+    (20260810, 2**32 - 3, 6),
+    (7, 2**40, 8),
+    (7, -1, 3),
+]
 
 
-@pytest.mark.parametrize("seed", [0, 7, 20260810, -3, 2**40 + 5])
-def test_random_jets_columns_match_single_draws(seed):
-    slots = E.random_jets(seed, 40)
-    assert slots.shape == (E.NSLOTS, 40)
-    for k in range(40):
+@pytest.mark.parametrize(
+    "seed, start, n",
+    JET_BLOCKS,
+    ids=[str(seed) if start == 0 else f"{seed}-from-{start}" for seed, start, _ in JET_BLOCKS],
+)
+def test_random_jets_columns_match_single_draws(seed, start, n):
+    if start < 0:
+        with pytest.raises(ValueError):
+            E.random_jets(seed, n, start)
+        with pytest.raises(ValueError):
+            E.random_jet(seed, start)
+        return
+    slots = E.random_jets(seed, n, start)
+    assert slots.shape == (E.NSLOTS, n)
+    for k in range(n):
         column = slots[:, k]
-        assert _same_bits(column, _reference_jet_slots(seed, k))
-        assert _same_bits(column, E.random_jet(seed, k).slots())
-    assert _same_bits(E.random_jets(seed, 5, start=17), slots[:, 17:22])
+        assert _same_bits(column, reference_jet_slots(seed, start + k))
+        assert _same_bits(column, E.random_jet(seed, start + k).slots())
+    inner = E.random_jets(seed, n // 2, start + n // 3)
+    assert _same_bits(inner, slots[:, n // 3 : n // 3 + n // 2])
 
 
 def test_array_binding_matches_scalar_kernel_bit_for_bit():

@@ -1,4 +1,5 @@
-"""Seeded property tests: identities that hold by construction, over random trees.
+"""Seeded property tests: identities that hold by construction, over random trees,
+and the batched jet sampler against numpy's per-sample streams.
 
 Hypothesis draws the seeds of `conftest.random_expr`; `derandomize` fixes the
 draws, so every run checks the same trees.
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
 
-from conftest import assert_same_bits, random_expr
+from conftest import assert_same_bits, random_expr, reference_jet_slots
 
 # shifts -1 and 0 only, so one forward shift stays in range; first order at most
 ATOMS = [E.t, E.tm, E.q, E.qm, E.p, E.pm, E.qd, E.qdm, E.pdm, E.tau]
@@ -77,3 +78,12 @@ def test_evaluate_many_rows_are_evaluate_array(base):
         assert_same_bits(got.value.jet.slots(), err.jet.slots())
         return
     assert_same_bits(E.evaluate_many(roots, slots), np.array(want))
+
+
+@seeded
+@given(st.integers(-(2**40), 2**40), st.integers(0, 2**34), st.integers(0, 8))
+def test_random_jets_columns_are_the_per_sample_streams(seed, start, n):
+    slots = E.random_jets(seed, n, start)
+    assert slots.shape == (E.NSLOTS, n)
+    for k in range(n):
+        assert_same_bits(slots[:, k], reference_jet_slots(seed, start + k))
