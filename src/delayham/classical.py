@@ -20,6 +20,7 @@ from .expr import (
     add,
     div,
     evaluate_array,
+    evaluate_many,
     mul,
     neg,
     partial,
@@ -133,12 +134,12 @@ def classical_on_shell_jets(
     A = random_jets(seed, n, start)
     hp = partial(ch.h, "p")
     hq = partial(ch.h, "q")
-    A[_QD] = evaluate_array(hp, A)
-    A[_PD] = -evaluate_array(hq, A)
+    fp, fq = evaluate_many((hp, hq), A)
+    A[_QD], A[_PD] = fp, -fq
     if second_order:
-        qdd = evaluate_array(total_derivative(hp), A)
-        pdd = -evaluate_array(total_derivative(hq), A)
-        A[_QDD], A[_PDD] = qdd, pdd
+        # D(H_p) and D(H_q) read the rates just set
+        fp, fq = evaluate_many((total_derivative(hp), total_derivative(hq)), A)
+        A[_QDD], A[_PDD] = fp, -fq
     return A
 
 
@@ -158,8 +159,8 @@ def integrate_canonical(
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-step fourth-order Runge-Kutta for qd = H_p, pd = -H_q."""
-    fp = ex.compiled(partial(ch.h, "p"))
-    fq = ex.compiled(partial(ch.h, "q"))
+    gradient = ex.compiled_many((partial(ch.h, "p"), partial(ch.h, "q")))
+    grad = [0.0, 0.0]
     ti = symbol("t", 0, 0).index
     qi = symbol("q", 0, 0).index
     pi = symbol("p", 0, 0).index
@@ -170,7 +171,8 @@ def integrate_canonical(
         slots[ti] = tv
         slots[qi] = qv
         slots[pi] = pv
-        return fp(slots), -fq(slots)
+        hp, hq = gradient(slots, grad)
+        return hp, -hq
 
     n = int(round((t_end - t0) / dt))
     ts = t0 + dt * np.arange(n + 1)

@@ -53,6 +53,9 @@ def _parse_expr(source: Any, pointer: str) -> Expr:
 def _number(value: Any, pointer: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(pointer, "expected a number")
+    # JSON reads Infinity and NaN, and an integer can lie beyond any float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(pointer, "expected a finite number")
     return value
 
 
@@ -200,6 +203,13 @@ def _maybe(e: Expr | None) -> str | None:
     return None if e is None else to_source(e)
 
 
+def _drift_entry(drift: noether.DriftReport | None) -> dict | None:
+    """One `noether` drift entry, or None when that integral was not monitored."""
+    if drift is None:
+        return None
+    return {"max": drift.max_drift, "t_at_max": drift.t_at_max, "reference": drift.reference}
+
+
 def _check_entry(name: str, chk: ex.ZeroCheck) -> dict:
     """One `check-identity` row; a non-finite worst ratio is written as null."""
     worst = chk.worst if math.isfinite(chk.worst) else None
@@ -263,11 +273,13 @@ def _as_quadratic(h: DelayHamiltonian):
     from .model import QuadraticHamiltonian
 
     expr_h = h.h
-    a = ex.evaluate(ex.partial(ex.partial(expr_h, "p"), "p"), ex.random_jet(1, 0))
-    b = ex.evaluate(ex.partial(ex.partial(expr_h, "p"), "pm"), ex.random_jet(1, 0))
-    c = ex.evaluate(ex.partial(ex.partial(expr_h, "pm"), "pm"), ex.random_jet(1, 0))
+    second = [ex.partial(ex.partial(expr_h, x), y) for x, y in (("p", "p"), ("p", "pm"), ("pm", "pm"))]
+    a, b, c = ex.evaluate_many(second, ex.random_jets(1, 1))[:, 0].tolist()
     phi = ex.substitute(expr_h, {"p": ex.ZERO, "pm": ex.ZERO})
-    quad = QuadraticHamiltonian(a, b, c, phi)
+    try:
+        quad = QuadraticHamiltonian(a, b, c, phi)
+    except ValueError as err:
+        raise ConfigError("/hamiltonian/H", f"reverse transform: {err}") from None
     gap = ex.sub(expr_h, quad.expr())
     if not ex.is_zero(gap, samples=40, tol=1e-9, seed=2).ok:
         raise ConfigError(
@@ -327,20 +339,8 @@ def cmd_noether(cfg: RunConfig, args) -> int:
                 "identity_ok": rep.identity.ok,
                 "notes": rep.notes,
                 "drift": {
-                    "I": None
-                    if rep.drift_differential is None
-                    else {
-                        "max": rep.drift_differential.max_drift,
-                        "t_at_max": rep.drift_differential.t_at_max,
-                        "reference": rep.drift_differential.reference,
-                    },
-                    "J": None
-                    if rep.drift_difference is None
-                    else {
-                        "max": rep.drift_difference.max_drift,
-                        "t_at_max": rep.drift_difference.t_at_max,
-                        "reference": rep.drift_difference.reference,
-                    },
+                    "I": _drift_entry(rep.drift_differential),
+                    "J": _drift_entry(rep.drift_difference),
                 },
             }
         )
@@ -393,6 +393,8 @@ def cmd_check_identity(cfg: RunConfig, args) -> int:
     checks = []
     rng = np.random.default_rng(cfg.seed)
     if args.classical:
+        if args.pairs < 1:
+            raise ConfigError("--pairs", "must be a positive integer")
         for k in range(args.pairs):
             coeffs = rng.uniform(-1.5, 1.5, size=6)
             h_expr = (
@@ -507,16 +509,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "history", None):
             hist_doc = _load_json(args.history, "/history")
             raw["history"] = hist_doc.get("history", hist_doc)
-        if getattr(args, "tau", None) is not None:
-            raw["tau"] = args.tau
-        if getattr(args, "steps_per_delay", None) is not None:
-            raw["steps_per_delay"] = args.steps_per_delay
-        if getattr(args, "horizon", None) is not None:
-            raw["horizon"] = args.horizon
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.tol is not None:
-            raw["tol"] = args.tol
+        for key in ("tau", "steps_per_delay", "horizon", "seed", "tol"):
+            if getattr(args, key, None) is not None:
+                raw[key] = getattr(args, key)
         cfg = load_config(raw) if (raw or args.command != "compare") else None
     except ConfigError as err:
         print(str(err), file=sys.stderr)

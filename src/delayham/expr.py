@@ -14,20 +14,21 @@ Expressions are immutable and hash-consed: structurally identical trees are
 the same object, so equality is identity and large derived expressions share
 their common subtrees.
 
-Evaluation compiles an expression once into straight-line source, one
-`v_i = ...` line per distinct subtree, over a slot vector `A` indexed by
-symbol.  The same source is bound twice.  The scalar binding takes a list of
-floats (one jet point) and returns a float.  The array binding takes a
-`(NSLOTS, N)` float array, one jet point per column, and returns the `N`
-values; it is what batched sampling, dictionary fits, zero checks and drift
-monitoring use.  Both give the same bits: `+ - * /`, `sin` and `cos` run in
-numpy, whose results match Python's, while integer powers and `exp`, where
-numpy and Python round differently, run elementwise on Python floats.  When
-the array binding raises, or yields a value that is not finite, the scalar
-binding is re-run jet by jet in order, so errors and their witnesses are the
-ones a plain loop over the jets would give.  `evaluate_many` compiles a list
-of roots into one array kernel over their shared subtrees, with the same
-bits and errors as evaluating the roots one by one.
+Evaluation compiles a tuple of roots once (`compiled_many`) into
+straight-line source over a slot vector `A` indexed by symbol: one
+`v_i = ...` line per distinct subtree of the roots, root j stored to `out[j]`
+and, for a zero check, the largest intermediate magnitude as one more row.
+The same source is bound twice: the scalar binding takes a list of floats
+(one jet point), the array binding a `(NSLOTS, N)` float array with one jet
+point per column.  `evaluate`, `compiled` and the RK4 right-hand sides run
+the scalar binding; `evaluate_many`, `evaluate_array` (its one-root case),
+zero checks, fits, on-shell jets, grids and drift monitors the array one.
+Both give the same bits: `+ - * /`, `sin` and `cos` run in numpy, whose
+results match Python's, while integer powers and `exp`, where numpy and
+Python round differently, run elementwise on Python floats.  When the array
+binding raises, or yields a value that is not finite, the scalar binding is
+re-run jet by jet in order, so errors and their witnesses are the ones a
+plain loop over the roots and jets would give.
 
 Sampled checks and fits run on seeded random jets.  Sample k of seed s is
 numpy's `default_rng((s mod 2**32, k))` stream mapped to coordinates, so it
@@ -1165,21 +1166,19 @@ _ARRAY_BINDING = {
     "_maxabs": lambda values: functools.reduce(np.maximum, map(np.abs, values)),
 }
 
-_COMPILE_CACHE: dict[tuple[int, bool], Callable] = {}
-# Keyed by the root tuple itself, so the roots stay alive while their kernel does.
-_MANY_CACHE: dict[tuple[Expr, ...], Callable] = {}
+# Keyed by the roots' ids and the flag, so one root's key is `(id(e),
+# with_magnitude)`; `_INTERN` keeps every node, so no id is reused.
+_COMPILE_CACHE: dict[tuple, Callable] = {}
 
 
-def _kernel_lines(n: Expr, names: dict[int, str], lines: list[str]) -> str:
+def _kernel_lines(n: Expr, names: dict[int, str], lines: list[str], last_use: dict[str, int]) -> str:
     """Append a `v_i = ...` line for every subtree of `n` not named yet
-    (children first, left to right) and return the name of `n`."""
+    (children first, left to right), record the last line that reads each
+    name, and return the name of `n`."""
     got = names.get(id(n))
     if got is not None:
         return got
-
-    def rec(c: Expr) -> str:
-        return _kernel_lines(c, names, lines)
-
+    args = [_kernel_lines(c, names, lines, last_use) for c in _children(n)]
     if isinstance(n, Const):
         src = repr(float(n.value))
     elif isinstance(n, Sym):
@@ -1187,56 +1186,50 @@ def _kernel_lines(n: Expr, names: dict[int, str], lines: list[str]) -> str:
     elif isinstance(n, TauConst):
         src = f"A[{TAU_INDEX}]"
     elif isinstance(n, Add):
-        src = " + ".join(rec(c) for c in n.terms)
+        src = " + ".join(args)
     elif isinstance(n, Mul):
-        src = "*".join(rec(c) for c in n.factors)
+        src = "*".join(args)
     elif isinstance(n, Neg):
-        src = f"-{rec(n.arg)}"
+        src = f"-{args[0]}"
     elif isinstance(n, Div):
-        src = f"{rec(n.num)} / {rec(n.den)}"
+        src = " / ".join(args)
     elif isinstance(n, Pow):
-        src = f"_pow({rec(n.base)}, {n.exponent})"
+        src = f"_pow({args[0]}, {n.exponent})"
     elif isinstance(n, Func):
-        src = f"_{n.name}({rec(n.arg)})"
+        src = f"_{n.name}({args[0]})"
     else:  # pragma: no cover
         raise TypeError(type(n).__name__)
+    for arg in args:
+        last_use[arg] = len(lines)
     name = f"v{len(names)}"
     names[id(n)] = name
     lines.append(f"{name} = {src}")
     return name
 
 
-def _kernel_source(e: Expr, with_magnitude: bool) -> str:
-    """Straight-line source of `_f(A)`, one line per distinct subtree."""
-    names: dict[int, str] = {}
-    lines: list[str] = []
-    root = _kernel_lines(e, names, lines)
-    if with_magnitude:
-        root = f"{root}, _maxabs(({', '.join(names.values())},))"
-    body = "\n    ".join(lines)
-    return f"def _f(A):\n    {body}\n    return {root}\n"
-
-
-_NAME_RE = re.compile(r"\bv\d+\b")
-
-
-def _many_source(roots: tuple[Expr, ...]) -> str:
+def _many_source(roots: tuple[Expr, ...], with_magnitude: bool = False) -> str:
     """Straight-line source of `_f(A, out)` over the union of the roots'
-    subtrees: root j goes to `out[j]` as soon as it is computed, and every
-    name is deleted after its last use."""
+    subtrees: root j goes to `out[j]` as soon as it is computed and, with
+    `with_magnitude`, the largest magnitude of any subtree goes to
+    `out[len(roots)]`.  Every name is deleted after its last use, except
+    after the last line, where the return frees them."""
     names: dict[int, str] = {}
     lines: list[str] = []
+    last_use: dict[str, int] = {}
     for j, root in enumerate(roots):
-        name = _kernel_lines(root, names, lines)
+        name = _kernel_lines(root, names, lines, last_use)
+        last_use[name] = len(lines)
         lines.append(f"out[{j}] = {name}")
-    last_use = {name: i for i, line in enumerate(lines) for name in _NAME_RE.findall(line)}
+    if with_magnitude:
+        last_use.update(dict.fromkeys(names.values(), len(lines)))
+        lines.append(f"out[{len(roots)}] = _maxabs(({', '.join(names.values())},))")
     dead: dict[int, list[str]] = {}
     for name, i in last_use.items():
         dead.setdefault(i, []).append(name)
     body = []
     for i, line in enumerate(lines):
         body.append(line)
-        if i in dead:
+        if i in dead and i < len(lines) - 1:
             body.append("del " + ", ".join(dead[i]))
     body.append("return out")
     return "def _f(A, out):\n    " + "\n    ".join(body) + "\n"
@@ -1248,101 +1241,113 @@ def _bind(code, binding: dict) -> Callable:
     return env["_f"]
 
 
-def compiled(e: Expr, with_magnitude: bool = False) -> Callable:
-    """Compile into `f(slots) -> value` (or `(value, max_abs_intermediate)`).
+def compiled_many(roots: Iterable[Expr], with_magnitude: bool = False) -> Callable:
+    """Compile the roots into one cached kernel `f(slots, out) -> out`.
 
-    `f.array` is the array binding of the same source: it maps a
-    `(NSLOTS, N)` slot array to `N` values (a scalar when `e` is constant).
+    Row j of `out` gets root j's value and, with `with_magnitude`, row
+    `len(roots)` the largest intermediate magnitude.  Subtrees shared by the
+    roots are computed once, each with its own operation order, so every row
+    has the bits of its root compiled alone.  `f` is the scalar binding
+    (`slots` a list of floats, `out` a list); `f.array` binds the same source
+    to a `(NSLOTS, N)` slot array and a `(rows, N)` float array.
     """
-    key = (id(e), with_magnitude)
+    roots = tuple(roots)
+    key = (*map(id, roots), with_magnitude)
     fn = _COMPILE_CACHE.get(key)
-    if fn is not None:
-        return fn
-    code = compile(_kernel_source(e, with_magnitude), "<delayham-expr>", "exec")
-    fn = _bind(code, _SCALAR_BINDING)
-    fn.array = _bind(code, _ARRAY_BINDING)
-    _COMPILE_CACHE[key] = fn
+    if fn is None:
+        code = compile(_many_source(roots, with_magnitude), "<delayham-expr>", "exec")
+        fn = _bind(code, _SCALAR_BINDING)
+        fn.array = _bind(code, _ARRAY_BINDING)
+        _COMPILE_CACHE[key] = fn
     return fn
 
 
-def _run_scalar(e: Expr, vals: list[float], with_magnitude: bool, jet: JetPoint | None = None):
-    """Scalar binding at one slot vector; failures raise `EvalError` naming the jet."""
+def compiled(e: Expr, with_magnitude: bool = False) -> Callable:
+    """Compile into `f(slots) -> value` (or `(value, max_abs_intermediate)`).
 
-    def point() -> JetPoint:
-        return jet if jet is not None else JetPoint.from_slots(vals)
+    A view on the kernel `compiled_many((e,), with_magnitude)`.  `f.array`
+    maps a `(NSLOTS, N)` slot array to `N` values (or to a pair of rows).
+    """
+    kernel = compiled_many((e,), with_magnitude)
+    rows = 1 + with_magnitude
+    pick = tuple if with_magnitude else operator.itemgetter(0)
 
-    for s in sorted(symbols_of(e), key=lambda s: s.index):
-        if math.isnan(vals[s.index]):
-            raise MissingSymbolError(s, point())
-    try:
-        return compiled(e, with_magnitude)(vals)
-    except ZeroDivisionError:
-        raise EvalError("division by zero", point()) from None
-    except OverflowError:
-        raise EvalError("numeric overflow", point()) from None
-    except ValueError:
-        raise EvalError("math domain error", point()) from None
+    def f(slots):
+        return pick(kernel(slots, [0.0] * rows))
+
+    f.array = lambda slots: pick(kernel.array(slots, np.empty((rows, slots.shape[1]))))
+    return f
 
 
-def _guarded(kernel: Callable, *args):
-    """`kernel(*args)` for an array-bound kernel, or None when it raised a
-    numeric error (numpy's divide and invalid raise; over- and underflow do not)."""
+def _array_rows(roots: tuple[Expr, ...], slots: np.ndarray, with_magnitude: bool = False):
+    """The roots' kernel on the array binding over `slots`: its `(rows, N)`
+    array, or None when it raised a numeric error (numpy's divide and
+    invalid raise; over- and underflow do not)."""
+    kernel = compiled_many(roots, with_magnitude).array
+    out = np.empty((len(roots) + with_magnitude, slots.shape[1]))
     try:
         with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
-            return kernel(*args)
+            return kernel(slots, out)
     except (OverflowError, ZeroDivisionError, ValueError, FloatingPointError):
         return None
 
 
-def _run_array(e: Expr, slots: np.ndarray, with_magnitude: bool) -> tuple[np.ndarray, ...] | None:
-    """Array binding over `slots` as a tuple of `(N,)` arrays, or None when it
-    raised or gave a non-finite entry (the scalar binding then decides)."""
-    n = slots.shape[1]
-    out = _guarded(compiled(e, with_magnitude).array, slots)
-    if out is None:
-        return None
-    parts = tuple(np.broadcast_to(x, (n,)) for x in (out if with_magnitude else (out,)))
-    if not all(np.isfinite(x).all() for x in parts):
-        return None
-    return parts
+def _scalar_columns(e: Expr, slots: np.ndarray, with_magnitude: bool = False,
+                    jet_at: Callable[[int], JetPoint] | None = None):
+    """The scalar binding of `e` at each column of `slots` in order, yielding
+    its value (or `(value, magnitude)`); the first column that fails raises
+    its `EvalError` naming `jet_at(k)`, by default the column's own jet."""
+    fn = compiled(e, with_magnitude)
+    needed = sorted(symbols_of(e), key=lambda s: s.index)
+    columns = slots.T.tolist()
+    jet_at = jet_at or (lambda k: JetPoint.from_slots(columns[k]))
+    for k, vals in enumerate(columns):
+        for s in needed:
+            if math.isnan(vals[s.index]):
+                raise MissingSymbolError(s, jet_at(k))
+        try:
+            got = fn(vals)
+        except ZeroDivisionError:
+            raise EvalError("division by zero", jet_at(k)) from None
+        except OverflowError:
+            raise EvalError("numeric overflow", jet_at(k)) from None
+        except ValueError:
+            raise EvalError("math domain error", jet_at(k)) from None
+        yield got
 
 
 def evaluate(e: Expr, jet: JetPoint) -> float:
     """IEEE double evaluation of `e` at `jet`."""
-    return _run_scalar(e, jet._vals, False, jet)
+    return next(_scalar_columns(e, np.reshape(jet._vals, (NSLOTS, 1)), jet_at=lambda k: jet))
 
 
 def evaluate_array(e: Expr, slots: np.ndarray) -> np.ndarray:
-    """Values of `e` at every column of a `(NSLOTS, N)` slot array.
+    """Values of `e` at every column of a `(NSLOTS, N)` slot array: the
+    one-root case of `evaluate_many`.
 
     Bit-identical to `evaluate` column by column; the first column (in order)
     where evaluation fails raises its `EvalError`.
     """
-    got = _run_array(e, slots, False)
-    if got is not None:
-        return np.array(got[0])
-    return np.array([_run_scalar(e, column, False) for column in slots.T.tolist()], dtype=float)
+    return evaluate_many((e,), slots)[0]
 
 
 def evaluate_many(roots: Iterable[Expr], slots: np.ndarray) -> np.ndarray:
     """`(len(roots), N)` array whose row j is `evaluate_array(roots[j], slots)`.
 
-    One kernel computes every distinct subtree of the roots once, with each
-    node's own operation order, so the rows are bit-identical to the per-root
-    calls.  When the kernel raises, every root is re-run with
-    `evaluate_array` in order; a row that is not finite re-runs its own root.
-    Either way the first failing root raises its `EvalError`.
+    One kernel (`compiled_many`) computes every distinct subtree of the roots
+    once, so the rows are bit-identical to the per-root calls.  When the
+    kernel raises, every root is re-run on its own in order; a row that is
+    not finite re-runs its root jet by jet on the scalar binding.  Either way
+    the first failing root raises its `EvalError`.
     """
     roots = tuple(roots)
-    fn = _MANY_CACHE.get(roots)
-    if fn is None:
-        fn = _bind(compile(_many_source(roots), "<delayham-expr>", "exec"), _ARRAY_BINDING)
-        _MANY_CACHE[roots] = fn
-    out = _guarded(fn, slots, np.empty((len(roots), slots.shape[1])))
+    out = _array_rows(roots, slots)
     if out is None:
-        return np.array([evaluate_array(root, slots) for root in roots])
+        if len(roots) > 1:
+            return np.array([evaluate_array(root, slots) for root in roots])
+        out = np.full((1, slots.shape[1]), math.nan)
     for j in np.flatnonzero(~np.isfinite(out).all(axis=1)):
-        out[j] = evaluate_array(roots[j], slots)
+        out[j] = list(_scalar_columns(roots[j], slots))
     return out
 
 
@@ -1359,18 +1364,16 @@ def _zero_check(e: Expr, slots: np.ndarray, tol: float, jet_at: Callable[[int], 
     """Accept when |value| <= tol * (1 + largest intermediate magnitude) at
     every column of `slots`; otherwise the first failing column's jet
     (`jet_at(k)`) is the witness."""
-    got = _run_array(e, slots, True)
-    if got is not None:
-        value, mag = got
-        ratio = np.abs(value) / (1.0 + mag)
+    out = _array_rows((e,), slots, with_magnitude=True)
+    if out is not None and np.isfinite(out).all():
+        ratio = np.abs(out[0]) / (1.0 + out[1])
         bad = ~(ratio <= tol)
         if bad.any():
             k = int(np.argmax(bad))
             return ZeroCheck(False, jet_at(k), float(ratio[k]))
         return ZeroCheck(True, None, float(ratio.max(initial=0.0)))
     worst = 0.0
-    for k, column in enumerate(slots.T.tolist()):
-        value, mag = _run_scalar(e, column, True, jet_at(k))
+    for k, (value, mag) in enumerate(_scalar_columns(e, slots, True, jet_at)):
         ratio = abs(value) / (1.0 + mag)
         if not (ratio <= tol):
             return ZeroCheck(False, jet_at(k), ratio)

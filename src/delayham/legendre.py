@@ -175,9 +175,7 @@ class ExtendedLagrangian:
         grid = np.linspace(-2.0, 2.0, 17)
         q, qm = np.repeat(grid, grid.size), np.tile(grid, grid.size)
         slots = ex.grid_slots(math.nan, {symbol("q", 0, 0): q, symbol("q", -1, 0): qm})
-        mu, alpha, beta, gamma = (
-            ex.evaluate_array(e, slots) for e in (self.mu, self.alpha, self.beta, self.gamma)
-        )
+        mu, alpha, beta, gamma = ex.evaluate_many((self.mu, self.alpha, self.beta, self.gamma), slots)
         # one row per (q, qm) point of a sweep over q, then qm; mu depends on
         # q alone, so its failure shows from the first point of its sweep
         failed = np.stack(

@@ -25,7 +25,7 @@ from .expr import (
     add,
     as_expr,
     div,
-    evaluate_array,
+    evaluate_many,
     is_zero,
     mul,
     neg,
@@ -345,17 +345,14 @@ def on_shell_jets(
     A = random_jets(seed, n, start)
     dp = shifted_pair_partial(h.h, "p")
     dq = shifted_pair_partial(h.h, "q")
-    A[_SLOT["qdp"]] = (evaluate_array(dp, A) - c23 * A[_SLOT["qd"]] - c4 * A[_SLOT["qdm"]]) / c1
-    A[_SLOT["pdp"]] = (-evaluate_array(dq, A) - c23 * A[_SLOT["pd"]] - c1 * A[_SLOT["pdm"]]) / c4
+    fp, fq = evaluate_many((dp, dq), A)
+    A[_SLOT["qdp"]] = (fp - c23 * A[_SLOT["qd"]] - c4 * A[_SLOT["qdm"]]) / c1
+    A[_SLOT["pdp"]] = (-fq - c23 * A[_SLOT["pd"]] - c1 * A[_SLOT["pdm"]]) / c4
     if second_order:
-        ddp = total_derivative(dp)
-        ddq = total_derivative(dq)
-        A[_SLOT["qddp"]] = (
-            evaluate_array(ddp, A) - c23 * A[_SLOT["qdd"]] - c4 * A[_SLOT["qddm"]]
-        ) / c1
-        A[_SLOT["pddp"]] = (
-            -evaluate_array(ddq, A) - c23 * A[_SLOT["pdd"]] - c1 * A[_SLOT["pddm"]]
-        ) / c4
+        # D(dp) and D(dq) read the forward rates just solved for
+        fp, fq = evaluate_many((total_derivative(dp), total_derivative(dq)), A)
+        A[_SLOT["qddp"]] = (fp - c23 * A[_SLOT["qdd"]] - c4 * A[_SLOT["qddm"]]) / c1
+        A[_SLOT["pddp"]] = (-fq - c23 * A[_SLOT["pdd"]] - c1 * A[_SLOT["pddm"]]) / c4
     return A
 
 

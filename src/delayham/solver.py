@@ -21,12 +21,14 @@ every node, interpolation over a segment uses the branch belonging to that
 segment, and integration never steps across a knot.  Every lagged value an
 interval reads lies on pieces complete when it starts, so they are computed
 once per interval in one numpy pass (`_lagged`); only the right-hand side on
-the current state runs point by point.  A state or rate that is not finite,
-or an overflow, division by zero or domain error in the right-hand side or
-the history, raises `SolverError` naming the first grid time t where it
-happened.  Grid nodes become jet points only in `Trajectory.slots`, over
-which `residual_report` and the `noether` drift monitors evaluate each
-expression in one array pass.  CSV files are written and read in row blocks.
+the current state runs point by point: one scalar kernel call per RK4 stage,
+which for the canonical pair computes both partials of H.  A state or rate
+that is not finite, or an overflow, division by zero or domain error in the
+right-hand side or the history, raises `SolverError` naming the first grid
+time t where it happened.  Grid nodes become jet points only in
+`Trajectory.slots`, over which `residual_report` and the `noether` drift
+monitors evaluate each expression in one array pass.  CSV files are written
+and read in row blocks.
 """
 
 from __future__ import annotations
@@ -267,8 +269,8 @@ def step_hamiltonian(
         raise SolverError("the canonical equations need a momentum history")
     tau = hist.tau
 
-    phi_p = ex.compiled(shifted_pair_partial(ham.h, "p"))
-    phi_q = ex.compiled(shifted_pair_partial(ham.h, "q"))
+    phi = ex.compiled_many((shifted_pair_partial(ham.h, "p"), shifted_pair_partial(ham.h, "q")))
+    phi_out = [0.0, 0.0]
     slots = [math.nan] * ex.NSLOTS
     slots[ex.TAU_INDEX] = tau
     it, itm, itp, iq, iqm, iqp, ip, ipm, ipp = (
@@ -285,8 +287,9 @@ def step_hamiltonian(
         slots[ip] = ps
         slots[ipm] = ps2
         slots[ipp] = pv
-        qdot = (phi_p(slots) - a23 * dqs - a4 * dqs2) / a1
-        pdot = (-phi_q(slots) - a23 * dps - a1 * dps2) / a4
+        phi_p, phi_q = phi(slots, phi_out)
+        qdot = (phi_p - a23 * dqs - a4 * dqs2) / a1
+        pdot = (-phi_q - a23 * dps - a1 * dps2) / a4
         return qdot, pdot
 
     fill = hist.fill(second_order=False)
@@ -308,7 +311,8 @@ def step_elsgolts(
     beta = float(lag.beta)
     ag = float(lag.alpha + lag.gamma)
 
-    psi = ex.compiled(shifted_pair_partial(lag.phi, "q"))
+    psi = ex.compiled_many((shifted_pair_partial(lag.phi, "q"),))
+    psi_out = [0.0]
     slots = [math.nan] * ex.NSLOTS
     slots[ex.TAU_INDEX] = hist.tau
     qi = symbol("q", 0, 0).index
@@ -319,7 +323,7 @@ def step_elsgolts(
         slots[qi] = qs
         slots[qmi] = qs2
         slots[qpi] = qv
-        return vv, -(ag * as1 + beta * as2 + psi(slots)) / beta
+        return vv, -(ag * as1 + beta * as2 + psi(slots, psi_out)[0]) / beta
 
     fill = hist.fill(second_order=True)
     t, q, v, _, _, qdd, qdd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, rhs)

@@ -149,6 +149,41 @@ def test_check_identity_classical(osc_config, tmp_path):
     assert len(payload["checks"]) == 5
 
 
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_check_identity_needs_a_positive_pair_count(osc_config, tmp_path, capsys, pairs):
+    out = tmp_path / "chk.json"
+    rc = cli.main(["check-identity", "--config", osc_config, "--classical", "--pairs", pairs,
+                   "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "--pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "h", ["p^2/2 + q^2/2", "p*pm + sin(t)*q"], ids=["no-cross-term", "phi-reads-t"]
+)
+def test_reverse_transform_outside_the_quadratic_family_is_a_config_error(tmp_path, capsys, h):
+    # both pass the quadratic shape probe: b = 0, or phi reads t
+    path = tmp_path / "ham.json"
+    path.write_text(json.dumps({"tau": 1.0, "hamiltonian": {"H": h}}))
+    assert cli.main(["transform", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "/hamiltonian/H" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "horizon, argv",
+    [(float("inf"), []), (float("nan"), []), (4, ["--horizon", "inf"])],
+    ids=["json-infinity", "json-nan", "flag-inf"],
+)
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, horizon, argv):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, horizon=horizon)))  # writes Infinity / NaN
+    out = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out), *argv]) == cli.EXIT_CONFIG
+    assert "/horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"tau": -1}))

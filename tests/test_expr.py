@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from delayham import expr as E
+from delayham import model as M
 
 from conftest import assert_same_bits, curve_jet, random_expr, reference_jet_slots
 
@@ -479,9 +480,31 @@ def _roots_with_shared_subtrees(rng, count):
     return roots
 
 
+def _assert_kernel_matches_per_root(roots, slots):
+    """`evaluate_many` against per-root calls; then, on the columns where it is
+    finite, the magnitude kernel's rows on both bindings against `compiled(e, True)`."""
+    got = E.evaluate_many(roots, slots)
+    assert got.shape == (len(roots), slots.shape[1])
+    assert_same_bits(got, _loop_rows(roots, slots))
+    kernel = E.compiled_many(roots, with_magnitude=True)
+    with np.errstate(all="ignore"):
+        rows = kernel.array(slots, np.empty((len(roots) + 1, slots.shape[1])))
+        magnitudes = [E.compiled(r, with_magnitude=True).array(slots)[1] for r in roots]
+    finite = np.isfinite(rows).all(axis=0)
+    assert_same_bits(rows[:-1, finite], got[:, finite])
+    # the magnitude is the largest |value| of any subtree of any root
+    assert_same_bits(rows[-1, finite], np.max(magnitudes, axis=0)[finite])
+    subtrees = {id(n): n for r in roots for n in _walk(r)}.values()
+    values = [np.abs(E.evaluate_array(n, slots[:, finite])) for n in subtrees]
+    assert_same_bits(rows[-1, finite], np.max(values, axis=0))
+    for k in np.flatnonzero(finite):
+        assert_same_bits(kernel(slots[:, k].tolist(), [0.0] * len(rows)), rows[:, k])
+    return int(finite.sum())
+
+
 def test_evaluate_many_matches_per_root_calls_bit_for_bit():
     slots = E.random_jets(123, 40)
-    compared = 0
+    compared = finite = 0
     for k in range(12):
         rng = np.random.default_rng(5100 + k)
         roots = []
@@ -491,11 +514,14 @@ def test_evaluate_many_matches_per_root_calls_bit_for_bit():
             except E.EvalError:
                 continue
             roots.append(r)
-        got = E.evaluate_many(roots, slots)
-        assert got.shape == (len(roots), 40)
-        assert_same_bits(got, _loop_rows(roots, slots))
+        finite += _assert_kernel_matches_per_root(roots, slots)
         compared += len(roots)
     assert compared > 300
+    assert finite > 200
+    # the two-root right-hand side of the canonical pair's RK4 stage
+    for h in ("p*pm + q*qm", "p^2/2 + p*pm + exp(q/3)*pm^2 - sin(tm)*q*qm^2"):
+        roots = [M.shifted_pair_partial(E.parse(h), x) for x in "pq"]
+        assert _assert_kernel_matches_per_root(roots, slots) == 40
     assert E.evaluate_many([], slots).shape == (0, 40)
 
 
