@@ -9,11 +9,11 @@ fixed config and seed.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Any
 
 import numpy as np
@@ -41,27 +41,124 @@ class ConfigError(Exception):
         self.pointer = pointer
 
 
-def _parse_expr(source: Any, pointer: str) -> Expr:
-    if not isinstance(source, str):
+def _object(value: Any, pointer: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(pointer, ("top level " if pointer == "/" else "") + "must be an object")
+    return value
+
+
+def _expression(value: Any, pointer: str) -> Expr:
+    if not isinstance(value, str):
         raise ConfigError(pointer, "expected an expression string")
     try:
-        return parse(source)
+        return parse(value)
     except ParseError as err:
         raise ConfigError(pointer, str(err)) from None
 
 
-def _number(value: Any, pointer: str) -> float:
+def _number(value: Any, pointer: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(pointer, "expected a number")
     # JSON reads Infinity and NaN, and an integer can lie beyond any float
     if not abs(value) <= sys.float_info.max:
         raise ConfigError(pointer, "expected a finite number")
+    if positive and not value > 0:
+        raise ConfigError(pointer, "must be positive")
     return value
+
+
+def _integer(value: Any, pointer: str, minimum: int, wording: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(pointer, f"must be {wording}")
+    return value
+
+
+def _alphas(value: Any, pointer: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 4:
+        raise ConfigError(pointer, "must be a list of four numbers")
+    return tuple(_number(a, f"{pointer}/{i}") for i, a in enumerate(value))
+
+
+def _build(node: Any, pointer: str, make, rows):
+    """Check each (key, value when absent, check) row of the object `node`; return
+    the values, or `make(*values)` with its ValueError reported at `pointer`."""
+    node = _object(node, pointer)
+    values = [
+        check(node[key], f"{pointer.rstrip('/')}/{key}") if key in node else absent
+        for key, absent, check in rows
+    ]
+    try:
+        return make(*values) if make else values
+    except ValueError as err:
+        raise ConfigError(pointer, str(err)) from None
+
+
+def _any(value: Any, pointer: str) -> Any:
+    return value
+
+
+def _generator(name: Any, xi: Expr, eta: Expr, nu: Expr, v: Expr | None, w: Expr | None):
+    return str(name), Generator(xi, eta, nu), v, w
+
+
+def _generators(value: Any, pointer: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(pointer, "must be a list")
+    return [
+        _build(node, f"{pointer}/{i}", _generator, (("name", f"X{i + 1}", _any), *_GENERATOR))
+        for i, node in enumerate(value)
+    ]
+
+
+# One row per key: (key, value when absent, check).  A section's rows follow
+# the arguments of the constructor that builds it.
+_SCALARS = (
+    ("tau", 1.0, partial(_number, positive=True)),
+    ("seed", 0, partial(_integer, minimum=0, wording="a non-negative integer")),
+    ("tol", 1e-9, partial(_number, positive=True)),
+    ("samples", 100, partial(_integer, minimum=1, wording="a positive integer")),
+    ("steps_per_delay", 64, partial(_integer, minimum=8, wording="an integer >= 8")),
+    ("horizon", None, lambda value, pointer: None if value is None else _number(value, pointer)),
+    ("t0", 0.0, _number),
+)
+_MODELS = (
+    ("lagrangian", None, partial(_build, make=QuadraticLagrangian, rows=(
+        ("alpha", 0, _number),
+        ("beta", 1, _number),
+        ("gamma", 0, _number),
+        ("phi", ex.ZERO, _expression),
+    ))),
+    ("hamiltonian", None, partial(_build, make=DelayHamiltonian, rows=(
+        ("H", ex.ZERO, _expression),
+        ("alphas", (1, 0, 0, 1), _alphas),
+    ))),
+    ("extended_lagrangian", None, partial(_build, make=legendre.ExtendedLagrangian, rows=(
+        ("alpha", ex.ZERO, _expression),
+        ("beta", ex.ONE, _expression),
+        ("gamma", ex.ZERO, _expression),
+        ("lambda", ex.ZERO, _expression),
+        ("mu", ex.ONE, _expression),
+        ("phi", ex.ZERO, _expression),
+    ))),
+)
+_HISTORY = (("q", ex.ZERO, _expression), ("p", None, _expression))
+_GENERATOR = (
+    ("xi", ex.ZERO, _expression),
+    ("eta", ex.ZERO, _expression),
+    ("nu", ex.ZERO, _expression),
+    ("V", None, _expression),
+    ("W", None, _expression),
+)
+# numeric command-line flags that are no config key, checked the same way
+_FLAGS = (
+    ("alpha1", _number),
+    ("max_diff", _number),
+    ("pairs", partial(_integer, minimum=1, wording="a positive integer")),
+)
 
 
 @dataclass
 class RunConfig:
-    raw: dict
     tau: float
     seed: int
     tol: float
@@ -77,108 +174,15 @@ class RunConfig:
 
 
 def load_config(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("/", "top level must be an object")
-    tau = _number(raw.get("tau", 1.0), "/tau")
-    if not tau > 0:
-        raise ConfigError("/tau", "must be positive")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("/seed", "must be an integer")
-    tol = _number(raw.get("tol", 1e-9), "/tol")
-    if not tol > 0:
-        raise ConfigError("/tol", "must be positive")
-    samples = raw.get("samples", 100)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ConfigError("/samples", "must be a positive integer")
-    n = raw.get("steps_per_delay", 64)
-    if not isinstance(n, int) or n < 8:
-        raise ConfigError("/steps_per_delay", "must be an integer >= 8")
-    horizon = raw.get("horizon")
+    tau, seed, tol, samples, steps_per_delay, horizon, t0 = _build(raw, "/", None, _SCALARS)
     if horizon is not None:
-        horizon = _number(horizon, "/horizon")
         k = round(horizon / tau)
         if k < 1 or abs(horizon - k * tau) > 1e-9 * max(1.0, abs(horizon)):
             raise ConfigError("/horizon", "must be a positive integer multiple of tau")
-    t0 = _number(raw.get("t0", 0.0), "/t0")
-
-    lag = ham = extended = None
-    if "lagrangian" in raw:
-        node = raw["lagrangian"]
-        if not isinstance(node, dict):
-            raise ConfigError("/lagrangian", "must be an object")
-        try:
-            lag = QuadraticLagrangian(
-                _number(node.get("alpha", 0), "/lagrangian/alpha"),
-                _number(node.get("beta", 1), "/lagrangian/beta"),
-                _number(node.get("gamma", 0), "/lagrangian/gamma"),
-                _parse_expr(node.get("phi", "0"), "/lagrangian/phi"),
-            )
-        except ValueError as err:
-            raise ConfigError("/lagrangian", str(err)) from None
-    if "hamiltonian" in raw:
-        node = raw["hamiltonian"]
-        if not isinstance(node, dict):
-            raise ConfigError("/hamiltonian", "must be an object")
-        alphas = node.get("alphas", [1, 0, 0, 1])
-        if not isinstance(alphas, list) or len(alphas) != 4:
-            raise ConfigError("/hamiltonian/alphas", "must be a list of four numbers")
-        try:
-            ham = DelayHamiltonian(
-                _parse_expr(node.get("H", "0"), "/hamiltonian/H"),
-                tuple(_number(a, f"/hamiltonian/alphas/{i}") for i, a in enumerate(alphas)),
-            )
-        except ValueError as err:
-            raise ConfigError("/hamiltonian", str(err)) from None
-    if "extended_lagrangian" in raw:
-        node = raw["extended_lagrangian"]
-        if not isinstance(node, dict):
-            raise ConfigError("/extended_lagrangian", "must be an object")
-        try:
-            extended = legendre.ExtendedLagrangian(
-                _parse_expr(node.get("alpha", "0"), "/extended_lagrangian/alpha"),
-                _parse_expr(node.get("beta", "1"), "/extended_lagrangian/beta"),
-                _parse_expr(node.get("gamma", "0"), "/extended_lagrangian/gamma"),
-                _parse_expr(node.get("lambda", "0"), "/extended_lagrangian/lambda"),
-                _parse_expr(node.get("mu", "1"), "/extended_lagrangian/mu"),
-                _parse_expr(node.get("phi", "0"), "/extended_lagrangian/phi"),
-            )
-        except ValueError as err:
-            raise ConfigError("/extended_lagrangian", str(err)) from None
-
-    history = None
-    if "history" in raw:
-        node = raw["history"]
-        if not isinstance(node, dict):
-            raise ConfigError("/history", "must be an object")
-        q_src = _parse_expr(node.get("q", "0"), "/history/q")
-        p_src = _parse_expr(node["p"], "/history/p") if "p" in node else None
-        try:
-            history = solver.History(t0, tau, q_src, p_src)
-        except ValueError as err:
-            raise ConfigError("/history", str(err)) from None
-
-    generators: list[tuple[str, Generator, Expr | None, Expr | None]] = []
-    for i, node in enumerate(raw.get("generators", [])):
-        ptr = f"/generators/{i}"
-        if not isinstance(node, dict):
-            raise ConfigError(ptr, "must be an object")
-        name = node.get("name", f"X{i + 1}")
-        try:
-            gen = Generator(
-                _parse_expr(node.get("xi", "0"), ptr + "/xi"),
-                _parse_expr(node.get("eta", "0"), ptr + "/eta"),
-                _parse_expr(node.get("nu", "0"), ptr + "/nu"),
-            )
-        except ValueError as err:
-            raise ConfigError(ptr, str(err)) from None
-        v = _parse_expr(node["V"], ptr + "/V") if "V" in node else None
-        w = _parse_expr(node["W"], ptr + "/W") if "W" in node else None
-        generators.append((str(name), gen, v, w))
-
+    history = partial(_build, make=partial(solver.History, t0, tau), rows=_HISTORY)
+    sections = (*_MODELS, ("history", None, history), ("generators", [], _generators))
     return RunConfig(
-        raw, tau, seed, tol, samples, n, horizon, t0,
-        lag, ham, extended, history, generators,
+        tau, seed, tol, samples, steps_per_delay, horizon, t0, *_build(raw, "/", None, sections)
     )
 
 
@@ -393,8 +397,6 @@ def cmd_check_identity(cfg: RunConfig, args) -> int:
     checks = []
     rng = np.random.default_rng(cfg.seed)
     if args.classical:
-        if args.pairs < 1:
-            raise ConfigError("--pairs", "must be a positive integer")
         for k in range(args.pairs):
             coeffs = rng.uniform(-1.5, 1.5, size=6)
             h_expr = (
@@ -432,7 +434,7 @@ def cmd_check_identity(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+@cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
@@ -490,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_json(path: str, pointer: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _object(json.load(fh), pointer)
     except FileNotFoundError:
         raise ConfigError(pointer, f"file not found: {path}") from None
     except json.JSONDecodeError as err:
@@ -498,25 +500,7 @@ def _load_json(path: str, pointer: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        raw: dict = {}
-        if args.config:
-            raw = _load_json(args.config, "/")
-        if getattr(args, "model", None):
-            raw.update(_load_json(args.model, "/model"))
-        if getattr(args, "history", None):
-            hist_doc = _load_json(args.history, "/history")
-            raw["history"] = hist_doc.get("history", hist_doc)
-        for key in ("tau", "steps_per_delay", "horizon", "seed", "tol"):
-            if getattr(args, key, None) is not None:
-                raw[key] = getattr(args, key)
-        cfg = load_config(raw) if (raw or args.command != "compare") else None
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_CONFIG
-
+    args = build_parser().parse_args(argv)
     handlers = {
         "transform": cmd_transform,
         "simulate": cmd_simulate,
@@ -526,6 +510,19 @@ def main(argv: list[str] | None = None) -> int:
         "check-identity": cmd_check_identity,
     }
     try:
+        raw = _load_json(args.config, "/") if args.config else {}
+        if getattr(args, "model", None):
+            raw.update(_load_json(args.model, "/model"))
+        if getattr(args, "history", None):
+            hist_doc = _load_json(args.history, "/history")
+            raw["history"] = hist_doc.get("history", hist_doc)
+        for key in ("tau", "steps_per_delay", "horizon", "seed", "tol"):
+            if getattr(args, key, None) is not None:
+                raw[key] = getattr(args, key)
+        cfg = load_config(raw) if (raw or args.command != "compare") else None
+        for dest, check in _FLAGS:
+            if getattr(args, dest, None) is not None:
+                check(getattr(args, dest), "--" + dest.replace("_", "-"))
         return handlers[args.command](cfg, args)
     except ConfigError as err:
         print(str(err), file=sys.stderr)

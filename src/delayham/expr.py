@@ -519,10 +519,6 @@ def symbols_of(e: Expr) -> frozenset[Symbol]:
     return out
 
 
-def max_order(e: Expr) -> int:
-    return max((s.order for s in symbols_of(e)), default=0)
-
-
 def _rebuild(e: Expr, rec: Callable[[Expr], Expr]) -> Expr:
     if isinstance(e, Add):
         return add(*[rec(c) for c in e.terms])

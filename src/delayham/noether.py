@@ -588,38 +588,32 @@ def analyze_generator(
     can_shell = h.alphas[0] != 0 and h.alphas[3] != 0
 
     p_eff = sub(parts.p_quantity, w_div)
-    diff_target = sub(shift(p_eff, +1), p_eff)
-    v_extra = fit_total_derivative(diff_target, seed=seed + 11)
-    if v_extra is None and can_shell:
-        v_extra = fit_total_derivative(diff_target, seed=seed + 11, on_shell=h)
-    if v_extra is not None:
-        integral = differential_integral(parts, add(v_div, v_extra), v_div=v_div, w_div=w_div)
-        if is_zero(integral, samples=40, tol=1e-10, seed=seed + 3).ok:
+    # (kind, fit, its target, integral builder, known divergence, fit seed
+    # and zero-check seed offsets, note when no fit is found)
+    splittings = (
+        ("differential", fit_total_derivative, sub(shift(p_eff, +1), p_eff),
+         differential_integral, v_div, 11, 3,
+         "difference part not convertible: no differential integral found"),
+        ("difference", fit_shift_difference, D(sub(parts.c, v_div)),
+         difference_integral, w_div, 13, 5,
+         "derivative part not convertible: no difference integral found"),
+    )
+    for kind, fitter, target, integral_of, known, fit_seed, zero_seed, missing in splittings:
+        extra = fitter(target, seed=seed + fit_seed)
+        if extra is None and can_shell:
+            extra = fitter(target, seed=seed + fit_seed, on_shell=h)
+        if extra is None:
+            report.notes.append(missing)
+            continue
+        integral = integral_of(parts, add(known, extra), v_div=v_div, w_div=w_div)
+        if is_zero(integral, samples=40, tol=1e-10, seed=seed + zero_seed).ok:
             # the fit absorbed everything through the equations of motion
-            parts.differential_integral = None
-            report.notes.append("differential conversion yields only the zero quantity")
-    else:
-        report.notes.append("difference part not convertible: no differential integral found")
-
-    c_target = D(sub(parts.c, v_div))
-    w_extra = fit_shift_difference(c_target, seed=seed + 13)
-    if w_extra is None and can_shell:
-        w_extra = fit_shift_difference(c_target, seed=seed + 13, on_shell=h)
-    if w_extra is not None:
-        integral = difference_integral(parts, add(w_div, w_extra), v_div=v_div, w_div=w_div)
-        if is_zero(integral, samples=40, tol=1e-10, seed=seed + 5).ok:
-            parts.difference_integral = None
-            report.notes.append("difference conversion yields only the zero quantity")
-    else:
-        report.notes.append("derivative part not convertible: no difference integral found")
+            setattr(parts, f"{kind}_integral", None)
+            report.notes.append(f"{kind} conversion yields only the zero quantity")
 
     if traj is not None:
-        if parts.differential_integral is not None:
-            report.drift_differential = drift(
-                parts.differential_integral, traj, kind="differential"
-            )
-        if parts.difference_integral is not None:
-            report.drift_difference = drift(
-                parts.difference_integral, traj, kind="difference"
-            )
+        for kind in ("differential", "difference"):
+            integral = getattr(parts, f"{kind}_integral")
+            if integral is not None:
+                setattr(report, f"drift_{kind}", drift(integral, traj, kind=kind))
     return report

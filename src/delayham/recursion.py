@@ -74,14 +74,10 @@ def recover_constants(hist: History, c_mid: int) -> tuple[float, float]:
     u = float(q[0] + c_mid * q[1] + q[2])
     v = float(p[0] + c_mid * p[1] + p[2])
     s = t0 - tau
-    if c_mid == 0 and t0 == 0.0:
-        # closed forms at base time -tau
-        a = -math.cos(tau) * u - math.sin(tau) * v
-        b = -math.sin(tau) * u + math.cos(tau) * v
-        return a, b
-    mat = np.array([[-math.cos(s), math.sin(s)], [math.sin(s), math.cos(s)]])
-    sol = np.linalg.solve(mat, np.array([u, v]))
-    return float(sol[0]), float(sol[1])
+    # the system matrix [[-cos s, sin s], [sin s, cos s]] is its own inverse
+    a = -math.cos(s) * u + math.sin(s) * v
+    b = math.sin(s) * u + math.cos(s) * v
+    return a, b
 
 
 def relation_from_history(hist: History, c_mid: int) -> SumFormRelation:

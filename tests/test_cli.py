@@ -200,6 +200,191 @@ def test_config_error_reports_pointer(tmp_path, capsys):
     assert "/lagrangian/phi" in capsys.readouterr().err
 
 
+# A config with every section; each single fault below replaces the value at
+# one pointer of it.
+FAULT_BASE = {
+    "tau": 1.0,
+    "seed": 1,
+    "tol": 1e-9,
+    "samples": 10,
+    "steps_per_delay": 8,
+    "horizon": 2,
+    "t0": 0.0,
+    "lagrangian": {"alpha": 0, "beta": 1, "gamma": 0, "phi": "q*qm"},
+    "hamiltonian": {"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]},
+    "extended_lagrangian": {
+        "alpha": "2", "beta": "1", "gamma": "1/3", "lambda": "q", "mu": "2", "phi": "q*qm",
+    },
+    "history": {"q": "sin(t)", "p": "cos(t)"},
+    "generators": [{"name": "X1", "xi": "0", "eta": "sin(t)", "nu": "cos(t)", "V": "0", "W": "0"}],
+}
+NAN, INF = float("nan"), float("inf")
+# (pointer, value, stderr line): a type, range, parse or constructor fault for
+# each key.  The lines match the loader before it became table-driven, except
+# /seed (one message for every fault, and a negative seed is now rejected) and
+# a /generators value that is not a list (a traceback, or for "xy" a fault at
+# /generators/0).
+SINGLE_FAULTS = [
+    ("/tau", "1", "/tau: expected a number"),
+    ("/tau", INF, "/tau: expected a finite number"),
+    ("/tau", 0, "/tau: must be positive"),
+    ("/seed", 1.5, "/seed: must be a non-negative integer"),
+    ("/seed", True, "/seed: must be a non-negative integer"),
+    ("/seed", -1, "/seed: must be a non-negative integer"),
+    ("/tol", "x", "/tol: expected a number"),
+    ("/tol", NAN, "/tol: expected a finite number"),
+    ("/tol", -1e-9, "/tol: must be positive"),
+    ("/samples", 2.0, "/samples: must be a positive integer"),
+    ("/samples", 0, "/samples: must be a positive integer"),
+    ("/steps_per_delay", "8", "/steps_per_delay: must be an integer >= 8"),
+    ("/steps_per_delay", 7, "/steps_per_delay: must be an integer >= 8"),
+    ("/horizon", "2", "/horizon: expected a number"),
+    ("/horizon", 2.5, "/horizon: must be a positive integer multiple of tau"),
+    ("/horizon", 0, "/horizon: must be a positive integer multiple of tau"),
+    ("/t0", "0", "/t0: expected a number"),
+    ("/t0", 10**400, "/t0: expected a finite number"),
+    ("/lagrangian", 5, "/lagrangian: must be an object"),
+    ("/lagrangian/alpha", "0", "/lagrangian/alpha: expected a number"),
+    ("/lagrangian/alpha", -INF, "/lagrangian/alpha: expected a finite number"),
+    ("/lagrangian/beta", True, "/lagrangian/beta: expected a number"),
+    ("/lagrangian/beta", 0, "/lagrangian: beta must be nonzero"),
+    ("/lagrangian/gamma", None, "/lagrangian/gamma: expected a number"),
+    ("/lagrangian/phi", 5, "/lagrangian/phi: expected an expression string"),
+    ("/lagrangian/phi", "q*", "/lagrangian/phi: unexpected end of input (at offset 2)"),
+    ("/lagrangian/phi", "q*p", "/lagrangian: phi must not contain: p"),
+    ("/hamiltonian", [], "/hamiltonian: must be an object"),
+    ("/hamiltonian/H", 5, "/hamiltonian/H: expected an expression string"),
+    ("/hamiltonian/H", "p*pm +", "/hamiltonian/H: unexpected end of input (at offset 6)"),
+    ("/hamiltonian/H", "qd*p", "/hamiltonian: a delay Hamiltonian must not contain: qd"),
+    ("/hamiltonian/alphas", "1001", "/hamiltonian/alphas: must be a list of four numbers"),
+    ("/hamiltonian/alphas", [1, 0, 1], "/hamiltonian/alphas: must be a list of four numbers"),
+    ("/hamiltonian/alphas/3", "1", "/hamiltonian/alphas/3: expected a number"),
+    ("/hamiltonian/alphas/0", NAN, "/hamiltonian/alphas/0: expected a finite number"),
+    ("/extended_lagrangian", "x", "/extended_lagrangian: must be an object"),
+    ("/extended_lagrangian/alpha", 2, "/extended_lagrangian/alpha: expected an expression string"),
+    ("/extended_lagrangian/alpha", "(q", "/extended_lagrangian/alpha: expected ')' (at offset 2)"),
+    ("/extended_lagrangian/alpha", "p", "/extended_lagrangian: alpha must not contain: p"),
+    ("/extended_lagrangian/beta", None, "/extended_lagrangian/beta: expected an expression string"),
+    ("/extended_lagrangian/beta", "1 +* q",
+     "/extended_lagrangian/beta: unexpected token '*' (at offset 3)"),
+    ("/extended_lagrangian/beta", "0",
+     "/extended_lagrangian: beta vanishes near (q=-2.0, qm=-2.0)"),
+    ("/extended_lagrangian/gamma", [], "/extended_lagrangian/gamma: expected an expression string"),
+    ("/extended_lagrangian/gamma", "x",
+     "/extended_lagrangian/gamma: unknown identifier 'x' (at offset 0)"),
+    ("/extended_lagrangian/gamma", "1/2",
+     "/extended_lagrangian: alpha*gamma - beta^2 vanishes near (q=-2.0, qm=-2.0)"),
+    ("/extended_lagrangian/lambda", 1,
+     "/extended_lagrangian/lambda: expected an expression string"),
+    ("/extended_lagrangian/lambda", "sin(q",
+     "/extended_lagrangian/lambda: expected ')' (at offset 5)"),
+    ("/extended_lagrangian/lambda", "qm", "/extended_lagrangian: lam must not contain: qm"),
+    ("/extended_lagrangian/mu", True, "/extended_lagrangian/mu: expected an expression string"),
+    ("/extended_lagrangian/mu", "2)",
+     "/extended_lagrangian/mu: unexpected token ')' (at offset 1)"),
+    ("/extended_lagrangian/mu", "q",
+     "/extended_lagrangian: mu vanishes near q=0.0 (singular momentum map)"),
+    ("/extended_lagrangian/phi", {}, "/extended_lagrangian/phi: expected an expression string"),
+    ("/extended_lagrangian/phi", "q^",
+     "/extended_lagrangian/phi: exponent must be an integer (at offset 2)"),
+    ("/extended_lagrangian/phi", "q*t", "/extended_lagrangian: phi must not contain: t"),
+    ("/history", 5, "/history: must be an object"),
+    ("/history/q", 5, "/history/q: expected an expression string"),
+    ("/history/q", "sin(", "/history/q: unexpected end of input (at offset 4)"),
+    ("/history/q", "q", "/history: history expressions may only involve t (got q)"),
+    ("/history/p", None, "/history/p: expected an expression string"),
+    ("/history/p", ")", "/history/p: unexpected token ')' (at offset 0)"),
+    ("/history/p", "t*p", "/history: history expressions may only involve t (got p)"),
+    ("/generators", 5, "/generators: must be a list"),
+    ("/generators", None, "/generators: must be a list"),
+    ("/generators", True, "/generators: must be a list"),
+    ("/generators", "xy", "/generators: must be a list"),
+    ("/generators/0", 5, "/generators/0: must be an object"),
+    ("/generators/0/xi", 1, "/generators/0/xi: expected an expression string"),
+    ("/generators/0/xi", "1 1", "/generators/0/xi: unexpected token '1' (at offset 2)"),
+    ("/generators/0/xi", "qd", "/generators/0: xi must not contain: qd"),
+    ("/generators/0/eta", None, "/generators/0/eta: expected an expression string"),
+    ("/generators/0/eta", "sin t", "/generators/0/eta: expected '(' (at offset 4)"),
+    ("/generators/0/eta", "qm", "/generators/0: eta must not contain: qm"),
+    ("/generators/0/nu", [], "/generators/0/nu: expected an expression string"),
+    ("/generators/0/nu", "cos(t", "/generators/0/nu: expected ')' (at offset 5)"),
+    ("/generators/0/nu", "pd", "/generators/0: nu must not contain: pd"),
+    ("/generators/0/V", 0, "/generators/0/V: expected an expression string"),
+    ("/generators/0/V", "+", "/generators/0/V: unexpected token '+' (at offset 0)"),
+    ("/generators/0/W", [], "/generators/0/W: expected an expression string"),
+    ("/generators/0/W", "*q", "/generators/0/W: unexpected token '*' (at offset 0)"),
+]
+
+
+def _with_value(doc, pointer, value):
+    doc = json.loads(json.dumps(doc))
+    *path, last = [int(k) if k.isdigit() else k for k in pointer.strip("/").split("/")]
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "pointer, value, line", SINGLE_FAULTS, ids=[f"{p}={v!r}" for p, v, _ in SINGLE_FAULTS]
+)
+def test_single_fault_config_error_names_pointer_and_message(
+    tmp_path, capsys, pointer, value, line
+):
+    cli.load_config(FAULT_BASE)  # the base itself is valid
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(_with_value(FAULT_BASE, pointer, value)))
+    for command in ("check-identity", "simulate"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error at {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["simulate", "--model", "[1]"], "/model: must be an object"),
+        (["simulate", "--history", '"x"'], "/history: must be an object"),
+        (["simulate", "--config", "[]", "--tau", "1"], "/: top level must be an object"),
+        (["check-identity", "--seed", "-1"], "/seed: must be a non-negative integer"),
+        (["transform", "--alpha1", "nan"], "--alpha1: expected a finite number"),
+        (["transform", "--alpha1", "inf"], "--alpha1: expected a finite number"),
+        (["compare", "--max-diff", "nan"], "--max-diff: expected a finite number"),
+    ],
+    ids=["model-list", "history-string", "config-list-with-override", "negative-seed",
+         "alpha1-nan", "alpha1-inf", "max-diff-nan"],
+)
+def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, line):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(FAULT_BASE))
+    argv = list(argv)
+    for i, arg in enumerate(argv[:-1]):
+        if arg in ("--config", "--model", "--history"):
+            doc = tmp_path / f"{arg[2:]}.json"
+            doc.write_text(argv[i + 1])
+            argv[i + 1] = str(doc)
+    if "--config" not in argv:
+        argv += ["--config", str(base)]
+    if argv[0] == "compare":
+        run = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", str(base), "--out", str(run)]) == 0
+        argv += ["--a", str(run), "--b", str(run)]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error at {line}\n"
+    assert not out.exists()
+
+
+def test_extended_lagrangian_that_cannot_be_sampled_is_a_numeric_failure(tmp_path, capsys):
+    # mu = 1/q divides by zero on the sample grid of the Legendre checks
+    cfg = _with_value(FAULT_BASE, "/extended_lagrangian/mu", "1/q")
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["transform", "--config", str(path)]) == cli.EXIT_NUMERIC
+    assert "numeric failure: division by zero at JetPoint(" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys):
     cfg = {
         "tau": 1.0,

@@ -106,13 +106,14 @@ def test_recursion_integrals_drift_is_roundoff(sincos_history):
 
 
 def test_recovered_constants_keep_seam_continuous():
-    hist = S.History(0.0, 1.0, E.parse("sin(t)"), E.parse("cos(t) + t/4"))
-    rel = R.relation_from_history(hist, 0)
-    gap_q, gap_p = R.seam_gap(rel, hist)
-    assert gap_q <= 1e-12 and gap_p <= 1e-12
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        R.recurse(rel, hist, 4.0, 16)  # must not warn
+    for t0 in (0.0, 0.7):
+        hist = S.History(t0, 1.0, E.parse("sin(t)"), E.parse("cos(t) + t/4"))
+        rel = R.relation_from_history(hist, 0)
+        gap_q, gap_p = R.seam_gap(rel, hist)
+        assert gap_q <= 1e-12 and gap_p <= 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R.recurse(rel, hist, t0 + 4.0, 16)  # must not warn
 
 
 def test_inconsistent_constants_warn_and_jump(sincos_history):
