@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
@@ -379,9 +380,16 @@ def cmd_recurse(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _read_trajectory(path: str, flag: str) -> solver.CsvTrajectory:
+    try:
+        return solver.read_csv(path)
+    except FileNotFoundError:
+        raise ConfigError(flag, f"file not found: {path}") from None
+
+
 def cmd_compare(cfg: RunConfig | None, args) -> int:
-    a = solver.read_csv(args.a)
-    b = solver.read_csv(args.b)
+    a = _read_trajectory(args.a, "--a")
+    b = _read_trajectory(args.b, "--b")
     report = recursion.compare(a, b)
     payload = {
         name: {"max": stats.max_abs, "l2": stats.l2, "t_at_max": stats.t_at_max}
@@ -523,6 +531,9 @@ def main(argv: list[str] | None = None) -> int:
         for dest, check in _FLAGS:
             if getattr(args, dest, None) is not None:
                 check(getattr(args, dest), "--" + dest.replace("_", "-"))
+        folder = os.path.dirname(args.out or "")
+        if folder and not os.path.isdir(folder):
+            raise ConfigError("--out", f"directory not found: {folder}")
         return handlers[args.command](cfg, args)
     except ConfigError as err:
         print(str(err), file=sys.stderr)

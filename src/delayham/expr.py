@@ -1163,7 +1163,9 @@ _ARRAY_BINDING = {
 }
 
 # Keyed by the roots' ids and the flag, so one root's key is `(id(e),
-# with_magnitude)`; `_INTERN` keeps every node, so no id is reused.
+# with_magnitude)`; generated code inlining kernel lines (`compiled_source`)
+# ends its key with a string tag instead.  `_INTERN` keeps every node, so no
+# id is reused.
 _COMPILE_CACHE: dict[tuple, Callable] = {}
 
 
@@ -1231,6 +1233,30 @@ def _many_source(roots: tuple[Expr, ...], with_magnitude: bool = False) -> str:
     return "def _f(A, out):\n    " + "\n    ".join(body) + "\n"
 
 
+def kernel_lines(roots: Iterable[Expr], read: Callable[[int], str]) -> tuple[list[str], list[str]]:
+    """The straight-line `v_i = ...` lines of the roots' kernel, for inlining
+    into generated code, and the name that holds each root.  Slot i is read
+    as the source `read(i)` (a name, or an expression in parentheses); no
+    name is deleted."""
+    roots = tuple(roots)
+    names = {id(sym(s)): read(s.index) for root in roots for s in symbols_of(root)}
+    names[id(TAU)] = read(TAU_INDEX)
+    lines: list[str] = []
+    return lines, [_kernel_lines(root, names, lines, {}) for root in roots]
+
+
+def compiled_source(key: tuple, source: Callable[[], str], env: dict | None = None) -> Callable:
+    """The function `_f` that `source()` defines, compiled once per `key`
+    into `_COMPILE_CACHE`: `f` has the scalar binding and `env` as its
+    globals, `f.array` the array binding and `env`."""
+    fn = _COMPILE_CACHE.get(key)
+    if fn is None:
+        code = compile(source(), "<delayham-expr>", "exec")
+        fn = _COMPILE_CACHE[key] = _bind(code, {**_SCALAR_BINDING, **(env or {})})
+        fn.array = _bind(code, {**_ARRAY_BINDING, **(env or {})})
+    return fn
+
+
 def _bind(code, binding: dict) -> Callable:
     env = dict(binding)
     exec(code, env)
@@ -1249,13 +1275,7 @@ def compiled_many(roots: Iterable[Expr], with_magnitude: bool = False) -> Callab
     """
     roots = tuple(roots)
     key = (*map(id, roots), with_magnitude)
-    fn = _COMPILE_CACHE.get(key)
-    if fn is None:
-        code = compile(_many_source(roots, with_magnitude), "<delayham-expr>", "exec")
-        fn = _bind(code, _SCALAR_BINDING)
-        fn.array = _bind(code, _ARRAY_BINDING)
-        _COMPILE_CACHE[key] = fn
-    return fn
+    return compiled_source(key, lambda: _many_source(roots, with_magnitude))
 
 
 def compiled(e: Expr, with_magnitude: bool = False) -> Callable:

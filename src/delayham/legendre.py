@@ -77,6 +77,15 @@ def pairing_weights(l: QuadraticLagrangian, alpha1: Number) -> tuple[Number, ...
     return (a1, a1 * l.gamma / l.beta, a1 * l.alpha / l.beta, a1)
 
 
+def _check_scaled(a1: Number, model: str, names, values, unscaled) -> None:
+    """Raise `LegendreError` when scaling by alpha1 makes a nonzero
+    coefficient of the transformed model vanish, or any of them overflow."""
+    for name, value, source in zip(names, values, unscaled):
+        if value == 0 and source != 0 or not math.isfinite(value):
+            fault = "vanish" if value == 0 else "overflow"
+            raise LegendreError(f"alpha1={a1} makes the {model} coefficient {name} {fault}")
+
+
 def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> LegendreResult:
     """Quadratic delay Lagrangian -> delay Hamiltonian.
 
@@ -91,6 +100,7 @@ def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> Le
     coeff_a = ratio * ratio * l.alpha
     coeff_b = ratio * a1
     coeff_c = ratio * ratio * l.gamma
+    _check_scaled(a1, "Hamiltonian", "abc", (coeff_a, coeff_b, coeff_c), (l.alpha, a1, l.gamma))
 
     if not l.degenerate:
         quad = QuadraticHamiltonian(coeff_a, coeff_b, coeff_c, l.phi)
@@ -128,7 +138,9 @@ def legendre_reverse(
         raise LegendreError("alpha1 must be nonzero")
     alphas = (a1, a1 * h.c / h.b, a1 * h.a / h.b, a1)
     ratio = a1 / h.b
-    lag = QuadraticLagrangian(ratio * ratio * h.a, ratio * a1, ratio * ratio * h.c, h.phi)
+    coeffs = (ratio * ratio * h.a, ratio * a1, ratio * ratio * h.c)
+    _check_scaled(a1, "Lagrangian", ("alpha", "beta", "gamma"), coeffs, (h.a, a1, h.c))
+    lag = QuadraticLagrangian(*coeffs, h.phi)
     vel_map = (mul(div(h.b, a1), ex.p), mul(div(h.b, a1), ex.pm))
     return lag, alphas, vel_map
 

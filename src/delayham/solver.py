@@ -6,8 +6,9 @@ segment: the unknowns at time t enter only through the shifted slots of the
 rebased equation.  Both formulations integrate a two-component state with the
 one driver `_method_of_steps`: (q, p) for the canonical pair, (q, q') for the
 second-order Lagrangian equation.  Each supplies only its history expressions
-(`History.fill`) and a pointwise right-hand side of the state and of the
-lagged values and rates one and two delays back.
+(`History.fill`), the expression roots of its right-hand side and two rate
+lines that combine them with the lagged values and rates one and two delays
+back.
 
 The driver owns everything else.  The grid step is an exact divisor of the
 delay, so shifted values sit on nodes.  It samples the history on
@@ -21,8 +22,11 @@ every node, interpolation over a segment uses the branch belonging to that
 segment, and integration never steps across a knot.  Every lagged value an
 interval reads lies on pieces complete when it starts, so they are computed
 once per interval in one numpy pass (`_lagged`); only the right-hand side on
-the current state runs point by point: one scalar kernel call per RK4 stage,
-which for the canonical pair computes both partials of H.  A state or rate
+the current state runs point by point, inside one generated Python function
+per formulation (`_interval_step`) that holds the interval's whole RK4 loop,
+with the straight-line kernel lines of the right-hand side (for the canonical
+pair, both partials of H) written into every stage.  It is compiled once per
+model, and gives the bits of a per-stage kernel call.  A state or rate
 that is not finite, or an overflow, division by zero or domain error in the
 right-hand side or the history, raises `SolverError` naming the first grid
 time t where it happened.  Grid nodes become jet points only in
@@ -186,14 +190,96 @@ def _grid(hist: History, t_end: float, n: int) -> tuple[int, float, np.ndarray]:
     return k, h, t
 
 
-def _method_of_steps(hist: History, t_end: float, n: int, fill, rhs):
+# One delay interval of the RK4 method of steps for a rebased two-component
+# state (a, b), generated per formulation by `_interval_step`.  `@unpack`
+# binds the names of a lagged row, and `@rate` is the right-hand side at the
+# stage state (ya, yb) and the row last unpacked: the straight-line kernel
+# lines of its roots, then the formulation's rate lines into (ka, kb).
+_INTERVAL = """\
+def _f(a, b, da_r, da_l, db_r, db_l, lag, t, start, h, tau, w):
+    @weights
+    h2, h6 = h / 2, h / 6
+    node = start
+    rows = iter(lag)
+    try:
+        row = next(rows)
+        @unpack
+        ya, yb = a[start], b[start]
+        @rate
+        if not (isfinite(ka) and isfinite(kb)):
+            raise SolverError(f"state or rate is not finite at t={t[node]}")
+        da_r[start], db_r[start] = ka, kb
+        av, bv = ya, yb
+        for row, end in zip(rows, rows):
+            node += 1
+            k1a, k1b = ka, kb
+            @unpack
+            ya, yb = av + h2 * k1a, bv + h2 * k1b
+            @rate
+            k2a, k2b = ka, kb
+            ya, yb = av + h2 * k2a, bv + h2 * k2b
+            @rate
+            k3a, k3b = ka, kb
+            row = end
+            @unpack
+            ya, yb = av + h * k3a, bv + h * k3b
+            @rate
+            av = av + h6 * (k1a + 2 * k2a + 2 * k3a + ka)
+            bv = bv + h6 * (k1b + 2 * k2b + 2 * k3b + kb)
+            ya, yb = av, bv
+            @rate
+            if not (isfinite(av) and isfinite(bv) and isfinite(ka) and isfinite(kb)):
+                raise SolverError(f"state or rate is not finite at t={t[node]}")
+            # at the closing knot both branches hold the left limit until
+            # the next interval overwrites the right one
+            a.append(av)
+            b.append(bv)
+            da_r.append(ka)
+            da_l.append(ka)
+            db_r.append(kb)
+            db_l.append(kb)
+    except (OverflowError, ZeroDivisionError, ValueError) as err:
+        raise SolverError(f"right-hand side failed at t={t[node]}: {err}") from None
+"""
+
+
+def _interval_step(tag: str, roots: tuple[Expr, ...], row: str, slots: dict, weights: str,
+                   rates: tuple[str, str]):
+    """The generated interval step of one formulation, compiled once per
+    roots and `tag` (which fixes the other arguments).
+
+    `row` names the columns of a lagged row (its time tv first), `slots`
+    maps each `Sym` the roots read to its source in terms of the row and the
+    stage state ya/yb, `weights` names the entries of the weight tuple, and
+    `rates` are the two rate expressions, with {0}, {1}, ... standing for the
+    roots' values.
+    """
+    names = {s.symbol.index: name for s, name in slots.items()} | {ex.TAU_INDEX: "tau"}
+
+    def source() -> str:
+        lines, outs = ex.kernel_lines(roots, names.__getitem__)
+        blocks = {
+            "@weights": [f"{weights} = w"],
+            "@unpack": [f"{row} = row"],
+            "@rate": lines + [f"{k} = {r.format(*outs)}" for k, r in zip(("ka", "kb"), rates)],
+        }
+        out = []
+        for line in _INTERVAL.splitlines():
+            body = line.lstrip()
+            indent = line[: len(line) - len(body)]
+            out.extend(indent + x for x in blocks.get(body, [body]))
+        return "\n".join(out) + "\n"
+
+    env = {"isfinite": math.isfinite, "SolverError": SolverError}
+    return ex.compiled_source((*map(id, roots), tag), source, env)
+
+
+def _method_of_steps(hist: History, t_end: float, n: int, fill, interval, weights: tuple):
     """RK4 method of steps for a rebased two-component state (a, b).
 
-    `fill` gives the history expressions in t for a, b, a' and b'.
-    `rhs(a, b, tv, a1, da1, b1, db1, a2, da2, b2, db2)` returns (a', b') for
-    the state (a, b) at the current time, where tv is the time two delays
-    back and the suffixes 1 and 2 mark the lagged values and rates one and
-    two delays back.  Returns the grid and the node arrays
+    `fill` gives the history expressions in t for a, b, a' and b', and
+    `interval` is the formulation's generated step (`_interval_step`) with
+    its `weights`.  Returns the grid and the node arrays
     (t, a, b, da_right, da_left, db_right, db_left); the final node's right
     branch holds its left limit.
     """
@@ -201,8 +287,6 @@ def _method_of_steps(hist: History, t_end: float, n: int, fill, rhs):
     t = t_arr.tolist()
     a, b, da_r, db_r = (hist.sample(e, t_arr[: 2 * n + 1]).tolist() for e in fill)
     da_l, db_l = da_r[:], db_r[:]
-    isfinite = math.isfinite
-    h2, h6 = h / 2, h / 6
     half = np.arange(2 * n + 1) * 0.5
 
     def piece(hi: int) -> list[np.ndarray]:
@@ -212,41 +296,13 @@ def _method_of_steps(hist: History, t_end: float, n: int, fill, rhs):
     # pieces; every lagged value an interval needs is known when it starts,
     # and its one-delay piece is the next interval's two-delay piece
     two = piece(n)
-    try:
-        for start in range(2 * n, (k + 2) * n, n):
-            node = start
-            one = piece(start)
-            # row 2j holds the node start + j, row 2j + 1 the half-node after it
-            lag = np.vstack((hist.t0 + (start - 2 * n + half) * h, *one, *two)).T.tolist()
-            two = one
-            da, db = rhs(a[start], b[start], *lag[0])
-            if not (isfinite(da) and isfinite(db)):
-                raise SolverError(f"state or rate is not finite at t={t[node]}")
-            da_r[start], db_r[start] = da, db
-            for j in range(n):
-                i = start + j
-                node = i + 1
-                mid, end = lag[2 * j + 1], lag[2 * j + 2]
-                av, bv = a[i], b[i]
-                k1a, k1b = da_r[i], db_r[i]
-                k2a, k2b = rhs(av + h2 * k1a, bv + h2 * k1b, *mid)
-                k3a, k3b = rhs(av + h2 * k2a, bv + h2 * k2b, *mid)
-                k4a, k4b = rhs(av + h * k3a, bv + h * k3b, *end)
-                av = av + h6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-                bv = bv + h6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-                da, db = rhs(av, bv, *end)
-                if not (isfinite(av) and isfinite(bv) and isfinite(da) and isfinite(db)):
-                    raise SolverError(f"state or rate is not finite at t={t[node]}")
-                # at the closing knot both branches hold the left limit until
-                # the next interval overwrites the right one
-                a.append(av)
-                b.append(bv)
-                da_r.append(da)
-                da_l.append(da)
-                db_r.append(db)
-                db_l.append(db)
-    except (OverflowError, ZeroDivisionError, ValueError) as err:
-        raise SolverError(f"right-hand side failed at t={t[node]}: {err}") from None
+    for start in range(2 * n, (k + 2) * n, n):
+        one = piece(start)
+        # row 2j holds the node start + j, row 2j + 1 the half-node after it:
+        # its time, then values and rates one and two delays back
+        lag = np.vstack((hist.t0 + (start - 2 * n + half) * h, *one, *two)).T.tolist()
+        two = one
+        interval(a, b, da_r, da_l, db_r, db_l, lag, t, start, h, hist.tau, weights)
     return (t_arr, *(np.array(x) for x in (a, b, da_r, da_l, db_r, db_l)))
 
 
@@ -264,38 +320,24 @@ def step_hamiltonian(
             "cannot rebase the canonical equations: the outermost pairing "
             f"weights must be nonzero (got a1={a1}, a4={a4})"
         )
-    a23 = a2 + a3
     if hist.p is None:
         raise SolverError("the canonical equations need a momentum history")
-    tau = hist.tau
-
-    phi = ex.compiled_many((shifted_pair_partial(ham.h, "p"), shifted_pair_partial(ham.h, "q")))
-    phi_out = [0.0, 0.0]
-    slots = [math.nan] * ex.NSLOTS
-    slots[ex.TAU_INDEX] = tau
-    it, itm, itp, iq, iqm, iqp, ip, ipm, ipp = (
-        symbol(name, shift, 0).index for name in "tqp" for shift in (0, -1, 1)
+    interval = _interval_step(
+        "hamiltonian",
+        (shifted_pair_partial(ham.h, "p"), shifted_pair_partial(ham.h, "q")),
+        row="tv, qs, dqs, ps, dps, qs2, dqs2, ps2, dps2",
+        # the rebased equation sits one delay back of the state
+        slots={ex.t: "(tv - tau)", ex.tm: "(tv - 2 * tau)", ex.tp: "tv", ex.q: "qs",
+               ex.qm: "qs2", ex.qp: "ya", ex.p: "ps", ex.pm: "ps2", ex.pp: "yb"},
+        weights="a1, a23, a4",
+        rates=("({0} - a23 * dqs - a4 * dqs2) / a1", "(-{1} - a23 * dps - a1 * dps2) / a4"),
     )
-
-    def rhs(qv, pv, tv, qs, dqs, ps, dps, qs2, dqs2, ps2, dps2):
-        slots[it] = tv - tau
-        slots[itm] = tv - 2 * tau
-        slots[itp] = tv
-        slots[iq] = qs
-        slots[iqm] = qs2
-        slots[iqp] = qv
-        slots[ip] = ps
-        slots[ipm] = ps2
-        slots[ipp] = pv
-        phi_p, phi_q = phi(slots, phi_out)
-        qdot = (phi_p - a23 * dqs - a4 * dqs2) / a1
-        pdot = (-phi_q - a23 * dps - a1 * dps2) / a4
-        return qdot, pdot
-
     fill = hist.fill(second_order=False)
-    t, q, p, qd, qd_l, pd, pd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, rhs)
+    t, q, p, qd, qd_l, pd, pd_l = _method_of_steps(
+        hist, t_end, steps_per_delay, fill, interval, (a1, a2 + a3, a4)
+    )
     return Trajectory(
-        tau, steps_per_delay, t, q, p, qd, pd,
+        hist.tau, steps_per_delay, t, q, p, qd, pd,
         qd_left=qd_l, pd_left=pd_l, start_index=2 * steps_per_delay,
     )
 
@@ -308,25 +350,17 @@ def step_elsgolts(
     The state is (q, v) with v = q'; velocities are continuous, so only the
     second derivatives carry jumps at the knots.
     """
-    beta = float(lag.beta)
-    ag = float(lag.alpha + lag.gamma)
-
-    psi = ex.compiled_many((shifted_pair_partial(lag.phi, "q"),))
-    psi_out = [0.0]
-    slots = [math.nan] * ex.NSLOTS
-    slots[ex.TAU_INDEX] = hist.tau
-    qi = symbol("q", 0, 0).index
-    qmi = symbol("q", -1, 0).index
-    qpi = symbol("q", 1, 0).index
-
-    def rhs(qv, vv, tv, qs, dqs, vs, as1, qs2, dqs2, vs2, as2):
-        slots[qi] = qs
-        slots[qmi] = qs2
-        slots[qpi] = qv
-        return vv, -(ag * as1 + beta * as2 + psi(slots, psi_out)[0]) / beta
-
+    interval = _interval_step(
+        "elsgolts",
+        (shifted_pair_partial(lag.phi, "q"),),
+        row="tv, qs, dqs, vs, as1, qs2, dqs2, vs2, as2",
+        slots={ex.q: "qs", ex.qm: "qs2", ex.qp: "ya"},
+        weights="ag, beta",
+        rates=("yb", "-(ag * as1 + beta * as2 + {0}) / beta"),
+    )
+    weights = (float(lag.alpha + lag.gamma), float(lag.beta))
     fill = hist.fill(second_order=True)
-    t, q, v, _, _, qdd, qdd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, rhs)
+    t, q, v, _, _, qdd, qdd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, interval, weights)
     return Trajectory(
         hist.tau, steps_per_delay, t, q, None, v, None,
         qd_left=v.copy(), qdd=qdd, qdd_left=qdd_l, start_index=2 * steps_per_delay,

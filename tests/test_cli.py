@@ -585,6 +585,69 @@ def test_compare_skips_components_a_run_does_not_carry(osc_config, tmp_path, cap
     assert sorted(components) == ["q", "qd"]
 
 
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_compare_with_a_missing_input_is_a_config_error(osc_config, tmp_path, capsys, flag):
+    run = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--config", osc_config, "--out", str(run)]) == 0
+    missing = tmp_path / "missing.csv"
+    files = {"--a": str(run), "--b": str(run), flag: str(missing)}
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    argv = ["compare", "--a", files["--a"], "--b", files["--b"], "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error at {flag}: file not found: {missing}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"hamiltonian": {"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]}},
+         "alpha1=1e-320 makes the Lagrangian coefficient beta vanish"),
+        ({"lagrangian": {"alpha": 0, "beta": 1, "gamma": 0, "phi": "q*qm"}},
+         "alpha1=1e-320 makes the Hamiltonian coefficient b vanish"),
+    ],
+    ids=["reverse", "forward"],
+)
+def test_alpha1_that_underflows_a_coefficient_is_a_numeric_failure(
+    tmp_path, capsys, model, message
+):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(model, tau=1.0)))
+    out = tmp_path / "transform.json"
+    rc = cli.main(["transform", "--config", str(path), "--alpha1", "1e-320", "--out", str(out)])
+    assert rc == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("transform", []),
+        ("simulate", []),
+        ("noether", []),
+        ("recurse", []),
+        ("compare", ["--a", "a.csv", "--b", "b.csv"]),
+        ("check-identity", []),
+    ],
+    ids=["transform", "simulate", "noether", "recurse", "compare", "check-identity"],
+)
+def test_out_in_a_missing_directory_is_rejected_before_any_work(
+    osc_config, tmp_path, capsys, monkeypatch, command, argv
+):
+    def no_work(cfg, args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), no_work)
+    folder = tmp_path / "missing"
+    out = folder / "out"
+    rc = cli.main([command, "--config", osc_config, *argv, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error at --out: directory not found: {folder}\n"
+    assert not folder.exists()
+
+
 def test_check_identity_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     import os
     import subprocess

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import io
 import math
@@ -9,6 +10,7 @@ from delayham import expr as E
 from delayham import model as M
 from delayham import solver as S
 
+import conftest
 from conftest import assert_same_bits
 
 
@@ -452,3 +454,247 @@ def test_read_csv_skips_blank_lines_and_names_bad_ones():
     long_row = ",".join(["1"] * 13)
     with pytest.raises(S.SolverError, match="CSV line 3: expected 8 cells, got 3$"):
         S.read_csv(io.StringIO(f"{S.CSV_HEADER}\n{row}\n1,2,3\n{long_row}\n{row}\n"))
+
+
+# ---------------------------------------------------------------------------
+# generated interval step against the per-stage right-hand-side driver
+# ---------------------------------------------------------------------------
+
+
+def _reference_method_of_steps(hist, t_end, n, fill, rhs):
+    """RK4 method of steps with one `rhs` call per stage: the reference for
+    the generated interval step of `solver._method_of_steps`."""
+    k, h, t_arr = S._grid(hist, t_end, n)
+    t = t_arr.tolist()
+    a, b, da_r, db_r = (hist.sample(e, t_arr[: 2 * n + 1]).tolist() for e in fill)
+    da_l, db_l = da_r[:], db_r[:]
+    isfinite = math.isfinite
+    h2, h6 = h / 2, h / 6
+    half = np.arange(2 * n + 1) * 0.5
+
+    def piece(hi):
+        return [*S._lagged(a, da_r, da_l, hi, n, h), *S._lagged(b, db_r, db_l, hi, n, h)]
+
+    two = piece(n)
+    try:
+        for start in range(2 * n, (k + 2) * n, n):
+            node = start
+            one = piece(start)
+            lag = np.vstack((hist.t0 + (start - 2 * n + half) * h, *one, *two)).T.tolist()
+            two = one
+            da, db = rhs(a[start], b[start], *lag[0])
+            if not (isfinite(da) and isfinite(db)):
+                raise S.SolverError(f"state or rate is not finite at t={t[node]}")
+            da_r[start], db_r[start] = da, db
+            for j in range(n):
+                i = start + j
+                node = i + 1
+                mid, end = lag[2 * j + 1], lag[2 * j + 2]
+                av, bv = a[i], b[i]
+                k1a, k1b = da_r[i], db_r[i]
+                k2a, k2b = rhs(av + h2 * k1a, bv + h2 * k1b, *mid)
+                k3a, k3b = rhs(av + h2 * k2a, bv + h2 * k2b, *mid)
+                k4a, k4b = rhs(av + h * k3a, bv + h * k3b, *end)
+                av = av + h6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+                bv = bv + h6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+                da, db = rhs(av, bv, *end)
+                if not (isfinite(av) and isfinite(bv) and isfinite(da) and isfinite(db)):
+                    raise S.SolverError(f"state or rate is not finite at t={t[node]}")
+                a.append(av)
+                b.append(bv)
+                da_r.append(da)
+                da_l.append(da)
+                db_r.append(db)
+                db_l.append(db)
+    except (OverflowError, ZeroDivisionError, ValueError) as err:
+        raise S.SolverError(f"right-hand side failed at t={t[node]}: {err}") from None
+    return (t_arr, *(np.array(x) for x in (a, b, da_r, da_l, db_r, db_l)))
+
+
+def _reference_hamiltonian(ham, hist, t_end, n):
+    a1, a2, a3, a4 = (float(a) for a in ham.alphas)
+    a23 = a2 + a3
+    tau = hist.tau
+    phi = E.compiled_many((M.shifted_pair_partial(ham.h, "p"), M.shifted_pair_partial(ham.h, "q")))
+    phi_out = [0.0, 0.0]
+    slots = [math.nan] * E.NSLOTS
+    slots[E.TAU_INDEX] = tau
+    it, itm, itp, iq, iqm, iqp, ip, ipm, ipp = (
+        E.symbol(name, shift, 0).index for name in "tqp" for shift in (0, -1, 1)
+    )
+
+    def rhs(qv, pv, tv, qs, dqs, ps, dps, qs2, dqs2, ps2, dps2):
+        slots[it] = tv - tau
+        slots[itm] = tv - 2 * tau
+        slots[itp] = tv
+        slots[iq] = qs
+        slots[iqm] = qs2
+        slots[iqp] = qv
+        slots[ip] = ps
+        slots[ipm] = ps2
+        slots[ipp] = pv
+        phi_p, phi_q = phi(slots, phi_out)
+        qdot = (phi_p - a23 * dqs - a4 * dqs2) / a1
+        pdot = (-phi_q - a23 * dps - a1 * dps2) / a4
+        return qdot, pdot
+
+    fill = hist.fill(second_order=False)
+    t, q, p, qd, qd_l, pd, pd_l = _reference_method_of_steps(hist, t_end, n, fill, rhs)
+    return S.Trajectory(tau, n, t, q, p, qd, pd, qd_left=qd_l, pd_left=pd_l, start_index=2 * n)
+
+
+def _reference_elsgolts(lag, hist, t_end, n):
+    beta = float(lag.beta)
+    ag = float(lag.alpha + lag.gamma)
+    psi = E.compiled_many((M.shifted_pair_partial(lag.phi, "q"),))
+    psi_out = [0.0]
+    slots = [math.nan] * E.NSLOTS
+    slots[E.TAU_INDEX] = hist.tau
+    qi, qmi, qpi = (E.symbol("q", shift, 0).index for shift in (0, -1, 1))
+
+    def rhs(qv, vv, tv, qs, dqs, vs, as1, qs2, dqs2, vs2, as2):
+        slots[qi] = qs
+        slots[qmi] = qs2
+        slots[qpi] = qv
+        return vv, -(ag * as1 + beta * as2 + psi(slots, psi_out)[0]) / beta
+
+    fill = hist.fill(second_order=True)
+    t, q, v, _, _, qdd, qdd_l = _reference_method_of_steps(hist, t_end, n, fill, rhs)
+    return S.Trajectory(
+        hist.tau, n, t, q, None, v, None,
+        qd_left=v.copy(), qdd=qdd, qdd_left=qdd_l, start_index=2 * n,
+    )
+
+
+_STEPPERS = {
+    "hamiltonian": (S.step_hamiltonian, _reference_hamiltonian),
+    "lagrangian": (S.step_elsgolts, _reference_elsgolts),
+}
+
+
+def _outcome(step, model, hist, t_end, n):
+    """The trajectory, or the `SolverError` message."""
+    try:
+        return step(model, hist, t_end, n)
+    except S.SolverError as err:
+        return str(err)
+
+
+def _assert_same_outcome(formulation, model, hist, t_end, n):
+    """The generated step and the reference give the same bits in every
+    trajectory array, or the same error message; returns the trajectory."""
+    step, reference = _STEPPERS[formulation]
+    got, want = (_outcome(f, model, hist, t_end, n) for f in (step, reference))
+    if isinstance(want, str):
+        assert got == want
+        return None
+    for field in dataclasses.fields(S.Trajectory):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert_same_bits(g, w)
+        else:
+            assert g == w
+    return got
+
+
+@pytest.mark.parametrize("formulation", ["hamiltonian", "lagrangian"])
+def test_interval_step_matches_reference_on_readme_oscillator(
+    oscillator, sincos_history, formulation
+):
+    lag, ham = oscillator
+    model = ham if formulation == "hamiltonian" else lag
+    assert _assert_same_outcome(formulation, model, sincos_history, 10.0, 128) is not None
+
+
+def _random_sum(rng, atoms):
+    return E.add(*(conftest.random_expr(rng, atoms, depth=3, extended=True) for _ in range(3)))
+
+
+def _random_model(formulation, seed):
+    """A tame random model around the oscillator with sin/cos/exp/power terms
+    and nonzero a2 + a3 (alpha + gamma), so rates jump at every knot."""
+    rng = np.random.default_rng(seed)
+    if formulation == "hamiltonian":
+        extra = _random_sum(rng, [E.t, E.q, E.p, E.tm, E.qm, E.pm])
+        a2, a3 = (int(x) for x in rng.integers(-2, 3, size=2))
+        a2 += 1 if a2 + a3 == 0 else 0
+        alphas = (int(rng.choice([-2, -1, 1, 2])), a2, a3, int(rng.choice([-2, -1, 1, 2])))
+        return M.DelayHamiltonian(E.add(E.parse("p*pm + q*qm"), E.mul(0.1, extra)), alphas)
+    extra = _random_sum(rng, [E.q, E.qm])
+    alpha, gamma = (int(x) for x in rng.integers(-2, 3, size=2))
+    alpha += 1 if alpha + gamma == 0 else 0
+    beta = int(rng.choice([-2, -1, 1, 2]))
+    return M.QuadraticLagrangian(alpha, beta, gamma, E.add(E.parse("q*qm"), E.mul(0.1, extra)))
+
+
+@pytest.mark.parametrize("formulation", ["hamiltonian", "lagrangian"])
+def test_interval_step_matches_reference_on_random_models(formulation):
+    hist = S.History(0.0, 1.0, E.parse("sin(t) + t/4"), E.parse("cos(t) + t/5"))
+    finished = 0
+    for seed in range(8):
+        model = _random_model(formulation, seed)
+        traj = _assert_same_outcome(formulation, model, hist, 4.0, 16)
+        if traj is None:
+            continue
+        finished += 1
+        start = traj.start_index
+        right, left = ((traj.qd, traj.qd_left) if formulation == "hamiltonian"
+                       else (traj.qdd, traj.qdd_left))
+        assert right[start] != left[start]
+    assert finished >= 6
+
+
+@pytest.mark.parametrize(
+    "formulation, source, horizon, message",
+    [
+        ("hamiltonian", "p*pm + exp(q*qm)", 30.0, "right-hand side failed at t="),
+        ("hamiltonian", "p*pm + q*q*q*qm*qm*qm", 40.0, "state or rate is not finite at t="),
+        ("lagrangian", "q*q*q*qm*qm*qm", 40.0, "state or rate is not finite at t="),
+        ("hamiltonian", "p*pm + cos(q*q*q*qm*qm*qm)", 40.0, "math domain error"),
+        ("hamiltonian", "p*pm + 1/(q - qm - 1)", 40.0, "division by zero"),
+    ],
+    ids=["overflow", "hamiltonian-nan", "lagrangian-nan", "domain-error", "division-by-zero"],
+)
+def test_interval_step_fails_like_reference(formulation, source, horizon, message):
+    # the inputs of the CLI's blow-up cases
+    hist = S.History(0.0, 1.0, E.parse("3+t"), E.parse("3+t"))
+    if formulation == "hamiltonian":
+        model = M.DelayHamiltonian(E.parse(source), (1, 0, 0, 1))
+    else:
+        model = M.QuadraticLagrangian(0, 1, 0, E.parse(source))
+    step, reference = _STEPPERS[formulation]
+    with pytest.raises(S.SolverError) as want:
+        reference(model, hist, horizon, 8)
+    assert message in str(want.value)
+    with pytest.raises(S.SolverError) as got:
+        step(model, hist, horizon, 8)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("formulation", ["hamiltonian", "lagrangian"])
+def test_second_step_on_a_model_compiles_nothing(monkeypatch, sincos_history, formulation):
+    # a model no other test builds, so its first step compiles the kernel
+    if formulation == "hamiltonian":
+        model = M.DelayHamiltonian(E.parse("p*pm + q*qm + q^3*pm/7"), (1, 1, 0, 1))
+    else:
+        model = M.QuadraticLagrangian(1, 1, 0, E.parse("q*qm + q^3*qm/7"))
+    step = _STEPPERS[formulation][0]
+    compiles = []
+    real = builtins.compile
+
+    def counting(*args, **kwargs):
+        compiles.append(args[0])
+        return real(*args, **kwargs)
+
+    for expect_compile in (True, False):
+        before = set(E._COMPILE_CACHE)
+        compiles.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "compile", counting)
+            step(model, sincos_history, 3.0, 16)
+        added = set(E._COMPILE_CACHE) - before
+        if expect_compile:
+            assert any(key[-1] in ("hamiltonian", "elsgolts") for key in added)
+            assert any("for row, end in zip(rows, rows):" in src for src in compiles)
+        else:
+            assert added == set() and compiles == []
