@@ -1,13 +1,14 @@
 """Non-delay baseline: canonical equations, invariance, and first integrals.
 
 This mirrors the delay machinery on the ordinary single-time phase space and
-serves as a sanity oracle for it.  Expressions live in the same jet space but
-are restricted to unshifted symbols.
+serves as a sanity oracle for it: with pairing weights (0, 0, 1, 0) the delay
+residuals are these residuals.  Expressions live in the same jet space but
+are restricted to unshifted symbols.  The module keeps only what the CLI's
+`check-identity --classical`, the package exports and that cross-check use.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,25 +17,19 @@ import numpy as np
 from . import expr as ex
 from .expr import (
     Expr,
-    JetPoint,
     add,
-    div,
-    evaluate_array,
     evaluate_many,
     mul,
     neg,
     partial,
-    powi,
     random_jets,
     sub,
     symbol,
     total_derivative,
 )
-from .model import Generator, _check_symbols, _num
+from .model import Generator, _check_symbols
 
 _POINT = frozenset((symbol("t", 0, 0), symbol("q", 0, 0), symbol("p", 0, 0)))
-_TQ = frozenset((symbol("t", 0, 0), symbol("q", 0, 0)))
-_LAGR = frozenset((symbol("t", 0, 0), symbol("q", 0, 0), symbol("q", 0, 1)))
 
 
 @dataclass(frozen=True)
@@ -107,22 +102,6 @@ def classical_identity_residual(ch: ClassicalHamiltonian, g: Generator) -> Expr:
     return sub(classical_invariance(ch, g), decomposition)
 
 
-def classical_legendre(mass, potential: Expr) -> tuple[ClassicalHamiltonian, Expr]:
-    """L = mass/2*qd^2 - potential(t, q)  ->  (H, momentum map p = mass*qd)."""
-    mass = _num(mass)
-    if mass == 0:
-        raise ValueError("mass must be nonzero")
-    _check_symbols(potential, _TQ, "potential")
-    h = add(div(powi(ex.p, 2), mul(2, mass)), potential)
-    return ClassicalHamiltonian(h), mul(mass, ex.qd)
-
-
-def euler_lagrange_residual(lagrangian: Expr) -> Expr:
-    """dL/dq - D(dL/dqd) for a one-time Lagrangian L(t, q, qd)."""
-    _check_symbols(lagrangian, _LAGR, "a classical Lagrangian")
-    return sub(partial(lagrangian, "q"), total_derivative(partial(lagrangian, "qd")))
-
-
 _QD, _PD, _QDD, _PDD = (symbol(base, 0, order).index for order in (1, 2) for base in "qp")
 
 
@@ -141,62 +120,3 @@ def classical_on_shell_jets(
         fp, fq = evaluate_many((total_derivative(hp), total_derivative(hq)), A)
         A[_QDD], A[_PDD] = fp, -fq
     return A
-
-
-def classical_on_shell_jet(
-    ch: ClassicalHamiltonian, seed: int, index: int = 0, second_order: bool = True
-) -> JetPoint:
-    """Sample `index` of `classical_on_shell_jets` as a jet point."""
-    return JetPoint.from_slots(classical_on_shell_jets(ch, seed, 1, second_order, index)[:, 0])
-
-
-def integrate_canonical(
-    ch: ClassicalHamiltonian,
-    q0: float,
-    p0: float,
-    t0: float,
-    t_end: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed-step fourth-order Runge-Kutta for qd = H_p, pd = -H_q."""
-    gradient = ex.compiled_many((partial(ch.h, "p"), partial(ch.h, "q")))
-    grad = [0.0, 0.0]
-    ti = symbol("t", 0, 0).index
-    qi = symbol("q", 0, 0).index
-    pi = symbol("p", 0, 0).index
-    slots = [math.nan] * ex.NSLOTS
-    slots[ex.TAU_INDEX] = 1.0
-
-    def rhs(tv: float, qv: float, pv: float) -> tuple[float, float]:
-        slots[ti] = tv
-        slots[qi] = qv
-        slots[pi] = pv
-        hp, hq = gradient(slots, grad)
-        return hp, -hq
-
-    n = int(round((t_end - t0) / dt))
-    ts = t0 + dt * np.arange(n + 1)
-    qs = np.empty(n + 1)
-    ps = np.empty(n + 1)
-    qs[0], ps[0] = q0, p0
-    for i in range(n):
-        tv, qv, pv = ts[i], qs[i], ps[i]
-        k1q, k1p = rhs(tv, qv, pv)
-        k2q, k2p = rhs(tv + dt / 2, qv + dt / 2 * k1q, pv + dt / 2 * k1p)
-        k3q, k3p = rhs(tv + dt / 2, qv + dt / 2 * k2q, pv + dt / 2 * k2p)
-        k4q, k4p = rhs(tv + dt, qv + dt * k3q, pv + dt * k3p)
-        qs[i + 1] = qv + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        ps[i + 1] = pv + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return ts, qs, ps
-
-
-def integral_drift(
-    integral: Expr, ts: np.ndarray, qs: np.ndarray, ps: np.ndarray, tau_value: float = 1.0
-) -> float:
-    """Max |I(t) - I(t0)| along a classical trajectory."""
-    ts = np.asarray(ts, dtype=float)
-    rows = {symbol("t", sh, 0): ts + sh * tau_value for sh in (-1, 1)}
-    rows.update({symbol("t", 0, 0): ts, symbol("q", 0, 0): qs, symbol("p", 0, 0): ps})
-    values = evaluate_array(integral, ex.grid_slots(tau_value, rows))
-    # like a running max, fmax passes over a nan deviation
-    return float(np.fmax.reduce(np.abs(values[1:] - values[0]), initial=0.0))

@@ -380,11 +380,17 @@ def cmd_recurse(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _unreadable(err: OSError, path: str, pointer: str) -> ConfigError:
+    if isinstance(err, FileNotFoundError):
+        return ConfigError(pointer, f"file not found: {path}")
+    return ConfigError(pointer, f"cannot read {path}: {err.strerror}")
+
+
 def _read_trajectory(path: str, flag: str) -> solver.CsvTrajectory:
     try:
         return solver.read_csv(path)
-    except FileNotFoundError:
-        raise ConfigError(flag, f"file not found: {path}") from None
+    except OSError as err:
+        raise _unreadable(err, path, flag) from None
 
 
 def cmd_compare(cfg: RunConfig | None, args) -> int:
@@ -501,9 +507,9 @@ def _load_json(path: str, pointer: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _object(json.load(fh), pointer)
-    except FileNotFoundError:
-        raise ConfigError(pointer, f"file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise _unreadable(err, path, pointer) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(pointer, f"invalid JSON: {err}") from None
 
 
@@ -534,6 +540,8 @@ def main(argv: list[str] | None = None) -> int:
         folder = os.path.dirname(args.out or "")
         if folder and not os.path.isdir(folder):
             raise ConfigError("--out", f"directory not found: {folder}")
+        if args.out and os.path.isdir(args.out):
+            raise ConfigError("--out", f"is a directory: {args.out}")
         return handlers[args.command](cfg, args)
     except ConfigError as err:
         print(str(err), file=sys.stderr)

@@ -942,31 +942,8 @@ class JetPoint:
             raise MissingSymbolError(s, self)
         return v
 
-    def with_values(self, values: Mapping[str | Symbol, float]) -> "JetPoint":
-        out = JetPoint(self.tau)
-        out._vals[:] = self._vals
-        for key, val in values.items():
-            s = SYMBOL_BY_NAME[key] if isinstance(key, str) else key
-            if s.base == "t" and s.order == 0 and s.shift == 0:
-                out._set_time(float(val))
-            else:
-                out._vals[s.index] = float(val)
-        return out
-
     def slots(self) -> list[float]:
         return self._vals
-
-    def advanced(self) -> "JetPoint":
-        """The jet one delay later, assuming shifted slots describe the same curve."""
-        out = JetPoint(self.tau)
-        out._set_time(self.t + self.tau)
-        for base in ("q", "p"):
-            for order in range(3):
-                for sh in (-1, 0):
-                    out._vals[symbol(base, sh, order).index] = self._vals[
-                        symbol(base, sh + 1, order).index
-                    ]
-        return out
 
     def __repr__(self) -> str:
         named = {
@@ -1281,8 +1258,7 @@ def compiled_many(roots: Iterable[Expr], with_magnitude: bool = False) -> Callab
 def compiled(e: Expr, with_magnitude: bool = False) -> Callable:
     """Compile into `f(slots) -> value` (or `(value, max_abs_intermediate)`).
 
-    A view on the kernel `compiled_many((e,), with_magnitude)`.  `f.array`
-    maps a `(NSLOTS, N)` slot array to `N` values (or to a pair of rows).
+    A scalar view on the kernel `compiled_many((e,), with_magnitude)`.
     """
     kernel = compiled_many((e,), with_magnitude)
     rows = 1 + with_magnitude
@@ -1291,7 +1267,6 @@ def compiled(e: Expr, with_magnitude: bool = False) -> Callable:
     def f(slots):
         return pick(kernel(slots, [0.0] * rows))
 
-    f.array = lambda slots: pick(kernel.array(slots, np.empty((rows, slots.shape[1]))))
     return f
 
 
@@ -1419,6 +1394,7 @@ def is_zero_on(e: Expr, slots: np.ndarray, tol: float = 1e-9) -> ZeroCheck:
     return _zero_check(e, slots, tol, lambda k: JetPoint.from_slots(slots[:, k]))
 
 
+# no library caller; kept because bench/tracing.py wraps it by name
 def is_zero_at(e: Expr, jets: Iterable[JetPoint], tol: float = 1e-9) -> ZeroCheck:
     """`is_zero_on` over a list of jet points; a witness is one of them."""
     jets = list(jets)

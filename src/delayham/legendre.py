@@ -35,9 +35,6 @@ from .model import (
     QuadraticLagrangian,
     _check_symbols,
     _num,
-    momentum_substitution,
-    variational_p,
-    variational_q,
 )
 
 
@@ -237,24 +234,3 @@ def legendre_extended(l: ExtendedLagrangian) -> ExtendedLegendreResult:
     )
     alphas = (mul(l.beta, mu_m), mul(l.gamma, mu_m), mul(l.alpha, l.mu), mul(l.beta, l.mu))
     return ExtendedLegendreResult(h_expr, alphas, (r_here, r_lag))
-
-
-def extended_action_density(res: ExtendedLegendreResult) -> Expr:
-    a1, a2, a3, a4 = res.alphas
-    return add(
-        mul(ex.pm, add(mul(a1, ex.qd), mul(a2, ex.qdm))),
-        mul(ex.p, add(mul(a3, ex.qd), mul(a4, ex.qdm))),
-        neg(res.h),
-    )
-
-
-def extended_residuals(res: ExtendedLegendreResult) -> tuple[Expr, Expr]:
-    """Vertical variational residuals of the extended phase-space density."""
-    density = extended_action_density(res)
-    return variational_p(density), variational_q(density)
-
-
-def extended_momentum_substitution(l: ExtendedLagrangian) -> dict:
-    """Symbol map p -> (qd - lam(q)) / mu(q), with shifted and dotted copies."""
-    p_of_qd = div(sub(ex.qd, l.lam), l.mu)
-    return momentum_substitution(p_of_qd)

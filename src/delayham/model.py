@@ -309,19 +309,6 @@ def xi_admissible(g: Generator, samples: int = 60, tol: float = 1e-9, seed: int 
 # ---------------------------------------------------------------------------
 
 
-def momentum_substitution(p_of_qd: Expr) -> dict:
-    """Symbol map sending every momentum slot to its expression in velocities."""
-    pdot = total_derivative(p_of_qd)
-    return {
-        symbol("p", 0, 0): p_of_qd,
-        symbol("p", -1, 0): shift(p_of_qd, -1),
-        symbol("p", 1, 0): shift(p_of_qd, +1),
-        symbol("p", 0, 1): pdot,
-        symbol("p", -1, 1): shift(pdot, -1),
-        symbol("p", 1, 1): shift(pdot, +1),
-    }
-
-
 _SLOT = {name: ex.SYMBOL_BY_NAME[name].index for name in (
     "qd", "qdm", "qdp", "pd", "pdm", "pdp", "qdd", "qddm", "qddp", "pdd", "pddm", "pddp",
 )}

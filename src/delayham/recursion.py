@@ -22,8 +22,6 @@ from . import expr as ex
 from .expr import Expr, add, cos, mul, neg, partial, sin
 from .solver import History, SolverError, Trajectory, _grid
 
-_T = ex.symbol("t", 0, 0)
-
 
 class RecursionError_(RuntimeError):
     pass
@@ -136,20 +134,6 @@ def recurse(
         hist.tau, n, t, q, p, qd, pd,
         qd_left=qd.copy(), pd_left=pd.copy(), start_index=2 * n,
     )
-
-
-def relation_residuals(rel: SumFormRelation, traj: Trajectory) -> tuple[float, float]:
-    """Largest violation of the two sum relations on the trajectory grid
-    (nan violations are skipped)."""
-    n = traj.steps_per_delay
-    size = len(traj.t)
-    mid = slice(n, size - n)
-    worst = []
-    for values, g in ((traj.q, rel.g_q), (traj.p, rel.g_p)):
-        g_values = ex.evaluate_array(g, ex.grid_slots(traj.tau, {_T: traj.t[mid]}))
-        gap = values[2 * n :] + rel.c_mid * values[mid] + values[: size - 2 * n] - g_values
-        worst.append(float(np.fmax.reduce(np.abs(gap), initial=0.0)))
-    return worst[0], worst[1]
 
 
 # ---------------------------------------------------------------------------

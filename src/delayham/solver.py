@@ -128,10 +128,6 @@ class Trajectory:
     def h(self) -> float:
         return self.tau / self.steps_per_delay
 
-    def knot_indices(self) -> list[int]:
-        n = self.steps_per_delay
-        return list(range(self.start_index, len(self.t), n))
-
     def slots(self, lo: int, hi: int, qdd=None, pdd=None) -> np.ndarray:
         """Slot array whose column i - lo is the jet at grid node i, lo <= i < hi.
 
@@ -499,10 +495,11 @@ def read_csv(path_or_stream) -> CsvTrajectory:
     """Read the fixed schema back; delay metadata is left unset (zero).
 
     A malformed row (named by its 1-based line) or a file without rows
-    raises `SolverError`.
+    raises `SolverError`; bytes that are not UTF-8 make their row malformed.
     """
     blocks = [np.empty((0, _CSV_CELLS))]
-    with (open(path_or_stream, "r", encoding="utf-8") if isinstance(path_or_stream, str)
+    with (open(path_or_stream, "r", encoding="utf-8", errors="surrogateescape")
+          if isinstance(path_or_stream, str)
           else contextlib.nullcontext(path_or_stream)) as stream:
         lines = iter(stream)
         number, header = next(((k, ln) for k, ln in enumerate(lines, 1) if ln.strip()), (0, ""))
@@ -520,27 +517,3 @@ def read_csv(path_or_stream) -> CsvTrajectory:
         return None if np.all(np.isnan(column)) else column
 
     return CsvTrajectory(0.0, 0, data[:, 0], data[:, 1], col(2), col(3), col(4))
-
-
-# ---------------------------------------------------------------------------
-# convergence studies
-# ---------------------------------------------------------------------------
-
-
-def observed_orders(errors: list[float]) -> list[float]:
-    """log2 ratios of consecutive errors for a step-halving sequence."""
-    out = []
-    for a, b in zip(errors, errors[1:]):
-        if b == 0:
-            out.append(math.inf)
-        else:
-            out.append(math.log2(a / b))
-    return out
-
-
-def fitted_order(ns: list[int], errors: list[float]) -> float:
-    """Least-squares slope of log2(error) against log2(N)."""
-    xs = np.log2(np.array(ns, dtype=float))
-    ys = np.log2(np.array(errors, dtype=float))
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope)

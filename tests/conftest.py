@@ -1,5 +1,8 @@
 """Shared builders for the test-suite: reference systems, random expressions,
-jets lying on smooth curves, and oracle routes the library itself does not use."""
+jets lying on smooth curves, and oracle routes the library itself does not use.
+
+Reference helpers that only tests call live here rather than in `src/`
+(`tests/test_no_test_only_code.py` keeps it that way)."""
 
 from __future__ import annotations
 
@@ -8,9 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from delayham import classical as C
 from delayham import expr as E
 from delayham import legendre as L
 from delayham import model as M
+from delayham import recursion as R
 from delayham import solver as S
 from delayham.expr import add, div, mul, neg, partial, powi, shift, sub, total_derivative
 
@@ -171,6 +176,14 @@ def reference_jet_slots(seed: int, k: int) -> list[float]:
     return slots
 
 
+def jet_with_values(jet: E.JetPoint, values: dict[str, float]) -> E.JetPoint:
+    """A copy of `jet` with the named (non-time) slots set to `values`."""
+    slots = list(jet.slots())
+    for name, value in values.items():
+        slots[E.SYMBOL_BY_NAME[name].index] = float(value)
+    return E.JetPoint.from_slots(slots)
+
+
 # ---------------------------------------------------------------------------
 # oracle routes
 # ---------------------------------------------------------------------------
@@ -241,3 +254,127 @@ def is_zero_on_shell(e: E.Expr, h: M.DelayHamiltonian, samples: int = 100,
     """Sampled vanishing of `e` on jets satisfying the canonical equations."""
     need_second = any(s.order >= 2 for s in E.symbols_of(e))
     return E.is_zero_on(e, M.on_shell_jets(h, seed, samples, second_order=need_second), tol)
+
+
+def momentum_substitution(p_of_qd: E.Expr) -> dict:
+    """Symbol map sending every momentum slot to its expression in velocities."""
+    pdot = total_derivative(p_of_qd)
+    return {
+        E.symbol("p", 0, 0): p_of_qd,
+        E.symbol("p", -1, 0): shift(p_of_qd, -1),
+        E.symbol("p", 1, 0): shift(p_of_qd, +1),
+        E.symbol("p", 0, 1): pdot,
+        E.symbol("p", -1, 1): shift(pdot, -1),
+        E.symbol("p", 1, 1): shift(pdot, +1),
+    }
+
+
+def extended_action_density(res: L.ExtendedLegendreResult) -> E.Expr:
+    a1, a2, a3, a4 = res.alphas
+    return add(
+        mul(E.pm, add(mul(a1, E.qd), mul(a2, E.qdm))),
+        mul(E.p, add(mul(a3, E.qd), mul(a4, E.qdm))),
+        neg(res.h),
+    )
+
+
+def extended_residuals(res: L.ExtendedLegendreResult) -> tuple[E.Expr, E.Expr]:
+    """Vertical variational residuals of the extended phase-space density."""
+    density = extended_action_density(res)
+    return M.variational_p(density), M.variational_q(density)
+
+
+def extended_momentum_substitution(l: L.ExtendedLagrangian) -> dict:
+    """Symbol map p -> (qd - lam(q)) / mu(q), with shifted and dotted copies."""
+    p_of_qd = div(sub(E.qd, l.lam), l.mu)
+    return momentum_substitution(p_of_qd)
+
+
+def relation_residuals(rel: R.SumFormRelation, traj: S.Trajectory) -> tuple[float, float]:
+    """Largest violation of the two sum relations on the trajectory grid
+    (nan violations are skipped)."""
+    n = traj.steps_per_delay
+    size = len(traj.t)
+    mid = slice(n, size - n)
+    worst = []
+    for values, g in ((traj.q, rel.g_q), (traj.p, rel.g_p)):
+        g_values = E.evaluate_array(g, E.grid_slots(traj.tau, {E.symbol("t", 0, 0): traj.t[mid]}))
+        gap = values[2 * n :] + rel.c_mid * values[mid] + values[: size - 2 * n] - g_values
+        worst.append(float(np.fmax.reduce(np.abs(gap), initial=0.0)))
+    return worst[0], worst[1]
+
+
+def integrate_canonical(
+    ch: C.ClassicalHamiltonian,
+    q0: float,
+    p0: float,
+    t0: float,
+    t_end: float,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-step fourth-order Runge-Kutta for qd = H_p, pd = -H_q."""
+    gradient = E.compiled_many((partial(ch.h, "p"), partial(ch.h, "q")))
+    grad = [0.0, 0.0]
+    ti = E.symbol("t", 0, 0).index
+    qi = E.symbol("q", 0, 0).index
+    pi = E.symbol("p", 0, 0).index
+    slots = [math.nan] * E.NSLOTS
+    slots[E.TAU_INDEX] = 1.0
+
+    def rhs(tv: float, qv: float, pv: float) -> tuple[float, float]:
+        slots[ti] = tv
+        slots[qi] = qv
+        slots[pi] = pv
+        hp, hq = gradient(slots, grad)
+        return hp, -hq
+
+    n = int(round((t_end - t0) / dt))
+    ts = t0 + dt * np.arange(n + 1)
+    qs = np.empty(n + 1)
+    ps = np.empty(n + 1)
+    qs[0], ps[0] = q0, p0
+    for i in range(n):
+        tv, qv, pv = ts[i], qs[i], ps[i]
+        k1q, k1p = rhs(tv, qv, pv)
+        k2q, k2p = rhs(tv + dt / 2, qv + dt / 2 * k1q, pv + dt / 2 * k1p)
+        k3q, k3p = rhs(tv + dt / 2, qv + dt / 2 * k2q, pv + dt / 2 * k2p)
+        k4q, k4p = rhs(tv + dt, qv + dt * k3q, pv + dt * k3p)
+        qs[i + 1] = qv + dt / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+        ps[i + 1] = pv + dt / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return ts, qs, ps
+
+
+def integral_drift(
+    integral: E.Expr, ts: np.ndarray, qs: np.ndarray, ps: np.ndarray, tau_value: float = 1.0
+) -> float:
+    """Max |I(t) - I(t0)| along a classical trajectory."""
+    ts = np.asarray(ts, dtype=float)
+    rows = {E.symbol("t", sh, 0): ts + sh * tau_value for sh in (-1, 1)}
+    rows.update({E.symbol("t", 0, 0): ts, E.symbol("q", 0, 0): qs, E.symbol("p", 0, 0): ps})
+    values = E.evaluate_array(integral, E.grid_slots(tau_value, rows))
+    # like a running max, fmax passes over a nan deviation
+    return float(np.fmax.reduce(np.abs(values[1:] - values[0]), initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# convergence studies
+# ---------------------------------------------------------------------------
+
+
+def observed_orders(errors: list[float]) -> list[float]:
+    """log2 ratios of consecutive errors for a step-halving sequence."""
+    out = []
+    for a, b in zip(errors, errors[1:]):
+        if b == 0:
+            out.append(math.inf)
+        else:
+            out.append(math.log2(a / b))
+    return out
+
+
+def fitted_order(ns: list[int], errors: list[float]) -> float:
+    """Least-squares slope of log2(error) against log2(N)."""
+    xs = np.log2(np.array(ns, dtype=float))
+    ys = np.log2(np.array(errors, dtype=float))
+    slope = np.polyfit(xs, ys, 1)[0]
+    return float(-slope)

@@ -21,9 +21,15 @@ from delayham import solver as S
 from conftest import (
     elsgolts_residual_general,
     extended_elsgolts_display,
+    extended_momentum_substitution,
+    extended_residuals,
+    fitted_order,
+    integral_drift,
+    integrate_canonical,
     is_zero_on_shell,
     random_generator,
     random_quadratic_hamiltonian,
+    relation_residuals,
 )
 
 TAU = 1.0
@@ -86,8 +92,8 @@ def test_criterion_02_classical_baseline():
     oscillator = C.ClassicalHamiltonian(E.parse("(p^2 + q^2)/2"))
     energy = C.classical_first_integral(oscillator, M.Generator(E.ONE, E.ZERO, E.ZERO))
     assert energy is E.neg(oscillator.h)
-    ts, qs, ps = C.integrate_canonical(oscillator, 1.0, 0.0, 0.0, 10.0, 1e-3)
-    drift_value = C.integral_drift(energy, ts, qs, ps)
+    ts, qs, ps = integrate_canonical(oscillator, 1.0, 0.0, 0.0, 10.0, 1e-3)
+    drift_value = integral_drift(energy, ts, qs, ps)
     assert drift_value <= 1e-8, drift_value
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"classical baseline took {elapsed:.2f}s"
@@ -134,7 +140,7 @@ def test_criterion_04_dynamics_equivalence():
     for label, lag, ham in (("plain", OSC_LAG, OSC_HAM), ("degenerate", DEG_LAG, DEG_HAM)):
         gaps = [_dynamics_gap(lag, ham, n) for n in (32, 64, 128, 256)]
         assert gaps[2] <= 1e-5, (label, gaps)
-        order = S.fitted_order([32, 64, 128, 256], gaps)
+        order = fitted_order([32, 64, 128, 256], gaps)
         assert order >= 3.0, (label, gaps, order)
         assert all(b < a for a, b in zip(gaps, gaps[1:])), (label, gaps)
         summaries.append(f"{label}: gap@128={gaps[2]:.2e}, order={order:.2f}")
@@ -173,7 +179,7 @@ def test_criterion_05_first_integral_reproduction_and_drift():
                 )
             )
         assert drifts[2] <= 1e-5, (label, drifts)
-        order = S.fitted_order([32, 64, 128, 256], drifts)
+        order = fitted_order([32, 64, 128, 256], drifts)
         assert order >= 3.0, (label, drifts, order)
         summaries.append(f"{label}: drift@128={drifts[2]:.2e}, order={order:.2f}")
     _report(5, "; ".join(summaries))
@@ -188,7 +194,7 @@ def test_criterion_06_recursion_oracle():
     assert b == pytest.approx(-math.sin(TAU) * u + math.cos(TAU) * v, abs=1e-14)
     rel = R.relation_from_constants(0, a, b)
     recursive = R.recurse(rel, HISTORY, 6 * TAU, 128)
-    worst_q, worst_p = R.relation_residuals(rel, recursive)
+    worst_q, worst_p = relation_residuals(rel, recursive)
     assert worst_q <= 1e-12 and worst_p <= 1e-12, (worst_q, worst_p)
     numeric = S.step_hamiltonian(OSC_HAM, HISTORY, 6 * TAU, 128)
     report = R.compare(numeric, recursive)
@@ -263,8 +269,8 @@ def test_criterion_09_extended_transform_equivalence():
         E.const(2), E.const(1), E.const(3), E.q, E.const(2), E.parse("q*qm")
     )
     res = L.legendre_extended(ext)
-    rp, rq = L.extended_residuals(res)
-    sub = L.extended_momentum_substitution(ext)
+    rp, rq = extended_residuals(res)
+    sub = extended_momentum_substitution(ext)
     display = extended_elsgolts_display(ext)
     assert E.is_zero(E.substitute(rp, sub), samples=30, tol=1e-8, seed=61).ok
     gap = E.sub(E.substitute(rq, sub), display)

@@ -341,6 +341,9 @@ def test_single_fault_config_error_names_pointer_and_message(
     assert not (tmp_path / "out").exists()
 
 
+DIRECTORY = object()  # a document path that names a directory
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [
@@ -351,9 +354,16 @@ def test_single_fault_config_error_names_pointer_and_message(
         (["transform", "--alpha1", "nan"], "--alpha1: expected a finite number"),
         (["transform", "--alpha1", "inf"], "--alpha1: expected a finite number"),
         (["compare", "--max-diff", "nan"], "--max-diff: expected a finite number"),
+        (["simulate", "--config", DIRECTORY], "/: cannot read {tmp}/config.json: Is a directory"),
+        (["simulate", "--model", DIRECTORY], "/model: cannot read {tmp}/model.json: Is a directory"),
+        (["simulate", "--history", DIRECTORY],
+         "/history: cannot read {tmp}/history.json: Is a directory"),
+        (["simulate", "--config", b"\xff{}"],
+         "/: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ],
     ids=["model-list", "history-string", "config-list-with-override", "negative-seed",
-         "alpha1-nan", "alpha1-inf", "max-diff-nan"],
+         "alpha1-nan", "alpha1-inf", "max-diff-nan", "config-directory", "model-directory",
+         "history-directory", "config-not-utf-8"],
 )
 def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, line):
     base = tmp_path / "base.json"
@@ -362,8 +372,14 @@ def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, li
     for i, arg in enumerate(argv[:-1]):
         if arg in ("--config", "--model", "--history"):
             doc = tmp_path / f"{arg[2:]}.json"
-            doc.write_text(argv[i + 1])
+            if argv[i + 1] is DIRECTORY:
+                doc.mkdir()
+            elif isinstance(argv[i + 1], bytes):
+                doc.write_bytes(argv[i + 1])
+            else:
+                doc.write_text(argv[i + 1])
             argv[i + 1] = str(doc)
+    line = line.format(tmp=tmp_path)
     if "--config" not in argv:
         argv += ["--config", str(base)]
     if argv[0] == "compare":
@@ -553,8 +569,8 @@ def test_compare_fails_on_a_non_finite_row(osc_config, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "cells",
-    [["1", "2", "3"], None, "x"],
-    ids=["short-row", "long-row", "non-numeric-cell"],
+    [["1", "2", "3"], None, "x", "\udcff"],
+    ids=["short-row", "long-row", "non-numeric-cell", "not-utf-8"],
 )
 def test_compare_fails_on_a_malformed_row(osc_config, tmp_path, capsys, cells):
     a = tmp_path / "a.csv"
@@ -563,11 +579,12 @@ def test_compare_fails_on_a_malformed_row(osc_config, tmp_path, capsys, cells):
     row = lines[6].split(",")
     if cells is None:
         cells = row + row
-    elif cells == "x":
-        cells = row[:3] + ["x"] + row[4:]
+    elif isinstance(cells, str):
+        cells = row[:3] + [cells] + row[4:]
     lines[6] = ",".join(cells)
     b = tmp_path / "b.csv"
-    b.write_text("\n".join(lines) + "\n")
+    # a lone surrogate escape is written as the byte 0xff, which is not UTF-8
+    b.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     rc = cli.main(["compare", "--a", str(a), "--b", str(b), "--max-diff", "1e-5"])
     assert rc == cli.EXIT_NUMERIC
     assert "numeric failure: CSV line 7: " in capsys.readouterr().err
@@ -585,17 +602,26 @@ def test_compare_skips_components_a_run_does_not_carry(osc_config, tmp_path, cap
     assert sorted(components) == ["q", "qd"]
 
 
-@pytest.mark.parametrize("flag", ["--a", "--b"])
-def test_compare_with_a_missing_input_is_a_config_error(osc_config, tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, directory",
+    [("--a", False), ("--b", False), ("--a", True), ("--b", True)],
+    ids=["--a", "--b", "--a-directory", "--b-directory"],
+)
+def test_compare_with_a_missing_input_is_a_config_error(
+    osc_config, tmp_path, capsys, flag, directory
+):
     run = tmp_path / "run.csv"
     assert cli.main(["simulate", "--config", osc_config, "--out", str(run)]) == 0
     missing = tmp_path / "missing.csv"
+    if directory:
+        missing.mkdir()
     files = {"--a": str(run), "--b": str(run), flag: str(missing)}
     capsys.readouterr()
     out = tmp_path / "report.json"
     argv = ["compare", "--a", files["--a"], "--b", files["--b"], "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error at {flag}: file not found: {missing}\n"
+    reason = f"cannot read {missing}: Is a directory" if directory else f"file not found: {missing}"
+    assert capsys.readouterr().err == f"config error at {flag}: {reason}\n"
     assert not out.exists()
 
 
@@ -621,20 +647,24 @@ def test_alpha1_that_underflows_a_coefficient_is_a_numeric_failure(
     assert not out.exists()
 
 
+_COMMANDS = {
+    "transform": [],
+    "simulate": [],
+    "noether": [],
+    "recurse": [],
+    "compare": ["--a", "a.csv", "--b", "b.csv"],
+    "check-identity": [],
+}
+
+
 @pytest.mark.parametrize(
-    "command, argv",
-    [
-        ("transform", []),
-        ("simulate", []),
-        ("noether", []),
-        ("recurse", []),
-        ("compare", ["--a", "a.csv", "--b", "b.csv"]),
-        ("check-identity", []),
-    ],
-    ids=["transform", "simulate", "noether", "recurse", "compare", "check-identity"],
+    "command, argv, directory",
+    [(c, argv, False) for c, argv in _COMMANDS.items()]
+    + [(c, argv, True) for c, argv in _COMMANDS.items()],
+    ids=[*_COMMANDS, *(f"{c}-out-is-a-directory" for c in _COMMANDS)],
 )
 def test_out_in_a_missing_directory_is_rejected_before_any_work(
-    osc_config, tmp_path, capsys, monkeypatch, command, argv
+    osc_config, tmp_path, capsys, monkeypatch, command, argv, directory
 ):
     def no_work(cfg, args):
         raise AssertionError("the command ran")
@@ -642,8 +672,14 @@ def test_out_in_a_missing_directory_is_rejected_before_any_work(
     monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), no_work)
     folder = tmp_path / "missing"
     out = folder / "out"
+    if directory:
+        out.mkdir(parents=True)
     rc = cli.main([command, "--config", osc_config, *argv, "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
+    if directory:
+        assert capsys.readouterr().err == f"config error at --out: is a directory: {out}\n"
+        assert not any(out.iterdir())
+        return
     assert capsys.readouterr().err == f"config error at --out: directory not found: {folder}\n"
     assert not folder.exists()
 

@@ -130,11 +130,21 @@ def test_jet_rejects_conflicting_shifted_time():
         E.JetPoint(1.0, {"tm": 5.0}, t_value=0.0)
 
 
+def _advanced(jet: E.JetPoint) -> E.JetPoint:
+    """The jet one delay later, assuming shifted slots describe the same curve."""
+    slots = list(E.JetPoint(jet.tau, t_value=jet.t + jet.tau).slots())
+    for base in ("q", "p"):
+        for order in range(3):
+            for sh in (-1, 0):
+                slots[E.symbol(base, sh, order).index] = jet.value(E.symbol(base, sh + 1, order))
+    return E.JetPoint.from_slots(slots)
+
+
 def test_jet_advanced_matches_shift():
     e = E.parse("q*pm + sin(t)*qdm")
     jet = E.random_jet(7, 0)
     shifted = E.shift(e, +1)
-    assert E.evaluate(shifted, jet) == pytest.approx(E.evaluate(e, jet.advanced()), rel=1e-12)
+    assert E.evaluate(shifted, jet) == pytest.approx(E.evaluate(e, _advanced(jet)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +359,12 @@ def test_random_jets_columns_match_single_draws(seed, start, n):
     assert _same_bits(inner, slots[:, n // 3 : n // 3 + n // 2])
 
 
+def _array_binding(e, slots, with_magnitude=False):
+    """`e`'s kernel on the array binding: its `(1 + with_magnitude, N)` rows."""
+    rows = np.empty((1 + with_magnitude, slots.shape[1]))
+    return E.compiled_many((e,), with_magnitude).array(slots, rows)
+
+
 def test_array_binding_matches_scalar_kernel_bit_for_bit():
     rng = np.random.default_rng(4242)
     slots = E.random_jets(99, 24)
@@ -366,8 +382,8 @@ def test_array_binding_matches_scalar_kernel_bit_for_bit():
                 E.evaluate_array(e, slots)
             continue
         with np.errstate(all="ignore"):
-            got = np.broadcast_to(scalar.array(slots), (24,))
-            got_value, got_mag = (np.broadcast_to(x, (24,)) for x in scalar_mag.array(slots))
+            (got,) = _array_binding(e, slots)
+            got_value, got_mag = _array_binding(e, slots, with_magnitude=True)
         assert _same_bits(got, want), E.to_source(e)
         assert _same_bits(got_value, [v for v, _ in want_mag]), E.to_source(e)
         finite = np.isfinite(got)
@@ -489,7 +505,7 @@ def _assert_kernel_matches_per_root(roots, slots):
     kernel = E.compiled_many(roots, with_magnitude=True)
     with np.errstate(all="ignore"):
         rows = kernel.array(slots, np.empty((len(roots) + 1, slots.shape[1])))
-        magnitudes = [E.compiled(r, with_magnitude=True).array(slots)[1] for r in roots]
+        magnitudes = [_array_binding(r, slots, with_magnitude=True)[1] for r in roots]
     finite = np.isfinite(rows).all(axis=0)
     assert_same_bits(rows[:-1, finite], got[:, finite])
     # the magnitude is the largest |value| of any subtree of any root

@@ -7,7 +7,13 @@ from delayham import expr as E
 from delayham import legendre as L
 from delayham import model as M
 
-from conftest import elsgolts_residual_general, extended_elsgolts_display
+from conftest import (
+    elsgolts_residual_general,
+    extended_elsgolts_display,
+    extended_momentum_substitution,
+    extended_residuals,
+    momentum_substitution,
+)
 
 
 def z(e, seed=0, samples=40, tol=1e-10):
@@ -137,7 +143,7 @@ def test_momentum_shell_reproduces_second_order_equation():
         lag = M.QuadraticLagrangian(alpha, beta, gamma, E.parse("q^2*qm"))
         res = L.legendre_forward(lag)
         rp, rq, _ = M.variational_residuals(res.hamiltonian)
-        sub = M.momentum_substitution(res.momentum_map[0])
+        sub = momentum_substitution(res.momentum_map[0])
         assert E.is_zero(E.substitute(rp, sub), samples=50, tol=1e-9, seed=3).ok
         gap = E.sub(E.substitute(rq, sub), M.elsgolts_residual(lag))
         assert E.is_zero(gap, samples=50, tol=1e-9, seed=3).ok
@@ -243,8 +249,8 @@ def test_extended_display_matches_operator_route():
 def test_extended_residuals_match_second_order_equation():
     ext = _extended_constant()
     res = L.legendre_extended(ext)
-    rp, rq = L.extended_residuals(res)
-    sub = L.extended_momentum_substitution(ext)
+    rp, rq = extended_residuals(res)
+    sub = extended_momentum_substitution(ext)
     assert E.is_zero(E.substitute(rp, sub), samples=30, tol=1e-8, seed=17).ok
     gap = E.sub(E.substitute(rq, sub), extended_elsgolts_display(ext))
     assert E.is_zero(gap, samples=30, tol=1e-8, seed=17).ok

@@ -4,7 +4,12 @@ import pytest
 from delayham import expr as E
 from delayham import model as M
 
-from conftest import elsgolts_residual_general, random_quadratic_hamiltonian
+from conftest import (
+    elsgolts_residual_general,
+    jet_with_values,
+    momentum_substitution,
+    random_quadratic_hamiltonian,
+)
 
 
 def z(e, seed=0, samples=40, tol=1e-10):
@@ -225,7 +230,7 @@ def test_xi_delay_periodic_admissible():
 def test_momentum_substitution_reduces_to_elsgolts(oscillator):
     lag, ham = oscillator
     rp, rq, _ = M.variational_residuals(ham)
-    sub = M.momentum_substitution(E.qd)  # p = qd for these weights
+    sub = momentum_substitution(E.qd)  # p = qd for these weights
     assert E.is_zero(E.substitute(rp, sub), samples=50, tol=1e-9, seed=9).ok
     gap = E.sub(E.substitute(rq, sub), M.elsgolts_residual(lag))
     assert E.is_zero(gap, samples=50, tol=1e-9, seed=9).ok
@@ -279,13 +284,13 @@ def _reference_on_shell_slots(h, seed, k, second_order):
     dp = M.shifted_pair_partial(h.h, "p")
     dq = M.shifted_pair_partial(h.h, "q")
     v = jet.value
-    jet = jet.with_values({
+    jet = jet_with_values(jet, {
         "qdp": (E.evaluate(dp, jet) - (a2 + a3) * v("qd") - a4 * v("qdm")) / a1,
         "pdp": (-E.evaluate(dq, jet) - (a2 + a3) * v("pd") - a1 * v("pdm")) / a4,
     })
     if second_order:
         v = jet.value
-        jet = jet.with_values({
+        jet = jet_with_values(jet, {
             "qddp": (E.evaluate(E.total_derivative(dp), jet) - (a2 + a3) * v("qdd") - a4 * v("qddm")) / a1,
             "pddp": (-E.evaluate(E.total_derivative(dq), jet) - (a2 + a3) * v("pdd") - a1 * v("pddm")) / a4,
         })

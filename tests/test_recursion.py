@@ -10,7 +10,7 @@ from delayham import noether as N
 from delayham import recursion as R
 from delayham import solver as S
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, relation_residuals
 
 
 def test_recovered_constants_match_closed_forms(sincos_history):
@@ -80,7 +80,7 @@ def test_sum_relations_hold_to_roundoff(sincos_history):
     for c_mid in (0, 2):
         rel = R.relation_from_history(sincos_history, c_mid)
         traj = R.recurse(rel, sincos_history, 6.0, 64)
-        worst_q, worst_p = R.relation_residuals(rel, traj)
+        worst_q, worst_p = relation_residuals(rel, traj)
         assert worst_q <= 1e-12
         assert worst_p <= 1e-12
 
@@ -196,7 +196,7 @@ def test_recurse_matches_node_loop(c_mid):
     want = _recurse_by_node(rel, hist, 0.5 + 4 * 0.75, 16)
     for got, values in zip((traj.q, traj.p, traj.qd, traj.pd), want):
         assert_same_bits(got, values)
-    got_q, got_p = R.relation_residuals(rel, traj)
+    got_q, got_p = relation_residuals(rel, traj)
     want_q, want_p = _relation_residuals_by_node(rel, traj)
     assert (got_q, got_p) == (want_q, want_p)
     assert want_q > 0 or want_p > 0

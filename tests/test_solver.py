@@ -11,7 +11,7 @@ from delayham import model as M
 from delayham import solver as S
 
 import conftest
-from conftest import assert_same_bits
+from conftest import assert_same_bits, observed_orders
 
 
 def test_exact_solution_reproduced(oscillator, sincos_history):
@@ -94,7 +94,7 @@ def test_convergence_with_derivative_jumps(oscillator):
         a = S.step_hamiltonian(ham, hist, 6.0, n)
         b = S.step_hamiltonian(ham, hist, 6.0, 2 * n)
         errors.append(float(np.max(np.abs(a.q - b.q[::2]))))
-    for order in S.observed_orders(errors):
+    for order in observed_orders(errors):
         assert order >= 3.0
 
 
