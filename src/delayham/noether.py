@@ -216,6 +216,36 @@ def _w_dictionary() -> _Dictionary:
     return _dictionary(columns, lambda c: sub(shift(c, +1), c))
 
 
+# Largest cond(A^T A) at which the normal equations are solved.  Their forward
+# error grows like cond(A^T A) * eps (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 20): at most about 1e-8 here, and about
+# 1e-13 on the README fits, whose Gram matrices sit at 1e3-2e4.  A fit is
+# proven by its verification, not by the solver.
+_GRAM_COND_MAX = 1e8
+
+
+def _solve(a_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of a_mat @ x ~ b_vec.
+
+    A Cholesky solve of the normal equations when the Gram matrix is finite,
+    its exact extreme eigenvalues put its condition number at or below
+    _GRAM_COND_MAX, and the factorisation succeeds; otherwise LAPACK gelsd
+    (np.linalg.lstsq), which also handles rank-deficient and underdetermined
+    matrices.  Neither path warns."""
+    with np.errstate(all="ignore"):
+        gram = a_mat.T @ a_mat
+        rhs = a_mat.T @ b_vec
+        if np.isfinite(gram).all() and np.isfinite(rhs).all():
+            try:
+                eig = np.linalg.eigvalsh(gram)
+                if 0.0 < eig[0] and eig[-1] <= _GRAM_COND_MAX * eig[0]:
+                    low = np.linalg.cholesky(gram)
+                    return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+            except np.linalg.LinAlgError:
+                pass
+    return np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
+
+
 def _fit(
     target: Expr,
     dictionary: _Dictionary,
@@ -243,7 +273,7 @@ def _fit(
     if not finite.all():
         bad = ex.JetPoint.from_slots(slots[:, int(np.argmin(finite))])
         raise ex.EvalError("design-matrix row is not finite", bad)
-    coeffs, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    coeffs = _solve(a_mat, b_vec)
     with np.errstate(all="ignore"):
         rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
     if not (rel <= fit_tol):

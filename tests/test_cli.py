@@ -754,3 +754,26 @@ def test_readme_outputs_are_byte_identical(tmp_path, horizon):
         assert cli.main([*argv, "--config", str(path), "--out", str(out)]) == 0
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == README_OUTPUTS[horizon]
+
+
+# Classification and integrals of the README `noether` output; the fitted
+# coefficients are rounded to small fractions, so these do not depend on the seed.
+README_NOETHER = {
+    "X1": (
+        "divergence",
+        "sin(t)*(pp + pm) - (q*cos(tm) + qm*cos(t) - q*cos(tm) + qp*cos(t))",
+        None,
+    ),
+    "X5": ("divergence", None, None),
+}
+
+
+@pytest.mark.parametrize("seed", [11, 222, 3333, 44444, 555555])
+def test_readme_noether_verdicts_hold_at_other_seeds(tmp_path, seed):
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(dict(README_CONFIG, seed=seed)))
+    out = tmp_path / "noether.json"
+    assert cli.main(["noether", "--config", str(path), "--out", str(out)]) == 0
+    got = {g["name"]: (g["classification"], g["I"], g["J"])
+           for g in json.loads(out.read_text())["generators"]}
+    assert got == README_NOETHER

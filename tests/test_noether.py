@@ -532,14 +532,14 @@ def test_drift_of_a_non_finite_integral_is_a_numeric_failure(oscillator_trajecto
 ])
 def test_design_matrix_equals_the_column_loop(fit, dictionary, oscillator, monkeypatch):
     _, ham = oscillator
-    lstsq = np.linalg.lstsq
+    solve = N._solve
     seen = []
 
-    def capture(a, b, rcond=None):
+    def capture(a, b):
         seen.append((np.array(a), np.array(b)))
-        return lstsq(a, b, rcond=rcond)
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "lstsq", capture)
+    monkeypatch.setattr(N, "_solve", capture)
     _, images, _ = dictionary()
     for target, on_shell, second in (
         (E.parse("q*qd + sin(t)*pm"), None, False),
@@ -556,3 +556,88 @@ def test_design_matrix_equals_the_column_loop(fit, dictionary, oscillator, monke
         assert_same_bits(a_mat, np.column_stack([E.evaluate_array(e, slots) for e in images]))
         assert_same_bits(b_vec, E.evaluate_array(target, slots))
     assert len(seen) == 3
+
+
+# ---------------------------------------------------------------------------
+# the least-squares step of a fit
+# ---------------------------------------------------------------------------
+
+
+def _lstsq(a, b):
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+@pytest.fixture(scope="module")
+def readme_design_matrices(oscillator):
+    """(A, b) of every fit of the README `noether` command, in call order."""
+    _, ham = oscillator
+    solve = N._solve
+    seen = []
+
+    def capture(a, b):
+        seen.append((np.array(a), np.array(b)))
+        return solve(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(N, "_solve", capture)
+        for g in (M.Generator(E.ZERO, E.parse("sin(t)"), E.parse("cos(t)")),
+                  M.Generator(E.ZERO, E.parse("p"), E.parse("-q"))):
+            N.analyze_generator(ham, g, "g", seed=20260810)
+    return seen
+
+
+def test_solve_takes_the_normal_equations_on_full_rank_fits(readme_design_matrices, monkeypatch):
+    assert len(readme_design_matrices) == 9
+    full = [(a, b) for a, b in readme_design_matrices if np.linalg.matrix_rank(a) == a.shape[1]]
+    assert {a.shape for a, _ in full} == {(486, 162), (612, 204)}
+    assert len(full) == len(readme_design_matrices) - 1  # the on-shell V fit is rank-deficient
+    for a, b in full:
+        want = _lstsq(a, b)
+        assert np.linalg.norm(N._solve(a, b) - want) <= 1e-12 * np.linalg.norm(want)
+    lstsq, fallbacks = np.linalg.lstsq, []
+
+    def spy(a, b, rcond=None):
+        fallbacks.append(a.shape)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    for a, b in readme_design_matrices:
+        N._solve(a, b)
+    assert fallbacks == [(486, 162)]
+
+
+@pytest.mark.parametrize("rows, duplicate", [(40, True), (5, False)],
+                         ids=["duplicated-column", "underdetermined"])
+def test_solve_is_lstsq_without_full_column_rank(rows, duplicate):
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((rows, 8))
+    if duplicate:
+        a[:, -1] = a[:, 2]
+    b = rng.standard_normal(rows)
+    assert_same_bits(N._solve(a, b), _lstsq(a, b))
+
+
+def test_solve_guard_is_the_condition_number_not_the_factorisation():
+    # cond(A) ~ 1e6: Cholesky of A^T A succeeds, but cond(A^T A) ~ 1e12 is
+    # past the bound, so the normal equations are not used
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 8))
+    a[:, -1] = a[:, 2] + 1e-6 * rng.standard_normal(40)
+    np.linalg.cholesky(a.T @ a)
+    assert np.linalg.cond(a.T @ a) > N._GRAM_COND_MAX
+    b = rng.standard_normal(40)
+    assert_same_bits(N._solve(a, b), _lstsq(a, b))
+
+
+def test_solve_falls_back_quietly_when_the_gram_matrix_overflows():
+    import warnings
+
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.5, 1.0, (30, 6)) * 1e160
+    b = rng.uniform(0.5, 1.0, 30) * 1e160
+    with np.errstate(over="ignore"):
+        assert np.isfinite(a).all() and not np.isfinite(a.T @ a).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = N._solve(a, b)
+    assert_same_bits(got, _lstsq(a, b))
