@@ -14,21 +14,25 @@ Expressions are immutable and hash-consed: structurally identical trees are
 the same object, so equality is identity and large derived expressions share
 their common subtrees.
 
-Evaluation compiles a tuple of roots once (`compiled_many`) into
-straight-line source over a slot vector `A` indexed by symbol: one
-`v_i = ...` line per distinct subtree of the roots, root j stored to `out[j]`
-and, for a zero check, the largest intermediate magnitude as one more row.
-The same source is bound twice: the scalar binding takes a list of floats
-(one jet point), the array binding a `(NSLOTS, N)` float array with one jet
-point per column.  `evaluate`, `compiled` and the RK4 right-hand sides run
-the scalar binding; `evaluate_many`, `evaluate_array` (its one-root case),
-zero checks, fits, on-shell jets, grids and drift monitors the array one.
-Both give the same bits: `+ - * /`, `sin` and `cos` run in numpy, whose
-results match Python's, while integer powers and `exp`, where numpy and
-Python round differently, run elementwise on Python floats.  When the array
-binding raises, or yields a value that is not finite, the scalar binding is
-re-run jet by jet in order, so errors and their witnesses are the ones a
-plain loop over the roots and jets would give.
+Evaluation runs one kernel per tuple of roots.  One plan (`_plan`) fixes its
+order: one step per distinct subtree of the roots, children first, root j
+stored to `out[j]` and, for a zero check, the largest intermediate magnitude
+as one more row.  The plan is written as straight-line source over a slot
+vector `A` indexed by symbol and compiled once (`compiled_many`), or run as a
+tape (`_tape`).  The source is bound twice: the scalar binding takes a list
+of floats (one jet point), the array binding a `(NSLOTS, N)` float array with
+one jet point per column.  `evaluate`, `compiled` and the RK4 right-hand
+sides run the scalar binding; `evaluate_many`, `evaluate_array` (its one-root
+case), zero checks, fits, on-shell jets, grids and drift monitors the array
+one.  The first array use of a kernel not compiled yet runs its tape on the
+array binding's operations instead and compiles nothing; a later one compiles
+it, so a tree checked once costs no `compile()` and one that is reused runs
+compiled.  Every path gives the same bits: `+ - * /`, `sin` and `cos` run in
+numpy, whose results match Python's, while integer powers and `exp`, where
+numpy and Python round differently, run elementwise on Python floats.  When
+the array kernel raises, or yields a value that is not finite, the scalar
+binding is re-run jet by jet in order, so errors and their witnesses are the
+ones a plain loop over the roots and jets would give.
 
 Sampled checks and fits run on seeded random jets.  Sample k of seed s is
 numpy's `default_rng((s mod 2**32, k))` stream mapped to coordinates, so it
@@ -1142,72 +1146,157 @@ _ARRAY_BINDING = {
 # Keyed by the roots' ids and the flag, so one root's key is `(id(e),
 # with_magnitude)`; generated code inlining kernel lines (`compiled_source`)
 # ends its key with a string tag instead.  `_INTERN` keeps every node, so no
-# id is reused.
+# id is reused.  A kernel whose only array use is its first one is never
+# compiled (`_array_rows`), so a one-off tree adds no entry here.
 _COMPILE_CACHE: dict[tuple, Callable] = {}
 
+# Keys of the kernels `_array_rows` has run once as a tape; only the key is
+# kept, not the tape.
+_TAPED: set[tuple] = set()
 
-def _kernel_lines(n: Expr, names: dict[int, str], lines: list[str], last_use: dict[str, int]) -> str:
-    """Append a `v_i = ...` line for every subtree of `n` not named yet
-    (children first, left to right), record the last line that reads each
-    name, and return the name of `n`."""
-    got = names.get(id(n))
-    if got is not None:
+
+def _plan(roots: tuple[Expr, ...], with_magnitude: bool = False) -> list[tuple]:
+    """The evaluation order of the roots' kernel as steps `(head, operands)`:
+    every subtree of the roots once, children first and left to right, root
+    by root.
+
+    A step whose head is a node computes it from the values of the earlier
+    steps `operands`, its children.  A step whose head is an int j stores:
+    root j's value as row j right after root j is complete and, with
+    `with_magnitude`, every node's magnitude as row `len(roots)` last."""
+    at: dict[int, int] = {}
+    steps: list[tuple] = []
+
+    def visit(n: Expr) -> int:
+        key = id(n)
+        got = at.get(key)
+        if got is None:
+            operands = tuple(map(visit, _children(n)))
+            got = at[key] = len(steps)
+            steps.append((n, operands))
         return got
-    args = [_kernel_lines(c, names, lines, last_use) for c in _children(n)]
+
+    for j, root in enumerate(roots):
+        steps.append((j, (visit(root),)))
+    if with_magnitude:
+        steps.append((len(roots), tuple(at.values())))
+    return steps
+
+
+def _last_uses(steps: list[tuple]) -> list[list[int]]:
+    """For each step of a `_plan`, the steps whose values it reads last."""
+    last: dict[int, int] = {}
+    for s, (_, operands) in enumerate(steps):
+        for v in operands:
+            last[v] = s
+    dead: list[list[int]] = [[] for _ in steps]
+    for v, s in last.items():
+        dead[s].append(v)
+    return dead
+
+
+def _slot(n: Expr) -> int | None:
+    """The slot a `Sym` or `TauConst` node reads; None for other nodes."""
+    if isinstance(n, Sym):
+        return n.symbol.index
+    return TAU_INDEX if isinstance(n, TauConst) else None
+
+
+def _node_source(n: Expr, args: list[str]) -> str:
+    """The source of `n`'s value from its children's names `args`."""
     if isinstance(n, Const):
-        src = repr(float(n.value))
-    elif isinstance(n, Sym):
-        src = f"A[{n.symbol.index}]"
-    elif isinstance(n, TauConst):
-        src = f"A[{TAU_INDEX}]"
-    elif isinstance(n, Add):
-        src = " + ".join(args)
-    elif isinstance(n, Mul):
-        src = "*".join(args)
-    elif isinstance(n, Neg):
-        src = f"-{args[0]}"
-    elif isinstance(n, Div):
-        src = " / ".join(args)
-    elif isinstance(n, Pow):
-        src = f"_pow({args[0]}, {n.exponent})"
-    elif isinstance(n, Func):
-        src = f"_{n.name}({args[0]})"
-    else:  # pragma: no cover
-        raise TypeError(type(n).__name__)
-    for arg in args:
-        last_use[arg] = len(lines)
-    name = f"v{len(names)}"
-    names[id(n)] = name
-    lines.append(f"{name} = {src}")
-    return name
+        return repr(float(n.value))
+    slot = _slot(n)
+    if slot is not None:
+        return f"A[{slot}]"
+    if isinstance(n, Add):
+        return " + ".join(args)
+    if isinstance(n, Mul):
+        return "*".join(args)
+    if isinstance(n, Neg):
+        return f"-{args[0]}"
+    if isinstance(n, Div):
+        return " / ".join(args)
+    if isinstance(n, Pow):
+        return f"_pow({args[0]}, {n.exponent})"
+    if isinstance(n, Func):
+        return f"_{n.name}({args[0]})"
+    raise TypeError(type(n).__name__)  # pragma: no cover
 
 
 def _many_source(roots: tuple[Expr, ...], with_magnitude: bool = False) -> str:
-    """Straight-line source of `_f(A, out)` over the union of the roots'
-    subtrees: root j goes to `out[j]` as soon as it is computed and, with
-    `with_magnitude`, the largest magnitude of any subtree goes to
-    `out[len(roots)]`.  Every name is deleted after its last use, except
-    after the last line, where the return frees them."""
-    names: dict[int, str] = {}
-    lines: list[str] = []
-    last_use: dict[str, int] = {}
-    for j, root in enumerate(roots):
-        name = _kernel_lines(root, names, lines, last_use)
-        last_use[name] = len(lines)
-        lines.append(f"out[{j}] = {name}")
-    if with_magnitude:
-        last_use.update(dict.fromkeys(names.values(), len(lines)))
-        lines.append(f"out[{len(roots)}] = _maxabs(({', '.join(names.values())},))")
-    dead: dict[int, list[str]] = {}
-    for name, i in last_use.items():
-        dead.setdefault(i, []).append(name)
+    """Straight-line source of `_f(A, out)`, one line per step of `_plan`:
+    step s computes `v<s>` or stores a row of `out`.  Every name is deleted
+    after its last use, except after the last line, where the return frees
+    them."""
+    steps = _plan(roots, with_magnitude)
+    dead = _last_uses(steps)
     body = []
-    for i, line in enumerate(lines):
-        body.append(line)
-        if i in dead and i < len(lines) - 1:
-            body.append("del " + ", ".join(dead[i]))
+    for s, (head, operands) in enumerate(steps):
+        args = [f"v{i}" for i in operands]
+        if isinstance(head, Expr):
+            body.append(f"v{s} = {_node_source(head, args)}")
+        elif head < len(roots):
+            body.append(f"out[{head}] = {args[0]}")
+        else:
+            body.append(f"out[{head}] = _maxabs(({', '.join(args)},))")
+        if dead[s] and s < len(steps) - 1:
+            body.append("del " + ", ".join(f"v{i}" for i in dead[s]))
     body.append("return out")
     return "def _f(A, out):\n    " + "\n    ".join(body) + "\n"
+
+
+# The tape's op per node type: `_node_source` on the array binding, as a
+# function of the slot array, `out`, the node and its children's values.
+_TAPE_OPS: dict[type, Callable] = {
+    Const: lambda A, out, value: value,
+    Sym: lambda A, out, n: A[n.symbol.index],
+    TauConst: lambda A, out, n: A[TAU_INDEX],
+    Add: lambda A, out, n, *terms: functools.reduce(operator.add, terms),
+    Mul: lambda A, out, n, *factors: functools.reduce(operator.mul, factors),
+    Neg: lambda A, out, n, x: -x,
+    Div: lambda A, out, n, x, y: x / y,
+    Pow: lambda A, out, n, x: _ARRAY_BINDING["_pow"](x, n.exponent),
+    Func: lambda A, out, n, x: _ARRAY_BINDING["_" + n.name](x),
+}
+
+
+def _store_root(A, out, row, value):
+    out[row] = value
+
+
+def _store_magnitude(A, out, row, *values):
+    out[row] = _ARRAY_BINDING["_maxabs"](values)
+
+
+def _tape(roots: tuple[Expr, ...], with_magnitude: bool = False) -> list[tuple]:
+    """The kernel of `_many_source` as a tape on the array binding: one
+    `(op, head, operands, free)` per step of `_plan`.  The step's value is
+    `op(A, out, head, *values)` of its operands' values (None for a store);
+    the values of the steps `free` are dropped after it, as the source's
+    `del` lines drop them."""
+    steps = _plan(roots, with_magnitude)
+    tape = []
+    for (head, operands), free in zip(steps, _last_uses(steps)):
+        if isinstance(head, Expr):
+            op = _TAPE_OPS[type(head)]
+            if isinstance(head, Const):  # converted here, as `_node_source` converts it
+                head = float(head.value)
+        else:
+            op = _store_root if head < len(roots) else _store_magnitude
+        tape.append((op, head, operands, free))
+    return tape
+
+
+def _run_tape(tape: list[tuple], slots: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Run a `_tape` over a `(NSLOTS, N)` slot array into `out`: the bits
+    and exceptions of the compiled array binding of the same kernel."""
+    values: list = []
+    for op, head, operands, free in tape:
+        values.append(op(slots, out, head, *map(values.__getitem__, operands)))
+        for i in free:
+            values[i] = None
+    return out
 
 
 def kernel_lines(roots: Iterable[Expr], read: Callable[[int], str]) -> tuple[list[str], list[str]]:
@@ -1215,17 +1304,25 @@ def kernel_lines(roots: Iterable[Expr], read: Callable[[int], str]) -> tuple[lis
     into generated code, and the name that holds each root.  Slot i is read
     as the source `read(i)` (a name, or an expression in parentheses); no
     name is deleted."""
-    roots = tuple(roots)
-    names = {id(sym(s)): read(s.index) for root in roots for s in symbols_of(root)}
-    names[id(TAU)] = read(TAU_INDEX)
+    names: dict[int, str] = {}
     lines: list[str] = []
-    return lines, [_kernel_lines(root, names, lines, {}) for root in roots]
+    outs = []
+    for s, (head, operands) in enumerate(_plan(tuple(roots))):
+        if not isinstance(head, Expr):
+            outs.append(names[operands[0]])
+        elif isinstance(head, (Sym, TauConst)):
+            names[s] = read(_slot(head))
+        else:
+            names[s] = f"v{len(lines)}"
+            lines.append(f"{names[s]} = {_node_source(head, [names[i] for i in operands])}")
+    return lines, outs
 
 
 def compiled_source(key: tuple, source: Callable[[], str], env: dict | None = None) -> Callable:
     """The function `_f` that `source()` defines, compiled once per `key`
     into `_COMPILE_CACHE`: `f` has the scalar binding and `env` as its
-    globals, `f.array` the array binding and `env`."""
+    globals, `f.array` the array binding and `env`.  Array evaluation
+    compiles a kernel only on its second use (`_array_rows`)."""
     fn = _COMPILE_CACHE.get(key)
     if fn is None:
         code = compile(source(), "<delayham-expr>", "exec")
@@ -1248,7 +1345,9 @@ def compiled_many(roots: Iterable[Expr], with_magnitude: bool = False) -> Callab
     roots are computed once, each with its own operation order, so every row
     has the bits of its root compiled alone.  `f` is the scalar binding
     (`slots` a list of floats, `out` a list); `f.array` binds the same source
-    to a `(NSLOTS, N)` slot array and a `(rows, N)` float array.
+    to a `(NSLOTS, N)` slot array and a `(rows, N)` float array, and gives
+    the bits of the kernel's tape (`_tape`), which runs a kernel's first
+    array use in its place.
     """
     roots = tuple(roots)
     key = (*map(id, roots), with_magnitude)
@@ -1270,14 +1369,28 @@ def compiled(e: Expr, with_magnitude: bool = False) -> Callable:
     return f
 
 
+_ARRAY_ERRSTATE = dict(divide="raise", invalid="raise", over="ignore", under="ignore")
+
+
 def _array_rows(roots: tuple[Expr, ...], slots: np.ndarray, with_magnitude: bool = False):
     """The roots' kernel on the array binding over `slots`: its `(rows, N)`
     array, or None when it raised a numeric error (numpy's divide and
-    invalid raise; over- and underflow do not)."""
-    kernel = compiled_many(roots, with_magnitude).array
+    invalid raise; over- and underflow do not).
+
+    The first array use of a kernel that is not compiled yet runs its tape
+    and keeps only its key in `_TAPED`; a later use compiles it and runs
+    `compiled_many(...).array`.  So a kernel that runs once costs no
+    `compile()`, and one that is reused runs compiled.  Both give the same
+    bits and raise the same errors."""
+    key = (*map(id, roots), with_magnitude)
+    if key in _TAPED or key in _COMPILE_CACHE:
+        kernel = compiled_many(roots, with_magnitude).array
+    else:
+        _TAPED.add(key)
+        kernel = functools.partial(_run_tape, _tape(roots, with_magnitude))
     out = np.empty((len(roots) + with_magnitude, slots.shape[1]))
     try:
-        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+        with np.errstate(**_ARRAY_ERRSTATE):
             return kernel(slots, out)
     except (OverflowError, ZeroDivisionError, ValueError, FloatingPointError):
         return None

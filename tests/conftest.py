@@ -164,6 +164,28 @@ def assert_same_bits(got, want):
     assert got[~missing].tobytes() == want[~missing].tobytes()
 
 
+def array_binding(roots, slots, with_magnitude=False):
+    """`compiled_many(roots, with_magnitude).array` over `slots`: its rows, or
+    None when it raised a numeric error.  First checks that the roots' tape
+    (`expr._tape`), which runs a kernel's first array use, gives the same
+    bits or raises the same error under the caller's errstate."""
+    roots = tuple(roots)
+    outcomes = []
+    for run in (E.compiled_many(roots, with_magnitude).array,
+                lambda *args: E._run_tape(E._tape(roots, with_magnitude), *args)):
+        try:
+            outcomes.append(run(slots, np.empty((len(roots) + with_magnitude, slots.shape[1]))))
+        except (OverflowError, ZeroDivisionError, ValueError, FloatingPointError) as err:
+            outcomes.append((type(err), str(err)))
+    compiled, tape = outcomes
+    assert isinstance(tape, tuple) is isinstance(compiled, tuple), outcomes
+    if isinstance(compiled, tuple):
+        assert tape == compiled
+        return None
+    assert_same_bits(tape, compiled)
+    return compiled
+
+
 def reference_jet_slots(seed: int, k: int) -> list[float]:
     """Sample k of `E.random_jets(seed, ...)`, drawn value by value with `Generator.uniform`."""
     rng = np.random.default_rng((seed & 0xFFFFFFFF, k))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delayham import cli
+from delayham import expr as E
 
 OSC_CONFIG = {
     "tau": 1.0,
@@ -503,6 +504,19 @@ def test_check_identity_writes_strict_json(tmp_path):
     checks = json.loads(out.read_text(), parse_constant=reject)["checks"]
     assert len(checks) == 5
     assert all(c["ok"] is False and c["worst"] is None for c in checks)
+
+
+def test_a_new_check_identity_model_compiles_no_kernel(tmp_path):
+    # a model no other test builds: each of its checks is a kernel's only
+    # array use, which runs as a tape and leaves nothing compiled
+    cfg = dict(OSC_CONFIG, lagrangian={"alpha": 0, "beta": 1, "gamma": 0, "phi": "q*qm + q^3*qm/9"},
+               generators=[{"name": "G", "eta": "q*sin(t)/7", "nu": "p*cos(t)/7"}])
+    path = tmp_path / "new.json"
+    path.write_text(json.dumps(cfg))
+    before = set(E._COMPILE_CACHE)
+    rc = cli.main(["check-identity", "--config", str(path), "--out", str(tmp_path / "checks.json")])
+    assert rc == 0
+    assert set(E._COMPILE_CACHE) == before
 
 
 def test_reruns_are_byte_identical(osc_config, tmp_path):

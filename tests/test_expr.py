@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from delayham import expr as E
 from delayham import model as M
 
-from conftest import assert_same_bits, curve_jet, random_expr, reference_jet_slots
+from conftest import array_binding, assert_same_bits, curve_jet, random_expr, reference_jet_slots
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +360,6 @@ def test_random_jets_columns_match_single_draws(seed, start, n):
     assert _same_bits(inner, slots[:, n // 3 : n // 3 + n // 2])
 
 
-def _array_binding(e, slots, with_magnitude=False):
-    """`e`'s kernel on the array binding: its `(1 + with_magnitude, N)` rows."""
-    rows = np.empty((1 + with_magnitude, slots.shape[1]))
-    return E.compiled_many((e,), with_magnitude).array(slots, rows)
-
-
 def test_array_binding_matches_scalar_kernel_bit_for_bit():
     rng = np.random.default_rng(4242)
     slots = E.random_jets(99, 24)
@@ -380,10 +375,12 @@ def test_array_binding_matches_scalar_kernel_bit_for_bit():
         except (OverflowError, ZeroDivisionError, ValueError):
             with pytest.raises(E.EvalError):
                 E.evaluate_array(e, slots)
+            with np.errstate(**E._ARRAY_ERRSTATE):
+                array_binding((e,), slots, with_magnitude=True)
             continue
         with np.errstate(all="ignore"):
-            (got,) = _array_binding(e, slots)
-            got_value, got_mag = _array_binding(e, slots, with_magnitude=True)
+            (got,) = array_binding((e,), slots)
+            got_value, got_mag = array_binding((e,), slots, with_magnitude=True)
         assert _same_bits(got, want), E.to_source(e)
         assert _same_bits(got_value, [v for v, _ in want_mag]), E.to_source(e)
         finite = np.isfinite(got)
@@ -498,14 +495,15 @@ def _roots_with_shared_subtrees(rng, count):
 
 def _assert_kernel_matches_per_root(roots, slots):
     """`evaluate_many` against per-root calls; then, on the columns where it is
-    finite, the magnitude kernel's rows on both bindings against `compiled(e, True)`."""
+    finite, the magnitude kernel's rows on both bindings and its tape against
+    `compiled(e, True)`."""
     got = E.evaluate_many(roots, slots)
     assert got.shape == (len(roots), slots.shape[1])
     assert_same_bits(got, _loop_rows(roots, slots))
     kernel = E.compiled_many(roots, with_magnitude=True)
     with np.errstate(all="ignore"):
-        rows = kernel.array(slots, np.empty((len(roots) + 1, slots.shape[1])))
-        magnitudes = [_array_binding(r, slots, with_magnitude=True)[1] for r in roots]
+        rows = array_binding(roots, slots, with_magnitude=True)
+        magnitudes = [array_binding((r,), slots, with_magnitude=True)[1] for r in roots]
     finite = np.isfinite(rows).all(axis=0)
     assert_same_bits(rows[:-1, finite], got[:, finite])
     # the magnitude is the largest |value| of any subtree of any root
@@ -585,3 +583,31 @@ def test_many_kernel_deletes_every_temporary_after_its_last_use():
         last = max(i for i, names in enumerate(uses) if name in names and "del " not in lines[i])
         assert lines[last + 1].lstrip().startswith("del ") and name in uses[last + 1], name
         assert all(name not in names for names in uses[last + 2:]), name
+    # the tape drops each value right after the step that reads it last
+    tape = E._tape(tuple(roots))
+    reads = [set(operands) for _, _, operands, _ in tape]
+    for v in set().union(*reads):
+        last = max(s for s, read in enumerate(reads) if v in read)
+        assert [s for s, (_, _, _, free) in enumerate(tape) if v in free] == [last], v
+
+
+def test_first_array_use_runs_the_tape_and_the_second_compiles(monkeypatch):
+    # trees no other test builds, so their kernel has not run yet
+    roots = [E.parse("q*qm^3/11 + sin(p*pm)/13"), E.parse("exp(qd/17)*tm - q*qm^3/11")]
+    slots = E.random_jets(17, 9)
+    compiles = []
+    real = builtins.compile
+
+    def counting(*args, **kwargs):
+        compiles.append(args[0])
+        return real(*args, **kwargs)
+
+    rows = []
+    for expect in (0, 1, 0):
+        compiles.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "compile", counting)
+            rows.append(E.evaluate_many(roots, slots))
+        assert len(compiles) == expect
+    assert_same_bits(rows[1], rows[0])
+    assert_same_bits(rows[2], rows[0])

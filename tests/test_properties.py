@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
 
-from conftest import assert_same_bits, random_expr, reference_jet_slots
+from conftest import array_binding, assert_same_bits, random_expr, reference_jet_slots
 
 # shifts -1 and 0 only, so one forward shift stays in range; first order at most
 ATOMS = [E.t, E.tm, E.q, E.qm, E.p, E.pm, E.qd, E.qdm, E.pdm, E.tau]
@@ -70,6 +70,9 @@ def test_leibniz_rule(a, b):
 def test_evaluate_many_rows_are_evaluate_array(base):
     roots = base + [E.add(a, b) for a, b in zip(base, base[1:])] + base[:1]
     slots = E.random_jets(21, 16)
+    with np.errstate(**E._ARRAY_ERRSTATE):
+        for with_magnitude in (False, True):
+            array_binding(roots, slots, with_magnitude)
     try:
         want = [E.evaluate_array(r, slots) for r in roots]
     except E.EvalError as err:
