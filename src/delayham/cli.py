@@ -428,17 +428,17 @@ def cmd_check_identity(cfg: RunConfig, args) -> int:
             chk = ex.is_zero(res, samples=cfg.samples, tol=cfg.tol, seed=cfg.seed + k)
             checks.append(_check_entry(f"classical-identity-{k}", chk))
     else:
+        # every residual of every generator, checked on the same jets in one kernel
         ham = _resolved_hamiltonian(cfg)
+        residuals = []
         for name, gen, _, _ in cfg.generators:
-            chk = noether.verify_hamiltonian_identity(
-                ham, gen, samples=cfg.samples, tol=cfg.tol, seed=cfg.seed
-            )
-            checks.append(_check_entry(f"identity-{name}", chk))
-            rep = noether.variational_derivative_identities(
-                ham, gen, samples=cfg.samples, tol=cfg.tol, seed=cfg.seed
-            )
-            for key, sub_chk in rep.checks.items():
-                checks.append(_check_entry(f"variation-{key}-{name}", sub_chk))
+            residuals.append((f"identity-{name}", noether.hamiltonian_identity_residual(ham, gen)))
+            for key, residual in noether.variational_identity_residuals(ham, gen).items():
+                residuals.append((f"variation-{key}-{name}", residual))
+        results = ex.zero_checks(
+            [residual for _, residual in residuals], ex.random_jets(cfg.seed, cfg.samples), cfg.tol
+        )
+        checks = [_check_entry(name, chk) for (name, _), chk in zip(residuals, results)]
     _emit({"checks": checks}, args.out)
     return EXIT_OK if all(c["ok"] for c in checks) else EXIT_VERIFY
 

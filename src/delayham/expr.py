@@ -16,23 +16,27 @@ their common subtrees.
 
 Evaluation runs one kernel per tuple of roots.  One plan (`_plan`) fixes its
 order: one step per distinct subtree of the roots, children first, root j
-stored to `out[j]` and, for a zero check, the largest intermediate magnitude
-as one more row.  The plan is written as straight-line source over a slot
-vector `A` indexed by symbol and compiled once (`compiled_many`), or run as a
-tape (`_tape`).  The source is bound twice: the scalar binding takes a list
-of floats (one jet point), the array binding a `(NSLOTS, N)` float array with
-one jet point per column.  `evaluate`, `compiled` and the RK4 right-hand
-sides run the scalar binding; `evaluate_many`, `evaluate_array` (its one-root
-case), zero checks, fits, on-shell jets, grids and drift monitors the array
-one.  The first array use of a kernel not compiled yet runs its tape on the
-array binding's operations instead and compiles nothing; a later one compiles
-it, so a tree checked once costs no `compile()` and one that is reused runs
-compiled.  Every path gives the same bits: `+ - * /`, `sin` and `cos` run in
-numpy, whose results match Python's, while integer powers and `exp`, where
-numpy and Python round differently, run elementwise on Python floats.  When
-the array kernel raises, or yields a value that is not finite, the scalar
-binding is re-run jet by jet in order, so errors and their witnesses are the
-ones a plain loop over the roots and jets would give.
+stored to `out[j]` and, for a zero check, root j's magnitude as one more row:
+the largest |value| in its own subtree, built bottom up as the max of each
+node's |value| and its children's magnitudes.  `zero_checks` checks many
+roots over the same jets in one such shared kernel (`check-identity` checks
+all its residuals in one), and `is_zero` is its one-root case.  The plan is
+written as straight-line source over a slot vector `A` indexed by symbol and
+compiled once (`compiled_many`), or run as a tape (`_tape`).  The source is
+bound twice: the scalar binding takes a list of floats (one jet point), the
+array binding a `(NSLOTS, N)` float array with one jet point per column.
+`evaluate`, `compiled` and the RK4 right-hand sides run the scalar binding;
+`evaluate_many`, `evaluate_array` (its one-root case), zero checks, fits,
+on-shell jets, grids and drift monitors the array one.  The first array use
+of a kernel not compiled yet runs its tape on the array binding's operations
+instead and compiles nothing; a later one compiles it, so a tree checked once
+costs no `compile()` and one that is reused runs compiled.  Every path gives
+the same bits: `+ - * /`, `sin` and `cos` run in numpy, whose results match
+Python's, while integer powers and `exp`, where numpy and Python round
+differently, run elementwise on Python floats.  When the array kernel raises,
+or yields a value that is not finite, the scalar binding is re-run jet by jet
+in order, so errors and their witnesses are the ones a plain loop over the
+roots and jets would give.
 
 Sampled checks and fits run on seeded random jets.  Sample k of seed s is
 numpy's `default_rng((s mod 2**32, k))` stream mapped to coordinates, so it
@@ -539,28 +543,33 @@ def _rebuild(e: Expr, rec: Callable[[Expr], Expr]) -> Expr:
     return e
 
 
+# Keyed like `_TOTAL_CACHE`, by node id (and direction); `_INTERN` keeps every
+# node alive, so no id is reused.  A shift out of range is not stored, so it
+# raises again on every call.
+_SHIFT_CACHE: dict[tuple[int, int], Expr] = {}
+
+
 def shift(e: Expr, direction: int) -> Expr:
     """Apply the forward (+1) or backward (-1) delay shift to every symbol."""
     if direction not in (-1, 1):
         raise ValueError("shift direction must be +1 or -1")
-    memo: dict[int, Expr] = {}
+    return _shift(e, direction)
 
-    def rec(x: Expr) -> Expr:
-        got = memo.get(id(x))
-        if got is not None:
-            return got
-        if isinstance(x, Sym):
-            s = x.symbol
+
+def _shift(e: Expr, direction: int) -> Expr:
+    key = (id(e), direction)
+    got = _SHIFT_CACHE.get(key)
+    if got is None:
+        if isinstance(e, Sym):
+            s = e.symbol
             ns = s.shift + direction
             if ns < -1 or ns > 1:
                 raise ShiftRangeError(s, direction)
-            out: Expr = sym(symbol(s.base, ns, s.order))
+            got = sym(symbol(s.base, ns, s.order))
         else:
-            out = _rebuild(x, rec)
-        memo[id(x)] = out
-        return out
-
-    return rec(e)
+            got = _rebuild(e, lambda x: _shift(x, direction))
+        _SHIFT_CACHE[key] = got
+    return got
 
 
 def substitute(e: Expr, mapping: Mapping[Symbol | str | Sym, Expr | Number]) -> Expr:
@@ -1133,21 +1142,23 @@ _SCALAR_BINDING = {
     "_cos": math.cos,
     "_exp": math.exp,
     "_pow": operator.pow,
-    "_maxabs": lambda values: max(map(abs, values)),
+    "_max": max,
 }
 _ARRAY_BINDING = {
     "_sin": np.sin,
     "_cos": np.cos,
     "_exp": _elementwise(math.exp),
     "_pow": _elementwise(operator.pow),
-    "_maxabs": lambda values: functools.reduce(np.maximum, map(np.abs, values)),
+    "_max": lambda *values: functools.reduce(np.maximum, values),
 }
 
 # Keyed by the roots' ids and the flag, so one root's key is `(id(e),
 # with_magnitude)`; generated code inlining kernel lines (`compiled_source`)
 # ends its key with a string tag instead.  `_INTERN` keeps every node, so no
 # id is reused.  A kernel whose only array use is its first one is never
-# compiled (`_array_rows`), so a one-off tree adds no entry here.
+# compiled (`_array_rows`), so a one-off tree adds no entry here: the one
+# shared kernel of all residuals of a `check-identity` run (`zero_checks`),
+# with each root's magnitude taken over its own subtree, is such a kernel.
 _COMPILE_CACHE: dict[tuple, Callable] = {}
 
 # Keys of the kernels `_array_rows` has run once as a tape; only the key is
@@ -1155,44 +1166,64 @@ _COMPILE_CACHE: dict[tuple, Callable] = {}
 _TAPED: set[tuple] = set()
 
 
-def _plan(roots: tuple[Expr, ...], with_magnitude: bool = False) -> list[tuple]:
-    """The evaluation order of the roots' kernel as steps `(head, operands)`:
-    every subtree of the roots once, children first and left to right, root
-    by root.
+# The head of a `_plan` step that computes a node's magnitude.
+_MAGNITUDE = "magnitude"
+
+
+def _plan(roots: tuple[Expr, ...], with_magnitude: bool = False) -> tuple[list, list[tuple[int, ...]]]:
+    """The evaluation order of the roots' kernel as parallel lists `(heads,
+    operands)`: every subtree of the roots once, children first and left to
+    right, root by root.
 
     A step whose head is a node computes it from the values of the earlier
-    steps `operands`, its children.  A step whose head is an int j stores:
-    root j's value as row j right after root j is complete and, with
-    `with_magnitude`, every node's magnitude as row `len(roots)` last."""
+    steps `operands[s]`, its children.  With `with_magnitude`, the next step
+    computes the node's magnitude, the largest |value| in its subtree: its
+    head is `_MAGNITUDE` and its operands are the node's value and its
+    children's magnitudes.  A step whose head is an int i stores its operand
+    as row i: root j's value as row j and, with `with_magnitude`, its
+    magnitude as row `len(roots) + j`, right after root j is complete.
+
+    Parallel lists rather than a tuple per step: a tuple holding a node is
+    tracked by the garbage collector, and the thousands of them a large
+    kernel makes outlive young collections and bring on full ones, whose
+    cost grows with every node `_INTERN` holds."""
     at: dict[int, int] = {}
-    steps: list[tuple] = []
+    magnitude: dict[int, int] = {}
+    heads: list = []
+    operands: list[tuple[int, ...]] = []
+
+    def step(head, reads: tuple[int, ...]) -> int:
+        heads.append(head)
+        operands.append(reads)
+        return len(heads) - 1
 
     def visit(n: Expr) -> int:
         key = id(n)
         got = at.get(key)
         if got is None:
-            operands = tuple(map(visit, _children(n)))
-            got = at[key] = len(steps)
-            steps.append((n, operands))
+            children = _children(n)
+            got = at[key] = step(n, tuple(map(visit, children)))
+            if with_magnitude:
+                magnitude[key] = step(_MAGNITUDE, (got, *(magnitude[id(c)] for c in children)))
         return got
 
     for j, root in enumerate(roots):
-        steps.append((j, (visit(root),)))
-    if with_magnitude:
-        steps.append((len(roots), tuple(at.values())))
-    return steps
+        step(j, (visit(root),))
+        if with_magnitude:
+            step(len(roots) + j, (magnitude[id(root)],))
+    return heads, operands
 
 
-def _last_uses(steps: list[tuple]) -> list[list[int]]:
+def _last_uses(operands: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """For each step of a `_plan`, the steps whose values it reads last."""
     last: dict[int, int] = {}
-    for s, (_, operands) in enumerate(steps):
-        for v in operands:
+    for s, reads in enumerate(operands):
+        for v in reads:
             last[v] = s
-    dead: list[list[int]] = [[] for _ in steps]
+    dead: dict[int, list[int]] = {}
     for v, s in last.items():
-        dead[s].append(v)
-    return dead
+        dead.setdefault(s, []).append(v)
+    return [tuple(dead.get(s, ())) for s in range(len(operands))]
 
 
 def _slot(n: Expr) -> int | None:
@@ -1229,18 +1260,19 @@ def _many_source(roots: tuple[Expr, ...], with_magnitude: bool = False) -> str:
     step s computes `v<s>` or stores a row of `out`.  Every name is deleted
     after its last use, except after the last line, where the return frees
     them."""
-    steps = _plan(roots, with_magnitude)
-    dead = _last_uses(steps)
+    heads, operands = _plan(roots, with_magnitude)
+    dead = _last_uses(operands)
     body = []
-    for s, (head, operands) in enumerate(steps):
-        args = [f"v{i}" for i in operands]
-        if isinstance(head, Expr):
-            body.append(f"v{s} = {_node_source(head, args)}")
-        elif head < len(roots):
+    for s, (head, reads) in enumerate(zip(heads, operands)):
+        args = [f"v{i}" for i in reads]
+        if isinstance(head, int):
             body.append(f"out[{head}] = {args[0]}")
+        elif head is _MAGNITUDE:
+            own = f"abs({args[0]})"
+            body.append(f"v{s} = _max({', '.join(args[1:])}, {own})" if args[1:] else f"v{s} = {own}")
         else:
-            body.append(f"out[{head}] = _maxabs(({', '.join(args)},))")
-        if dead[s] and s < len(steps) - 1:
+            body.append(f"v{s} = {_node_source(head, args)}")
+        if dead[s] and s < len(heads) - 1:
             body.append("del " + ", ".join(f"v{i}" for i in dead[s]))
     body.append("return out")
     return "def _f(A, out):\n    " + "\n    ".join(body) + "\n"
@@ -1261,39 +1293,40 @@ _TAPE_OPS: dict[type, Callable] = {
 }
 
 
-def _store_root(A, out, row, value):
+def _store(A, out, row, value):
     out[row] = value
 
 
-def _store_magnitude(A, out, row, *values):
-    out[row] = _ARRAY_BINDING["_maxabs"](values)
+def _magnitude(A, out, head, value, *magnitudes):
+    return _ARRAY_BINDING["_max"](*magnitudes, abs(value))
 
 
-def _tape(roots: tuple[Expr, ...], with_magnitude: bool = False) -> list[tuple]:
-    """The kernel of `_many_source` as a tape on the array binding: one
-    `(op, head, operands, free)` per step of `_plan`.  The step's value is
-    `op(A, out, head, *values)` of its operands' values (None for a store);
-    the values of the steps `free` are dropped after it, as the source's
-    `del` lines drop them."""
-    steps = _plan(roots, with_magnitude)
-    tape = []
-    for (head, operands), free in zip(steps, _last_uses(steps)):
-        if isinstance(head, Expr):
-            op = _TAPE_OPS[type(head)]
-            if isinstance(head, Const):  # converted here, as `_node_source` converts it
-                head = float(head.value)
+def _tape(roots: tuple[Expr, ...], with_magnitude: bool = False) -> tuple[list, list, list, list]:
+    """The kernel of `_many_source` as a tape on the array binding: the
+    parallel lists `(ops, heads, operands, frees)` of the steps of `_plan`.
+    Step s's value is `ops[s](A, out, heads[s], *values)` of the values of
+    the steps `operands[s]` (None for a store); the values of the steps
+    `frees[s]` are dropped after it, as the source's `del` lines drop them."""
+    heads, operands = _plan(roots, with_magnitude)
+    ops = []
+    for s, head in enumerate(heads):
+        if isinstance(head, int):
+            ops.append(_store)
+        elif head is _MAGNITUDE:
+            ops.append(_magnitude)
         else:
-            op = _store_root if head < len(roots) else _store_magnitude
-        tape.append((op, head, operands, free))
-    return tape
+            ops.append(_TAPE_OPS[type(head)])
+            if isinstance(head, Const):  # converted here, as `_node_source` converts it
+                heads[s] = float(head.value)
+    return ops, heads, operands, _last_uses(operands)
 
 
-def _run_tape(tape: list[tuple], slots: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _run_tape(tape: tuple[list, list, list, list], slots: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Run a `_tape` over a `(NSLOTS, N)` slot array into `out`: the bits
     and exceptions of the compiled array binding of the same kernel."""
     values: list = []
-    for op, head, operands, free in tape:
-        values.append(op(slots, out, head, *map(values.__getitem__, operands)))
+    for op, head, reads, free in zip(*tape):
+        values.append(op(slots, out, head, *map(values.__getitem__, reads)))
         for i in free:
             values[i] = None
     return out
@@ -1307,14 +1340,14 @@ def kernel_lines(roots: Iterable[Expr], read: Callable[[int], str]) -> tuple[lis
     names: dict[int, str] = {}
     lines: list[str] = []
     outs = []
-    for s, (head, operands) in enumerate(_plan(tuple(roots))):
-        if not isinstance(head, Expr):
-            outs.append(names[operands[0]])
+    for s, (head, reads) in enumerate(zip(*_plan(tuple(roots)))):
+        if isinstance(head, int):
+            outs.append(names[reads[0]])
         elif isinstance(head, (Sym, TauConst)):
             names[s] = read(_slot(head))
         else:
             names[s] = f"v{len(lines)}"
-            lines.append(f"{names[s]} = {_node_source(head, [names[i] for i in operands])}")
+            lines.append(f"{names[s]} = {_node_source(head, [names[i] for i in reads])}")
     return lines, outs
 
 
@@ -1341,9 +1374,10 @@ def compiled_many(roots: Iterable[Expr], with_magnitude: bool = False) -> Callab
     """Compile the roots into one cached kernel `f(slots, out) -> out`.
 
     Row j of `out` gets root j's value and, with `with_magnitude`, row
-    `len(roots)` the largest intermediate magnitude.  Subtrees shared by the
-    roots are computed once, each with its own operation order, so every row
-    has the bits of its root compiled alone.  `f` is the scalar binding
+    `len(roots) + j` its magnitude, the largest |value| of any subtree of
+    root j.  Subtrees shared by the roots are computed once, each with its
+    own operation order, and a magnitude is a max, which is exact, so every
+    row has the bits of its root compiled alone.  `f` is the scalar binding
     (`slots` a list of floats, `out` a list); `f.array` binds the same source
     to a `(NSLOTS, N)` slot array and a `(rows, N)` float array, and gives
     the bits of the kernel's tape (`_tape`), which runs a kernel's first
@@ -1388,7 +1422,7 @@ def _array_rows(roots: tuple[Expr, ...], slots: np.ndarray, with_magnitude: bool
     else:
         _TAPED.add(key)
         kernel = functools.partial(_run_tape, _tape(roots, with_magnitude))
-    out = np.empty((len(roots) + with_magnitude, slots.shape[1]))
+    out = np.empty((len(roots) * (1 + with_magnitude), slots.shape[1]))
     try:
         with np.errstate(**_ARRAY_ERRSTATE):
             return kernel(slots, out)
@@ -1464,18 +1498,21 @@ class ZeroCheck(NamedTuple):
         return self.ok
 
 
-def _zero_check(e: Expr, slots: np.ndarray, tol: float, jet_at: Callable[[int], JetPoint]) -> ZeroCheck:
-    """Accept when |value| <= tol * (1 + largest intermediate magnitude) at
-    every column of `slots`; otherwise the first failing column's jet
-    (`jet_at(k)`) is the witness."""
-    out = _array_rows((e,), slots, with_magnitude=True)
-    if out is not None and np.isfinite(out).all():
-        ratio = np.abs(out[0]) / (1.0 + out[1])
-        bad = ~(ratio <= tol)
-        if bad.any():
-            k = int(np.argmax(bad))
-            return ZeroCheck(False, jet_at(k), float(ratio[k]))
-        return ZeroCheck(True, None, float(ratio.max(initial=0.0)))
+def _zero_verdict(value: np.ndarray, magnitude: np.ndarray, tol: float,
+                  jet_at: Callable[[int], JetPoint]) -> ZeroCheck:
+    """Accept when |value| <= tol * (1 + magnitude) at every column; otherwise
+    the first failing column's jet (`jet_at(k)`) is the witness."""
+    ratio = np.abs(value) / (1.0 + magnitude)
+    bad = ~(ratio <= tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        return ZeroCheck(False, jet_at(k), float(ratio[k]))
+    return ZeroCheck(True, None, float(ratio.max(initial=0.0)))
+
+
+def _scalar_zero_check(e: Expr, slots: np.ndarray, tol: float,
+                       jet_at: Callable[[int], JetPoint]) -> ZeroCheck:
+    """`_zero_verdict` of `e` on the scalar binding, column by column."""
     worst = 0.0
     for k, (value, mag) in enumerate(_scalar_columns(e, slots, True, jet_at)):
         ratio = abs(value) / (1.0 + mag)
@@ -1483,6 +1520,34 @@ def _zero_check(e: Expr, slots: np.ndarray, tol: float, jet_at: Callable[[int], 
             return ZeroCheck(False, jet_at(k), ratio)
         worst = max(worst, ratio)
     return ZeroCheck(True, None, worst)
+
+
+def zero_checks(roots: Iterable[Expr], slots: np.ndarray, tol: float = 1e-9,
+                jet_at: Callable[[int], JetPoint] | None = None) -> list[ZeroCheck]:
+    """`is_zero_on` of every root over the columns of `slots`, in one kernel.
+
+    The kernel gives each root its value and its magnitude, the largest
+    |value| in that root's own subtree, so every root whose rows are finite
+    gets the bits of its own one-root check.  When the kernel raises, every
+    root is checked on its own in order; a root whose rows are not finite is
+    re-run jet by jet on the scalar binding.  Either way the first failing
+    root raises its `EvalError`.  A witness is `jet_at(k)`, by default column
+    k as a jet point.
+    """
+    roots = tuple(roots)
+    jet_at = jet_at or (lambda k: JetPoint.from_slots(slots[:, k]))
+    out = _array_rows(roots, slots, with_magnitude=True)
+    if out is None:
+        if len(roots) > 1:
+            return [zero_checks((root,), slots, tol, jet_at)[0] for root in roots]
+        out = np.full((2, slots.shape[1]), math.nan)
+    n = len(roots)
+    finite = np.isfinite(out).all(axis=1)
+    return [
+        _zero_verdict(out[j], out[n + j], tol, jet_at) if finite[j] and finite[n + j]
+        else _scalar_zero_check(root, slots, tol, jet_at)
+        for j, root in enumerate(roots)
+    ]
 
 
 def is_zero(e: Expr, samples: int = 100, tol: float = 1e-9, seed: int = 0) -> ZeroCheck:
@@ -1503,8 +1568,9 @@ def is_zero(e: Expr, samples: int = 100, tol: float = 1e-9, seed: int = 0) -> Ze
 
 def is_zero_on(e: Expr, slots: np.ndarray, tol: float = 1e-9) -> ZeroCheck:
     """Like `is_zero` but over the columns of a caller-supplied `(NSLOTS, N)`
-    slot array (e.g. on-shell jets); a witness is its column as a jet point."""
-    return _zero_check(e, slots, tol, lambda k: JetPoint.from_slots(slots[:, k]))
+    slot array (e.g. on-shell jets); a witness is its column as a jet point.
+    The one-root case of `zero_checks`."""
+    return zero_checks((e,), slots, tol)[0]
 
 
 # no library caller; kept because bench/tracing.py wraps it by name
@@ -1512,4 +1578,4 @@ def is_zero_at(e: Expr, jets: Iterable[JetPoint], tol: float = 1e-9) -> ZeroChec
     """`is_zero_on` over a list of jet points; a witness is one of them."""
     jets = list(jets)
     slots = np.array([jet._vals for jet in jets], dtype=float).reshape(len(jets), NSLOTS).T
-    return _zero_check(e, slots, tol, jets.__getitem__)
+    return zero_checks((e,), slots, tol, jets.__getitem__)[0]

@@ -444,19 +444,14 @@ class IdentityReport:
         return self.ok
 
 
-def variational_derivative_identities(
-    h: DelayHamiltonian,
-    g: Generator,
-    samples: int = 100,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> IdentityReport:
-    """Off-shell identities tying variations of the invariance residual to the
-    prolonged generator acting on the variational residuals.
+def variational_identity_residuals(h: DelayHamiltonian, g: Generator) -> dict[str, Expr]:
+    """Residuals (left minus right side) of the off-shell identities tying
+    variations of the invariance residual to the prolonged generator acting
+    on the variational residuals, keyed "p", "q", "t" and "orbit".
 
-    They hold for generators whose time coefficient depends on t alone (affine
-    plus delay-periodic); the variational operators in q and p are the
-    three-point extended ones.
+    They vanish for generators whose time coefficient depends on t alone
+    (affine plus delay-periodic); the variational operators in q and p are
+    the three-point extended ones.
     """
     density = action_density(h)
     rp = variational_p(density)
@@ -464,7 +459,6 @@ def variational_derivative_identities(
     rt = variational_t(density)
     om = invariance_residual(h, g)
     xid = D(g.xi)
-    checks: dict[str, ZeroCheck] = {}
 
     lhs_p = variational_p(om, extended=True)
     rhs_p = add(
@@ -472,16 +466,12 @@ def variational_derivative_identities(
         mul(partial(g.eta, "p"), rq),
         mul(add(partial(g.nu, "p"), xid), rp),
     )
-    checks["p"] = is_zero(sub(lhs_p, rhs_p), samples=samples, tol=tol, seed=seed)
-
     lhs_q = variational_q(om, extended=True)
     rhs_q = add(
         g.apply(rq),
         mul(add(partial(g.eta, "q"), xid), rq),
         mul(partial(g.nu, "q"), rp),
     )
-    checks["q"] = is_zero(sub(lhs_q, rhs_q), samples=samples, tol=tol, seed=seed)
-
     lhs_t = variational_t(om)
     rhs_t = add(
         g.apply(rt),
@@ -489,17 +479,29 @@ def variational_derivative_identities(
         mul(partial(g.eta, "t"), rq),
         mul(partial(g.nu, "t"), rp),
     )
-    checks["t"] = is_zero(sub(lhs_t, rhs_t), samples=samples, tol=tol, seed=seed)
-
     orbit = add(mul(g.xi, rt), mul(g.eta, rq), mul(g.nu, rp))
-    lhs_orbit = add(
-        mul(g.xi, lhs_t),
-        mul(g.eta, variational_q(om, extended=True)),
-        mul(g.nu, variational_p(om, extended=True)),
-    )
+    lhs_orbit = add(mul(g.xi, lhs_t), mul(g.eta, lhs_q), mul(g.nu, lhs_p))
     rhs_orbit = add(g.apply(orbit), mul(xid, orbit))
-    checks["orbit"] = is_zero(sub(lhs_orbit, rhs_orbit), samples=samples, tol=tol, seed=seed)
+    return {
+        "p": sub(lhs_p, rhs_p),
+        "q": sub(lhs_q, rhs_q),
+        "t": sub(lhs_t, rhs_t),
+        "orbit": sub(lhs_orbit, rhs_orbit),
+    }
 
+
+def variational_derivative_identities(
+    h: DelayHamiltonian,
+    g: Generator,
+    samples: int = 100,
+    tol: float = 1e-9,
+    seed: int = 0,
+) -> IdentityReport:
+    """Sampled checks that the `variational_identity_residuals` vanish."""
+    checks = {
+        key: is_zero(residual, samples=samples, tol=tol, seed=seed)
+        for key, residual in variational_identity_residuals(h, g).items()
+    }
     return IdentityReport(all(c.ok for c in checks.values()), checks)
 
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from delayham import classical as C
 from delayham import expr as E
@@ -123,6 +124,18 @@ def random_generator(rng: np.random.Generator, affine_xi: bool = False) -> M.Gen
     return M.Generator(xi, eta, nu)
 
 
+def identity_models(generators: int = 2):
+    """Hypothesis strategy: a random quadratic delay Hamiltonian with
+    `generators` random generators whose xi is affine in t, so every residual
+    `check-identity` builds for them vanishes identically."""
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        ham = random_quadratic_hamiltonian(rng)
+        return ham, [random_generator(rng, affine_xi=True) for _ in range(generators)]
+
+    return st.integers(0, 2**32 - 1).map(build)
+
+
 # ---------------------------------------------------------------------------
 # jets on smooth curves
 # ---------------------------------------------------------------------------
@@ -174,7 +187,7 @@ def array_binding(roots, slots, with_magnitude=False):
     for run in (E.compiled_many(roots, with_magnitude).array,
                 lambda *args: E._run_tape(E._tape(roots, with_magnitude), *args)):
         try:
-            outcomes.append(run(slots, np.empty((len(roots) + with_magnitude, slots.shape[1]))))
+            outcomes.append(run(slots, np.empty((len(roots) * (1 + with_magnitude), slots.shape[1]))))
         except (OverflowError, ZeroDivisionError, ValueError, FloatingPointError) as err:
             outcomes.append((type(err), str(err)))
     compiled, tape = outcomes

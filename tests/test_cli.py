@@ -1,9 +1,10 @@
+import builtins
 import json
 
 import numpy as np
 import pytest
 
-from delayham import cli
+from delayham import cli, noether
 from delayham import expr as E
 
 OSC_CONFIG = {
@@ -506,17 +507,58 @@ def test_check_identity_writes_strict_json(tmp_path):
     assert all(c["ok"] is False and c["worst"] is None for c in checks)
 
 
-def test_a_new_check_identity_model_compiles_no_kernel(tmp_path):
-    # a model no other test builds: each of its checks is a kernel's only
-    # array use, which runs as a tape and leaves nothing compiled
+def test_a_new_check_identity_model_compiles_no_kernel(tmp_path, monkeypatch):
+    # a model no other test builds: all its checks share one kernel, whose
+    # only array use runs as one tape and leaves nothing compiled
     cfg = dict(OSC_CONFIG, lagrangian={"alpha": 0, "beta": 1, "gamma": 0, "phi": "q*qm + q^3*qm/9"},
                generators=[{"name": "G", "eta": "q*sin(t)/7", "nu": "p*cos(t)/7"}])
     path = tmp_path / "new.json"
     path.write_text(json.dumps(cfg))
     before = set(E._COMPILE_CACHE)
-    rc = cli.main(["check-identity", "--config", str(path), "--out", str(tmp_path / "checks.json")])
+    tapes, compiles = [], []
+    tape, compile_ = E._tape, builtins.compile
+    with monkeypatch.context() as patch:
+        patch.setattr(E, "_tape", lambda *args: tapes.append(args[0]) or tape(*args))
+        patch.setattr(builtins, "compile", lambda *args, **kw: compiles.append(args) or compile_(*args, **kw))
+        rc = cli.main(["check-identity", "--config", str(path), "--out", str(tmp_path / "checks.json")])
     assert rc == 0
+    assert [len(roots) for roots in tapes] == [5]
+    assert compiles == []
     assert set(E._COMPILE_CACHE) == before
+
+
+@pytest.mark.parametrize("generators, want_rc", [
+    ([{"name": "A", "eta": "sin(t)", "nu": "cos(t)"}, {"name": "B", "eta": "q", "nu": "p"}], cli.EXIT_OK),
+    ([{"name": "A", "eta": "sin(t)"}, {"name": "B", "xi": "q"}], cli.EXIT_VERIFY),
+    ([{"name": "A", "eta": "q"}, {"name": "B", "eta": "1/(q - q)"}], cli.EXIT_NUMERIC),
+])
+def test_check_identity_reports_the_per_generator_checks(tmp_path, capsys, generators, want_rc):
+    cfg = dict(OSC_CONFIG, generators=generators)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "checks.json"
+    rc = cli.main(["check-identity", "--config", str(path), "--out", str(out)])
+    assert rc == want_rc
+    run = cli.load_config(cfg)
+    ham = cli._resolved_hamiltonian(run)
+    options = dict(samples=run.samples, tol=run.tol, seed=run.seed)
+
+    def per_generator():
+        rows = []
+        for name, gen, _, _ in run.generators:
+            chk = noether.verify_hamiltonian_identity(ham, gen, **options)
+            rows.append(cli._check_entry(f"identity-{name}", chk))
+            report = noether.variational_derivative_identities(ham, gen, **options)
+            rows += [cli._check_entry(f"variation-{key}-{name}", chk) for key, chk in report.checks.items()]
+        return rows
+
+    if want_rc == cli.EXIT_NUMERIC:
+        with pytest.raises(E.EvalError) as err:
+            per_generator()
+        assert capsys.readouterr().err == f"numeric failure: {err.value} at {err.value.jet!r}\n"
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text()) == {"checks": per_generator()}
 
 
 def test_reruns_are_byte_identical(osc_config, tmp_path):

@@ -249,9 +249,21 @@ def test_shift_inverse_pair():
 
 
 def test_shift_overflow_names_symbol():
-    with pytest.raises(E.ShiftRangeError) as err:
-        E.shift(E.parse("qp + q"), +1)
-    assert err.value.symbol.name == "qp"
+    e = E.parse("qp + q")
+    for _ in range(2):  # the memo keeps no failed shift
+        with pytest.raises(E.ShiftRangeError) as err:
+            E.shift(e, +1)
+        assert err.value.symbol.name == "qp"
+
+
+def test_a_repeated_shift_returns_the_same_node_and_builds_nothing():
+    e = E.parse("sin(tm)*qm^2/(1 + pm*qdm) - exp(q)*pd")
+    first = E.shift(e, +1)
+    nodes, memo = len(E._INTERN), len(E._SHIFT_CACHE)
+    for _ in range(3):
+        assert E.shift(e, +1) is first
+    assert (len(E._INTERN), len(E._SHIFT_CACHE)) == (nodes, memo)
+    assert E.shift(first, -1) is e
 
 
 def test_shift_advances_time_symbol():
@@ -504,13 +516,16 @@ def _assert_kernel_matches_per_root(roots, slots):
     with np.errstate(all="ignore"):
         rows = array_binding(roots, slots, with_magnitude=True)
         magnitudes = [array_binding((r,), slots, with_magnitude=True)[1] for r in roots]
+    n = len(roots)
     finite = np.isfinite(rows).all(axis=0)
-    assert_same_bits(rows[:-1, finite], got[:, finite])
-    # the magnitude is the largest |value| of any subtree of any root
-    assert_same_bits(rows[-1, finite], np.max(magnitudes, axis=0)[finite])
-    subtrees = {id(n): n for r in roots for n in _walk(r)}.values()
-    values = [np.abs(E.evaluate_array(n, slots[:, finite])) for n in subtrees]
-    assert_same_bits(rows[-1, finite], np.max(values, axis=0))
+    assert_same_bits(rows[:n, finite], got[:, finite])
+    # root j's magnitude is the largest |value| of any subtree of root j
+    assert_same_bits(rows[n:, finite], np.array(magnitudes).reshape(n, -1)[:, finite])
+    subtrees = {id(s): s for r in roots for s in _walk(r)}
+    values = {key: np.abs(E.evaluate_array(s, slots[:, finite])) for key, s in subtrees.items()}
+    for j, r in enumerate(roots):
+        own = {id(s) for s in _walk(r)}
+        assert_same_bits(rows[n + j, finite], np.max([values[key] for key in own], axis=0))
     for k in np.flatnonzero(finite):
         assert_same_bits(kernel(slots[:, k].tolist(), [0.0] * len(rows)), rows[:, k])
     return int(finite.sum())
@@ -584,11 +599,11 @@ def test_many_kernel_deletes_every_temporary_after_its_last_use():
         assert lines[last + 1].lstrip().startswith("del ") and name in uses[last + 1], name
         assert all(name not in names for names in uses[last + 2:]), name
     # the tape drops each value right after the step that reads it last
-    tape = E._tape(tuple(roots))
-    reads = [set(operands) for _, _, operands, _ in tape]
+    _, _, operands, frees = E._tape(tuple(roots))
+    reads = [set(step) for step in operands]
     for v in set().union(*reads):
         last = max(s for s, read in enumerate(reads) if v in read)
-        assert [s for s, (_, _, _, free) in enumerate(tape) if v in free] == [last], v
+        assert [s for s, free in enumerate(frees) if v in free] == [last], v
 
 
 def test_first_array_use_runs_the_tape_and_the_second_compiles(monkeypatch):

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
+from delayham import noether as N
 
-from conftest import array_binding, assert_same_bits, random_expr, reference_jet_slots
+from conftest import array_binding, assert_same_bits, identity_models, random_expr, reference_jet_slots
 
 # shifts -1 and 0 only, so one forward shift stays in range; first order at most
 ATOMS = [E.t, E.tm, E.q, E.qm, E.p, E.pm, E.qd, E.qdm, E.pdm, E.tau]
@@ -90,3 +91,58 @@ def test_random_jets_columns_are_the_per_sample_streams(seed, start, n):
     assert slots.shape == (E.NSLOTS, n)
     for k in range(n):
         assert_same_bits(slots[:, k], reference_jet_slots(seed, start + k))
+
+
+def _outcome(fn):
+    """`fn()`, or the type, message and jet slots of the `EvalError` it raises."""
+    try:
+        return fn()
+    except E.EvalError as err:
+        return type(err), str(err), err.jet.slots()
+
+
+def _assert_same_checks(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.ok is w.ok
+        assert_same_bits(g.worst, w.worst)
+        assert (g.witness is None) is (w.witness is None)
+        if w.witness is not None:
+            assert_same_bits(g.witness.slots(), w.witness.slots())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(identity_models())
+def test_zero_checks_equal_the_per_root_checks(model):
+    ham, gens = model
+    residuals = []
+    for g in gens:
+        residuals += [N.hamiltonian_identity_residual(ham, g), *N.variational_identity_residuals(ham, g).values()]
+    slots = E.random_jets(31, 24)
+    q, qm = E.SYMBOL_BY_NAME["q"].index, E.SYMBOL_BY_NAME["qm"].index
+    slots[qm, 5] = slots[q, 5]  # `divide` divides zero by zero here
+    slots[q, 9] = 1.9  # `big` overflows to inf here, without an exception
+    nonzero = E.add(residuals[0], E.mul(E.const(1e-7), E.q))
+    big = E.parse("exp(100*q)*exp(100*q)*exp(100*q)*exp(100*q)")
+    tiny = E.div(E.q, E.add(1, big))
+    zero_with_inf_magnitude = E.sub(tiny, tiny)
+    roots = [*residuals[:3], nonzero, *residuals[3:7], zero_with_inf_magnitude, *residuals[7:], big]
+    want = [E.is_zero_on(r, slots) for r in roots]
+    assert [w.ok for w in want].count(False) >= 2 and want[8].ok
+    key = (*map(id, roots), True)
+    for binding in ("tape", "compiled"):
+        _assert_same_checks(E.zero_checks(roots, slots), want)
+        assert (key in E._COMPILE_CACHE) is (binding == "compiled")
+    # a root that raises makes the kernel raise: the roots are checked one by
+    # one in order, and the first failing one raises
+    divide = E.parse("(q - q)/(q - qm)")
+    few = [residuals[0], nonzero, zero_with_inf_magnitude, big]
+    for at in range(len(few) + 1):
+        with_divide = few[:at] + [divide] + few[at:]
+        want = _outcome(lambda: [E.is_zero_on(r, slots) for r in with_divide])
+        assert want[:2] == (E.EvalError, "division by zero")
+        for binding in ("tape", "compiled"):
+            got = _outcome(lambda: E.zero_checks(with_divide, slots))
+            assert got[:2] == want[:2]
+            assert_same_bits(got[2], want[2])
+        assert (*map(id, with_divide), True) in E._COMPILE_CACHE
