@@ -45,6 +45,7 @@ from .noether import (
     InvarianceResidual,
     NoetherQuantities,
     analyze_generator,
+    analyze_generators,
     classify_invariance,
     difference_integral,
     differential_integral,

@@ -23,12 +23,7 @@ from . import expr as ex
 from . import legendre, noether, recursion, solver
 from .classical import ClassicalHamiltonian, classical_identity_residual
 from .expr import Expr, ParseError, parse, to_source
-from .model import (
-    DelayHamiltonian,
-    Generator,
-    QuadraticLagrangian,
-    xi_admissible,
-)
+from .model import DelayHamiltonian, Generator, QuadraticLagrangian
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -324,16 +319,14 @@ def cmd_noether(cfg: RunConfig, args) -> int:
                 ham, cfg.history, cfg.t0 + cfg.horizon, cfg.steps_per_delay
             )
     reports = []
-    for name, gen, v, w in cfg.generators:
-        rep = noether.analyze_generator(
-            ham, gen, name, v=v, w=w, traj=traj,
-            samples=cfg.samples, tol=cfg.tol, seed=cfg.seed,
-        )
+    for rep in noether.analyze_generators(
+        ham, cfg.generators, traj=traj, samples=cfg.samples, tol=cfg.tol, seed=cfg.seed
+    ):
         reports.append(
             {
                 "name": rep.name,
                 "classification": rep.invariance.classification.value,
-                "xi_admissible": xi_admissible(gen, seed=cfg.seed),
+                "xi_admissible": rep.xi_admissible,
                 "omega": to_source(rep.invariance.omega),
                 "V": _maybe(rep.invariance.v),
                 "W": _maybe(rep.invariance.w),

@@ -9,8 +9,11 @@ difference part telescopes into a total derivative, and a difference first
 integral J = P - W in the opposite case.  V and W are found by a linear fit
 over a fixed monomial-times-trigonometric dictionary and re-verified by
 sampling; user-supplied candidates are always accepted for checking.  Each
-dictionary and its images are built once per process, and each design matrix
-is one kernel call over them.
+dictionary and its images are built once per process.  The generators of one
+run fit on the same seeded jets, so `analyze_generators` runs each stage
+across all of them: a design matrix is evaluated (one kernel call over the
+images) and factored once per run and shared by every generator that fits on
+its jets, while each fit keeps its own solve, gate and verification.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .model import (
     variational_q,
     variational_residuals,
     variational_t,
+    xi_admissible,
 )
 
 D = total_derivative
@@ -224,26 +228,111 @@ def _w_dictionary() -> _Dictionary:
 _GRAM_COND_MAX = 1e8
 
 
-def _solve(a_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of a_mat @ x ~ b_vec.
+def _gram_factor(a_mat: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the Gram matrix a_mat.T @ a_mat, or None.
 
-    A Cholesky solve of the normal equations when the Gram matrix is finite,
-    its exact extreme eigenvalues put its condition number at or below
-    _GRAM_COND_MAX, and the factorisation succeeds; otherwise LAPACK gelsd
-    (np.linalg.lstsq), which also handles rank-deficient and underdetermined
-    matrices.  Neither path warns."""
+    None unless the Gram matrix is finite, its exact extreme eigenvalues put
+    its condition number at or below _GRAM_COND_MAX, and the factorisation
+    succeeds.  One design is factored once, however many targets `_solve`
+    fits on it.  Never warns."""
     with np.errstate(all="ignore"):
         gram = a_mat.T @ a_mat
-        rhs = a_mat.T @ b_vec
-        if np.isfinite(gram).all() and np.isfinite(rhs).all():
+        if np.isfinite(gram).all():
             try:
                 eig = np.linalg.eigvalsh(gram)
                 if 0.0 < eig[0] and eig[-1] <= _GRAM_COND_MAX * eig[0]:
-                    low = np.linalg.cholesky(gram)
-                    return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+                    return np.linalg.cholesky(gram)
             except np.linalg.LinAlgError:
                 pass
+    return None
+
+
+def _solve(a_mat: np.ndarray, b_vec: np.ndarray, low: np.ndarray | None) -> np.ndarray:
+    """Least-squares coefficients of a_mat @ x ~ b_vec, given
+    `low = _gram_factor(a_mat)`.
+
+    Two triangular solves of the normal equations when there is a factor and
+    a_mat.T @ b_vec is finite; otherwise LAPACK gelsd (np.linalg.lstsq),
+    which also handles rank-deficient and underdetermined matrices.  Each
+    right-hand side is solved on its own, so its coefficients have the bits
+    of a one-target solve.  Neither path warns."""
+    with np.errstate(all="ignore"):
+        rhs = a_mat.T @ b_vec
+        if low is not None and np.isfinite(rhs).all():
+            return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
     return np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
+
+
+def _fit_many(
+    targets: list[Expr],
+    dictionary: _Dictionary,
+    *,
+    seed: int,
+    on_shell: DelayHamiltonian | None,
+    samples: int | None = None,
+    fit_tol: float = 1e-6,
+    verify_tol: float = 1e-8,
+) -> list[Expr | None]:
+    """`_fit` of every target, each design evaluated and factored once.
+
+    Targets that sample the same jets (off-shell, all of them; on-shell,
+    those that need second-order slots and those that do not) share the
+    sample, the design matrix, its finite check, the factor of its Gram
+    matrix and the on-shell verification block.  Each target is then solved,
+    gated, rounded and verified on its own, so its result is the one of its
+    own fit."""
+    columns, images, second = dictionary
+    if samples is None:
+        samples = max(400, 3 * len(columns))
+    elif samples < 1:
+        raise ValueError("samples must be >= 1")
+    groups: dict[bool, list[int]] = {}
+    for i, target in enumerate(targets):
+        need_second = on_shell is not None and (second or any(s.order >= 2 for s in symbols_of(target)))
+        groups.setdefault(need_second, []).append(i)
+    found: list[Expr | None] = [None] * len(targets)
+    for need_second, members in groups.items():
+
+        def sample(at_seed: int, count: int) -> np.ndarray:
+            if on_shell is None:
+                return ex.random_jets(at_seed, count)
+            return on_shell_jets(on_shell, at_seed, count, second_order=need_second)
+
+        slots = sample(seed, samples)
+        a_mat = ex.evaluate_many(images, slots).T
+        rows_finite = np.isfinite(a_mat).all(axis=1)
+        low = _gram_factor(a_mat)
+        verify_slots = None
+        for i in members:
+            target = targets[i]
+            b_vec = ex.evaluate_array(target, slots)
+            finite = rows_finite & np.isfinite(b_vec)
+            if not finite.all():
+                bad = ex.JetPoint.from_slots(slots[:, int(np.argmin(finite))])
+                raise ex.EvalError("design-matrix row is not finite", bad)
+            coeffs = _solve(a_mat, b_vec, low)
+            with np.errstate(all="ignore"):
+                rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
+            if not (rel <= fit_tol):
+                continue
+            scale = max(1.0, float(np.max(np.abs(coeffs))))
+            cleaned: list[tuple[int, object]] = []
+            for k, c in enumerate(coeffs):
+                if abs(c) < 1e-9 * scale:
+                    continue
+                frac = Fraction(float(c)).limit_denominator(24)
+                cleaned.append((k, frac if abs(float(frac) - c) <= 1e-6 * max(1.0, abs(c)) else float(c)))
+            candidate = add(*[mul(ex.const(c), columns[k]) for k, c in cleaned])
+            residual = sub(target, add(*[mul(ex.const(c), images[k]) for k, c in cleaned]))
+            if on_shell is None:
+                check = is_zero(residual, samples=120, tol=verify_tol, seed=seed + 7919)
+            else:
+                if verify_slots is None:
+                    verify_slots = sample(seed + 7919, 120)
+                check = is_zero_on(residual, verify_slots, tol=verify_tol)
+            if check.ok:
+                found[i] = candidate
+    return found
 
 
 def _fit(
@@ -256,42 +345,14 @@ def _fit(
     fit_tol: float,
     verify_tol: float,
 ) -> Expr | None:
-    """Least-squares fit of target = sum_i c_i * image_i, re-verified exactly."""
-    columns, images, second = dictionary
-    n = samples or max(400, 3 * len(columns))
-    need_second = second or any(s.order >= 2 for s in symbols_of(target))
-
-    def sample(at_seed: int, count: int) -> np.ndarray:
-        if on_shell is None:
-            return ex.random_jets(at_seed, count)
-        return on_shell_jets(on_shell, at_seed, count, second_order=need_second)
-
-    slots = sample(seed, n)
-    a_mat = ex.evaluate_many(images, slots).T
-    b_vec = ex.evaluate_array(target, slots)
-    finite = np.isfinite(a_mat).all(axis=1) & np.isfinite(b_vec)
-    if not finite.all():
-        bad = ex.JetPoint.from_slots(slots[:, int(np.argmin(finite))])
-        raise ex.EvalError("design-matrix row is not finite", bad)
-    coeffs = _solve(a_mat, b_vec)
-    with np.errstate(all="ignore"):
-        rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
-    if not (rel <= fit_tol):
-        return None
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    cleaned: list[tuple[int, object]] = []
-    for i, c in enumerate(coeffs):
-        if abs(c) < 1e-9 * scale:
-            continue
-        frac = Fraction(float(c)).limit_denominator(24)
-        cleaned.append((i, frac if abs(float(frac) - c) <= 1e-6 * max(1.0, abs(c)) else float(c)))
-    candidate = add(*[mul(ex.const(c), columns[i]) for i, c in cleaned])
-    residual = sub(target, add(*[mul(ex.const(c), images[i]) for i, c in cleaned]))
-    if on_shell is None:
-        check = is_zero(residual, samples=120, tol=verify_tol, seed=seed + 7919)
-    else:
-        check = is_zero_on(residual, sample(seed + 7919, 120), tol=verify_tol)
-    return candidate if check.ok else None
+    """Least-squares fit of target = sum_i c_i * image_i, re-verified exactly:
+    the one-target case of `_fit_many`, which evaluates and factors a design
+    once for every generator of a `noether` run that fits on its jets."""
+    return _fit_many(
+        [target], dictionary,
+        seed=seed, on_shell=on_shell, samples=samples,
+        fit_tol=fit_tol, verify_tol=verify_tol,
+    )[0]
 
 
 def fit_total_derivative(
@@ -303,7 +364,8 @@ def fit_total_derivative(
     fit_tol: float = 1e-6,
     verify_tol: float = 1e-8,
 ) -> Expr | None:
-    """Find V in the dictionary span with D(V) = target; None when absent."""
+    """Find V in the dictionary span with D(V) = target; None when absent.
+    `samples` design rows (default max(400, 3 * columns); `ValueError` below 1)."""
     return _fit(
         target, _v_dictionary(),
         seed=seed, on_shell=on_shell, samples=samples,
@@ -320,12 +382,48 @@ def fit_shift_difference(
     fit_tol: float = 1e-6,
     verify_tol: float = 1e-8,
 ) -> Expr | None:
-    """Find W in the dictionary span with (S+ - 1)W = target; None when absent."""
+    """Find W in the dictionary span with (S+ - 1)W = target; None when absent.
+    `samples` design rows (default max(400, 3 * columns); `ValueError` below 1)."""
     return _fit(
         target, _w_dictionary(),
         seed=seed, on_shell=on_shell, samples=samples,
         fit_tol=fit_tol, verify_tol=verify_tol,
     )
+
+
+def _classify_many(
+    h: DelayHamiltonian,
+    cases: list[tuple[Generator, Expr | None, Expr | None]],
+    *,
+    fit: bool,
+    samples: int,
+    tol: float,
+    seed: int,
+) -> list[InvarianceResidual]:
+    """`classify_invariance` of every (g, v, w) case; the cases left to the
+    V fit share its design."""
+    results = []
+    unresolved = []
+    for g, v, w in cases:
+        om = invariance_residual(h, g)
+        result = InvarianceResidual(om, Classification.NONE)
+        if is_zero(om, samples=samples, tol=tol, seed=seed).ok:
+            result = InvarianceResidual(om, Classification.VARIATIONAL)
+        elif v is not None or w is not None:
+            vv = as_expr(v if v is not None else 0)
+            ww = as_expr(w if w is not None else 0)
+            residual = sub(om, add(D(vv), sub(ww, shift(ww, +1))))
+            if is_zero(residual, samples=samples, tol=tol, seed=seed).ok:
+                result = InvarianceResidual(om, Classification.DIVERGENCE, vv, ww)
+        if result.classification is Classification.NONE:
+            unresolved.append(len(results))
+        results.append(result)
+    if fit and unresolved:
+        targets = [results[i].omega for i in unresolved]
+        for i, fitted in zip(unresolved, _fit_many(targets, _v_dictionary(), seed=seed + 1, on_shell=None)):
+            if fitted is not None:
+                results[i] = InvarianceResidual(results[i].omega, Classification.DIVERGENCE, fitted, ex.ZERO)
+    return results
 
 
 def classify_invariance(
@@ -343,20 +441,7 @@ def classify_invariance(
     or none.  User-supplied V/W are checked as given; otherwise V is searched
     automatically over the monomial dictionary (off-shell, so a reported
     divergence form is an identity, not merely an on-shell coincidence)."""
-    om = invariance_residual(h, g)
-    if is_zero(om, samples=samples, tol=tol, seed=seed).ok:
-        return InvarianceResidual(om, Classification.VARIATIONAL)
-    if v is not None or w is not None:
-        vv = as_expr(v if v is not None else 0)
-        ww = as_expr(w if w is not None else 0)
-        residual = sub(om, add(D(vv), sub(ww, shift(ww, +1))))
-        if is_zero(residual, samples=samples, tol=tol, seed=seed).ok:
-            return InvarianceResidual(om, Classification.DIVERGENCE, vv, ww)
-    if fit:
-        fitted = fit_total_derivative(om, seed=seed + 1)
-        if fitted is not None:
-            return InvarianceResidual(om, Classification.DIVERGENCE, fitted, ex.ZERO)
-    return InvarianceResidual(om, Classification.NONE)
+    return _classify_many(h, [(g, v, w)], fit=fit, samples=samples, tol=tol, seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +664,10 @@ class GeneratorReport:
     notes: list[str] = field(default_factory=list)
     drift_differential: DriftReport | None = None
     drift_difference: DriftReport | None = None
+    xi_admissible: bool = False
+
+
+_Case = tuple[str, Generator, Expr | None, Expr | None]
 
 
 def analyze_generator(
@@ -595,57 +684,128 @@ def analyze_generator(
     seed: int = 0,
 ) -> GeneratorReport:
     """Full treatment of one generator: identity check, classification,
-    conserved-quantity derivation, and optional drift monitoring."""
-    identity = verify_hamiltonian_identity(h, g, samples=samples, tol=tol, seed=seed)
-    inv = classify_invariance(h, g, v, w, fit=fit, samples=samples, tol=tol, seed=seed)
-    parts = noether_parts(h, g)
-    report = GeneratorReport(name, inv, parts, identity)
+    conserved-quantity derivation, optional drift monitoring and the
+    admissibility of its time coefficient (`model.xi_admissible`)."""
+    return _analyze_many(
+        h, [(name, g, v, w)], traj=traj, fit=fit, samples=samples, tol=tol, seed=seed
+    )[0]
 
-    if inv.classification is Classification.NONE:
-        report.notes.append("not a variational or divergence invariance; no conserved quantity")
-        return report
 
-    eta_zero = is_zero(g.eta, samples=10, tol=1e-12, seed=seed).ok
-    nu_zero = is_zero(g.nu, samples=10, tol=1e-12, seed=seed).ok
-    xi_zero = is_zero(g.xi, samples=10, tol=1e-12, seed=seed).ok
-    if eta_zero and nu_zero and not xi_zero:
-        report.notes.append(
-            "purely temporal generator: the canonical pair alone yields no "
-            "conserved quantity; a different determined system would be needed"
-        )
-        return report
+def analyze_generators(
+    h: DelayHamiltonian,
+    generators: list[_Case],
+    *,
+    traj=None,
+    fit: bool = True,
+    samples: int = 100,
+    tol: float = 1e-9,
+    seed: int = 0,
+) -> list[GeneratorReport]:
+    """`analyze_generator` of every `(name, g, v, w)`, stage by stage.
 
-    v_div = inv.v if inv.v is not None else ex.ZERO
-    w_div = inv.w if inv.w is not None else ex.ZERO
+    Every generator fits with the same seed, so their fits sample the same
+    jets: each stage runs across all generators before the next starts, and
+    the fits of one stage share their designs (`_fit_many`).  The reports
+    equal the per-generator ones.  When a stage raises, the generators are
+    rerun one at a time in order, so the error is the one that the first
+    failing generator raises on its own."""
+    try:
+        return _analyze_many(h, generators, traj=traj, fit=fit, samples=samples, tol=tol, seed=seed)
+    except Exception:
+        if len(generators) > 1:
+            for name, g, v, w in generators:
+                analyze_generator(
+                    h, g, name, v=v, w=w, traj=traj, fit=fit, samples=samples, tol=tol, seed=seed
+                )
+        raise
+
+
+def _analyze_many(
+    h: DelayHamiltonian,
+    generators: list[_Case],
+    *,
+    traj,
+    fit: bool,
+    samples: int,
+    tol: float,
+    seed: int,
+) -> list[GeneratorReport]:
+    """The stages of `analyze_generators`, without its rerun on failure."""
+    identities = [
+        verify_hamiltonian_identity(h, g, samples=samples, tol=tol, seed=seed)
+        for _, g, _, _ in generators
+    ]
+    classes = _classify_many(
+        h, [(g, v, w) for _, g, v, w in generators], fit=fit, samples=samples, tol=tol, seed=seed
+    )
+    reports = [
+        GeneratorReport(name, inv, noether_parts(h, g), identity)
+        for (name, g, _, _), inv, identity in zip(generators, classes, identities)
+    ]
+
+    # report index -> its V ("v"), its W ("w") and the target of each kind of
+    # fit, for every generator with a conserved quantity to derive
+    active: dict[int, dict[str, Expr]] = {}
+    for i, ((_, g, _, _), report) in enumerate(zip(generators, reports)):
+        inv = report.invariance
+        if inv.classification is Classification.NONE:
+            report.notes.append("not a variational or divergence invariance; no conserved quantity")
+            continue
+        eta_zero = is_zero(g.eta, samples=10, tol=1e-12, seed=seed).ok
+        nu_zero = is_zero(g.nu, samples=10, tol=1e-12, seed=seed).ok
+        xi_zero = is_zero(g.xi, samples=10, tol=1e-12, seed=seed).ok
+        if eta_zero and nu_zero and not xi_zero:
+            report.notes.append(
+                "purely temporal generator: the canonical pair alone yields no "
+                "conserved quantity; a different determined system would be needed"
+            )
+            continue
+        v_div = inv.v if inv.v is not None else ex.ZERO
+        w_div = inv.w if inv.w is not None else ex.ZERO
+        p_eff = sub(report.parts.p_quantity, w_div)
+        active[i] = {
+            "v": v_div,
+            "w": w_div,
+            "differential": sub(shift(p_eff, +1), p_eff),
+            "difference": D(sub(report.parts.c, v_div)),
+        }
     can_shell = h.alphas[0] != 0 and h.alphas[3] != 0
 
-    p_eff = sub(parts.p_quantity, w_div)
-    # (kind, fit, its target, integral builder, known divergence, fit seed
-    # and zero-check seed offsets, note when no fit is found)
+    # (kind, dictionary, its known divergence, integral builder, fit seed and
+    # zero-check seed offsets, note when no fit is found)
     splittings = (
-        ("differential", fit_total_derivative, sub(shift(p_eff, +1), p_eff),
-         differential_integral, v_div, 11, 3,
+        ("differential", _v_dictionary(), "v", differential_integral, 11, 3,
          "difference part not convertible: no differential integral found"),
-        ("difference", fit_shift_difference, D(sub(parts.c, v_div)),
-         difference_integral, w_div, 13, 5,
+        ("difference", _w_dictionary(), "w", difference_integral, 13, 5,
          "derivative part not convertible: no difference integral found"),
     )
-    for kind, fitter, target, integral_of, known, fit_seed, zero_seed, missing in splittings:
-        extra = fitter(target, seed=seed + fit_seed)
-        if extra is None and can_shell:
-            extra = fitter(target, seed=seed + fit_seed, on_shell=h)
-        if extra is None:
-            report.notes.append(missing)
-            continue
-        integral = integral_of(parts, add(known, extra), v_div=v_div, w_div=w_div)
-        if is_zero(integral, samples=40, tol=1e-10, seed=seed + zero_seed).ok:
-            # the fit absorbed everything through the equations of motion
-            setattr(parts, f"{kind}_integral", None)
-            report.notes.append(f"{kind} conversion yields only the zero quantity")
+    for kind, dictionary, known, integral_of, fit_seed, zero_seed, missing in splittings:
+        targets = {i: split[kind] for i, split in active.items()}
+        extras = dict(zip(targets, _fit_many(
+            list(targets.values()), dictionary, seed=seed + fit_seed, on_shell=None
+        )))
+        retry = [i for i, extra in extras.items() if extra is None]
+        if retry and can_shell:
+            extras.update(zip(retry, _fit_many(
+                [targets[i] for i in retry], dictionary, seed=seed + fit_seed, on_shell=h
+            )))
+        for i, extra in extras.items():
+            report = reports[i]
+            if extra is None:
+                report.notes.append(missing)
+                continue
+            split = active[i]
+            integral = integral_of(report.parts, add(split[known], extra), v_div=split["v"], w_div=split["w"])
+            if is_zero(integral, samples=40, tol=1e-10, seed=seed + zero_seed).ok:
+                # the fit absorbed everything through the equations of motion
+                setattr(report.parts, f"{kind}_integral", None)
+                report.notes.append(f"{kind} conversion yields only the zero quantity")
 
-    if traj is not None:
-        for kind in ("differential", "difference"):
-            integral = getattr(parts, f"{kind}_integral")
-            if integral is not None:
-                setattr(report, f"drift_{kind}", drift(integral, traj, kind=kind))
-    return report
+    for report, (_, g, _, _) in zip(reports, generators):
+        if traj is not None:
+            for kind in ("differential", "difference"):
+                integral = getattr(report.parts, f"{kind}_integral")
+                if integral is not None:
+                    setattr(report, f"drift_{kind}", drift(integral, traj, kind=kind))
+        report.xi_admissible = xi_admissible(g, seed=seed)
+    return reports

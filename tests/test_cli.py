@@ -812,6 +812,31 @@ def test_readme_outputs_are_byte_identical(tmp_path, horizon):
     assert got == README_OUTPUTS[horizon]
 
 
+# `noether` on the README config with five generators, one of each kind of
+# report: a divergence with both fits found (sin, cos), a purely temporal
+# generator (time), no invariance (scale) and fits that yield only zero
+# quantities (rotate).  The sha256 was taken from the generator-by-generator
+# analysis that `noether.analyze_generators` replaced.
+FIVE_GENERATORS = [
+    {"name": "sin", "eta": "sin(t)", "nu": "cos(t)"},
+    {"name": "cos", "eta": "cos(t)", "nu": "-sin(t)"},
+    {"name": "time", "xi": "1"},
+    {"name": "scale", "eta": "q", "nu": "p"},
+    {"name": "rotate", "eta": "p", "nu": "-q"},
+]
+FIVE_GENERATORS_NOETHER = "acd6579e99314df0f515ef2a4afd76143cf026206f8fc9b312f96f010c0c96da"
+
+
+def test_noether_on_five_generators_is_byte_identical(tmp_path):
+    import hashlib
+
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(dict(README_CONFIG, generators=FIVE_GENERATORS)))
+    out = tmp_path / "noether.json"
+    assert cli.main(["noether", "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIVE_GENERATORS_NOETHER
+
+
 # Classification and integrals of the README `noether` output; the fitted
 # coefficients are rounded to small fractions, so these do not depend on the seed.
 README_NOETHER = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -535,9 +537,9 @@ def test_design_matrix_equals_the_column_loop(fit, dictionary, oscillator, monke
     solve = N._solve
     seen = []
 
-    def capture(a, b):
+    def capture(a, b, low):
         seen.append((np.array(a), np.array(b)))
-        return solve(a, b)
+        return solve(a, b, low)
 
     monkeypatch.setattr(N, "_solve", capture)
     _, images, _ = dictionary()
@@ -574,9 +576,9 @@ def readme_design_matrices(oscillator):
     solve = N._solve
     seen = []
 
-    def capture(a, b):
+    def capture(a, b, low):
         seen.append((np.array(a), np.array(b)))
-        return solve(a, b)
+        return solve(a, b, low)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(N, "_solve", capture)
@@ -593,7 +595,7 @@ def test_solve_takes_the_normal_equations_on_full_rank_fits(readme_design_matric
     assert len(full) == len(readme_design_matrices) - 1  # the on-shell V fit is rank-deficient
     for a, b in full:
         want = _lstsq(a, b)
-        assert np.linalg.norm(N._solve(a, b) - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(N._solve(a, b, N._gram_factor(a)) - want) <= 1e-12 * np.linalg.norm(want)
     lstsq, fallbacks = np.linalg.lstsq, []
 
     def spy(a, b, rcond=None):
@@ -602,7 +604,7 @@ def test_solve_takes_the_normal_equations_on_full_rank_fits(readme_design_matric
 
     monkeypatch.setattr(np.linalg, "lstsq", spy)
     for a, b in readme_design_matrices:
-        N._solve(a, b)
+        N._solve(a, b, N._gram_factor(a))
     assert fallbacks == [(486, 162)]
 
 
@@ -614,7 +616,7 @@ def test_solve_is_lstsq_without_full_column_rank(rows, duplicate):
     if duplicate:
         a[:, -1] = a[:, 2]
     b = rng.standard_normal(rows)
-    assert_same_bits(N._solve(a, b), _lstsq(a, b))
+    assert_same_bits(N._solve(a, b, N._gram_factor(a)), _lstsq(a, b))
 
 
 def test_solve_guard_is_the_condition_number_not_the_factorisation():
@@ -626,7 +628,7 @@ def test_solve_guard_is_the_condition_number_not_the_factorisation():
     np.linalg.cholesky(a.T @ a)
     assert np.linalg.cond(a.T @ a) > N._GRAM_COND_MAX
     b = rng.standard_normal(40)
-    assert_same_bits(N._solve(a, b), _lstsq(a, b))
+    assert_same_bits(N._solve(a, b, N._gram_factor(a)), _lstsq(a, b))
 
 
 def test_solve_falls_back_quietly_when_the_gram_matrix_overflows():
@@ -639,5 +641,169 @@ def test_solve_falls_back_quietly_when_the_gram_matrix_overflows():
         assert np.isfinite(a).all() and not np.isfinite(a.T @ a).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = N._solve(a, b)
+        got = N._solve(a, b, N._gram_factor(a))
     assert_same_bits(got, _lstsq(a, b))
+
+
+# ---------------------------------------------------------------------------
+# fit arguments
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("fit", [N.fit_total_derivative, N.fit_shift_difference])
+def test_fit_needs_a_positive_sample_count(fit, samples):
+    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+        fit(E.parse("q*qd"), seed=1, samples=samples)
+
+
+def test_fit_without_a_sample_count_takes_the_default_rows(monkeypatch):
+    solve, rows = N._solve, []
+
+    def capture(a, b, low):
+        rows.append(len(b))
+        return solve(a, b, low)
+
+    monkeypatch.setattr(N, "_solve", capture)
+    N.fit_total_derivative(E.parse("q*qd"), seed=1, samples=None)
+    N.fit_shift_difference(E.parse("q*qd"), seed=1)
+    N.fit_total_derivative(E.parse("q*qd"), seed=1, samples=7)
+    assert rows == [486, 612, 7]
+
+
+# ---------------------------------------------------------------------------
+# many generators, stage by stage
+# ---------------------------------------------------------------------------
+
+
+def test_fit_many_equals_the_one_target_fits(oscillator):
+    _, ham = oscillator
+    w_column = E.parse("q*p*sin(t)")
+    v_target = E.total_derivative(E.parse("q*qm*cos(t)"))
+    targets = [
+        E.parse("q*qd + sin(t)*pm"),
+        E.parse("qddp*q + qd^2*pm"),  # on-shell, needs the second-order jets
+        v_target,  # a V in the span
+        E.sub(E.shift(w_column, +1), w_column),  # a W in the span
+        # passes the residual gate, but its rounded V fails the verification
+        E.add(v_target, E.mul(E.parse("1e-7"), E.parse("exp(q)"))),
+    ]
+    for dictionary in (N._v_dictionary(), N._w_dictionary()):
+        for on_shell in (None, ham):
+            got = N._fit_many(targets, dictionary, seed=5, on_shell=on_shell)
+            want = [
+                N._fit(t, dictionary, seed=5, on_shell=on_shell, samples=None, fit_tol=1e-6, verify_tol=1e-8)
+                for t in targets
+            ]
+            assert got == want
+            assert any(f is not None for f in got)
+    assert N.fit_total_derivative(targets[-1], seed=5) is None
+
+
+def _comparable(value):
+    """`value` with every field spelled out: jet points as their slot bytes,
+    expressions as themselves (they are interned)."""
+    if isinstance(value, E.JetPoint):
+        return np.asarray(value.slots(), dtype=float).tobytes()
+    if isinstance(value, tuple):
+        return type(value), tuple(_comparable(v) for v in value)
+    if isinstance(value, list):
+        return [_comparable(v) for v in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, E.Expr):
+        return type(value), {f.name: _comparable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+def _assert_reports_equal_one_at_a_time(ham, cases, **options):
+    together = N.analyze_generators(ham, cases, **options)
+    alone = [N.analyze_generator(ham, g, name, v=v, w=w, **options) for name, g, v, w in cases]
+    assert [r.name for r in together] == [name for name, *_ in cases]
+    for got, want in zip(together, alone):
+        assert _comparable(got) == _comparable(want), got.name
+
+
+README_GENERATORS = [
+    ("X1", M.Generator(E.ZERO, E.parse("sin(t)"), E.parse("cos(t)")), None, None),
+    ("X5", M.Generator(E.ZERO, E.parse("p"), E.parse("-q")), None, None),
+]
+
+
+@pytest.mark.parametrize("seed", [20260810, 7, 1234, 99991, 2**32 + 5])
+def test_analyze_generators_equals_the_per_generator_reports_on_the_readme(
+    oscillator, oscillator_trajectory, seed
+):
+    _, ham = oscillator
+    _assert_reports_equal_one_at_a_time(ham, README_GENERATORS, traj=oscillator_trajectory, seed=seed)
+
+
+@pytest.mark.parametrize("model", ["oscillator", "degenerate_oscillator"])
+def test_analyze_generators_equals_the_per_generator_reports_on_the_oscillator_sets(
+    model, oscillator_generators, sincos_history, request
+):
+    _, ham = request.getfixturevalue(model)
+    traj = S.step_hamiltonian(ham, sincos_history, 5.0, 32)
+    cases = [(name, g, None, None) for name, g in oscillator_generators.items()]
+    # a supplied potential, right for "sin" and wrong for "scale"
+    cases.append(("sin-v", oscillator_generators["sin"], E.parse("cos(tm)*q + cos(t)*qm"), None))
+    cases.append(("scale-v", oscillator_generators["scale"], E.parse("q*qm"), E.ZERO))
+    _assert_reports_equal_one_at_a_time(ham, cases, traj=traj, seed=29)
+    _assert_reports_equal_one_at_a_time(ham, cases, seed=3, fit=False)
+    # pairing weights without an on-shell construction (a4 = 0)
+    weak = M.DelayHamiltonian(ham.h, (1, 0, 0, 0))
+    _assert_reports_equal_one_at_a_time(weak, cases[:5], seed=5)
+
+
+def test_a_readme_request_evaluates_and_factors_each_design_once(oscillator, monkeypatch):
+    _, ham = oscillator
+    designs = {id(N._v_dictionary()[1]), id(N._w_dictionary()[1])}
+    evaluate_many, gram_factor, solve = E.evaluate_many, N._gram_factor, N._solve
+    calls = {"design": 0, "factor": 0, "solve": 0}
+
+    def count_designs(roots, slots):
+        calls["design"] += id(roots) in designs
+        return evaluate_many(roots, slots)
+
+    def count_factors(a):
+        calls["factor"] += 1
+        return gram_factor(a)
+
+    def count_solves(a, b, low):
+        calls["solve"] += 1
+        return solve(a, b, low)
+
+    monkeypatch.setattr(E, "evaluate_many", count_designs)
+    monkeypatch.setattr(N, "_gram_factor", count_factors)
+    monkeypatch.setattr(N, "_solve", count_solves)
+    N.analyze_generators(ham, README_GENERATORS, seed=20260810)
+    # V at seed+1 and seed+11 and the off- and on-shell W at seed+13 serve
+    # both generators; the on-shell V at seed+11 serves X1 alone
+    assert calls == {"design": 5, "factor": 5, "solve": 9}
+
+
+class _Planted(RuntimeError):
+    pass
+
+
+def test_analyze_generators_raises_the_first_generators_own_error(oscillator, monkeypatch):
+    _, ham = oscillator
+    first, second = README_GENERATORS
+    identity, admissible = N.verify_hamiltonian_identity, N.xi_admissible
+
+    def fails_early(h, g, **options):
+        if g is second[1]:
+            raise _Planted("second generator, identity check")
+        return identity(h, g, **options)
+
+    def fails_late(g, **options):
+        if g is first[1]:
+            raise _Planted("first generator, last stage")
+        return admissible(g, **options)
+
+    monkeypatch.setattr(N, "verify_hamiltonian_identity", fails_early)
+    monkeypatch.setattr(N, "xi_admissible", fails_late)
+    with pytest.raises(_Planted) as want:
+        for name, g, v, w in README_GENERATORS:
+            N.analyze_generator(ham, g, name, v=v, w=w, seed=11)
+    with pytest.raises(_Planted) as got:
+        N.analyze_generators(ham, README_GENERATORS, seed=11)
+    assert str(got.value) == str(want.value) == "first generator, last stage"
