@@ -105,18 +105,15 @@ def classical_identity_residual(ch: ClassicalHamiltonian, g: Generator) -> Expr:
 _QD, _PD, _QDD, _PDD = (symbol(base, 0, order).index for order in (1, 2) for base in "qp")
 
 
-def classical_on_shell_jets(
-    ch: ClassicalHamiltonian, seed: int, n: int, second_order: bool = True, start: int = 0
-) -> np.ndarray:
-    """`(NSLOTS, n)` slot array of random jets with qd = H_p, pd = -H_q (and
-    consistent second derivatives); column k is sample `start + k`."""
-    A = random_jets(seed, n, start)
+def classical_on_shell_jets(ch: ClassicalHamiltonian, seed: int, n: int) -> np.ndarray:
+    """`(NSLOTS, n)` slot array of random jets with qd = H_p, pd = -H_q and
+    consistent second derivatives; column k is sample k."""
+    A = random_jets(seed, n)
     hp = partial(ch.h, "p")
     hq = partial(ch.h, "q")
     fp, fq = evaluate_many((hp, hq), A)
     A[_QD], A[_PD] = fp, -fq
-    if second_order:
-        # D(H_p) and D(H_q) read the rates just set
-        fp, fq = evaluate_many((total_derivative(hp), total_derivative(hq)), A)
-        A[_QDD], A[_PDD] = fp, -fq
+    # D(H_p) and D(H_q) read the rates just set
+    fp, fq = evaluate_many((total_derivative(hp), total_derivative(hq)), A)
+    A[_QDD], A[_PDD] = fp, -fq
     return A

@@ -12,7 +12,9 @@ and second time derivatives:
 
 Expressions are immutable and hash-consed: structurally identical trees are
 the same object, so equality is identity and large derived expressions share
-their common subtrees.
+their common subtrees.  Nodes are built only through the module helpers
+(`const`, `sym`, `add`, `mul`, ...), which all go through `_intern`; calling
+a node class directly raises `TypeError`.
 
 Evaluation runs one kernel per tuple of roots.  One plan (`_plan`) fixes its
 order: one step per distinct subtree of the roots, children first, root j
@@ -155,9 +157,21 @@ def symbol(base: str, shift: int, order: int = 0) -> Symbol:
 
 
 class Expr:
-    """Immutable expression node; construct through the module helpers."""
+    """Immutable expression node, built only by the module helpers.
+
+    `_intern` is the one constructor: calling a node class raises
+    `TypeError`, and assigning or deleting a slot raises `AttributeError`."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(f"{cls.__name__} nodes are built by the expr module helpers")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: expression nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: expression nodes are immutable")
 
     def __add__(self, other):
         return add(self, other)
@@ -196,77 +210,53 @@ class Expr:
         return to_source(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
-    value: Number
-
-    __slots__ = ("value",)
+    __slots__ = ("value",)  # Fraction or float
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Sym(Expr):
-    symbol: Symbol
-
     __slots__ = ("symbol",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TauConst(Expr):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
-    terms: tuple[Expr, ...]
-
     __slots__ = ("terms",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
-    factors: tuple[Expr, ...]
-
     __slots__ = ("factors",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
-    arg: Expr
-
     __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Div(Expr):
-    num: Expr
-    den: Expr
-
     __slots__ = ("num", "den")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
-    base: Expr
-    exponent: int
-
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent")  # exponent: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Func(Expr):
-    name: str
-    arg: Expr
-
     __slots__ = ("name", "arg")
 
 
 _INTERN: dict[tuple, Expr] = {}
 
 
-def _intern(key: tuple, build: Callable[[], Expr]) -> Expr:
+def _intern(key: tuple, cls: type, *fields) -> Expr:
+    """The node interned under `key`; on a miss, a new `cls` node whose slots
+    take `fields` in order.  Keys hold ids and plain values, never nodes."""
     node = _INTERN.get(key)
     if node is None:
-        node = build()
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
         _INTERN[key] = node
     return node
 
@@ -284,7 +274,7 @@ def const(v: Number) -> Const:
         v = Fraction(v)
     elif not isinstance(v, (float, Fraction)):
         raise TypeError(f"unsupported constant type {type(v).__name__}")
-    return _intern(_const_key(v), lambda: Const(v))  # type: ignore[return-value]
+    return _intern(_const_key(v), Const, v)  # type: ignore[return-value]
 
 
 def as_expr(x) -> Expr:
@@ -296,7 +286,7 @@ def as_expr(x) -> Expr:
 def sym(s: Symbol | str) -> Sym:
     if isinstance(s, str):
         s = SYMBOL_BY_NAME[s]
-    return _intern(("s", s.index), lambda: Sym(s))  # type: ignore[return-value]
+    return _intern(("s", s.index), Sym, s)  # type: ignore[return-value]
 
 
 TAU: TauConst = _intern(("tau",), TauConst)  # type: ignore[assignment]
@@ -327,9 +317,7 @@ def add(*terms) -> Expr:
         return const(acc if touched else Fraction(0))
     if len(flat) == 1:
         return flat[0]
-    key = ("+",) + tuple(id(f) for f in flat)
-    tup = tuple(flat)
-    return _intern(key, lambda: Add(tup))
+    return _intern(("+", *map(id, flat)), Add, tuple(flat))
 
 
 def neg(x) -> Expr:
@@ -338,7 +326,7 @@ def neg(x) -> Expr:
         return const(-x.value)
     if isinstance(x, Neg):
         return x.arg
-    return _intern(("neg", id(x)), lambda: Neg(x))
+    return _intern(("neg", id(x)), Neg, x)
 
 
 def sub(a, b) -> Expr:
@@ -382,9 +370,7 @@ def mul(*factors) -> Expr:
     elif len(parts) == 1:
         out = parts[0]
     else:
-        key = ("*",) + tuple(id(f) for f in parts)
-        tup = tuple(parts)
-        out = _intern(key, lambda: Mul(tup))
+        out = _intern(("*", *map(id, parts)), Mul, tuple(parts))
     return neg(out) if negative else out
 
 
@@ -416,9 +402,7 @@ def div(a, b) -> Expr:
     elif isinstance(b, Const) and isinstance(a, Mul) and isinstance(a.factors[0], Const):
         out = mul(div(a.factors[0], b), *a.factors[1:])
     else:
-        bb = b
-        aa = a
-        out = _intern(("/", id(aa), id(bb)), lambda: Div(aa, bb))
+        out = _intern(("/", id(a), id(b)), Div, a, b)
     return neg(out) if negative else out
 
 
@@ -442,14 +426,12 @@ def powi(base, exponent: int) -> Expr:
     if isinstance(base, Neg):
         inner = powi(base.arg, exponent)
         return inner if exponent % 2 == 0 else neg(inner)
-    b = base
-    n = exponent
-    return _intern(("^", id(b), n), lambda: Pow(b, n))
+    return _intern(("^", id(base), exponent), Pow, base, exponent)
 
 
 def _func(name: str, arg) -> Expr:
     a = as_expr(arg)
-    return _intern(("fn", name, id(a)), lambda: Func(name, a))
+    return _intern(("fn", name, id(a)), Func, name, a)
 
 
 def sin(arg) -> Expr:

@@ -227,6 +227,11 @@ def _w_dictionary() -> _Dictionary:
 # proven by its verification, not by the solver.
 _GRAM_COND_MAX = 1e8
 
+# A fit is kept when its relative design residual is at most _FIT_TOL and its
+# rounded coefficients then pass a 120-jet zero check at _VERIFY_TOL.
+_FIT_TOL = 1e-6
+_VERIFY_TOL = 1e-8
+
 
 def _gram_factor(a_mat: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of the Gram matrix a_mat.T @ a_mat, or None.
@@ -269,23 +274,17 @@ def _fit_many(
     *,
     seed: int,
     on_shell: DelayHamiltonian | None,
-    samples: int | None = None,
-    fit_tol: float = 1e-6,
-    verify_tol: float = 1e-8,
 ) -> list[Expr | None]:
-    """`_fit` of every target, each design evaluated and factored once.
+    """Least-squares fit of each target = sum_i c_i * image_i, re-verified
+    exactly, with each design evaluated and factored once.
 
     Targets that sample the same jets (off-shell, all of them; on-shell,
     those that need second-order slots and those that do not) share the
     sample, the design matrix, its finite check, the factor of its Gram
     matrix and the on-shell verification block.  Each target is then solved,
     gated, rounded and verified on its own, so its result is the one of its
-    own fit."""
+    own fit.  A design has max(400, 3 * columns) rows."""
     columns, images, second = dictionary
-    if samples is None:
-        samples = max(400, 3 * len(columns))
-    elif samples < 1:
-        raise ValueError("samples must be >= 1")
     groups: dict[bool, list[int]] = {}
     for i, target in enumerate(targets):
         need_second = on_shell is not None and (second or any(s.order >= 2 for s in symbols_of(target)))
@@ -298,7 +297,7 @@ def _fit_many(
                 return ex.random_jets(at_seed, count)
             return on_shell_jets(on_shell, at_seed, count, second_order=need_second)
 
-        slots = sample(seed, samples)
+        slots = sample(seed, max(400, 3 * len(columns)))
         a_mat = ex.evaluate_many(images, slots).T
         rows_finite = np.isfinite(a_mat).all(axis=1)
         low = _gram_factor(a_mat)
@@ -313,7 +312,7 @@ def _fit_many(
             coeffs = _solve(a_mat, b_vec, low)
             with np.errstate(all="ignore"):
                 rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
-            if not (rel <= fit_tol):
+            if not (rel <= _FIT_TOL):
                 continue
             scale = max(1.0, float(np.max(np.abs(coeffs))))
             cleaned: list[tuple[int, object]] = []
@@ -325,70 +324,28 @@ def _fit_many(
             candidate = add(*[mul(ex.const(c), columns[k]) for k, c in cleaned])
             residual = sub(target, add(*[mul(ex.const(c), images[k]) for k, c in cleaned]))
             if on_shell is None:
-                check = is_zero(residual, samples=120, tol=verify_tol, seed=seed + 7919)
+                check = is_zero(residual, samples=120, tol=_VERIFY_TOL, seed=seed + 7919)
             else:
                 if verify_slots is None:
                     verify_slots = sample(seed + 7919, 120)
-                check = is_zero_on(residual, verify_slots, tol=verify_tol)
+                check = is_zero_on(residual, verify_slots, tol=_VERIFY_TOL)
             if check.ok:
                 found[i] = candidate
     return found
 
 
-def _fit(
-    target: Expr,
-    dictionary: _Dictionary,
-    *,
-    seed: int,
-    on_shell: DelayHamiltonian | None,
-    samples: int | None,
-    fit_tol: float,
-    verify_tol: float,
-) -> Expr | None:
-    """Least-squares fit of target = sum_i c_i * image_i, re-verified exactly:
-    the one-target case of `_fit_many`, which evaluates and factors a design
-    once for every generator of a `noether` run that fits on its jets."""
-    return _fit_many(
-        [target], dictionary,
-        seed=seed, on_shell=on_shell, samples=samples,
-        fit_tol=fit_tol, verify_tol=verify_tol,
-    )[0]
-
-
 def fit_total_derivative(
-    target: Expr,
-    *,
-    seed: int = 0,
-    on_shell: DelayHamiltonian | None = None,
-    samples: int | None = None,
-    fit_tol: float = 1e-6,
-    verify_tol: float = 1e-8,
+    target: Expr, *, seed: int = 0, on_shell: DelayHamiltonian | None = None
 ) -> Expr | None:
-    """Find V in the dictionary span with D(V) = target; None when absent.
-    `samples` design rows (default max(400, 3 * columns); `ValueError` below 1)."""
-    return _fit(
-        target, _v_dictionary(),
-        seed=seed, on_shell=on_shell, samples=samples,
-        fit_tol=fit_tol, verify_tol=verify_tol,
-    )
+    """Find V in the dictionary span with D(V) = target; None when absent."""
+    return _fit_many([target], _v_dictionary(), seed=seed, on_shell=on_shell)[0]
 
 
 def fit_shift_difference(
-    target: Expr,
-    *,
-    seed: int = 0,
-    on_shell: DelayHamiltonian | None = None,
-    samples: int | None = None,
-    fit_tol: float = 1e-6,
-    verify_tol: float = 1e-8,
+    target: Expr, *, seed: int = 0, on_shell: DelayHamiltonian | None = None
 ) -> Expr | None:
-    """Find W in the dictionary span with (S+ - 1)W = target; None when absent.
-    `samples` design rows (default max(400, 3 * columns); `ValueError` below 1)."""
-    return _fit(
-        target, _w_dictionary(),
-        seed=seed, on_shell=on_shell, samples=samples,
-        fit_tol=fit_tol, verify_tol=verify_tol,
-    )
+    """Find W in the dictionary span with (S+ - 1)W = target; None when absent."""
+    return _fit_many([target], _w_dictionary(), seed=seed, on_shell=on_shell)[0]
 
 
 def _classify_many(

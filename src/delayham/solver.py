@@ -463,8 +463,6 @@ def write_csv(traj: Trajectory, stream, residuals: ResidualTable | None = None) 
 
 @dataclass
 class CsvTrajectory:
-    tau: float
-    steps_per_delay: int
     t: np.ndarray
     q: np.ndarray
     p: np.ndarray | None
@@ -492,7 +490,8 @@ def _parse_block(lines: list[str], first: int) -> np.ndarray:
 
 
 def read_csv(path_or_stream) -> CsvTrajectory:
-    """Read the fixed schema back; delay metadata is left unset (zero).
+    """Read the fixed schema back: its t, q, p, qdot and pdot columns, each
+    of the last three None when it is all nan.
 
     A malformed row (named by its 1-based line) or a file without rows
     raises `SolverError`; bytes that are not UTF-8 make their row malformed.
@@ -516,4 +515,4 @@ def read_csv(path_or_stream) -> CsvTrajectory:
         column = data[:, i]
         return None if np.all(np.isnan(column)) else column
 
-    return CsvTrajectory(0.0, 0, data[:, 0], data[:, 1], col(2), col(3), col(4))
+    return CsvTrajectory(data[:, 0], data[:, 1], col(2), col(3), col(4))

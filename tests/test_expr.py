@@ -1,6 +1,8 @@
 import builtins
 import itertools
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -321,6 +323,63 @@ def test_fraction_constants_survive_roundtrip():
     assert isinstance(e, E.Mul)
     assert e.factors[0].value == 0.75
     assert E.parse(E.to_source(e)) is e
+
+
+# ---------------------------------------------------------------------------
+# node construction
+# ---------------------------------------------------------------------------
+
+NODE_FIELDS = [
+    (E.Const, (1.5,)),
+    (E.Sym, (E.SYMBOL_BY_NAME["q"],)),
+    (E.TauConst, ()),
+    (E.Add, ((E.q, E.p),)),
+    (E.Mul, ((E.q, E.p),)),
+    (E.Neg, (E.q,)),
+    (E.Div, (E.q, E.p)),
+    (E.Pow, (E.q, 2)),
+    (E.Func, ("sin", E.q)),
+]
+
+
+def test_every_node_class_is_covered():
+    assert {cls for cls, _ in NODE_FIELDS} == set(E.Expr.__subclasses__())
+
+
+@pytest.mark.parametrize("cls, fields", NODE_FIELDS, ids=[cls.__name__ for cls, _ in NODE_FIELDS])
+def test_a_node_class_cannot_be_called(cls, fields):
+    nodes = len(E._INTERN)
+    with pytest.raises(TypeError):
+        cls(*fields)
+    with pytest.raises(TypeError):
+        cls()
+    assert len(E._INTERN) == nodes
+
+
+def test_a_node_slot_cannot_be_set_or_deleted():
+    cases = [(E.parse("q*qm + pd"), "terms"), (E.ONE, "value"), (E.q, "symbol"), (E.parse("q^3"), "exponent")]
+    for node, name in cases:
+        before = getattr(node, name)
+        with pytest.raises(AttributeError):
+            setattr(node, name, before)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+        assert getattr(node, name) is before
+    with pytest.raises(AttributeError):
+        E.q.extra = 1
+
+
+def test_constants_are_one_node_per_exact_value():
+    assert E.const(1) is E.const(Fraction(2, 2)) is E.ONE
+    assert E.const(1) is not E.const(1.0)
+    assert E.const(0.0) is not E.const(-0.0)
+    assert E.const(0.1) is not E.const(math.nextafter(0.1, 1.0))
+    assert E.const(float("nan")) is E.const(float("nan"))
+
+
+def test_intern_keys_hold_no_nodes_or_classes():
+    E.parse("sin(q)*qm^2/(1 + pm) - exp(tau*q)")
+    assert not any(isinstance(part, (E.Expr, type)) for key in E._INTERN for part in key)
 
 
 # ---------------------------------------------------------------------------

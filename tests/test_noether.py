@@ -646,15 +646,8 @@ def test_solve_falls_back_quietly_when_the_gram_matrix_overflows():
 
 
 # ---------------------------------------------------------------------------
-# fit arguments
+# fit design rows
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("samples", [0, -5])
-@pytest.mark.parametrize("fit", [N.fit_total_derivative, N.fit_shift_difference])
-def test_fit_needs_a_positive_sample_count(fit, samples):
-    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
-        fit(E.parse("q*qd"), seed=1, samples=samples)
 
 
 def test_fit_without_a_sample_count_takes_the_default_rows(monkeypatch):
@@ -665,10 +658,9 @@ def test_fit_without_a_sample_count_takes_the_default_rows(monkeypatch):
         return solve(a, b, low)
 
     monkeypatch.setattr(N, "_solve", capture)
-    N.fit_total_derivative(E.parse("q*qd"), seed=1, samples=None)
+    N.fit_total_derivative(E.parse("q*qd"), seed=1)
     N.fit_shift_difference(E.parse("q*qd"), seed=1)
-    N.fit_total_derivative(E.parse("q*qd"), seed=1, samples=7)
-    assert rows == [486, 612, 7]
+    assert rows == [486, 612]
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +683,7 @@ def test_fit_many_equals_the_one_target_fits(oscillator):
     for dictionary in (N._v_dictionary(), N._w_dictionary()):
         for on_shell in (None, ham):
             got = N._fit_many(targets, dictionary, seed=5, on_shell=on_shell)
-            want = [
-                N._fit(t, dictionary, seed=5, on_shell=on_shell, samples=None, fit_tol=1e-6, verify_tol=1e-8)
-                for t in targets
-            ]
+            want = [N._fit_many([t], dictionary, seed=5, on_shell=on_shell)[0] for t in targets]
             assert got == want
             assert any(f is not None for f in got)
     assert N.fit_total_derivative(targets[-1], seed=5) is None
