@@ -402,8 +402,8 @@ def cmd_compare(cfg: RunConfig | None, args) -> int:
 
 def cmd_check_identity(cfg: RunConfig, args) -> int:
     checks = []
-    rng = np.random.default_rng(cfg.seed)
     if args.classical:
+        rng = np.random.default_rng(cfg.seed)
         for k in range(args.pairs):
             coeffs = rng.uniform(-1.5, 1.5, size=6)
             h_expr = (

@@ -134,9 +134,6 @@ class DelayHamiltonian:
             raise ValueError("alphas must have exactly four entries")
         object.__setattr__(self, "alphas", tuple(_num(a) for a in self.alphas))
 
-    def action_density(self) -> Expr:
-        return action_density(self)
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -152,9 +149,6 @@ class Generator:
         object.__setattr__(self, "nu", as_expr(self.nu))
         for name in ("xi", "eta", "nu"):
             _check_symbols(getattr(self, name), _POINT_SYMBOLS, name)
-
-    def prolong(self) -> tuple[Expr, Expr]:
-        return prolong(self)
 
     def apply(self, e: Expr) -> Expr:
         """Action of the generator prolonged to shifts and derivatives up to order 2."""

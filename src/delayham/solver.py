@@ -376,13 +376,6 @@ class ResidualTable:
     rq: np.ndarray
     rt: np.ndarray
 
-    def max_abs(self) -> dict[str, float]:
-        def mx(a):
-            good = a[np.isfinite(a)]
-            return float(np.max(np.abs(good))) if good.size else math.nan
-
-        return {"Rp": mx(self.rp), "Rq": mx(self.rq), "Rt": mx(self.rt)}
-
 
 def _centred(values: np.ndarray, h: float) -> np.ndarray:
     """Centred differences of node values; nan at the first and last node."""

@@ -199,16 +199,40 @@ def array_binding(roots, slots, with_magnitude=False):
     return compiled
 
 
+def splitmix64_unit(seed: int, counter: int) -> float:
+    """Unit draw `counter` (from 1) of SplitMix64 seeded with `seed`, on Python ints."""
+    z = (seed + counter * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
+
 def reference_jet_slots(seed: int, k: int) -> list[float]:
-    """Sample k of `E.random_jets(seed, ...)`, drawn value by value with `Generator.uniform`."""
-    rng = np.random.default_rng((seed & 0xFFFFFFFF, k))
-    tau_value = rng.uniform(0.3, 1.5)
-    t_value = rng.uniform(-3.0, 3.0)
+    """Sample k of `E.random_jets(seed, ...)`, drawn value by value and mapped
+    to [low, high) as `Generator.uniform` maps: low + (high - low) * u."""
+    draws = iter(splitmix64_unit(seed & 0xFFFFFFFF, 20 * k + j) for j in range(1, 21))
+
+    def uniform(low: float, high: float) -> float:
+        return low + (high - low) * next(draws)
+
+    tau_value = uniform(0.3, 1.5)
+    t_value = uniform(-3.0, 3.0)
     slots = list(E.JetPoint(tau_value, t_value=t_value).slots())
     for s in E.SYMBOLS:
         if s.base != "t":
-            slots[s.index] = rng.uniform(-2.0, 2.0)
+            slots[s.index] = uniform(-2.0, 2.0)
     return slots
+
+
+def first_exp_overflow(exponent: E.Expr, slots: np.ndarray) -> int | None:
+    """The first column of `slots` at which exp(exponent) overflows a double, or None."""
+    for k in range(slots.shape[1]):
+        try:
+            math.exp(E.evaluate(exponent, E.JetPoint.from_slots(slots[:, k])))
+        except OverflowError:
+            return k
+    return None
 
 
 def jet_with_values(jet: E.JetPoint, values: dict[str, float]) -> E.JetPoint:

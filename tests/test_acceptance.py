@@ -222,7 +222,7 @@ def test_criterion_07_negative_controls():
 
     identities = N.variational_derivative_identities(OSC_HAM, GEN_SCALE, 80, 1e-9, 47)
     assert identities.ok
-    density = OSC_HAM.action_density()
+    density = M.action_density(OSC_HAM)
     omega = N.invariance_residual(OSC_HAM, GEN_SCALE)
     gap_p = E.sub(M.variational_p(omega, extended=True), E.mul(2, M.variational_p(density)))
     gap_q = E.sub(M.variational_q(omega, extended=True), E.mul(2, M.variational_q(density)))
@@ -239,7 +239,7 @@ def test_criterion_07_negative_controls():
     inv_bad = N.classify_invariance(bad, gen, seed=53)
     assert inv_bad.classification is N.Classification.NONE
     assert E.is_zero(
-        E.sub(inv_bad.omega, E.mul(2, bad.action_density())), samples=60, tol=1e-9, seed=53
+        E.sub(inv_bad.omega, E.mul(2, M.action_density(bad))), samples=60, tol=1e-9, seed=53
     ).ok
     rep_bad = N.analyze_generator(bad, gen, "scale", seed=53)
     assert rep_bad.parts.differential_integral is None

@@ -762,6 +762,29 @@ def test_check_identity_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["noether", "check-identity"])
+def test_command_does_not_import_numpy_random(tmp_path, command):
+    # jets come from expr's own SplitMix64 hash, so these paths need no numpy.random
+    import os
+    import subprocess
+    import sys
+
+    import delayham
+
+    path = tmp_path / "osc.json"
+    path.write_text(json.dumps(OSC_CONFIG))
+    script = (
+        "import sys; from delayham import cli; "
+        "rc = cli.main(sys.argv[1:]); print(rc, 'numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delayham.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", script, command, "--config", str(path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, check=True, text=True,
+    )
+    assert run.stdout == "0 False\n"
+
+
 # The config printed in the README, and the sha256 of each command's output.
 README_CONFIG = {
     "tau": 1.0,

@@ -10,7 +10,14 @@ import pytest
 from delayham import expr as E
 from delayham import model as M
 
-from conftest import array_binding, assert_same_bits, curve_jet, random_expr, reference_jet_slots
+from conftest import (
+    array_binding,
+    assert_same_bits,
+    curve_jet,
+    first_exp_overflow,
+    random_expr,
+    reference_jet_slots,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +407,7 @@ def _same_bits(a, b) -> bool:
 
 
 # (seed, start, n): 40 columns from 0 for each seed, then blocks that cross and
-# pass 2**32, where a sample index takes a second 32-bit entropy word, and a
-# negative start, which numpy's seeding rejects.
+# pass sample index 2**32, and a negative start, which is outside the index range.
 JET_BLOCKS = [(seed, 0, 40) for seed in [0, 7, 20260810, -3, 2**40 + 5]] + [
     (20260810, 2**32 - 3, 6),
     (7, 2**40, 8),
@@ -429,6 +435,32 @@ def test_random_jets_columns_match_single_draws(seed, start, n):
         assert _same_bits(column, E.random_jet(seed, start + k).slots())
     inner = E.random_jets(seed, n // 2, start + n // 3)
     assert _same_bits(inner, slots[:, n // 3 : n // 3 + n // 2])
+
+
+def test_random_jets_draw_the_reference_splitmix64_stream():
+    # the first outputs of the reference splitmix64.c seeded with 0
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    units = E._draw_units(0, 1, 0)[:3, 0]
+    assert units.tolist() == [(x >> 11) * 2.0**-53 for x in published]
+
+
+def test_random_jets_index_range_edges():
+    last = E._SAMPLES_END - 1
+    assert E._SAMPLES_END == 2**64 // 20
+    slots = E.random_jets(5, 1, last)
+    assert _same_bits(slots[:, 0], reference_jet_slots(5, last))
+    for n, start in ((1, last + 1), (2, last), (1, -1)):
+        with pytest.raises(ValueError, match="outside"):
+            E.random_jets(5, n, start)
+    with pytest.raises(ValueError, match="outside"):
+        E.random_jet(5, last + 1)
+
+
+def test_no_two_32_bit_seeds_share_a_draw_within_2_20_counters():
+    # seed s's draw at counter c is a bijection of s + c * gamma (mod 2**64),
+    # so seeds s != s' share one only if (c - c') * gamma is within 2**32 of 0
+    d = np.arange(1, 2**20, dtype=np.uint64) * E._GAMMA
+    assert ((d >= np.uint64(2**32)) & (d <= np.uint64(2**64 - 2**32))).all()
 
 
 def test_array_binding_matches_scalar_kernel_bit_for_bit():
@@ -509,9 +541,14 @@ def test_is_zero_agrees_with_a_per_jet_loop():
 
 
 def test_is_zero_overflow_is_an_eval_error():
+    # zero up to rounding wherever it is finite, so the check reaches the
+    # first sample at which exp overflows
+    e = E.parse("exp(200*q*qm)*(sin(q)^2 + cos(q)^2 - 1)")
+    witness = first_exp_overflow(E.parse("200*q*qm"), E.random_jets(0, 400))
+    assert witness is not None
     with pytest.raises(E.EvalError, match="numeric overflow") as err:
-        E.is_zero(E.parse("exp(200*q*qm)"))
-    assert err.value.jet.slots() == E.random_jet(0, 0).slots()
+        E.is_zero(e, samples=400)
+    assert err.value.jet.slots() == E.random_jet(0, witness).slots()
 
 
 def test_zero_check_stops_at_the_first_witness():

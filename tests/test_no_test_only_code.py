@@ -2,8 +2,9 @@
 
 A module-level function or class, or a method that is neither a dunder nor a
 property, must be named somewhere in `src/delayham` outside its own
-definition (a method as `.name`), be exported by `delayham.__all__`, or be a
-`bench/tracing.py` target.  Reference helpers the tests need live in
+definition (a method as `.name`).  A module-level definition may instead be
+exported by `delayham.__all__` or be a `bench/tracing.py` target; a method
+of the same name as one is not exempt.  Reference helpers the tests need live in
 `tests/conftest.py` or in the one test module that uses them.
 """
 
@@ -43,8 +44,9 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
     unused = []
     for path, text in sources.items():
         lines = text.splitlines()
-        for node, pattern in _definitions(ast.parse(text)):
-            if node.name in kept:
+        tree = ast.parse(text)
+        for node, pattern in _definitions(tree):
+            if node in tree.body and node.name in kept:
                 continue
             outside = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
             others = [t for p, t in sources.items() if p != path] + [outside]

@@ -10,6 +10,7 @@ from delayham import solver as S
 
 from conftest import (
     assert_same_bits,
+    first_exp_overflow,
     observed_orders,
     random_generator,
     random_quadratic_hamiltonian,
@@ -58,7 +59,7 @@ def test_residual_scaling_generator(oscillator, oscillator_generators):
     om = N.invariance_residual(ham, oscillator_generators["scale"])
     assert z(E.sub(om, E.parse("2*(pm*qd + p*qdm - p*pm - q*qm)"))).ok
     # twice the action density
-    assert z(E.sub(om, E.mul(2, ham.action_density()))).ok
+    assert z(E.sub(om, E.mul(2, M.action_density(ham)))).ok
 
 
 def test_residual_rotation_generator(oscillator, oscillator_generators):
@@ -211,7 +212,7 @@ def test_classification_negative_weights_control():
     gen = M.Generator(E.ZERO, E.q, E.p)
     inv = N.classify_invariance(ham, gen, seed=5)
     assert inv.classification is N.Classification.NONE
-    assert z(E.sub(inv.omega, E.mul(2, ham.action_density()))).ok
+    assert z(E.sub(inv.omega, E.mul(2, M.action_density(ham)))).ok
     assert z(E.sub(inv.omega, E.parse("2*(p*qd - p*pm - q*qm)"))).ok
 
 
@@ -283,7 +284,7 @@ def test_variation_identities_oscillator_scale(oscillator, oscillator_generators
     # the scaling generator turns the residual variations into twice the
     # equations themselves, certifying equation invariance
     om = N.invariance_residual(ham, oscillator_generators["scale"])
-    density = ham.action_density()
+    density = M.action_density(ham)
     assert z(E.sub(M.variational_p(om, extended=True), E.mul(2, M.variational_p(density)))).ok
     assert z(E.sub(M.variational_q(om, extended=True), E.mul(2, M.variational_q(density)))).ok
 
@@ -501,22 +502,31 @@ def test_pipeline_time_translation_note(oscillator, oscillator_generators):
     assert any("temporal" in n for n in rep.notes)
 
 
+def _fit_rows():
+    return max(400, 3 * len(N._v_dictionary()[0]))
+
+
 def test_fit_rejects_a_nan_residual():
-    # the target reaches 1e300 on these jets, so the fit residual norm
-    # overflows and the relative residual is nan; that is no fit
+    # the target is finite on the design's jets but passes 1e154 there, so the
+    # fit residual norm overflows and the relative residual is nan; that is no fit
     import warnings
 
+    target = E.parse("exp(200*q*qm)")
+    values = E.evaluate_array(target, E.random_jets(1, _fit_rows()))
+    assert np.isfinite(values).all() and values.max() > 1e154
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert N.fit_total_derivative(E.parse("exp(200*q*qm)"), seed=1) is None
+        assert N.fit_total_derivative(target, seed=1) is None
 
 
 def test_fit_row_that_overflows_names_its_jet():
     target = E.parse("exp(200*q*qm)")
+    witness = first_exp_overflow(E.parse("200*q*qm"), E.random_jets(0, _fit_rows()))
+    assert witness is not None
     with pytest.raises(E.EvalError, match="numeric overflow") as err:
         N.fit_total_derivative(target, seed=0)
     jet = err.value.jet
-    assert jet.slots() == E.random_jet(0, 0).slots()
+    assert jet.slots() == E.random_jet(0, witness).slots()
     assert 200 * jet.value("q") * jet.value("qm") > 709.8
 
 

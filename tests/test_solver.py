@@ -14,6 +14,16 @@ import conftest
 from conftest import assert_same_bits, observed_orders
 
 
+def _max_abs(table: S.ResidualTable) -> dict[str, float]:
+    """Largest finite |residual| of each column of a residual table (nan if none)."""
+
+    def mx(a):
+        good = a[np.isfinite(a)]
+        return float(np.max(np.abs(good))) if good.size else math.nan
+
+    return {"Rp": mx(table.rp), "Rq": mx(table.rq), "Rt": mx(table.rt)}
+
+
 def test_exact_solution_reproduced(oscillator, sincos_history):
     # sine/cosine history continues the delayed oscillator exactly
     _, ham = oscillator
@@ -26,7 +36,7 @@ def test_residual_self_check(oscillator, sincos_history):
     _, ham = oscillator
     traj = S.step_hamiltonian(ham, sincos_history, 10.0, 64)
     table = S.residual_report(traj, ham)
-    stats = table.max_abs()
+    stats = _max_abs(table)
     assert stats["Rp"] <= 1e-6
     assert stats["Rq"] <= 1e-6
     # the horizontal residual does not vanish on solutions of the pair
@@ -57,7 +67,7 @@ def test_zero_hamiltonian_constant_history():
     traj = S.step_hamiltonian(ham, hist, 5.0, 16)
     assert np.allclose(traj.q, 1.0)
     assert np.allclose(traj.p, 2.0)
-    stats = S.residual_report(traj, ham).max_abs()
+    stats = _max_abs(S.residual_report(traj, ham))
     assert all(v <= 1e-12 for v in stats.values())
 
 
