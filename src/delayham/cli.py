@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Any
 
-import numpy as np
-
 from . import expr as ex
 from . import legendre, noether, recursion, solver
 from .classical import ClassicalHamiltonian, classical_identity_residual
@@ -403,9 +401,11 @@ def cmd_compare(cfg: RunConfig | None, args) -> int:
 def cmd_check_identity(cfg: RunConfig, args) -> int:
     checks = []
     if args.classical:
-        rng = np.random.default_rng(cfg.seed)
+        # pair k's coefficients: six free slots of a jet that no check reads
+        # (checks read samples below cfg.samples), scaled from [-2, 2] to [-1.5, 1.5]
+        draws = 0.75 * ex.random_jets(cfg.seed, args.pairs, start=cfg.samples)[ex._FREE_SLOTS[:6]]
         for k in range(args.pairs):
-            coeffs = rng.uniform(-1.5, 1.5, size=6)
+            coeffs = draws[:, k]
             h_expr = (
                 ex.const(float(coeffs[0])) * ex.p**2
                 + ex.const(float(coeffs[1])) * ex.q**2

@@ -308,16 +308,15 @@ _SLOT = {name: ex.SYMBOL_BY_NAME[name].index for name in (
 )}
 
 
-def on_shell_jets(
-    h: DelayHamiltonian, seed: int, n: int, second_order: bool = False, start: int = 0
-) -> np.ndarray:
+def on_shell_jets(h: DelayHamiltonian, seed: int, n: int, start: int = 0) -> np.ndarray:
     """`(NSLOTS, n)` slot array of random jets constrained by the two delay
-    canonical equations; column k is `on_shell_jet(h, seed, start + k, ...)`.
+    canonical equations and their total derivatives; column k is
+    `on_shell_jet(h, seed, start + k)`.
 
-    The forward derivatives qdp and pdp are solved from the equations (this
-    needs a1 != 0 and a4 != 0); with `second_order` the forward second
-    derivatives are solved from the differentiated equations as well.  The
-    horizontal equation is *not* imposed.
+    The forward derivatives qdp and pdp are solved from the equations, then
+    the forward second derivatives qddp and pddp from the differentiated
+    equations (this needs a1 != 0 and a4 != 0); the second solve writes no
+    other slot.  The horizontal equation is *not* imposed.
     """
     a1, a2, a3, a4 = h.alphas
     if a1 == 0 or a4 == 0:
@@ -329,16 +328,13 @@ def on_shell_jets(
     fp, fq = evaluate_many((dp, dq), A)
     A[_SLOT["qdp"]] = (fp - c23 * A[_SLOT["qd"]] - c4 * A[_SLOT["qdm"]]) / c1
     A[_SLOT["pdp"]] = (-fq - c23 * A[_SLOT["pd"]] - c1 * A[_SLOT["pdm"]]) / c4
-    if second_order:
-        # D(dp) and D(dq) read the forward rates just solved for
-        fp, fq = evaluate_many((total_derivative(dp), total_derivative(dq)), A)
-        A[_SLOT["qddp"]] = (fp - c23 * A[_SLOT["qdd"]] - c4 * A[_SLOT["qddm"]]) / c1
-        A[_SLOT["pddp"]] = (-fq - c23 * A[_SLOT["pdd"]] - c1 * A[_SLOT["pddm"]]) / c4
+    # D(dp) and D(dq) read the forward rates just solved for
+    fp, fq = evaluate_many((total_derivative(dp), total_derivative(dq)), A)
+    A[_SLOT["qddp"]] = (fp - c23 * A[_SLOT["qdd"]] - c4 * A[_SLOT["qddm"]]) / c1
+    A[_SLOT["pddp"]] = (-fq - c23 * A[_SLOT["pdd"]] - c1 * A[_SLOT["pddm"]]) / c4
     return A
 
 
-def on_shell_jet(
-    h: DelayHamiltonian, seed: int, index: int = 0, second_order: bool = False
-) -> JetPoint:
+def on_shell_jet(h: DelayHamiltonian, seed: int, index: int = 0) -> JetPoint:
     """Sample `index` of `on_shell_jets` as a jet point."""
-    return JetPoint.from_slots(on_shell_jets(h, seed, 1, second_order, index)[:, 0])
+    return JetPoint.from_slots(on_shell_jets(h, seed, 1, index)[:, 0])

@@ -9,11 +9,14 @@ difference part telescopes into a total derivative, and a difference first
 integral J = P - W in the opposite case.  V and W are found by a linear fit
 over a fixed monomial-times-trigonometric dictionary and re-verified by
 sampling; user-supplied candidates are always accepted for checking.  Each
-dictionary and its images are built once per process.  The generators of one
-run fit on the same seeded jets, so `analyze_generators` runs each stage
-across all of them: a design matrix is evaluated (one kernel call over the
-images) and factored once per run and shared by every generator that fits on
-its jets, while each fit keeps its own solve, gate and verification.
+dictionary and its images are built once per process.  An on-shell fit
+samples jets of the prolonged canonical pair (the equations and their total
+derivatives), so one set of jets serves every target of a fit, whatever its
+order.  The generators of one run fit on the same seeded jets, so
+`analyze_generators` runs each stage across all of them: each fit call
+evaluates (one kernel call over the images) and factors one design, shared
+by every generator in it, while each fit keeps its own solve, gate and
+verification.
 """
 
 from __future__ import annotations
@@ -183,14 +186,12 @@ def _trig_factors() -> list[Expr]:
     return [ex.ONE, ex.sin(ex.t), ex.cos(ex.t), ex.sin(ex.tm), ex.cos(ex.tm), ex.t]
 
 
-_Dictionary = tuple[tuple[Expr, ...], tuple[Expr, ...], bool]
+_Dictionary = tuple[tuple[Expr, ...], tuple[Expr, ...]]
 
 
 def _dictionary(columns: list[Expr], image: Callable[[Expr], Expr]) -> _Dictionary:
-    """The columns, their images under the fitted operator, and whether an
-    image needs second-derivative slots."""
-    images = tuple(image(c) for c in columns)
-    return tuple(columns), images, any(s.order >= 2 for e in images for s in symbols_of(e))
+    """The columns and their images under the fitted operator."""
+    return tuple(columns), tuple(image(c) for c in columns)
 
 
 @functools.cache
@@ -276,61 +277,54 @@ def _fit_many(
     on_shell: DelayHamiltonian | None,
 ) -> list[Expr | None]:
     """Least-squares fit of each target = sum_i c_i * image_i, re-verified
-    exactly, with each design evaluated and factored once.
+    exactly, with the design evaluated and factored once.
 
-    Targets that sample the same jets (off-shell, all of them; on-shell,
-    those that need second-order slots and those that do not) share the
+    Every target samples the same jets: random ones off-shell, `on_shell_jets`
+    (second-order slots included) on-shell.  So the targets share the
     sample, the design matrix, its finite check, the factor of its Gram
-    matrix and the on-shell verification block.  Each target is then solved,
+    matrix and the 120-jet verification block.  Each target is then solved,
     gated, rounded and verified on its own, so its result is the one of its
-    own fit.  A design has max(400, 3 * columns) rows."""
-    columns, images, second = dictionary
-    groups: dict[bool, list[int]] = {}
-    for i, target in enumerate(targets):
-        need_second = on_shell is not None and (second or any(s.order >= 2 for s in symbols_of(target)))
-        groups.setdefault(need_second, []).append(i)
+    own fit.  A design has max(400, 3 * columns) rows; an empty call samples
+    nothing."""
+    if not targets:
+        return []
+    columns, images = dictionary
+
+    def sample(at_seed: int, count: int) -> np.ndarray:
+        if on_shell is None:
+            return ex.random_jets(at_seed, count)
+        return on_shell_jets(on_shell, at_seed, count)
+
+    slots = sample(seed, max(400, 3 * len(columns)))
+    a_mat = ex.evaluate_many(images, slots).T
+    rows_finite = np.isfinite(a_mat).all(axis=1)
+    low = _gram_factor(a_mat)
+    verify_slots = None
     found: list[Expr | None] = [None] * len(targets)
-    for need_second, members in groups.items():
-
-        def sample(at_seed: int, count: int) -> np.ndarray:
-            if on_shell is None:
-                return ex.random_jets(at_seed, count)
-            return on_shell_jets(on_shell, at_seed, count, second_order=need_second)
-
-        slots = sample(seed, max(400, 3 * len(columns)))
-        a_mat = ex.evaluate_many(images, slots).T
-        rows_finite = np.isfinite(a_mat).all(axis=1)
-        low = _gram_factor(a_mat)
-        verify_slots = None
-        for i in members:
-            target = targets[i]
-            b_vec = ex.evaluate_array(target, slots)
-            finite = rows_finite & np.isfinite(b_vec)
-            if not finite.all():
-                bad = ex.JetPoint.from_slots(slots[:, int(np.argmin(finite))])
-                raise ex.EvalError("design-matrix row is not finite", bad)
-            coeffs = _solve(a_mat, b_vec, low)
-            with np.errstate(all="ignore"):
-                rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
-            if not (rel <= _FIT_TOL):
+    for i, target in enumerate(targets):
+        b_vec = ex.evaluate_array(target, slots)
+        finite = rows_finite & np.isfinite(b_vec)
+        if not finite.all():
+            bad = ex.JetPoint.from_slots(slots[:, int(np.argmin(finite))])
+            raise ex.EvalError("design-matrix row is not finite", bad)
+        coeffs = _solve(a_mat, b_vec, low)
+        with np.errstate(all="ignore"):
+            rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
+        if not (rel <= _FIT_TOL):
+            continue
+        scale = max(1.0, float(np.max(np.abs(coeffs))))
+        cleaned: list[tuple[int, object]] = []
+        for k, c in enumerate(coeffs):
+            if abs(c) < 1e-9 * scale:
                 continue
-            scale = max(1.0, float(np.max(np.abs(coeffs))))
-            cleaned: list[tuple[int, object]] = []
-            for k, c in enumerate(coeffs):
-                if abs(c) < 1e-9 * scale:
-                    continue
-                frac = Fraction(float(c)).limit_denominator(24)
-                cleaned.append((k, frac if abs(float(frac) - c) <= 1e-6 * max(1.0, abs(c)) else float(c)))
-            candidate = add(*[mul(ex.const(c), columns[k]) for k, c in cleaned])
-            residual = sub(target, add(*[mul(ex.const(c), images[k]) for k, c in cleaned]))
-            if on_shell is None:
-                check = is_zero(residual, samples=120, tol=_VERIFY_TOL, seed=seed + 7919)
-            else:
-                if verify_slots is None:
-                    verify_slots = sample(seed + 7919, 120)
-                check = is_zero_on(residual, verify_slots, tol=_VERIFY_TOL)
-            if check.ok:
-                found[i] = candidate
+            frac = Fraction(float(c)).limit_denominator(24)
+            cleaned.append((k, frac if abs(float(frac) - c) <= 1e-6 * max(1.0, abs(c)) else float(c)))
+        candidate = add(*[mul(ex.const(c), columns[k]) for k, c in cleaned])
+        residual = sub(target, add(*[mul(ex.const(c), images[k]) for k, c in cleaned]))
+        if verify_slots is None:
+            verify_slots = sample(seed + 7919, 120)
+        if is_zero_on(residual, verify_slots, tol=_VERIFY_TOL).ok:
+            found[i] = candidate
     return found
 
 
@@ -414,8 +408,7 @@ def _verified_integral(
     it rests on, vanishes on sampled on-shell jets of `ham` (unchecked
     without `ham`)."""
     if ham is not None:
-        need_second = any(s.order >= 2 for s in symbols_of(residual))
-        check = is_zero_on(residual, on_shell_jets(ham, seed, samples, second_order=need_second), tol=tol)
+        check = is_zero_on(residual, on_shell_jets(ham, seed, samples), tol=tol)
         if not check.ok:
             raise IntegralVerificationError(failure, check.worst)
     setattr(parts, f"{kind}_integral", integral)
@@ -708,9 +701,9 @@ def _analyze_many(
         if inv.classification is Classification.NONE:
             report.notes.append("not a variational or divergence invariance; no conserved quantity")
             continue
-        eta_zero = is_zero(g.eta, samples=10, tol=1e-12, seed=seed).ok
-        nu_zero = is_zero(g.nu, samples=10, tol=1e-12, seed=seed).ok
-        xi_zero = is_zero(g.xi, samples=10, tol=1e-12, seed=seed).ok
+        eta_zero, nu_zero, xi_zero = (
+            c.ok for c in ex.zero_checks((g.eta, g.nu, g.xi), ex.random_jets(seed, 10), 1e-12)
+        )
         if eta_zero and nu_zero and not xi_zero:
             report.notes.append(
                 "purely temporal generator: the canonical pair alone yields no "

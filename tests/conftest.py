@@ -311,8 +311,7 @@ def extended_elsgolts_display(l: L.ExtendedLagrangian) -> E.Expr:
 def is_zero_on_shell(e: E.Expr, h: M.DelayHamiltonian, samples: int = 100,
                      tol: float = 1e-9, seed: int = 0) -> E.ZeroCheck:
     """Sampled vanishing of `e` on jets satisfying the canonical equations."""
-    need_second = any(s.order >= 2 for s in E.symbols_of(e))
-    return E.is_zero_on(e, M.on_shell_jets(h, seed, samples, second_order=need_second), tol)
+    return E.is_zero_on(e, M.on_shell_jets(h, seed, samples), tol)
 
 
 def momentum_substitution(p_of_qd: E.Expr) -> dict:

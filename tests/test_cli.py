@@ -762,7 +762,7 @@ def test_check_identity_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command", ["noether", "check-identity"])
+@pytest.mark.parametrize("command", ["noether", "check-identity", "check-identity --classical"])
 def test_command_does_not_import_numpy_random(tmp_path, command):
     # jets come from expr's own SplitMix64 hash, so these paths need no numpy.random
     import os
@@ -779,7 +779,7 @@ def test_command_does_not_import_numpy_random(tmp_path, command):
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(delayham.__file__)))
     run = subprocess.run(
-        [sys.executable, "-c", script, command, "--config", str(path), "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", script, *command.split(), "--config", str(path), "--out", str(tmp_path / "out")],
         env=env, capture_output=True, check=True, text=True,
     )
     assert run.stdout == "0 False\n"

@@ -240,7 +240,7 @@ def test_on_shell_jet_satisfies_canonical_pair(oscillator):
     _, ham = oscillator
     rp, rq, rt = M.variational_residuals(ham)
     for k in range(20):
-        jet = M.on_shell_jet(ham, 77, k, second_order=True)
+        jet = M.on_shell_jet(ham, 77, k)
         assert abs(E.evaluate(rp, jet)) < 1e-12
         assert abs(E.evaluate(rq, jet)) < 1e-12
 
@@ -249,7 +249,7 @@ def test_horizontal_residual_not_implied(oscillator):
     # a jet satisfying both canonical equations with nonzero horizontal residual
     _, ham = oscillator
     _, _, rt = M.variational_residuals(ham)
-    jet = M.on_shell_jet(ham, 78, 0, second_order=True)
+    jet = M.on_shell_jet(ham, 78, 0)
     assert abs(E.evaluate(rt, jet)) > 1e-3
 
 
@@ -277,8 +277,9 @@ def test_prolonged_apply_handles_second_order():
     assert any(s.order == 2 for s in E.symbols_of(out))
 
 
-def _reference_on_shell_slots(h, seed, k, second_order):
-    """One on-shell jet solved value by value with the scalar evaluator."""
+def _reference_on_shell_slots(h, seed, k):
+    """One on-shell jet, second-order slots included, solved value by value
+    with the scalar evaluator."""
     a1, a2, a3, a4 = (float(a) for a in h.alphas)
     jet = E.random_jet(seed, k)
     dp = M.shifted_pair_partial(h.h, "p")
@@ -288,17 +289,15 @@ def _reference_on_shell_slots(h, seed, k, second_order):
         "qdp": (E.evaluate(dp, jet) - (a2 + a3) * v("qd") - a4 * v("qdm")) / a1,
         "pdp": (-E.evaluate(dq, jet) - (a2 + a3) * v("pd") - a1 * v("pdm")) / a4,
     })
-    if second_order:
-        v = jet.value
-        jet = jet_with_values(jet, {
-            "qddp": (E.evaluate(E.total_derivative(dp), jet) - (a2 + a3) * v("qdd") - a4 * v("qddm")) / a1,
-            "pddp": (-E.evaluate(E.total_derivative(dq), jet) - (a2 + a3) * v("pdd") - a1 * v("pddm")) / a4,
-        })
+    v = jet.value
+    jet = jet_with_values(jet, {
+        "qddp": (E.evaluate(E.total_derivative(dp), jet) - (a2 + a3) * v("qdd") - a4 * v("qddm")) / a1,
+        "pddp": (-E.evaluate(E.total_derivative(dq), jet) - (a2 + a3) * v("pdd") - a1 * v("pddm")) / a4,
+    })
     return jet.slots()
 
 
-@pytest.mark.parametrize("second_order", [False, True])
-def test_batched_on_shell_columns_match_single_jets(oscillator, second_order):
+def test_batched_on_shell_columns_match_single_jets(oscillator):
     rng = np.random.default_rng(31)
     hams = [oscillator[1], M.DelayHamiltonian(E.parse("sin(t)*p*pm + q^3*qm + exp(q/4)"), (2, 1, -1, 3))]
     for _ in range(6):
@@ -306,8 +305,8 @@ def test_batched_on_shell_columns_match_single_jets(oscillator, second_order):
         if ham.alphas[0] != 0 and ham.alphas[3] != 0:
             hams.append(ham)
     for ham in hams:
-        slots = M.on_shell_jets(ham, 55, 12, second_order=second_order)
+        slots = M.on_shell_jets(ham, 55, 12)
         for k in range(12):
             column = slots[:, k].tolist()
-            assert column == M.on_shell_jet(ham, 55, k, second_order=second_order).slots()
-            assert column == _reference_on_shell_slots(ham, 55, k, second_order)
+            assert column == M.on_shell_jet(ham, 55, k).slots()
+            assert column == _reference_on_shell_slots(ham, 55, k)

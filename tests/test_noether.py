@@ -552,11 +552,11 @@ def test_design_matrix_equals_the_column_loop(fit, dictionary, oscillator, monke
         return solve(a, b, low)
 
     monkeypatch.setattr(N, "_solve", capture)
-    _, images, _ = dictionary()
-    for target, on_shell, second in (
-        (E.parse("q*qd + sin(t)*pm"), None, False),
-        (E.parse("q*qd + sin(t)*pm"), ham, False),
-        (E.parse("qddp*q + qd^2*pm"), ham, True),  # qddp is solved only for second order
+    _, images = dictionary()
+    for target, on_shell in (
+        (E.parse("q*qd + sin(t)*pm"), None),
+        (E.parse("q*qd + sin(t)*pm"), ham),
+        (E.parse("qddp*q + qd^2*pm"), ham),  # qddp is a solved second-order slot
     ):
         fit(target, seed=5, on_shell=on_shell)
         a_mat, b_vec = seen[-1]
@@ -564,7 +564,7 @@ def test_design_matrix_equals_the_column_loop(fit, dictionary, oscillator, monke
         if on_shell is None:
             slots = E.random_jets(5, n)
         else:
-            slots = M.on_shell_jets(ham, 5, n, second_order=second)
+            slots = M.on_shell_jets(ham, 5, n)
         assert_same_bits(a_mat, np.column_stack([E.evaluate_array(e, slots) for e in images]))
         assert_same_bits(b_vec, E.evaluate_array(target, slots))
     assert len(seen) == 3
@@ -697,6 +697,19 @@ def test_fit_many_equals_the_one_target_fits(oscillator):
             assert got == want
             assert any(f is not None for f in got)
     assert N.fit_total_derivative(targets[-1], seed=5) is None
+
+
+@pytest.mark.parametrize("on_shell", [False, True], ids=["off-shell", "on-shell"])
+def test_fit_many_of_no_targets_samples_and_evaluates_nothing(oscillator, on_shell, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty fit call sampled or evaluated")
+
+    monkeypatch.setattr(E, "random_jets", refuse)
+    monkeypatch.setattr(N, "on_shell_jets", refuse)
+    monkeypatch.setattr(E, "evaluate_many", refuse)
+    ham = oscillator[1] if on_shell else None
+    for dictionary in (N._v_dictionary(), N._w_dictionary()):
+        assert N._fit_many([], dictionary, seed=5, on_shell=ham) == []
 
 
 def _comparable(value):
