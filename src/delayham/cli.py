@@ -61,9 +61,12 @@ def _number(value: Any, pointer: str, positive: bool = False) -> float:
     return value
 
 
-def _integer(value: Any, pointer: str, minimum: int, wording: str) -> int:
+def _integer(value: Any, pointer: str, minimum: int, wording: str,
+             maximum: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(pointer, f"must be {wording}")
+    if value > maximum:
+        raise ConfigError(pointer, f"must be at most {maximum}")
     return value
 
 
@@ -110,7 +113,9 @@ _SCALARS = (
     ("tau", 1.0, partial(_number, positive=True)),
     ("seed", 0, partial(_integer, minimum=0, wording="a non-negative integer")),
     ("tol", 1e-9, partial(_number, positive=True)),
-    ("samples", 100, partial(_integer, minimum=1, wording="a positive integer")),
+    # sample k of a seed exists for k < 2**64 // 20 (`expr.random_jets`)
+    ("samples", 100, partial(_integer, minimum=1, wording="a positive integer",
+                             maximum=ex._SAMPLES_END)),
     ("steps_per_delay", 64, partial(_integer, minimum=8, wording="an integer >= 8")),
     ("horizon", None, lambda value, pointer: None if value is None else _number(value, pointer)),
     ("t0", 0.0, _number),
@@ -167,10 +172,17 @@ class RunConfig:
     generators: list[tuple[str, Generator, Expr | None, Expr | None]]
 
 
+# the most grid nodes one float64 numpy array can hold
+_GRID_NODES = sys.maxsize // 8
+
+
 def load_config(raw: dict) -> RunConfig:
     tau, seed, tol, samples, steps_per_delay, horizon, t0 = _build(raw, "/", None, _SCALARS)
     if horizon is not None:
-        k = round(horizon / tau)
+        delays = horizon / tau  # inf when the quotient overflows
+        if delays > 0 and not (delays + 2) * steps_per_delay + 1 <= _GRID_NODES:
+            raise ConfigError("/horizon", f"needs more than {_GRID_NODES} grid nodes")
+        k = round(delays) if delays > 0 else 0
         if k < 1 or abs(horizon - k * tau) > 1e-9 * max(1.0, abs(horizon)):
             raise ConfigError("/horizon", "must be a positive integer multiple of tau")
     history = partial(_build, make=partial(solver.History, t0, tau), rows=_HISTORY)
@@ -301,10 +313,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         ham = _resolved_hamiltonian(cfg)
         traj = solver.step_hamiltonian(ham, cfg.history, t_end, cfg.steps_per_delay)
         residuals = solver.residual_report(traj, ham)
-    if args.out:
-        solver.write_csv(traj, args.out, residuals)
-    else:
-        solver.write_csv(traj, sys.stdout, residuals)
+    solver.write_csv(traj, args.out or sys.stdout, residuals)
     return EXIT_OK
 
 
@@ -364,10 +373,7 @@ def cmd_recurse(cfg: RunConfig, args) -> int:
         c_mid = int(round(ratio))
     rel = recursion.relation_from_history(cfg.history, c_mid)
     traj = recursion.recurse(rel, cfg.history, cfg.t0 + cfg.horizon, cfg.steps_per_delay)
-    if args.out:
-        solver.write_csv(traj, args.out)
-    else:
-        solver.write_csv(traj, sys.stdout)
+    solver.write_csv(traj, args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -401,6 +407,9 @@ def cmd_compare(cfg: RunConfig | None, args) -> int:
 def cmd_check_identity(cfg: RunConfig, args) -> int:
     checks = []
     if args.classical:
+        if cfg.samples + args.pairs > ex._SAMPLES_END:
+            raise ConfigError("--pairs", f"must be at most {ex._SAMPLES_END - cfg.samples} with "
+                              f"{cfg.samples} samples")
         # pair k's coefficients: six free slots of a jet that no check reads
         # (checks read samples below cfg.samples), scaled from [-2, 2] to [-1.5, 1.5]
         draws = 0.75 * ex.random_jets(cfg.seed, args.pairs, start=cfg.samples)[ex._FREE_SLOTS[:6]]
@@ -547,9 +556,6 @@ def main(argv: list[str] | None = None) -> int:
             noether.DriftError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except noether.IntegralVerificationError as err:
-        print(f"verification failure: {err}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

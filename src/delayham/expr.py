@@ -22,12 +22,14 @@ stored to `out[j]` and, for a zero check, root j's magnitude as one more row:
 the largest |value| in its own subtree, built bottom up as the max of each
 node's |value| and its children's magnitudes.  `zero_checks` checks many
 roots over the same jets in one such shared kernel (`check-identity` checks
-all its residuals in one), and `is_zero` is its one-root case.  The plan is
-written as straight-line source over a slot vector `A` indexed by symbol and
-compiled once (`compiled_many`), or run as a tape (`_tape`).  The source is
-bound twice: the scalar binding takes a list of floats (one jet point), the
-array binding a `(NSLOTS, N)` float array with one jet point per column.
-`evaluate`, `compiled` and the RK4 right-hand sides run the scalar binding;
+all its residuals in one), and `is_zero` is its one-root case.  The plan has
+two consumers.  `kernel_lines` writes it as straight-line source: over a slot
+vector `A` indexed by symbol for the kernels compiled once (`compiled_many`),
+and over named locals for the right-hand side inlined into the solver's RK4
+interval.  `_tape` runs it as a tape.  A kernel's source is bound twice:
+the scalar binding takes a list of floats (one jet point), the array binding
+a `(NSLOTS, N)` float array with one jet point per column.  `evaluate`,
+`compiled` and the RK4 right-hand sides run the scalar binding;
 `evaluate_many`, `evaluate_array` (its one-root case), zero checks, fits,
 on-shell jets, grids and drift monitors the array one.  The first array use
 of a kernel not compiled yet runs its tape on the array binding's operations
@@ -35,10 +37,10 @@ instead and compiles nothing; a later one compiles it, so a tree checked once
 costs no `compile()` and one that is reused runs compiled.  Every path gives
 the same bits: `+ - * /`, `sin` and `cos` run in numpy, whose results match
 Python's, while integer powers and `exp`, where numpy and Python round
-differently, run elementwise on Python floats.  When the array kernel raises,
-or yields a value that is not finite, the scalar binding is re-run jet by jet
-in order, so errors and their witnesses are the ones a plain loop over the
-roots and jets would give.
+differently, run elementwise on Python floats.  A root whose array rows are
+not finite, and every root when the array kernel raises, is re-run on the
+scalar binding jet by jet, in root order, so errors and their witnesses are
+the ones a plain loop over the roots and jets would give.
 
 Sampled checks and fits run on seeded random jets.  Sample k of seed s is 20
 unit draws mapped to coordinates; draw j is the SplitMix64 finaliser of
@@ -998,16 +1000,6 @@ def _jet_slots(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _draw_jets(seed: int, n: int, start: int) -> np.ndarray:
-    """`random_jets` without the memo; `seed` is already reduced to 32 bits."""
-    return _jet_slots(_draw_units(seed, n, start))
-
-
-# One analysis samples the same (seed, n) block many times: every check of a
-# run shares its seed, and the off- and on-shell fits share theirs.
-_cached_jets = functools.lru_cache(maxsize=16)(_draw_jets)
-
-
 def random_jets(seed: int, n: int, start: int = 0) -> np.ndarray:
     """`(NSLOTS, n)` slot array of deterministic pseudo-random jet points.
 
@@ -1018,7 +1010,7 @@ def random_jets(seed: int, n: int, start: int = 0) -> np.ndarray:
     indices must lie in [0, 2**64 // 20) (`ValueError` otherwise).  The
     array is the caller's to modify.
     """
-    return _cached_jets(int(seed) & _MASK32, int(n), int(start)).copy()
+    return _jet_slots(_draw_units(int(seed) & _MASK32, int(n), int(start)))
 
 
 def random_jet(seed: int, index: int = 0) -> JetPoint:
@@ -1134,20 +1126,11 @@ def _last_uses(operands: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(dead.get(s, ())) for s in range(len(operands))]
 
 
-def _slot(n: Expr) -> int | None:
-    """The slot a `Sym` or `TauConst` node reads; None for other nodes."""
-    if isinstance(n, Sym):
-        return n.symbol.index
-    return TAU_INDEX if isinstance(n, TauConst) else None
-
-
 def _node_source(n: Expr, args: list[str]) -> str:
-    """The source of `n`'s value from its children's names `args`."""
+    """The source of `n`'s value from its children's names `args`; `n` is
+    not a slot read (`Sym` or `TauConst`)."""
     if isinstance(n, Const):
         return repr(float(n.value))
-    slot = _slot(n)
-    if slot is not None:
-        return f"A[{slot}]"
     if isinstance(n, Add):
         return " + ".join(args)
     if isinstance(n, Mul):
@@ -1163,31 +1146,44 @@ def _node_source(n: Expr, args: list[str]) -> str:
     raise TypeError(type(n).__name__)  # pragma: no cover
 
 
-def _many_source(roots: tuple[Expr, ...], with_magnitude: bool = False) -> str:
-    """Straight-line source of `_f(A, out)`, one line per step of `_plan`:
-    step s computes `v<s>` or stores a row of `out`.  Every name is deleted
-    after its last use, except after the last line, where the return frees
-    them."""
-    heads, operands = _plan(roots, with_magnitude)
+def kernel_lines(roots: Iterable[Expr], read: Callable[[int], str], store: Callable[[int], str],
+                 with_magnitude: bool = False) -> list[str]:
+    """Straight-line source of the roots' kernel, one line per step of
+    `_plan`: step s computes `v<s>`, reading slot i as the source `read(i)`,
+    or stores row j as `store(j) = ...` (a target such as `out[j]` or a
+    local name).  Every name is deleted after its last use, except after the
+    last line.  This is the source of every compiled kernel (`_many_source`)
+    and of the right-hand side inlined into the solver's RK4 interval."""
+    heads, operands = _plan(tuple(roots), with_magnitude)
     dead = _last_uses(operands)
-    body = []
+    lines = []
     for s, (head, reads) in enumerate(zip(heads, operands)):
         args = [f"v{i}" for i in reads]
         if isinstance(head, int):
-            body.append(f"out[{head}] = {args[0]}")
+            lines.append(f"{store(head)} = {args[0]}")
         elif head is _MAGNITUDE:
             own = f"abs({args[0]})"
-            body.append(f"v{s} = _max({', '.join(args[1:])}, {own})" if args[1:] else f"v{s} = {own}")
+            lines.append(f"v{s} = _max({', '.join(args[1:])}, {own})" if args[1:] else f"v{s} = {own}")
+        elif isinstance(head, Sym):
+            lines.append(f"v{s} = {read(head.symbol.index)}")
+        elif head is TAU:
+            lines.append(f"v{s} = {read(TAU_INDEX)}")
         else:
-            body.append(f"v{s} = {_node_source(head, args)}")
+            lines.append(f"v{s} = {_node_source(head, args)}")
         if dead[s] and s < len(heads) - 1:
-            body.append("del " + ", ".join(f"v{i}" for i in dead[s]))
-    body.append("return out")
-    return "def _f(A, out):\n    " + "\n    ".join(body) + "\n"
+            lines.append("del " + ", ".join(f"v{i}" for i in dead[s]))
+    return lines
 
 
-# The tape's op per node type: `_node_source` on the array binding, as a
-# function of the slot array, `out`, the node and its children's values.
+def _many_source(roots: tuple[Expr, ...], with_magnitude: bool = False) -> str:
+    """Source of `_f(A, out)`: the `kernel_lines` of the roots over the slot
+    vector `A`, storing row j to `out[j]`, then `return out`."""
+    body = kernel_lines(roots, "A[{}]".format, "out[{}]".format, with_magnitude)
+    return "def _f(A, out):\n    " + "\n    ".join([*body, "return out"]) + "\n"
+
+
+# The tape's op per node type: its `kernel_lines` step on the array binding,
+# as a function of the slot array, `out`, the node and its children's values.
 _TAPE_OPS: dict[type, Callable] = {
     Const: lambda A, out, value: value,
     Sym: lambda A, out, n: A[n.symbol.index],
@@ -1238,25 +1234,6 @@ def _run_tape(tape: tuple[list, list, list, list], slots: np.ndarray, out: np.nd
         for i in free:
             values[i] = None
     return out
-
-
-def kernel_lines(roots: Iterable[Expr], read: Callable[[int], str]) -> tuple[list[str], list[str]]:
-    """The straight-line `v_i = ...` lines of the roots' kernel, for inlining
-    into generated code, and the name that holds each root.  Slot i is read
-    as the source `read(i)` (a name, or an expression in parentheses); no
-    name is deleted."""
-    names: dict[int, str] = {}
-    lines: list[str] = []
-    outs = []
-    for s, (head, reads) in enumerate(zip(*_plan(tuple(roots)))):
-        if isinstance(head, int):
-            outs.append(names[reads[0]])
-        elif isinstance(head, (Sym, TauConst)):
-            names[s] = read(_slot(head))
-        else:
-            names[s] = f"v{len(lines)}"
-            lines.append(f"{names[s]} = {_node_source(head, [names[i] for i in reads])}")
-    return lines, outs
 
 
 def compiled_source(key: tuple, source: Callable[[], str], env: dict | None = None) -> Callable:
@@ -1316,8 +1293,8 @@ _ARRAY_ERRSTATE = dict(divide="raise", invalid="raise", over="ignore", under="ig
 
 def _array_rows(roots: tuple[Expr, ...], slots: np.ndarray, with_magnitude: bool = False):
     """The roots' kernel on the array binding over `slots`: its `(rows, N)`
-    array, or None when it raised a numeric error (numpy's divide and
-    invalid raise; over- and underflow do not).
+    array, all nan when the kernel raised a numeric error (numpy's divide
+    and invalid raise; over- and underflow do not).
 
     The first array use of a kernel that is not compiled yet runs its tape
     and keeps only its key in `_TAPED`; a later use compiles it and runs
@@ -1335,7 +1312,8 @@ def _array_rows(roots: tuple[Expr, ...], slots: np.ndarray, with_magnitude: bool
         with np.errstate(**_ARRAY_ERRSTATE):
             return kernel(slots, out)
     except (OverflowError, ZeroDivisionError, ValueError, FloatingPointError):
-        return None
+        out.fill(math.nan)
+        return out
 
 
 def _scalar_columns(e: Expr, slots: np.ndarray, with_magnitude: bool = False,
@@ -1381,17 +1359,13 @@ def evaluate_many(roots: Iterable[Expr], slots: np.ndarray) -> np.ndarray:
     """`(len(roots), N)` array whose row j is `evaluate_array(roots[j], slots)`.
 
     One kernel (`compiled_many`) computes every distinct subtree of the roots
-    once, so the rows are bit-identical to the per-root calls.  When the
-    kernel raises, every root is re-run on its own in order; a row that is
-    not finite re-runs its root jet by jet on the scalar binding.  Either way
-    the first failing root raises its `EvalError`.
+    once, so the rows are bit-identical to the per-root calls.  A row that is
+    not finite, every row when the kernel raised, re-runs its root jet by jet
+    on the scalar binding, in root order, so the first failing root raises
+    its `EvalError`.
     """
     roots = tuple(roots)
     out = _array_rows(roots, slots)
-    if out is None:
-        if len(roots) > 1:
-            return np.array([evaluate_array(root, slots) for root in roots])
-        out = np.full((1, slots.shape[1]), math.nan)
     for j in np.flatnonzero(~np.isfinite(out).all(axis=1)):
         out[j] = list(_scalar_columns(roots[j], slots))
     return out
@@ -1436,19 +1410,15 @@ def zero_checks(roots: Iterable[Expr], slots: np.ndarray, tol: float = 1e-9,
 
     The kernel gives each root its value and its magnitude, the largest
     |value| in that root's own subtree, so every root whose rows are finite
-    gets the bits of its own one-root check.  When the kernel raises, every
-    root is checked on its own in order; a root whose rows are not finite is
-    re-run jet by jet on the scalar binding.  Either way the first failing
-    root raises its `EvalError`.  A witness is `jet_at(k)`, by default column
-    k as a jet point.
+    gets the bits of its own one-root check.  A root whose rows are not
+    finite, every root when the kernel raised, is checked jet by jet on the
+    scalar binding, in root order, so the first failing root raises its
+    `EvalError`.  A witness is `jet_at(k)`, by default column k as a jet
+    point.
     """
     roots = tuple(roots)
     jet_at = jet_at or (lambda k: JetPoint.from_slots(slots[:, k]))
     out = _array_rows(roots, slots, with_magnitude=True)
-    if out is None:
-        if len(roots) > 1:
-            return [zero_checks((root,), slots, tol, jet_at)[0] for root in roots]
-        out = np.full((2, slots.shape[1]), math.nan)
     n = len(roots)
     finite = np.isfinite(out).all(axis=1)
     return [

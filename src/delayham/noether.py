@@ -745,7 +745,7 @@ def _analyze_many(
                 report.notes.append(missing)
                 continue
             split = active[i]
-            integral = integral_of(report.parts, add(split[known], extra), v_div=split["v"], w_div=split["w"])
+            integral = integral_of(report.parts, add(split[known], extra))
             if is_zero(integral, samples=40, tol=1e-10, seed=seed + zero_seed).ok:
                 # the fit absorbed everything through the equations of motion
                 setattr(report.parts, f"{kind}_integral", None)

@@ -23,9 +23,10 @@ segment, and integration never steps across a knot.  Every lagged value an
 interval reads lies on pieces complete when it starts, so they are computed
 once per interval in one numpy pass (`_lagged`); only the right-hand side on
 the current state runs point by point, inside one generated Python function
-per formulation (`_interval_step`) that holds the interval's whole RK4 loop,
-with the straight-line kernel lines of the right-hand side (for the canonical
-pair, both partials of H) written into every stage.  It is compiled once per
+per formulation (`_interval_step`) that holds the interval's whole RK4 loop.
+Every stage holds the right-hand side's `expr.kernel_lines` (for the canonical
+pair, both partials of H), the same emitter that writes every compiled
+expression kernel, with the roots stored to locals.  It is compiled once per
 model, and gives the bits of a per-stage kernel call.  A state or rate
 that is not finite, or an overflow, division by zero or domain error in the
 right-hand side or the history, raises `SolverError` naming the first grid
@@ -189,8 +190,8 @@ def _grid(hist: History, t_end: float, n: int) -> tuple[int, float, np.ndarray]:
 # One delay interval of the RK4 method of steps for a rebased two-component
 # state (a, b), generated per formulation by `_interval_step`.  `@unpack`
 # binds the names of a lagged row, and `@rate` is the right-hand side at the
-# stage state (ya, yb) and the row last unpacked: the straight-line kernel
-# lines of its roots, then the formulation's rate lines into (ka, kb).
+# stage state (ya, yb) and the row last unpacked: the `kernel_lines` of its
+# roots, storing root j to rj, then the formulation's rate lines into (ka, kb).
 _INTERVAL = """\
 def _f(a, b, da_r, da_l, db_r, db_l, lag, t, start, h, tau, w):
     @weights
@@ -251,13 +252,14 @@ def _interval_step(tag: str, roots: tuple[Expr, ...], row: str, slots: dict, wei
     roots' values.
     """
     names = {s.symbol.index: name for s, name in slots.items()} | {ex.TAU_INDEX: "tau"}
+    stored = [f"r{j}" for j in range(len(roots))]
 
     def source() -> str:
-        lines, outs = ex.kernel_lines(roots, names.__getitem__)
         blocks = {
             "@weights": [f"{weights} = w"],
             "@unpack": [f"{row} = row"],
-            "@rate": lines + [f"{k} = {r.format(*outs)}" for k, r in zip(("ka", "kb"), rates)],
+            "@rate": [*ex.kernel_lines(roots, names.__getitem__, stored.__getitem__),
+                      *(f"{k} = {r.format(*stored)}" for k, r in zip(("ka", "kb"), rates))],
         }
         out = []
         for line in _INTERVAL.splitlines():

@@ -1,5 +1,6 @@
 import builtins
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +159,49 @@ def test_check_identity_needs_a_positive_pair_count(osc_config, tmp_path, capsys
                    "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
     assert "--pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-identity", "noether"])
+def test_more_samples_than_sample_indices_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, samples=2**62)))
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error at /samples: must be at most {2**64 // 20}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "samples, pairs", [(100, 2**62), (2**64 // 20, 10)], ids=["pairs-too-many", "samples-at-the-end"]
+)
+def test_classical_pairs_past_the_sample_indices_are_a_config_error(
+    tmp_path, capsys, samples, pairs
+):
+    # pairs are drawn from the sample indices after the checks' own
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, samples=samples)))
+    out = tmp_path / "chk.json"
+    argv = ["check-identity", "--config", str(path), "--classical", "--pairs", str(pairs)]
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error at --pairs: must be at most ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "recurse", "noether"])
+@pytest.mark.parametrize(
+    "tau, horizon, line",
+    [(1e-300, 10, f"needs more than {sys.maxsize // 8} grid nodes"),
+     (1e-10, 1e300, f"needs more than {sys.maxsize // 8} grid nodes"),
+     (1e-10, -1e300, "must be a positive integer multiple of tau")],
+    ids=["too-many-nodes", "delays-overflow", "negative-delays-overflow"],
+)
+def test_a_grid_beyond_one_numpy_array_is_a_config_error(tmp_path, capsys, command, tau, horizon, line):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, tau=tau, horizon=horizon)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error at /horizon: {line}\n"
     assert not out.exists()
 
 

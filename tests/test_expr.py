@@ -682,18 +682,75 @@ def test_evaluate_many_raises_the_first_failing_root_like_the_loop():
     assert_same_bits(E.evaluate_many(roots, slots), _loop_rows(roots, slots))
 
 
+def _outcome(fn):
+    """`fn()`, or the type, message and jet slots of the `EvalError` it raises."""
+    try:
+        return fn()
+    except E.EvalError as err:
+        return type(err), str(err), err.jet.slots()
+
+
+def _check_outcome(check):
+    witness = None if check.witness is None else check.witness.slots()
+    return check.ok, witness, np.float64(check.worst).tobytes()
+
+
+def test_a_raising_kernel_makes_one_array_pass_then_runs_the_scalar_reference(monkeypatch):
+    slots = E.random_jets(8, 12)
+    q, qm = E.SYMBOL_BY_NAME["q"].index, E.SYMBOL_BY_NAME["qm"].index
+    slots[q, 3] = 1.9  # `big` overflows to inf here, without an exception
+    slots[qm, 7] = slots[q, 7]  # `divide` divides zero by zero here
+    big = E.parse("exp(100*q)*exp(100*q)*exp(100*q)*exp(100*q)")
+    inf_minus_inf = E.sub(big, big)  # numpy raises on it; Python floats give nan
+    divide = E.parse("(q - q)/(q - qm)")
+    fine = [E.parse("sin(q)*p + qm^2"), E.parse("p/(1 + q^2)"), E.const(3)]
+    passes = []
+    real = E._array_rows
+
+    def counting(*args, **kwargs):
+        passes.append(args[0])
+        return real(*args, **kwargs)
+
+    for roots in ([fine[0], inf_minus_inf, *fine[1:]], [fine[0], divide, inf_minus_inf, fine[1]]):
+        want_rows = _outcome(lambda: _loop_rows(roots, slots))
+        want_checks = _outcome(lambda: [_check_outcome(E.is_zero_on(r, slots)) for r in roots])
+        with monkeypatch.context() as patch:
+            patch.setattr(E, "_array_rows", counting)
+            for _ in range(2):  # the tape, then the compiled kernel
+                passes.clear()
+                got_rows = _outcome(lambda: E.evaluate_many(roots, slots))
+                assert passes == [tuple(roots)]
+                passes.clear()
+                got_checks = _outcome(lambda: [_check_outcome(c) for c in E.zero_checks(roots, slots)])
+                assert passes == [tuple(roots)]
+                assert got_checks == want_checks
+                if divide in roots:
+                    assert got_rows == want_rows
+                    assert want_checks[:2] == (E.EvalError, "division by zero")
+                else:
+                    assert np.isnan(want_rows[1]).any() and not want_checks[1][0]
+                    assert_same_bits(got_rows, want_rows)
+
+
 def test_many_kernel_deletes_every_temporary_after_its_last_use():
     rng = np.random.default_rng(6060)
     roots = _roots_with_shared_subtrees(rng, 6)
-    lines = E._many_source(tuple(roots)).splitlines()[1:]
-    uses = [set(re.findall(r"\bv\d+\b", line)) for line in lines]
-    root_names = {line.split("= ")[1] for line in lines if line.lstrip().startswith("out[")}
-    temporaries = set().union(*uses) - root_names
-    assert temporaries
-    for name in temporaries:
-        last = max(i for i, names in enumerate(uses) if name in names and "del " not in lines[i])
-        assert lines[last + 1].lstrip().startswith("del ") and name in uses[last + 1], name
-        assert all(name not in names for names in uses[last + 2:]), name
+    names = {s.index: s.name for s in E.SYMBOLS} | {E.TAU_INDEX: "tau"}
+    sources = (
+        E._many_source(tuple(roots)).splitlines()[1:],
+        # the solver's form: slots read from named locals, roots stored to locals
+        E.kernel_lines(roots, names.__getitem__, "r{}".format),
+    )
+    for lines in sources:
+        uses = [set(re.findall(r"\bv\d+\b", line)) for line in lines]
+        root_names = {line.split("= ")[1] for line in lines if re.match(r"\s*(out\[\d+\]|r\d+) = ", line)}
+        assert len(root_names) > len(roots) // 2
+        temporaries = set().union(*uses) - root_names
+        assert temporaries
+        for name in temporaries:
+            last = max(i for i, names in enumerate(uses) if name in names and "del " not in lines[i])
+            assert lines[last + 1].lstrip().startswith("del ") and name in uses[last + 1], name
+            assert all(name not in names for names in uses[last + 2:]), name
     # the tape drops each value right after the step that reads it last
     _, _, operands, frees = E._tape(tuple(roots))
     reads = [set(step) for step in operands]
