@@ -1,5 +1,7 @@
 """Hamiltonian structure, symmetries, and first integrals for delay ODEs."""
 
+from types import ModuleType as _ModuleType
+
 from .expr import (
     Expr,
     JetPoint,
@@ -67,4 +69,5 @@ from .recursion import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public function and class; the submodules stay out of `import *`
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]

@@ -24,12 +24,9 @@ from .expr import (
     partial,
     random_jets,
     sub,
-    symbol,
     total_derivative,
 )
-from .model import Generator, _check_symbols
-
-_POINT = frozenset((symbol("t", 0, 0), symbol("q", 0, 0), symbol("p", 0, 0)))
+from .model import _POINT_SYMBOLS, Generator, _check_symbols
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,7 @@ class ClassicalHamiltonian:
     h: Expr
 
     def __post_init__(self):
-        _check_symbols(self.h, _POINT, "a classical Hamiltonian")
+        _check_symbols(self.h, _POINT_SYMBOLS, "a classical Hamiltonian")
 
 
 def classical_residuals(ch: ClassicalHamiltonian) -> tuple[Expr, Expr, Expr]:
@@ -102,9 +99,6 @@ def classical_identity_residual(ch: ClassicalHamiltonian, g: Generator) -> Expr:
     return sub(classical_invariance(ch, g), decomposition)
 
 
-_QD, _PD, _QDD, _PDD = (symbol(base, 0, order).index for order in (1, 2) for base in "qp")
-
-
 def classical_on_shell_jets(ch: ClassicalHamiltonian, seed: int, n: int) -> np.ndarray:
     """`(NSLOTS, n)` slot array of random jets with qd = H_p, pd = -H_q and
     consistent second derivatives; column k is sample k."""
@@ -112,8 +106,8 @@ def classical_on_shell_jets(ch: ClassicalHamiltonian, seed: int, n: int) -> np.n
     hp = partial(ch.h, "p")
     hq = partial(ch.h, "q")
     fp, fq = evaluate_many((hp, hq), A)
-    A[_QD], A[_PD] = fp, -fq
+    A[ex.qd.index], A[ex.pd.index] = fp, -fq
     # D(H_p) and D(H_q) read the rates just set
     fp, fq = evaluate_many((total_derivative(hp), total_derivative(hq)), A)
-    A[_QDD], A[_PDD] = fp, -fq
+    A[ex.qdd.index], A[ex.pdd.index] = fp, -fq
     return A

@@ -20,7 +20,7 @@ from typing import Any
 from . import expr as ex
 from . import legendre, noether, recursion, solver
 from .classical import ClassicalHamiltonian, classical_identity_residual
-from .expr import Expr, ParseError, parse, to_source
+from .expr import Expr, parse, to_source
 from .model import DelayHamiltonian, Generator, QuadraticLagrangian
 
 EXIT_OK = 0
@@ -46,8 +46,10 @@ def _expression(value: Any, pointer: str) -> Expr:
         raise ConfigError(pointer, "expected an expression string")
     try:
         return parse(value)
-    except ParseError as err:
+    except ex.ExprError as err:  # a parse error, or a constant fold such as q/0 or 0^(-1)
         raise ConfigError(pointer, str(err)) from None
+    except OverflowError:
+        raise ConfigError(pointer, "a constant overflows the double range") from None
 
 
 def _number(value: Any, pointer: str, positive: bool = False) -> float:
@@ -285,16 +287,18 @@ def _as_quadratic(h: DelayHamiltonian):
     expr_h = h.h
     second = [ex.partial(ex.partial(expr_h, x), y) for x, y in (("p", "p"), ("p", "pm"), ("pm", "pm"))]
     a, b, c = ex.evaluate_many(second, ex.random_jets(1, 1))[:, 0].tolist()
-    phi = ex.substitute(expr_h, {"p": ex.ZERO, "pm": ex.ZERO})
+    not_quadratic = "reverse transform needs a quadratic-in-momenta Hamiltonian"
+    try:
+        phi = ex.substitute(expr_h, {"p": ex.ZERO, "pm": ex.ZERO})
+    except (ex.ExprError, OverflowError):  # e.g. q/p folds to a division by zero
+        raise ConfigError("/hamiltonian/H", not_quadratic) from None
     try:
         quad = QuadraticHamiltonian(a, b, c, phi)
     except ValueError as err:
         raise ConfigError("/hamiltonian/H", f"reverse transform: {err}") from None
     gap = ex.sub(expr_h, quad.expr())
     if not ex.is_zero(gap, samples=40, tol=1e-9, seed=2).ok:
-        raise ConfigError(
-            "/hamiltonian/H", "reverse transform needs a quadratic-in-momenta Hamiltonian"
-        )
+        raise ConfigError("/hamiltonian/H", not_quadratic)
     return quad
 
 

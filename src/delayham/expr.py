@@ -10,6 +10,11 @@ and second time derivatives:
     qd, qdd, pd, pdd     first / second derivatives (suffix m/p for shifts)
     tau                  the delay constant
 
+Each coordinate is one `Sym` atom, built once at import: it carries its base,
+shift, order, slot index and name, `SYMBOLS[k]` is the atom of slot k, and
+`symbol`, `sym`, `SYMBOL_BY_NAME` and `parse` return the same atoms.  Code
+takes an atom or its name wherever it needs a coordinate.
+
 Expressions are immutable and hash-consed: structurally identical trees are
 the same object, so equality is identity and large derived expressions share
 their common subtrees.  Nodes are built only through the module helpers
@@ -24,7 +29,7 @@ node's |value| and its children's magnitudes.  `zero_checks` checks many
 roots over the same jets in one such shared kernel (`check-identity` checks
 all its residuals in one), and `is_zero` is its one-root case.  The plan has
 two consumers.  `kernel_lines` writes it as straight-line source: over a slot
-vector `A` indexed by symbol for the kernels compiled once (`compiled_many`),
+vector `A` indexed by slot for the kernels compiled once (`compiled_many`),
 and over named locals for the right-hand side inlined into the solver's RK4
 interval.  `_tape` runs it as a tape.  A kernel's source is bound twice:
 the scalar binding takes a list of floats (one jet point), the array binding
@@ -49,7 +54,8 @@ so it depends only on (s, k).  `random_jets` draws a whole block of samples
 in one uint64 numpy pass, and `random_jet` is one column of it.
 
 Rational constants are kept exact (`fractions.Fraction`) until evaluation;
-evaluation itself is plain IEEE double arithmetic.
+evaluation itself is plain IEEE double arithmetic, and a rational beyond the
+double range evaluates as +-inf, like a float literal beyond it.
 """
 
 from __future__ import annotations
@@ -58,7 +64,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
@@ -84,7 +89,7 @@ class UnknownIdentifierError(ParseError):
 
 
 class ShiftRangeError(ExprError):
-    def __init__(self, symbol: "Symbol", direction: int):
+    def __init__(self, symbol: "Sym", direction: int):
         super().__init__(
             f"shifting '{symbol.name}' by {direction:+d} leaves the allowed range"
         )
@@ -102,56 +107,9 @@ class EvalError(ExprError):
 
 
 class MissingSymbolError(EvalError):
-    def __init__(self, symbol: "Symbol", jet: "JetPoint | None" = None):
+    def __init__(self, symbol: "Sym", jet: "JetPoint | None" = None):
         super().__init__(f"jet point has no value for '{symbol.name}'", jet)
         self.symbol = symbol
-
-
-# ---------------------------------------------------------------------------
-# symbols
-# ---------------------------------------------------------------------------
-
-_SHIFT_SUFFIX = {-1: "m", 0: "", 1: "p"}
-
-
-@dataclass(frozen=True, eq=False)
-class Symbol:
-    """One jet coordinate: base in {t, q, p}, shift in {-1,0,+1}, order <= 2."""
-
-    base: str
-    shift: int
-    order: int
-    index: int
-
-    @property
-    def name(self) -> str:
-        return self.base + "d" * self.order + _SHIFT_SUFFIX[self.shift]
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-SYMBOLS: list[Symbol] = []
-_SYM_BY_KEY: dict[tuple[str, int, int], Symbol] = {}
-SYMBOL_BY_NAME: dict[str, Symbol] = {}
-
-for _base in ("t", "q", "p"):
-    for _order in range(1 if _base == "t" else 3):
-        for _shift in (-1, 0, 1):
-            _s = Symbol(_base, _shift, _order, len(SYMBOLS))
-            SYMBOLS.append(_s)
-            _SYM_BY_KEY[(_base, _shift, _order)] = _s
-            SYMBOL_BY_NAME[_s.name] = _s
-
-TAU_INDEX = len(SYMBOLS)
-NSLOTS = TAU_INDEX + 1
-
-
-def symbol(base: str, shift: int, order: int = 0) -> Symbol:
-    try:
-        return _SYM_BY_KEY[(base, shift, order)]
-    except KeyError:
-        raise ValueError(f"no jet symbol with base={base!r} shift={shift} order={order}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +175,18 @@ class Const(Expr):
     __slots__ = ("value",)  # Fraction or float
 
 
+_SHIFT_SUFFIX = {-1: "m", 0: "", 1: "p"}
+
+
 class Sym(Expr):
-    __slots__ = ("symbol",)
+    """One jet coordinate: base in {t, q, p}, shift in {-1, 0, +1}, order <= 2,
+    and its slot index in a jet's slot vector."""
+
+    __slots__ = ("base", "shift", "order", "index")
+
+    @property
+    def name(self) -> str:
+        return self.base + "d" * self.order + _SHIFT_SUFFIX[self.shift]
 
 
 class TauConst(Expr):
@@ -286,10 +254,27 @@ def as_expr(x) -> Expr:
     return const(x)
 
 
-def sym(s: Symbol | str) -> Sym:
-    if isinstance(s, str):
-        s = SYMBOL_BY_NAME[s]
-    return _intern(("s", s.index), Sym, s)  # type: ignore[return-value]
+# The 21 jet coordinates, one `Sym` atom each, in slot order; tau's slot follows.
+SYMBOLS: list[Sym] = []
+for _base in ("t", "q", "p"):
+    for _order in range(1 if _base == "t" else 3):
+        for _shift in (-1, 0, 1):
+            SYMBOLS.append(_intern(("s", len(SYMBOLS)), Sym, _base, _shift, _order, len(SYMBOLS)))
+_SYM_BY_KEY = {(s.base, s.shift, s.order): s for s in SYMBOLS}
+SYMBOL_BY_NAME = {s.name: s for s in SYMBOLS}
+TAU_INDEX = len(SYMBOLS)
+NSLOTS = TAU_INDEX + 1
+
+
+def symbol(base: str, shift: int, order: int = 0) -> Sym:
+    try:
+        return _SYM_BY_KEY[(base, shift, order)]
+    except KeyError:
+        raise ValueError(f"no jet symbol with base={base!r} shift={shift} order={order}")
+
+
+def sym(name: str) -> Sym:
+    return SYMBOL_BY_NAME[name]
 
 
 TAU: TauConst = _intern(("tau",), TauConst)  # type: ignore[assignment]
@@ -481,7 +466,7 @@ ONE = const(1)
 # structure queries
 # ---------------------------------------------------------------------------
 
-_SYMBOLS_CACHE: dict[int, frozenset[Symbol]] = {}
+_SYMBOLS_CACHE: dict[int, frozenset[Sym]] = {}
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -500,12 +485,12 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def symbols_of(e: Expr) -> frozenset[Symbol]:
+def symbols_of(e: Expr) -> frozenset[Sym]:
     cached = _SYMBOLS_CACHE.get(id(e))
     if cached is not None:
         return cached
     if isinstance(e, Sym):
-        out = frozenset((e.symbol,))
+        out = frozenset((e,))
     else:
         out = frozenset().union(*(symbols_of(c) for c in _children(e))) if _children(e) else frozenset()
     _SYMBOLS_CACHE[id(e)] = out
@@ -546,26 +531,18 @@ def _shift(e: Expr, direction: int) -> Expr:
     got = _SHIFT_CACHE.get(key)
     if got is None:
         if isinstance(e, Sym):
-            s = e.symbol
-            ns = s.shift + direction
-            if ns < -1 or ns > 1:
-                raise ShiftRangeError(s, direction)
-            got = sym(symbol(s.base, ns, s.order))
+            if not -1 <= e.shift + direction <= 1:
+                raise ShiftRangeError(e, direction)
+            got = symbol(e.base, e.shift + direction, e.order)
         else:
             got = _rebuild(e, lambda x: _shift(x, direction))
         _SHIFT_CACHE[key] = got
     return got
 
 
-def substitute(e: Expr, mapping: Mapping[Symbol | str | Sym, Expr | Number]) -> Expr:
-    """Replace symbols by expressions everywhere in `e`."""
-    table: dict[int, Expr] = {}
-    for key, val in mapping.items():
-        if isinstance(key, Sym):
-            key = key.symbol
-        elif isinstance(key, str):
-            key = SYMBOL_BY_NAME[key]
-        table[key.index] = as_expr(val)
+def substitute(e: Expr, mapping: Mapping[Sym | str, Expr | Number]) -> Expr:
+    """Replace symbols, keyed by atom or name, by expressions everywhere in `e`."""
+    table = {(SYMBOL_BY_NAME[k] if isinstance(k, str) else k).index: as_expr(v) for k, v in mapping.items()}
     memo: dict[int, Expr] = {}
 
     def rec(x: Expr) -> Expr:
@@ -573,7 +550,7 @@ def substitute(e: Expr, mapping: Mapping[Symbol | str | Sym, Expr | Number]) -> 
         if got is not None:
             return got
         if isinstance(x, Sym):
-            out = table.get(x.symbol.index, x)
+            out = table.get(x.index, x)
         else:
             out = _rebuild(x, rec)
         memo[id(x)] = out
@@ -589,11 +566,9 @@ def substitute(e: Expr, mapping: Mapping[Symbol | str | Sym, Expr | Number]) -> 
 _PARTIAL_CACHE: dict[tuple[int, int], Expr] = {}
 
 
-def partial(e: Expr, s: Symbol | Sym | str) -> Expr:
+def partial(e: Expr, s: Sym | str) -> Expr:
     """Partial derivative treating every jet symbol as an independent coordinate."""
-    if isinstance(s, Sym):
-        s = s.symbol
-    elif isinstance(s, str):
+    if isinstance(s, str):
         s = SYMBOL_BY_NAME[s]
     key = (id(e), s.index)
     got = _PARTIAL_CACHE.get(key)
@@ -602,7 +577,7 @@ def partial(e: Expr, s: Symbol | Sym | str) -> Expr:
     if isinstance(e, (Const, TauConst)):
         out: Expr = ZERO
     elif isinstance(e, Sym):
-        out = ONE if e.symbol is s else ZERO
+        out = ONE if e is s else ZERO
     elif s not in symbols_of(e):
         out = ZERO
     elif isinstance(e, Add):
@@ -664,10 +639,10 @@ def total_derivative(e: Expr) -> Expr:
         for base in ("q", "p"):
             d0 = partial(e, symbol(base, sh, 0))
             if not _is_const(d0, 0):
-                terms.append(mul(sym(symbol(base, sh, 1)), d0))
+                terms.append(mul(symbol(base, sh, 1), d0))
             d1 = partial(e, symbol(base, sh, 1))
             if not _is_const(d1, 0):
-                terms.append(mul(sym(symbol(base, sh, 2)), d1))
+                terms.append(mul(symbol(base, sh, 2), d1))
     out = add(*terms)
     _TOTAL_CACHE[id(e)] = out
     return out
@@ -700,7 +675,7 @@ def _render_raw(e: Expr) -> tuple[str, int]:
             return "-" + text, 15
         return _fmt_number(v)
     if isinstance(e, Sym):
-        return e.symbol.name, 100
+        return e.name, 100
     if isinstance(e, TauConst):
         return "tau", 100
     if isinstance(e, Add):
@@ -853,7 +828,7 @@ class _Parser:
             if text == "tau":
                 return TAU
             if text in SYMBOL_BY_NAME:
-                return sym(text)
+                return SYMBOL_BY_NAME[text]
             raise UnknownIdentifierError(text, off)
         if kind == "op" and text == "(":
             e = self.expression()
@@ -882,7 +857,7 @@ class JetPoint:
 
     __slots__ = ("tau", "_vals")
 
-    def __init__(self, tau_value: float, values: Mapping[str | Symbol, float] | None = None,
+    def __init__(self, tau_value: float, values: Mapping[str | Sym, float] | None = None,
                  t_value: float | None = None):
         tau_value = float(tau_value)
         if not (tau_value > 0) or not math.isfinite(tau_value):
@@ -899,16 +874,12 @@ class JetPoint:
                 val = float(val)
                 if not math.isfinite(val):
                     raise ValueError(f"non-finite value for '{s.name}'")
-                if s.base == "t" and s.order == 0:
-                    if s.shift == 0:
-                        self._set_time(val)
-                    else:
-                        expected = self._vals[symbol("t", 0).index] + s.shift * tau_value
-                        if not math.isnan(expected) and abs(val - expected) > 1e-9 * (1 + abs(expected)):
-                            raise ValueError(
-                                f"'{s.name}'={val} conflicts with t and tau "
-                                f"(expected {expected})"
-                            )
+                if s is t:
+                    self._set_time(val)
+                elif s is tm or s is tp:
+                    expected = self._vals[t.index] + s.shift * tau_value
+                    if not math.isnan(expected) and abs(val - expected) > 1e-9 * (1 + abs(expected)):
+                        raise ValueError(f"'{s.name}'={val} conflicts with t and tau (expected {expected})")
                 else:
                     self._vals[s.index] = val
 
@@ -922,18 +893,16 @@ class JetPoint:
         return out
 
     def _set_time(self, t_value: float):
-        self._vals[symbol("t", 0).index] = t_value
-        self._vals[symbol("t", -1).index] = t_value - self.tau
-        self._vals[symbol("t", 1).index] = t_value + self.tau
+        self._vals[t.index] = t_value
+        self._vals[tm.index] = t_value - self.tau
+        self._vals[tp.index] = t_value + self.tau
 
     @property
     def t(self) -> float:
-        return self._vals[symbol("t", 0).index]
+        return self._vals[t.index]
 
-    def value(self, s: Symbol | Sym | str) -> float:
-        if isinstance(s, Sym):
-            s = s.symbol
-        elif isinstance(s, str):
+    def value(self, s: Sym | str) -> float:
+        if isinstance(s, str):
             s = SYMBOL_BY_NAME[s]
         v = self._vals[s.index]
         if math.isnan(v):
@@ -952,7 +921,6 @@ class JetPoint:
         return f"JetPoint(tau={self.tau}, {named})"
 
 
-_T_SLOTS = tuple(symbol("t", sh, 0).index for sh in (-1, 0, 1))
 _FREE_SLOTS = [s.index for s in SYMBOLS if s.base != "t"]
 
 
@@ -993,9 +961,9 @@ def _jet_slots(u: np.ndarray) -> np.ndarray:
     tau_values = _uniform(u[0], 0.3, 1.5)
     t_values = _uniform(u[1], -3.0, 3.0)
     out[TAU_INDEX] = tau_values
-    out[_T_SLOTS[0]] = t_values - tau_values
-    out[_T_SLOTS[1]] = t_values
-    out[_T_SLOTS[2]] = t_values + tau_values
+    out[tm.index] = t_values - tau_values
+    out[t.index] = t_values
+    out[tp.index] = t_values + tau_values
     out[_FREE_SLOTS] = _uniform(u[2:], -2.0, 2.0)
     return out
 
@@ -1018,7 +986,7 @@ def random_jet(seed: int, index: int = 0) -> JetPoint:
     return JetPoint.from_slots(random_jets(seed, 1, index)[:, 0])
 
 
-def grid_slots(tau_value: float, rows: Mapping[Symbol, np.ndarray]) -> np.ndarray:
+def grid_slots(tau_value: float, rows: Mapping[Sym, np.ndarray]) -> np.ndarray:
     """`(NSLOTS, N)` slot array of the given symbol rows and tau; other slots are nan."""
     out = np.full((NSLOTS, len(next(iter(rows.values())))), math.nan)
     out[TAU_INDEX] = tau_value
@@ -1037,7 +1005,9 @@ def _elementwise(fn: Callable) -> Callable:
     return apply
 
 
+# Both bind `inf` and `nan`, the source text of a non-finite constant.
 _SCALAR_BINDING = {
+    "inf": math.inf, "nan": math.nan,
     "_sin": math.sin,
     "_cos": math.cos,
     "_exp": math.exp,
@@ -1045,6 +1015,7 @@ _SCALAR_BINDING = {
     "_max": max,
 }
 _ARRAY_BINDING = {
+    "inf": math.inf, "nan": math.nan,
     "_sin": np.sin,
     "_cos": np.cos,
     "_exp": _elementwise(math.exp),
@@ -1126,11 +1097,22 @@ def _last_uses(operands: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(dead.get(s, ())) for s in range(len(operands))]
 
 
+def _double(value: Number) -> float:
+    """A constant's value as a double, as the source and the tape read it: a
+    rational beyond the double range rounds to +-inf, as IEEE conversion
+    does, and every nan is `math.nan`."""
+    try:
+        v = float(value)
+    except OverflowError:  # a Fraction; its sign gives the infinity's
+        return math.inf if value > 0 else -math.inf
+    return math.nan if v != v else v
+
+
 def _node_source(n: Expr, args: list[str]) -> str:
     """The source of `n`'s value from its children's names `args`; `n` is
     not a slot read (`Sym` or `TauConst`)."""
     if isinstance(n, Const):
-        return repr(float(n.value))
+        return repr(_double(n.value))
     if isinstance(n, Add):
         return " + ".join(args)
     if isinstance(n, Mul):
@@ -1165,7 +1147,7 @@ def kernel_lines(roots: Iterable[Expr], read: Callable[[int], str], store: Calla
             own = f"abs({args[0]})"
             lines.append(f"v{s} = _max({', '.join(args[1:])}, {own})" if args[1:] else f"v{s} = {own}")
         elif isinstance(head, Sym):
-            lines.append(f"v{s} = {read(head.symbol.index)}")
+            lines.append(f"v{s} = {read(head.index)}")
         elif head is TAU:
             lines.append(f"v{s} = {read(TAU_INDEX)}")
         else:
@@ -1186,7 +1168,7 @@ def _many_source(roots: tuple[Expr, ...], with_magnitude: bool = False) -> str:
 # as a function of the slot array, `out`, the node and its children's values.
 _TAPE_OPS: dict[type, Callable] = {
     Const: lambda A, out, value: value,
-    Sym: lambda A, out, n: A[n.symbol.index],
+    Sym: lambda A, out, n: A[n.index],
     TauConst: lambda A, out, n: A[TAU_INDEX],
     Add: lambda A, out, n, *terms: functools.reduce(operator.add, terms),
     Mul: lambda A, out, n, *factors: functools.reduce(operator.mul, factors),
@@ -1221,7 +1203,7 @@ def _tape(roots: tuple[Expr, ...], with_magnitude: bool = False) -> tuple[list, 
         else:
             ops.append(_TAPE_OPS[type(head)])
             if isinstance(head, Const):  # converted here, as `_node_source` converts it
-                heads[s] = float(head.value)
+                heads[s] = _double(head.value)
     return ops, heads, operands, _last_uses(operands)
 
 

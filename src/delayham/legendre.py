@@ -26,13 +26,13 @@ from .expr import (
     powi,
     shift,
     sub,
-    symbol,
 )
 from .model import (
     DelayHamiltonian,
     Number,
     QuadraticHamiltonian,
     QuadraticLagrangian,
+    _PHI_SYMBOLS,
     _check_symbols,
     _num,
 )
@@ -157,8 +157,7 @@ def alphas_alternative(l: QuadraticLagrangian) -> tuple[Number, ...]:
 # extended transform: state-dependent coefficients
 # ---------------------------------------------------------------------------
 
-_Q_ONLY = frozenset((symbol("q", 0, 0),))
-_Q_PAIR = frozenset((symbol("q", 0, 0), symbol("q", -1, 0)))
+_Q_ONLY = frozenset((ex.q,))
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ class ExtendedLagrangian:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "phi"):
-            _check_symbols(getattr(self, name), _Q_PAIR, name)
+            _check_symbols(getattr(self, name), _PHI_SYMBOLS, name)
         _check_symbols(self.lam, _Q_ONLY, "lam")
         _check_symbols(self.mu, _Q_ONLY, "mu")
         self._sample_checks()
@@ -183,7 +182,7 @@ class ExtendedLagrangian:
     def _sample_checks(self):
         grid = np.linspace(-2.0, 2.0, 17)
         q, qm = np.repeat(grid, grid.size), np.tile(grid, grid.size)
-        slots = ex.grid_slots(math.nan, {symbol("q", 0, 0): q, symbol("q", -1, 0): qm})
+        slots = ex.grid_slots(math.nan, {ex.q: q, ex.qm: qm})
         mu, alpha, beta, gamma = ex.evaluate_many((self.mu, self.alpha, self.beta, self.gamma), slots)
         # one row per (q, qm) point of a sweep over q, then qm; mu depends on
         # q alone, so its failure shows from the first point of its sweep

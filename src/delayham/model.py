@@ -41,11 +41,9 @@ from .expr import (
 
 Number = ex.Number
 
-_H_SYMBOLS = frozenset(
-    symbol(b, s, 0) for b in ("t", "q", "p") for s in (-1, 0)
-)
-_PHI_SYMBOLS = frozenset((symbol("q", 0, 0), symbol("q", -1, 0)))
-_POINT_SYMBOLS = frozenset((symbol("t", 0, 0), symbol("q", 0, 0), symbol("p", 0, 0)))
+_H_SYMBOLS = frozenset((ex.t, ex.tm, ex.q, ex.qm, ex.p, ex.pm))
+_PHI_SYMBOLS = frozenset((ex.q, ex.qm))
+_POINT_SYMBOLS = frozenset((ex.t, ex.q, ex.p))
 
 
 def _check_symbols(e: Expr, allowed: frozenset, what: str):
@@ -225,15 +223,15 @@ def variational_q(e: Expr, extended: bool = False) -> Expr:
 def variational_t(e: Expr) -> Expr:
     """Horizontal variation: d/dt + D(qd d/dqd + pd d/dpd) + shifted copy - D."""
     inner = add(
-        mul(ex.qd, partial(e, symbol("q", 0, 1))),
-        mul(ex.pd, partial(e, symbol("p", 0, 1))),
+        mul(ex.qd, partial(e, ex.qd)),
+        mul(ex.pd, partial(e, ex.pd)),
     )
-    out = add(partial(e, symbol("t", 0, 0)), total_derivative(inner))
+    out = add(partial(e, ex.t), total_derivative(inner))
     inner_m = add(
-        mul(ex.qdm, partial(e, symbol("q", -1, 1))),
-        mul(ex.pdm, partial(e, symbol("p", -1, 1))),
+        mul(ex.qdm, partial(e, ex.qdm)),
+        mul(ex.pdm, partial(e, ex.pdm)),
     )
-    out = add(out, shift(add(partial(e, symbol("t", -1, 0)), total_derivative(inner_m)), +1))
+    out = add(out, shift(add(partial(e, ex.tm), total_derivative(inner_m)), +1))
     return sub(out, total_derivative(e))
 
 
@@ -291,7 +289,7 @@ def xi_admissible(g: Generator, samples: int = 60, tol: float = 1e-9, seed: int 
     Requires xi = xi(t) and D(xi) invariant under the backward shift; affine
     xi always passes, and so does any tau-periodic addition.
     """
-    extra = symbols_of(g.xi) - {symbol("t", 0, 0)}
+    extra = symbols_of(g.xi) - {ex.t}
     if extra:
         return False
     dxi = total_derivative(g.xi)
@@ -301,11 +299,6 @@ def xi_admissible(g: Generator, samples: int = 60, tol: float = 1e-9, seed: int 
 # ---------------------------------------------------------------------------
 # on-shell jet construction for the delay canonical equations
 # ---------------------------------------------------------------------------
-
-
-_SLOT = {name: ex.SYMBOL_BY_NAME[name].index for name in (
-    "qd", "qdm", "qdp", "pd", "pdm", "pdp", "qdd", "qddm", "qddp", "pdd", "pddm", "pddp",
-)}
 
 
 def on_shell_jets(h: DelayHamiltonian, seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -326,12 +319,12 @@ def on_shell_jets(h: DelayHamiltonian, seed: int, n: int, start: int = 0) -> np.
     dp = shifted_pair_partial(h.h, "p")
     dq = shifted_pair_partial(h.h, "q")
     fp, fq = evaluate_many((dp, dq), A)
-    A[_SLOT["qdp"]] = (fp - c23 * A[_SLOT["qd"]] - c4 * A[_SLOT["qdm"]]) / c1
-    A[_SLOT["pdp"]] = (-fq - c23 * A[_SLOT["pd"]] - c1 * A[_SLOT["pdm"]]) / c4
+    A[ex.qdp.index] = (fp - c23 * A[ex.qd.index] - c4 * A[ex.qdm.index]) / c1
+    A[ex.pdp.index] = (-fq - c23 * A[ex.pd.index] - c1 * A[ex.pdm.index]) / c4
     # D(dp) and D(dq) read the forward rates just solved for
     fp, fq = evaluate_many((total_derivative(dp), total_derivative(dq)), A)
-    A[_SLOT["qddp"]] = (fp - c23 * A[_SLOT["qdd"]] - c4 * A[_SLOT["qddm"]]) / c1
-    A[_SLOT["pddp"]] = (-fq - c23 * A[_SLOT["pdd"]] - c1 * A[_SLOT["pddm"]]) / c4
+    A[ex.qddp.index] = (fp - c23 * A[ex.qdd.index] - c4 * A[ex.qddm.index]) / c1
+    A[ex.pddp.index] = (-fq - c23 * A[ex.pdd.index] - c1 * A[ex.pddm.index]) / c4
     return A
 
 

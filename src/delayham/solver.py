@@ -49,8 +49,6 @@ from . import expr as ex
 from .expr import Expr, partial, symbol, symbols_of, to_source
 from .model import DelayHamiltonian, QuadraticLagrangian, shifted_pair_partial, variational_residuals
 
-_T = symbol("t", 0, 0)
-
 
 class SolverError(RuntimeError):
     pass
@@ -68,9 +66,9 @@ class History:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        bad = symbols_of(self.q) - {_T}
+        bad = symbols_of(self.q) - {ex.t}
         if self.p is not None:
-            bad |= symbols_of(self.p) - {_T}
+            bad |= symbols_of(self.p) - {ex.t}
         if bad:
             names = ", ".join(sorted(s.name for s in bad))
             raise ValueError(f"history expressions may only involve t (got {names})")
@@ -83,7 +81,7 @@ class History:
         """
         ts = np.asarray(ts, dtype=float)
         try:
-            values = ex.evaluate_array(e, ex.grid_slots(self.tau, {_T: ts}))
+            values = ex.evaluate_array(e, ex.grid_slots(self.tau, {ex.t: ts}))
         except ex.EvalError as err:
             raise SolverError(f"{to_source(e)} failed at t={err.jet.t}: {err}") from None
         bad = ~np.isfinite(values)
@@ -251,7 +249,7 @@ def _interval_step(tag: str, roots: tuple[Expr, ...], row: str, slots: dict, wei
     `rates` are the two rate expressions, with {0}, {1}, ... standing for the
     roots' values.
     """
-    names = {s.symbol.index: name for s, name in slots.items()} | {ex.TAU_INDEX: "tau"}
+    names = {s.index: name for s, name in slots.items()} | {ex.TAU_INDEX: "tau"}
     stored = [f"r{j}" for j in range(len(roots))]
 
     def source() -> str:

@@ -216,6 +216,42 @@ def test_reverse_transform_outside_the_quadratic_family_is_a_config_error(tmp_pa
     assert "/hamiltonian/H" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", ["p*pm + q/p", "p*pm + p^(-2)"], ids=["divides-by-p", "inverse-power-of-p"])
+def test_reverse_transform_whose_momenta_cannot_be_set_to_zero_is_a_config_error(tmp_path, capsys, h):
+    # setting p = pm = 0 folds to a division by zero or 0^(-2)
+    path = tmp_path / "ham.json"
+    path.write_text(json.dumps({"tau": 1.0, "hamiltonian": {"H": h, "alphas": [1, 0, 0, 1]}}))
+    assert cli.main(["transform", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at /hamiltonian/H: reverse transform needs a quadratic-in-momenta Hamiltonian\n"
+    )
+
+
+FOLDING_FAULTS = [
+    ("q/0", "division by the literal zero constant"),
+    ("q/(2-2)", "division by the literal zero constant"),
+    ("0^(-1)*q", "zero raised to a negative power"),
+    ("1e200^2*q", "a constant overflows the double range"),
+    ("10^400 + 0.5", "a constant overflows the double range"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, pointer",
+    [("check-identity", "/hamiltonian/H"), ("noether", "/generators/0/eta"),
+     ("simulate", "/lagrangian/phi"), ("simulate", "/history/q")],
+    ids=["check-identity-H", "noether-eta", "simulate-phi", "simulate-history"],
+)
+@pytest.mark.parametrize("source, message", FOLDING_FAULTS, ids=[s for s, _ in FOLDING_FAULTS])
+def test_constant_folding_that_fails_is_a_config_error(tmp_path, capsys, command, pointer, source, message):
+    path = tmp_path / "fold.json"
+    path.write_text(json.dumps(_with_value(FAULT_BASE, pointer, source)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error at {pointer}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "horizon, argv",
     [(float("inf"), []), (float("nan"), []), (4, ["--horizon", "inf"])],
@@ -651,6 +687,32 @@ def test_fit_overflow_is_a_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric overflow at JetPoint(" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("huge", ["1e400", "10^400"], ids=["float-literal", "exact-rational"])
+def test_a_constant_beyond_the_double_range_fails_like_any_non_finite_value(tmp_path, capsys, huge):
+    # the constant evaluates as inf, so every value it reaches is inf or nan
+    model = {"tau": 1.0, "samples": 20, "seed": 1, "generators": [{"name": "G", "eta": "q"}],
+             "hamiltonian": {"H": f"p*pm + {huge}*q*qm", "alphas": [1, 0, 0, 1]}}
+    path = tmp_path / "huge.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps(model))
+    assert cli.main(["noether", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert "numeric failure: design-matrix row is not finite at JetPoint(" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["check-identity", "--config", str(path), "--out", str(out)]) == cli.EXIT_VERIFY
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["worst"] for c in checks if not c["ok"]] and all(c["worst"] is None for c in checks if not c["ok"])
+    out.unlink()
+    runs = [
+        dict(model, history={"q": "sin(t)", "p": "cos(t)"}),
+        dict(model, history={"q": f"{huge}*sin(t)", "p": "cos(t)"}, hamiltonian=OSC_HAMILTONIAN["hamiltonian"]),
+    ]
+    for cfg in runs:
+        path.write_text(json.dumps(dict(cfg, steps_per_delay=8, horizon=2)))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert "t=" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compare_fails_on_a_non_finite_row(osc_config, tmp_path, capsys):

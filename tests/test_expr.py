@@ -364,7 +364,7 @@ def test_a_node_class_cannot_be_called(cls, fields):
 
 
 def test_a_node_slot_cannot_be_set_or_deleted():
-    cases = [(E.parse("q*qm + pd"), "terms"), (E.ONE, "value"), (E.q, "symbol"), (E.parse("q^3"), "exponent")]
+    cases = [(E.parse("q*qm + pd"), "terms"), (E.ONE, "value"), (E.q, "index"), (E.parse("q^3"), "exponent")]
     for node, name in cases:
         before = getattr(node, name)
         with pytest.raises(AttributeError):
@@ -374,6 +374,33 @@ def test_a_node_slot_cannot_be_set_or_deleted():
         assert getattr(node, name) is before
     with pytest.raises(AttributeError):
         E.q.extra = 1
+
+
+JET_NAMES = "t tm tp q qm qp p pm pp qd qdm qdp pd pdm pdp qdd qddm qddp pdd pddm pddp".split()
+
+
+def test_each_jet_coordinate_is_one_atom():
+    assert len(E.SYMBOLS) == len(JET_NAMES) == 21
+    for name in JET_NAMES:
+        base, order = name[0], name.count("d")
+        shift = {"m": -1, "p": 1}.get(name[1 + order:], 0)
+        atom = E.SYMBOL_BY_NAME[name]
+        assert E.parse(name) is atom is E.symbol(base, shift, order) is E.sym(name) is getattr(E, name)
+        assert (atom.name, atom.base, atom.shift, atom.order) == (name, base, shift, order)
+    for k, atom in enumerate(E.SYMBOLS):
+        assert atom.index == k
+    e = E.parse("q*qm^2 + sin(t)*pd")
+    assert E.symbols_of(e) == {E.q, E.qm, E.t, E.pd}
+    assert all(s is E.SYMBOL_BY_NAME[s.name] for s in E.symbols_of(e))
+    assert E.partial(e, "q") is E.partial(e, E.q) is E.parse("qm^2")
+    by_name = E.substitute(e, {"qm": E.q, "pd": 2})
+    assert E.substitute(e, {E.qm: E.q, E.pd: 2}) is by_name is E.parse("q*q^2 + 2*sin(t)")
+    with pytest.raises(E.MissingSymbolError) as err:
+        E.evaluate(e, E.JetPoint(1.0, {"q": 1.0, "qm": 1.0}, t_value=0.0))
+    assert err.value.symbol is E.pd
+    with pytest.raises(E.ShiftRangeError) as err:
+        E.shift(E.qdp, +1)
+    assert err.value.symbol is E.qdp
 
 
 def test_constants_are_one_node_per_exact_value():

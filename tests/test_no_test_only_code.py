@@ -11,6 +11,7 @@ of the same name as one is not exempt.  Reference helpers the tests need live in
 import ast
 import pathlib
 import re
+import types
 
 import delayham
 
@@ -53,3 +54,10 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
             if not any(re.search(pattern, t) for t in others):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "defined in src/ but called only by tests: " + ", ".join(unused)
+
+
+def test_the_package_exports_functions_and_classes_but_no_module():
+    exported = [getattr(delayham, name) for name in delayham.__all__]
+    assert not [x for x in exported if isinstance(x, types.ModuleType)]
+    assert all(callable(x) for x in exported)
+    assert {"parse", "partial", "step_hamiltonian", "DelayHamiltonian", "Expr"} <= set(delayham.__all__)

@@ -5,7 +5,9 @@ Hypothesis draws the seeds of `conftest.random_expr`; `derandomize` fixes the
 draws, so every run checks the same trees.
 """
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from conftest import array_binding, assert_same_bits, identity_models, random_ex
 
 # shifts -1 and 0 only, so one forward shift stays in range; first order at most
 ATOMS = [E.t, E.tm, E.q, E.qm, E.p, E.pm, E.qd, E.qdm, E.pdm, E.tau]
-SYMBOLS = [a.symbol for a in ATOMS if isinstance(a, E.Sym)]
+SYMBOLS = [a for a in ATOMS if isinstance(a, E.Sym)]
 
 seeded = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -27,6 +29,22 @@ def trees(depth: int = 3, extended: bool = False):
     return st.integers(0, 2**32 - 1).map(
         lambda seed: random_expr(np.random.default_rng(seed), ATOMS, depth, extended)
     )
+
+
+# constants with no finite double value: they evaluate as +-inf and nan
+NON_FINITE = [E.const(math.inf), E.const(-math.inf), E.const(math.nan), E.const(Fraction(-(10**400)))]
+
+
+def non_finite_trees(depth: int = 3):
+    """Trees over ATOMS and NON_FINITE; a draw whose constant folding
+    overflows (a float meeting the huge rational) is not a tree and is skipped."""
+    def build(seed):
+        try:
+            return random_expr(np.random.default_rng(seed), ATOMS + NON_FINITE, depth, extended=True)
+        except OverflowError:
+            return None
+
+    return st.integers(0, 2**32 - 1).map(build).filter(lambda e: e is not None)
 
 
 def vanishes(e: E.Expr) -> bool:
@@ -109,6 +127,30 @@ def _assert_same_checks(got, want):
         assert (g.witness is None) is (w.witness is None)
         if w.witness is not None:
             assert_same_bits(g.witness.slots(), w.witness.slots())
+
+
+@seeded
+@given(st.lists(non_finite_trees(), min_size=1, max_size=4))
+def test_a_constant_with_no_finite_double_evaluates_alike_on_every_path(roots):
+    slots = E.random_jets(23, 8)
+    with np.errstate(**E._ARRAY_ERRSTATE):
+        for with_magnitude in (False, True):
+            array_binding(roots, slots, with_magnitude)  # the tape against the compiled array binding
+    jets = [E.JetPoint.from_slots(slots[:, k]) for k in range(slots.shape[1])]
+    values = _outcome(lambda: np.array([[E.evaluate(r, jet) for jet in jets] for r in roots]))
+    checks = _outcome(lambda: [E._scalar_zero_check(r, slots, 1e-9, jets.__getitem__) for r in roots])
+    for binding in ("tape", "compiled"):
+        got_values = _outcome(lambda: E.evaluate_many(roots, slots))
+        got_checks = _outcome(lambda: E.zero_checks(roots, slots))
+        for got, want in ((got_values, values), (got_checks, checks)):
+            assert isinstance(got, tuple) is isinstance(want, tuple)
+            if isinstance(want, tuple):
+                assert got[:2] == want[:2]
+                assert_same_bits(got[2], want[2])
+        if not isinstance(values, tuple):
+            assert_same_bits(got_values, values)
+        if not isinstance(checks, tuple):
+            _assert_same_checks(got_checks, checks)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=4)
