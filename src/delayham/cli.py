@@ -368,8 +368,8 @@ def cmd_recurse(cfg: RunConfig, args) -> int:
         a1, a2, a3, a4 = (float(a) for a in ham.alphas)
         if a1 == 0 or a1 != a4:
             raise ConfigError("/hamiltonian/alphas", "sum-form recursion needs a1 = a4 != 0")
-        ratio = (a2 + a3) / a1
-        if abs(ratio - round(ratio)) > 1e-12 or round(ratio) not in (0, 2):
+        ratio = (a2 + a3) / a1  # inf when the sum or the quotient overflows
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-12 or round(ratio) not in (0, 2):
             raise ConfigError(
                 "/hamiltonian/alphas",
                 "only the middle coefficients 0 and 2 are supported",
@@ -408,6 +408,17 @@ def cmd_compare(cfg: RunConfig | None, args) -> int:
     return EXIT_OK
 
 
+def identity_residuals(cfg: RunConfig) -> list[tuple[str, Expr]]:
+    """(check name, residual) for every identity `check-identity` checks, in its order."""
+    ham = _resolved_hamiltonian(cfg)
+    residuals = []
+    for name, gen, _, _ in cfg.generators:
+        residuals.append((f"identity-{name}", noether.hamiltonian_identity_residual(ham, gen)))
+        for key, residual in noether.variational_identity_residuals(ham, gen).items():
+            residuals.append((f"variation-{key}-{name}", residual))
+    return residuals
+
+
 def cmd_check_identity(cfg: RunConfig, args) -> int:
     checks = []
     if args.classical:
@@ -435,12 +446,7 @@ def cmd_check_identity(cfg: RunConfig, args) -> int:
             checks.append(_check_entry(f"classical-identity-{k}", chk))
     else:
         # every residual of every generator, checked on the same jets in one kernel
-        ham = _resolved_hamiltonian(cfg)
-        residuals = []
-        for name, gen, _, _ in cfg.generators:
-            residuals.append((f"identity-{name}", noether.hamiltonian_identity_residual(ham, gen)))
-            for key, residual in noether.variational_identity_residuals(ham, gen).items():
-                residuals.append((f"variation-{key}-{name}", residual))
+        residuals = identity_residuals(cfg)
         results = ex.zero_checks(
             [residual for _, residual in residuals], ex.random_jets(cfg.seed, cfg.samples), cfg.tol
         )

@@ -55,7 +55,9 @@ in one uint64 numpy pass, and `random_jet` is one column of it.
 
 Rational constants are kept exact (`fractions.Fraction`) until evaluation;
 evaluation itself is plain IEEE double arithmetic, and a rational beyond the
-double range evaluates as +-inf, like a float literal beyond it.
+double range evaluates as +-inf, like a float literal beyond it.  `add` and
+`mul` fold integer constants exactly, in plain `int` arithmetic, to the same
+`Fraction` nodes.
 """
 
 from __future__ import annotations
@@ -239,9 +241,14 @@ def _const_key(v: Number) -> tuple:
 
 
 def const(v: Number) -> Const:
-    if isinstance(v, bool):
+    if type(v) is int:  # the node of Fraction(v), looked up before making one
+        node = _INTERN.get(("c", "F", v, 1))
+        if node is not None:
+            return node  # type: ignore[return-value]
+        v = Fraction(v)
+    elif isinstance(v, bool):
         raise TypeError("boolean is not a numeric constant")
-    if isinstance(v, int):
+    elif isinstance(v, int):
         v = Fraction(v)
     elif not isinstance(v, (float, Fraction)):
         raise TypeError(f"unsupported constant type {type(v).__name__}")
@@ -281,28 +288,36 @@ TAU: TauConst = _intern(("tau",), TauConst)  # type: ignore[assignment]
 
 
 def _is_const(e: Expr, value=None) -> bool:
-    if not isinstance(e, Const):
+    if type(e) is not Const:
         return False
     return value is None or e.value == value
 
 
+def _folded(v: Number) -> Number:
+    """A constant's value as `add` and `mul` fold it: an integer as an int.
+    Mixed int, `Fraction` and float arithmetic gives the same values as
+    all-`Fraction` arithmetic, so folds return the same nodes, and integer
+    folds make no `Fraction` objects."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
 def add(*terms) -> Expr:
     flat: list[Expr] = []
-    acc: Number = Fraction(0)
+    acc: Number = 0
     touched = False
     stack = [as_expr(t) for t in terms]
     for item in stack:
-        parts = item.terms if isinstance(item, Add) else (item,)
+        parts = item.terms if type(item) is Add else (item,)
         for p in parts:
-            if isinstance(p, Const):
-                acc = acc + p.value
+            if type(p) is Const:
+                acc = acc + _folded(p.value)
                 touched = True
             else:
                 flat.append(p)
     if touched and acc != 0:
         flat.append(const(acc))
     if not flat:
-        return const(acc if touched else Fraction(0))
+        return const(acc)
     if len(flat) == 1:
         return flat[0]
     return _intern(("+", *map(id, flat)), Add, tuple(flat))
@@ -322,34 +337,30 @@ def sub(a, b) -> Expr:
 
 
 def mul(*factors) -> Expr:
+    # Flattens one level, as `add` does: by construction a `Mul`'s factors
+    # hold no `Mul` or `Neg`, and a `Neg`'s argument is no `Neg`.
     flat: list[Expr] = []
-    coeff: Number = Fraction(1)
+    coeff: Number = 1
     negative = False
     zero = False
-
-    def push(x: Expr):
-        nonlocal coeff, negative, zero
-        if isinstance(x, Mul):
-            for f in x.factors:
-                push(f)
-        elif isinstance(x, Neg):
+    for f in factors:
+        x = as_expr(f)
+        if type(x) is Neg:
             negative = not negative
-            push(x.arg)
-        elif isinstance(x, Const):
-            v = x.value
+            x = x.arg
+        for y in x.factors if type(x) is Mul else (x,):
+            if type(y) is not Const:
+                flat.append(y)
+                continue
+            v = _folded(y.value)
             if v == 0:
                 zero = True
                 coeff = coeff * v
-                return
+                continue
             if v < 0:
                 negative = not negative
                 v = -v
             coeff = coeff * v
-        else:
-            flat.append(x)
-
-    for f in factors:
-        push(as_expr(f))
     if zero:
         return const(coeff * 0)
     parts = ([const(coeff)] if coeff != 1 else []) + flat
@@ -470,18 +481,17 @@ _SYMBOLS_CACHE: dict[int, frozenset[Sym]] = {}
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Add):
+    cls = type(e)
+    if cls is Add:
         return e.terms
-    if isinstance(e, Mul):
+    if cls is Mul:
         return e.factors
-    if isinstance(e, Neg):
+    if cls is Neg or cls is Func:
         return (e.arg,)
-    if isinstance(e, Div):
+    if cls is Div:
         return (e.num, e.den)
-    if isinstance(e, Pow):
+    if cls is Pow:
         return (e.base,)
-    if isinstance(e, Func):
-        return (e.arg,)
     return ()
 
 
@@ -542,21 +552,32 @@ def _shift(e: Expr, direction: int) -> Expr:
 
 def substitute(e: Expr, mapping: Mapping[Sym | str, Expr | Number]) -> Expr:
     """Replace symbols, keyed by atom or name, by expressions everywhere in `e`."""
-    table = {(SYMBOL_BY_NAME[k] if isinstance(k, str) else k).index: as_expr(v) for k, v in mapping.items()}
+    table = {_coordinate(k).index: as_expr(v) for k, v in mapping.items()}
     memo: dict[int, Expr] = {}
 
     def rec(x: Expr) -> Expr:
         got = memo.get(id(x))
         if got is not None:
             return got
-        if isinstance(x, Sym):
+        if type(x) is Sym:
             out = table.get(x.index, x)
         else:
             out = _rebuild(x, rec)
         memo[id(x)] = out
         return out
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec  # `rec` reaches itself through its closure; drop that cycle
+
+
+def _coordinate(key: Sym | str) -> Sym:
+    """The coordinate atom that `key` is or names; `TypeError` for anything else."""
+    s = SYMBOL_BY_NAME.get(key, key) if isinstance(key, str) else key
+    if type(s) is not Sym:
+        raise TypeError(f"only the {len(SYMBOLS)} jet coordinates can be substituted, not {key!r}")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +595,18 @@ def partial(e: Expr, s: Sym | str) -> Expr:
     got = _PARTIAL_CACHE.get(key)
     if got is not None:
         return got
-    if isinstance(e, (Const, TauConst)):
+    cls = type(e)
+    if cls is Const or cls is TauConst:
         out: Expr = ZERO
-    elif isinstance(e, Sym):
+    elif cls is Sym:
         out = ONE if e is s else ZERO
     elif s not in symbols_of(e):
         out = ZERO
-    elif isinstance(e, Add):
+    elif cls is Add:
         out = add(*[partial(c, s) for c in e.terms])
-    elif isinstance(e, Neg):
+    elif cls is Neg:
         out = neg(partial(e.arg, s))
-    elif isinstance(e, Mul):
+    elif cls is Mul:
         pieces = []
         for i, f in enumerate(e.factors):
             df = partial(f, s)
@@ -593,13 +615,13 @@ def partial(e: Expr, s: Sym | str) -> Expr:
             rest = e.factors[:i] + e.factors[i + 1 :]
             pieces.append(mul(df, *rest))
         out = add(*pieces)
-    elif isinstance(e, Div):
+    elif cls is Div:
         da = partial(e.num, s)
         db = partial(e.den, s)
         out = sub(div(da, e.den), div(mul(e.num, db), powi(e.den, 2)))
-    elif isinstance(e, Pow):
+    elif cls is Pow:
         out = mul(e.exponent, powi(e.base, e.exponent - 1), partial(e.base, s))
-    elif isinstance(e, Func):
+    elif cls is Func:
         darg = partial(e.arg, s)
         if e.name == "sin":
             out = mul(cos(e.arg), darg)
@@ -850,9 +872,10 @@ def parse(source: str) -> Expr:
 class JetPoint:
     """Numeric values for the jet coordinates at one base time.
 
-    The three time slots always satisfy tm = t - tau and tp = t + tau; all
-    other coordinates are free (a jet point is off-shell unless constrained
-    explicitly).
+    The three time slots always satisfy tm = t - tau and tp = t + tau: t
+    (or `t_value`) sets all three, and so does tm or tp given without t; given
+    with t, they must agree with it.  All other coordinates are free (a jet
+    point is off-shell unless constrained explicitly).
     """
 
     __slots__ = ("tau", "_vals")
@@ -869,6 +892,7 @@ class JetPoint:
         if t_value is not None:
             self._set_time(float(t_value))
         if values:
+            shifted = []  # tm and tp, checked once t is known
             for key, val in values.items():
                 s = SYMBOL_BY_NAME[key] if isinstance(key, str) else key
                 val = float(val)
@@ -877,11 +901,15 @@ class JetPoint:
                 if s is t:
                     self._set_time(val)
                 elif s is tm or s is tp:
-                    expected = self._vals[t.index] + s.shift * tau_value
-                    if not math.isnan(expected) and abs(val - expected) > 1e-9 * (1 + abs(expected)):
-                        raise ValueError(f"'{s.name}'={val} conflicts with t and tau (expected {expected})")
+                    shifted.append((s, val))
                 else:
                     self._vals[s.index] = val
+            for s, val in shifted:
+                expected = self._vals[t.index] + s.shift * tau_value
+                if math.isnan(expected):  # no t given: the shifted time sets it
+                    self._set_time(val - s.shift * tau_value)
+                elif abs(val - expected) > 1e-9 * (1 + abs(expected)):
+                    raise ValueError(f"'{s.name}'={val} conflicts with t and tau (expected {expected})")
 
     @classmethod
     def from_slots(cls, slots: Iterable[float]) -> "JetPoint":
@@ -1054,34 +1082,39 @@ def _plan(roots: tuple[Expr, ...], with_magnitude: bool = False) -> tuple[list, 
     as row i: root j's value as row j and, with `with_magnitude`, its
     magnitude as row `len(roots) + j`, right after root j is complete.
 
-    Parallel lists rather than a tuple per step: a tuple holding a node is
-    tracked by the garbage collector, and the thousands of them a large
-    kernel makes outlive young collections and bring on full ones, whose
-    cost grows with every node `_INTERN` holds."""
-    at: dict[int, int] = {}
-    magnitude: dict[int, int] = {}
+    The plan makes no work for the garbage collector, whose full
+    collections cost more with every node `_INTERN` holds: its steps are
+    parallel lists rather than a tuple per step, since a tuple holding a
+    node is tracked by the collector, and it leaves no reference cycle, so
+    its lists are freed as soon as the kernel is built."""
+    at: dict[int, int] = {}  # a node's id -> its value step
+    magnitude: dict[int, int] = {}  # a value step -> its magnitude step
     heads: list = []
     operands: list[tuple[int, ...]] = []
 
-    def step(head, reads: tuple[int, ...]) -> int:
-        heads.append(head)
-        operands.append(reads)
-        return len(heads) - 1
-
     def visit(n: Expr) -> int:
-        key = id(n)
-        got = at.get(key)
+        got = at.get(id(n))
         if got is None:
-            children = _children(n)
-            got = at[key] = step(n, tuple(map(visit, children)))
+            reads = tuple(map(visit, _children(n)))
+            got = at[id(n)] = len(heads)
+            heads.append(n)
+            operands.append(reads)
             if with_magnitude:
-                magnitude[key] = step(_MAGNITUDE, (got, *(magnitude[id(c)] for c in children)))
+                magnitude[got] = len(heads)
+                heads.append(_MAGNITUDE)
+                operands.append((got, *map(magnitude.__getitem__, reads)))
         return got
 
-    for j, root in enumerate(roots):
-        step(j, (visit(root),))
-        if with_magnitude:
-            step(len(roots) + j, (magnitude[id(root)],))
+    try:
+        for j, root in enumerate(roots):
+            got = visit(root)
+            heads.append(j)
+            operands.append((got,))
+            if with_magnitude:
+                heads.append(len(roots) + j)
+                operands.append((magnitude[got],))
+    finally:
+        del visit  # `visit` reaches itself through its closure; drop that cycle
     return heads, operands
 
 
@@ -1091,10 +1124,10 @@ def _last_uses(operands: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     for s, reads in enumerate(operands):
         for v in reads:
             last[v] = s
-    dead: dict[int, list[int]] = {}
+    dead: list[list[int]] = [[] for _ in operands]
     for v, s in last.items():
-        dead.setdefault(s, []).append(v)
-    return [tuple(dead.get(s, ())) for s in range(len(operands))]
+        dead[s].append(v)
+    return list(map(tuple, dead))
 
 
 def _double(value: Number) -> float:

@@ -83,6 +83,13 @@ def _check_scaled(a1: Number, model: str, names, values, unscaled) -> None:
             raise LegendreError(f"alpha1={a1} makes the {model} coefficient {name} {fault}")
 
 
+def _check_weights(alphas: tuple[Number, ...]) -> None:
+    """Raise `LegendreError` when computing a pairing weight overflowed a double."""
+    for k, a in enumerate(alphas, 1):
+        if not math.isfinite(a):
+            raise LegendreError(f"the pairing weight a{k} overflows in double arithmetic")
+
+
 def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> LegendreResult:
     """Quadratic delay Lagrangian -> delay Hamiltonian.
 
@@ -93,6 +100,7 @@ def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> Le
     if a1 == 0:
         raise LegendreError("alpha1 must be nonzero")
     alphas = pairing_weights(l, a1)
+    _check_weights(alphas)
     ratio = a1 / l.beta
     coeff_a = ratio * ratio * l.alpha
     coeff_b = ratio * a1
@@ -134,6 +142,7 @@ def legendre_reverse(
     if a1 == 0:
         raise LegendreError("alpha1 must be nonzero")
     alphas = (a1, a1 * h.c / h.b, a1 * h.a / h.b, a1)
+    _check_weights(alphas)
     ratio = a1 / h.b
     coeffs = (ratio * ratio * h.a, ratio * a1, ratio * ratio * h.c)
     _check_scaled(a1, "Lagrangian", ("alpha", "beta", "gamma"), coeffs, (h.a, a1, h.c))

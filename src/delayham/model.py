@@ -13,6 +13,7 @@ algebraically, which the test-suite checks by sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,7 +83,15 @@ class QuadraticLagrangian:
 
     @property
     def degenerate(self) -> bool:
-        return self.alpha * self.gamma - self.beta**2 == 0
+        gap = self.alpha * self.gamma - self.beta * self.beta
+        if isinstance(gap, float) and not math.isfinite(gap):
+            # a float product overflowed: decide on the exact values
+            try:
+                alpha, beta, gamma = map(Fraction, (self.alpha, self.beta, self.gamma))
+            except (OverflowError, ValueError):  # a coefficient is itself inf or nan
+                return False
+            gap = alpha * gamma - beta * beta
+        return gap == 0
 
     def expr(self) -> Expr:
         return add(

@@ -809,6 +809,50 @@ def test_alpha1_that_underflows_a_coefficient_is_a_numeric_failure(
     assert not out.exists()
 
 
+def _run_model(tmp_path, command: str, **model):
+    """Run `command` on the oscillator config with `model`'s sections in place of
+    its Lagrangian; return the exit code and the output path."""
+    path = tmp_path / "model.json"
+    config = {k: v for k, v in OSC_CONFIG.items() if k != "lagrangian"}
+    path.write_text(json.dumps(dict(config, **model, steps_per_delay=16, horizon=2)))
+    out = tmp_path / f"{command}.out"
+    return cli.main([command, "--config", str(path), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("command", ["transform", "simulate", "noether", "check-identity", "recurse"])
+def test_a_beta_whose_square_overflows_is_an_ordinary_lagrangian(tmp_path, capsys, command):
+    # alpha*gamma - beta^2 overflows a double; its exact value decides degeneracy
+    lagrangian = {"alpha": 0, "beta": 1e200, "gamma": 0, "phi": "q*qm"}
+    rc, out = _run_model(tmp_path, command, lagrangian=lagrangian)
+    assert (rc, capsys.readouterr().err) == (cli.EXIT_OK, "")
+    if command == "transform":
+        payload = json.loads(out.read_text())
+        assert (payload["H"], payload["degenerate"]) == ("1e+200*p*pm + q*qm", False)
+
+
+@pytest.mark.parametrize("command", ["transform", "simulate", "noether", "check-identity", "recurse"])
+def test_a_pairing_weight_that_overflows_is_a_numeric_failure(tmp_path, capsys, command):
+    # a3 = a1*alpha/beta: a1*alpha = 2e308 overflows before the division
+    lagrangian = {"alpha": 1e308, "beta": 2, "gamma": 1, "phi": "q*qm"}
+    rc, out = _run_model(tmp_path, command, lagrangian=lagrangian)
+    assert rc == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric failure: the pairing weight a3 overflows in double arithmetic\n"
+    )
+    assert not out.exists()
+
+
+def test_recurse_with_a_weight_ratio_that_overflows_is_a_config_error(tmp_path, capsys):
+    # (a2 + a3)/a1 = 2e300/1e-300 overflows to inf
+    hamiltonian = {"H": "p*pm + q*qm", "alphas": [1e-300, 1e300, 1e300, 1e-300]}
+    rc, out = _run_model(tmp_path, "recurse", hamiltonian=hamiltonian)
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at /hamiltonian/alphas: only the middle coefficients 0 and 2 are supported\n"
+    )
+    assert not out.exists()
+
+
 _COMMANDS = {
     "transform": [],
     "simulate": [],

@@ -140,6 +140,25 @@ def test_jet_rejects_conflicting_shifted_time():
         E.JetPoint(1.0, {"tm": 5.0}, t_value=0.0)
 
 
+@pytest.mark.parametrize(
+    "values, t_value",
+    [({"tm": 0.5, "q": 1.0}, 1.5), ({"tp": 2.5}, 1.5), ({"tp": 2.5, "tm": 0.5}, 1.5),
+     ({"tm": 0.5, "t": 1.5}, 1.5)],
+    ids=["tm", "tp", "tp-then-tm", "tm-then-t"],
+)
+def test_a_shifted_time_without_t_sets_the_time(values, t_value):
+    jet = E.JetPoint(1.0, values)
+    assert (jet.value("tm"), jet.t, jet.value("tp")) == (t_value - 1.0, t_value, t_value + 1.0)
+    assert jet.slots() == E.JetPoint(1.0, {k: v for k, v in values.items() if k == "q"},
+                                     t_value=t_value).slots()
+
+
+@pytest.mark.parametrize("values", [{"tm": 0.5, "tp": 9.0}, {"tm": 0.5, "t": 9.0}])
+def test_a_shifted_time_must_agree_with_the_other_times(values):
+    with pytest.raises(ValueError, match="conflicts with t and tau"):
+        E.JetPoint(1.0, values)
+
+
 def _advanced(jet: E.JetPoint) -> E.JetPoint:
     """The jet one delay later, assuming shifted slots describe the same curve."""
     slots = list(E.JetPoint(jet.tau, t_value=jet.t + jet.tau).slots())
@@ -323,6 +342,12 @@ def test_substitute_momentum_expression():
     e = E.parse("p*pm + q*qm")
     out = E.substitute(e, {"p": E.qd, "pm": E.qdm})
     assert out is E.parse("qd*qdm + q*qm")
+
+
+@pytest.mark.parametrize("key", [E.TAU, "tau", "x", E.parse("q*p")], ids=["TAU", "tau", "x", "q*p"])
+def test_substitute_takes_only_jet_coordinates(key):
+    with pytest.raises(TypeError, match="only the 21 jet coordinates can be substituted"):
+        E.substitute(E.parse("q*tau"), {key: 1})
 
 
 def test_fraction_constants_survive_roundtrip():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,16 @@ def test_lagrangian_rejects_bad_phi_symbols():
 def test_degeneracy_flag():
     assert M.QuadraticLagrangian(1, 1, 1, E.ZERO).degenerate
     assert not M.QuadraticLagrangian(0, 1, 0, E.ZERO).degenerate
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, gamma, degenerate",
+    [(0, 1e200, 0, False), (1e200, 1e200, 1e200, True), (4 * 1e200, 2 * 1e200, 1e200, True),
+     (1e300, 1e200, 1e300, False), (10**308, 1, 10**308, False), (math.inf, 1, 1, False)],
+)
+def test_degeneracy_of_coefficients_whose_products_overflow(alpha, beta, gamma, degenerate):
+    # alpha*gamma or beta^2 overflows a double; the exact values decide
+    assert M.QuadraticLagrangian(alpha, beta, gamma, E.ZERO).degenerate is degenerate
 
 
 def test_hamiltonian_rejects_derivative_symbols():

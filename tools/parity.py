@@ -1,0 +1,224 @@
+"""Differential check of two source trees: the same CLI runs, the same bytes.
+
+Usage, from the root of a checkout:
+
+    python3 tools/parity.py --parent <tree> [--start 1000]
+
+`<tree>` is the root of a checkout (the directory holding `src/delayham`).
+The tree under test is the checkout holding this script; `--parent` naming
+that same checkout gives an A/A run.  Each tree runs the same fixed matrix in
+one fresh process whose `PYTHONPATH` is that tree's `src`, all in-process
+through `delayham.cli.main`:
+
+- `check-identity` and `noether --skip-drift` on 40 configs drawn by
+  `bench/workloads.random_identity_model` from `random.Random(--start)`;
+- `noether` on the README config at the 5 seeds from `--start` on;
+- `simulate` in both formulations, `recurse`, `compare` and `transform` on
+  the README config;
+- the sha256 of the generated kernel source of the V and W fit dictionaries
+  and of the residuals `check-identity` checks on the first model, as it
+  hands them to `zero_checks`;
+- three configs whose Lagrangian coefficients or pairing weights overflow a
+  double, on the commands they reach.
+
+Every run records its exit code (a raised exception counts as exit 1, with
+its type and message), standard output, standard error, the bytes of its
+`--out` file, and `len(_INTERN)` and `len(_PARTIAL_CACHE)` right after it.
+Paths in the runs are relative to a fresh directory, so messages that name a
+file read the same on both trees.  On any difference the tool prints the
+first differing runs field by field, from the first character that differs,
+names every differing run and exits 1; otherwise it prints one sha256 over
+all runs and exits 0.  Pick a `--start` no earlier run has used, so the
+seeds were not the ones developed against.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELDS = ("exit", "stdout", "stderr", "out", "intern", "partial")
+MODELS = 40  # random identity models
+README_SEEDS = 5
+SHOWN = 5  # differing runs printed in full
+
+
+def _families(readme: dict) -> list[tuple[str, dict, list[str]]]:
+    """Configs whose coefficient arithmetic overflows a double, and the commands they reach."""
+    steps = ["transform", "simulate", "noether", "check-identity", "recurse"]
+    base = {k: v for k, v in readme.items() if k != "lagrangian"}
+    base.update(horizon=2, steps_per_delay=16)
+    return [
+        ("beta-1e200", dict(base, lagrangian=dict(readme["lagrangian"], beta=1e200)), steps),
+        ("alpha-1e308", dict(base, lagrangian={"alpha": 1e308, "beta": 2, "gamma": 1, "phi": "q*qm"}),
+         steps),
+        ("weights-ratio-overflow",
+         dict(base, hamiltonian={"H": "p*pm + q*qm", "alphas": [1e-300, 1e300, 1e300, 1e-300]}),
+         ["recurse"]),
+    ]
+
+
+def _matrix(start: int) -> list[tuple[str, dict | None, list[str]]]:
+    """(run id, config or None, argv without `--config`) in run order."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import README_CONFIG, random_identity_model
+
+    rng = random.Random(start)
+    runs: list[tuple[str, dict | None, list[str]]] = []
+    for k in range(MODELS):
+        model = random_identity_model(rng)
+        runs.append((f"model-{k}/check-identity", model, ["check-identity"]))
+        runs.append((f"model-{k}/noether", model, ["noether", "--skip-drift"]))
+    for seed in range(start, start + README_SEEDS):
+        runs.append((f"readme/noether-seed-{seed}", README_CONFIG, ["noether", "--seed", str(seed)]))
+    runs += [
+        ("readme/simulate", README_CONFIG, ["simulate", "--out", "ham.csv"]),
+        ("readme/simulate-lagrangian", README_CONFIG,
+         ["simulate", "--formulation", "lagrangian", "--out", "lag.csv"]),
+        ("readme/recurse", README_CONFIG, ["recurse", "--out", "rec.csv"]),
+        ("readme/compare", None, ["compare", "--a", "ham.csv", "--b", "rec.csv"]),
+        ("readme/transform", README_CONFIG, ["transform"]),
+        ("sources", runs[0][1], ["check-identity"]),
+    ]
+    for name, config, commands in _families(README_CONFIG):
+        runs += [(f"{name}/{command}", config, [command]) for command in commands]
+    return runs
+
+
+def _sources(argv: list[str]) -> str:
+    """sha256 lines of the kernel source of the fit dictionaries and of the
+    residuals that the `check-identity` run `argv` checks."""
+    from delayham import noether
+    from delayham import expr as ex
+
+    with mock.patch.object(ex, "zero_checks", wraps=ex.zero_checks) as spy:
+        _run(argv)
+    residuals = spy.call_args.args[0]
+    lines = []
+    for name, roots, with_magnitude in (
+        ("V", sum(noether._v_dictionary(), ()), False),
+        ("W", sum(noether._w_dictionary(), ()), False),
+        (f"residuals[{len(residuals)}]", tuple(residuals), True),
+    ):
+        digest = hashlib.sha256(ex._many_source(roots, with_magnitude).encode()).hexdigest()
+        lines.append(f"{name} {digest}\n")
+    return "".join(lines)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """`cli.main(argv)` in this process: exit code, stdout, stderr."""
+    from delayham import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # an uncaught exception exits 1 with a traceback
+            code = 1
+            err.write(f"{type(exc).__name__}: {exc}\n")
+    return code, out.getvalue(), err.getvalue()
+
+
+def worker(args) -> int:
+    """Run the matrix in this process (the tree's `src` on `PYTHONPATH`) and write the records."""
+    from delayham import expr as ex
+
+    records = []
+    runs = _matrix(args.start)
+    for run_id, config, argv in runs:
+        if config is not None:
+            Path("config.json").write_text(json.dumps(config, sort_keys=True), encoding="utf-8")
+            argv = [argv[0], "--config", "config.json", *argv[1:]]
+        if "--out" not in argv:
+            argv = [*argv, "--out", "out"]
+        target = Path(argv[argv.index("--out") + 1])
+        target.unlink(missing_ok=True)
+        if run_id == "sources":
+            code, stdout, stderr = 0, _sources(argv), ""
+        else:
+            code, stdout, stderr = _run(argv)
+        records.append({
+            "run": run_id,
+            "exit": code,
+            "stdout": stdout,
+            "stderr": stderr,
+            "out": target.read_text(encoding="utf-8") if target.exists() else None,
+            "intern": len(ex._INTERN),
+            "partial": len(ex._PARTIAL_CACHE),
+        })
+    Path(args.worker).write_text(json.dumps({"module": ex.__file__, "runs": records}), encoding="utf-8")
+    return 0
+
+
+def _first_difference(a, b) -> str:
+    """Where two field values first differ, with up to 60 characters of each from there."""
+    if isinstance(a, str) and isinstance(b, str):
+        k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        return f"at char {k}: {a[k:k + 60]!r} vs {b[k:k + 60]!r}"
+    return f"{a!r:.60} vs {b!r:.60}"
+
+
+def _spawn(tree: Path, args, work: Path) -> subprocess.Popen:
+    """A worker process running the matrix on `tree` in the fresh directory `work`."""
+    work.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(work / "result.json"),
+            "--start", str(args.start)]
+    return subprocess.Popen(argv, cwd=work, env=env)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, help="root of the tree to compare against")
+    parser.add_argument("--start", type=int, default=1000, help="first seed of the matrix")
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return worker(args)
+    if args.parent is None:
+        parser.error("--parent is required")
+    trees = (args.parent, ROOT)
+    for tree in trees:
+        if not (tree / "src" / "delayham").is_dir():
+            parser.error(f"{tree} holds no src/delayham")
+    with tempfile.TemporaryDirectory() as tmp:
+        works = [Path(tmp) / "parent", Path(tmp) / "tree"]
+        procs = [_spawn(tree, args, work) for tree, work in zip(trees, works)]
+        if [p.wait() for p in procs] != [0, 0]:
+            print("parity: a worker failed", file=sys.stderr)
+            return 2
+        results = [json.loads((work / "result.json").read_text(encoding="utf-8")) for work in works]
+    for tree, result in zip(trees, results):
+        print(f"{tree}: {len(result['runs'])} runs, delayham from {result['module']}")
+    differing = [(a, b) for a, b in zip(*(r["runs"] for r in results)) if a != b]
+    for a, b in differing[:SHOWN]:
+        print(f"DIFF {a['run']}:")
+        for field in FIELDS:
+            if a[field] != b[field]:
+                print(f"  {field}: {_first_difference(a[field], b[field])}")
+    if differing:
+        print(f"parity: {len(differing)} of {len(results[0]['runs'])} runs differ: "
+              + ", ".join(a["run"] for a, _ in differing))
+        return 1
+    digest = hashlib.sha256(json.dumps(results[0]["runs"], sort_keys=True).encode()).hexdigest()
+    last = results[0]["runs"][-1]
+    print(f"parity: all {len(results[0]['runs'])} runs equal; sha256 {digest}; "
+          f"_INTERN {last['intern']}, _PARTIAL_CACHE {last['partial']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
