@@ -68,10 +68,49 @@ class LegendreResult:
     degenerate: bool
 
 
+# Largest relative error of three double operations none of which leaves the
+# normal range (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., ch. 3: gamma_3 < 2^-51), with a factor 2 to spare.  A derived
+# coefficient further than this from its exact value underflowed on the way.
+_ROUNDING = 2.0**-50
+
+
+def _derived(what: str, f, *args: Number) -> Number:
+    """f(*args), a product or quotient of the coefficients `args` in their own
+    arithmetic.  When double arithmetic underflows it, leaving it further
+    from its exact value than rounding can, it is the exact value rounded
+    once instead.  `LegendreError` when double arithmetic overflows it, or
+    when its nonzero exact value rounds to 0."""
+    value = f(*args)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise LegendreError(f"{what} overflows in double arithmetic")
+        if not any(isinstance(a, float) and not math.isfinite(a) for a in args):
+            exact = f(*map(Fraction, args))
+            if abs(Fraction(value) - exact) > _ROUNDING * abs(exact):
+                value = float(exact)
+                if value == 0:
+                    raise LegendreError(f"{what} underflows to 0")
+    return value
+
+
+def _scaled_ratio(a1: Number, x: Number, y: Number) -> Number:
+    return a1 * x / y
+
+
+def _weights(a1: Number, here: Number, lag: Number, scale: Number) -> tuple[Number, ...]:
+    """(a1, a1*here/scale, a1*lag/scale, a1), each weight as `_derived`."""
+    return (
+        a1,
+        _derived("the pairing weight a2", _scaled_ratio, a1, here, scale),
+        _derived("the pairing weight a3", _scaled_ratio, a1, lag, scale),
+        a1,
+    )
+
+
 def pairing_weights(l: QuadraticLagrangian, alpha1: Number) -> tuple[Number, ...]:
     """The four weights fixed by shift compatibility, scaled by alpha1."""
-    a1 = _num(alpha1)
-    return (a1, a1 * l.gamma / l.beta, a1 * l.alpha / l.beta, a1)
+    return _weights(_num(alpha1), l.gamma, l.alpha, l.beta)
 
 
 def _check_scaled(a1: Number, model: str, names, values, unscaled) -> None:
@@ -81,13 +120,6 @@ def _check_scaled(a1: Number, model: str, names, values, unscaled) -> None:
         if value == 0 and source != 0 or not math.isfinite(value):
             fault = "vanish" if value == 0 else "overflow"
             raise LegendreError(f"alpha1={a1} makes the {model} coefficient {name} {fault}")
-
-
-def _check_weights(alphas: tuple[Number, ...]) -> None:
-    """Raise `LegendreError` when computing a pairing weight overflowed a double."""
-    for k, a in enumerate(alphas, 1):
-        if not math.isfinite(a):
-            raise LegendreError(f"the pairing weight a{k} overflows in double arithmetic")
 
 
 def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> LegendreResult:
@@ -100,7 +132,6 @@ def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> Le
     if a1 == 0:
         raise LegendreError("alpha1 must be nonzero")
     alphas = pairing_weights(l, a1)
-    _check_weights(alphas)
     ratio = a1 / l.beta
     coeff_a = ratio * ratio * l.alpha
     coeff_b = ratio * a1
@@ -128,7 +159,11 @@ def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> Le
     c_lag = div(a1, ra)
     combo = add(mul(c_here, ex.p), mul(c_lag, ex.pm))
     h_expr = add(div(powi(combo, 2), 2), l.phi)
-    quad = QuadraticHamiltonian(a1 * a1 / l.gamma, a1 * a1 / l.beta, a1 * a1 / l.alpha, l.phi)
+    quad = QuadraticHamiltonian(
+        *(_derived(f"the Hamiltonian coefficient {name}", _scaled_ratio, a1, a1, x)
+          for name, x in zip("abc", (l.gamma, l.beta, l.alpha))),
+        l.phi,
+    )
     ham = DelayHamiltonian(h_expr, alphas)
     merged = sub(combo, add(mul(ra, ex.qd), mul(rg, ex.qdm)))
     return LegendreResult(ham, quad, None, None, merged, True)
@@ -141,8 +176,7 @@ def legendre_reverse(
     a1 = _num(h.b if alpha1 is None else alpha1)
     if a1 == 0:
         raise LegendreError("alpha1 must be nonzero")
-    alphas = (a1, a1 * h.c / h.b, a1 * h.a / h.b, a1)
-    _check_weights(alphas)
+    alphas = _weights(a1, h.c, h.a, h.b)
     ratio = a1 / h.b
     coeffs = (ratio * ratio * h.a, ratio * a1, ratio * ratio * h.c)
     _check_scaled(a1, "Lagrangian", ("alpha", "beta", "gamma"), coeffs, (h.a, a1, h.c))

@@ -14,6 +14,7 @@ algebraically, which the test-suite checks by sampling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,6 +65,15 @@ def _num(x: Number) -> Number:
     raise TypeError(f"coefficients must be numbers, got {type(x).__name__}")
 
 
+def _out_of_range(x: Number, y: Number) -> bool:
+    """Whether the product x*y is a double that overflowed, or that underflowed
+    below the normal range from two nonzero factors."""
+    xy = x * y
+    return isinstance(xy, float) and (
+        not math.isfinite(xy) or (abs(xy) < sys.float_info.min and x != 0 and y != 0)
+    )
+
+
 @dataclass(frozen=True)
 class QuadraticLagrangian:
     """alpha/2*qd^2 + beta*qd*qdm + gamma/2*qdm^2 - phi(q, qm), with beta != 0."""
@@ -83,15 +93,14 @@ class QuadraticLagrangian:
 
     @property
     def degenerate(self) -> bool:
-        gap = self.alpha * self.gamma - self.beta * self.beta
-        if isinstance(gap, float) and not math.isfinite(gap):
-            # a float product overflowed: decide on the exact values
+        if _out_of_range(self.alpha, self.gamma) or _out_of_range(self.beta, self.beta):
+            # a float product overflowed or underflowed: decide on the exact values
             try:
                 alpha, beta, gamma = map(Fraction, (self.alpha, self.beta, self.gamma))
             except (OverflowError, ValueError):  # a coefficient is itself inf or nan
                 return False
-            gap = alpha * gamma - beta * beta
-        return gap == 0
+            return alpha * gamma == beta * beta
+        return self.alpha * self.gamma == self.beta * self.beta
 
     def expr(self) -> Expr:
         return add(

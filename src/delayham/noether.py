@@ -225,8 +225,19 @@ def _w_dictionary() -> _Dictionary:
 # error grows like cond(A^T A) * eps (Higham, Accuracy and Stability of
 # Numerical Algorithms, 2nd ed., ch. 20): at most about 1e-8 here, and about
 # 1e-13 on the README fits, whose Gram matrices sit at 1e3-2e4.  A fit is
-# proven by its verification, not by the solver.
+# proven by its verification, not by the solver.  `_gram_factor` first tries
+# the bound ||G||_F * ||L^-1||_F^2 >= cond_2(G) against half this limit, which
+# leaves room for rounding, and computes the spectrum only when that bound is
+# inconclusive; so its verdict is the spectrum's.
 _GRAM_COND_MAX = 1e8
+
+# The bound is trusted only when the largest entry of G (a diagonal one) lies
+# in this range: then no square in the norms and no step of the factorisation
+# leaves the normal range, so rounding alone separates it from cond_2(G).
+_GRAM_SCALE = (2.0**-500, 2.0**500)
+
+# Leaves of the recursive triangular inverse are at most this many rows.
+_INVERSE_LEAF = 32
 
 # A fit is kept when its relative design residual is at most _FIT_TOL and its
 # rounded coefficients then pass a 120-jet zero check at _VERIFY_TOL.
@@ -234,38 +245,67 @@ _FIT_TOL = 1e-6
 _VERIFY_TOL = 1e-8
 
 
-def _gram_factor(a_mat: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of the Gram matrix a_mat.T @ a_mat, or None.
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of the invertible lower-triangular matrix `low`, by 2x2 block
+    recursion: inv([[A, 0], [C, B]]) = [[inv(A), 0], [-inv(B) C inv(A), inv(B)]]
+    (Higham, ch. 14).  Matrix products do the work; `np.linalg.inv` runs on
+    leaves of at most _INVERSE_LEAF rows, whose upper triangle is zeroed."""
+    n = len(low)
+    if n <= _INVERSE_LEAF:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    top = _lower_inverse(low[:h, :h])
+    bottom = _lower_inverse(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = top
+    out[h:, h:] = bottom
+    out[h:, :h] = -(bottom @ low[h:, :h]) @ top
+    return out
 
-    None unless the Gram matrix is finite, its exact extreme eigenvalues put
-    its condition number at or below _GRAM_COND_MAX, and the factorisation
-    succeeds.  One design is factored once, however many targets `_solve`
-    fits on it.  Never warns."""
+
+def _gram_factor(a_mat: np.ndarray) -> np.ndarray | None:
+    """Inverse of the lower Cholesky factor L of the Gram matrix
+    G = a_mat.T @ a_mat, or None.
+
+    None unless G is finite, its Cholesky factorisation succeeds and its
+    condition number is at most _GRAM_COND_MAX.  The condition is settled by
+    the bound ||G||_F * ||L^-1||_F^2 when G's scale is within _GRAM_SCALE and
+    the bound is at most _GRAM_COND_MAX / 2, and by G's exact extreme
+    eigenvalues otherwise, so a design is accepted exactly when its spectrum
+    puts it within the limit.  One design is factored and inverted once,
+    however many targets `_solve` fits on it.  Never warns."""
     with np.errstate(all="ignore"):
         gram = a_mat.T @ a_mat
-        if np.isfinite(gram).all():
-            try:
-                eig = np.linalg.eigvalsh(gram)
-                if 0.0 < eig[0] and eig[-1] <= _GRAM_COND_MAX * eig[0]:
-                    return np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                pass
+        if not np.isfinite(gram).all():
+            return None
+        try:
+            inv_low = _lower_inverse(np.linalg.cholesky(gram))
+            low_scale, high_scale = _GRAM_SCALE
+            if (low_scale <= gram.diagonal().max() <= high_scale
+                    and np.linalg.norm(gram) * np.linalg.norm(inv_low) ** 2 <= _GRAM_COND_MAX / 2):
+                return inv_low
+            eig = np.linalg.eigvalsh(gram)
+        except np.linalg.LinAlgError:
+            return None
+        if 0.0 < eig[0] and eig[-1] <= _GRAM_COND_MAX * eig[0]:
+            return inv_low
     return None
 
 
-def _solve(a_mat: np.ndarray, b_vec: np.ndarray, low: np.ndarray | None) -> np.ndarray:
+def _solve(a_mat: np.ndarray, b_vec: np.ndarray, inv_low: np.ndarray | None) -> np.ndarray:
     """Least-squares coefficients of a_mat @ x ~ b_vec, given
-    `low = _gram_factor(a_mat)`.
+    `inv_low = _gram_factor(a_mat)`.
 
-    Two triangular solves of the normal equations when there is a factor and
-    a_mat.T @ b_vec is finite; otherwise LAPACK gelsd (np.linalg.lstsq),
+    The normal equations, as the two matrix-vector products
+    inv_low.T @ (inv_low @ (a_mat.T @ b_vec)), when there is an inverse factor
+    and a_mat.T @ b_vec is finite; otherwise LAPACK gelsd (np.linalg.lstsq),
     which also handles rank-deficient and underdetermined matrices.  Each
     right-hand side is solved on its own, so its coefficients have the bits
     of a one-target solve.  Neither path warns."""
     with np.errstate(all="ignore"):
         rhs = a_mat.T @ b_vec
-        if low is not None and np.isfinite(rhs).all():
-            return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+        if inv_low is not None and np.isfinite(rhs).all():
+            return inv_low.T @ (inv_low @ rhs)
     return np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
 
 
@@ -277,11 +317,11 @@ def _fit_many(
     on_shell: DelayHamiltonian | None,
 ) -> list[Expr | None]:
     """Least-squares fit of each target = sum_i c_i * image_i, re-verified
-    exactly, with the design evaluated and factored once.
+    exactly, with the design evaluated, factored and inverted once.
 
     Every target samples the same jets: random ones off-shell, `on_shell_jets`
     (second-order slots included) on-shell.  So the targets share the
-    sample, the design matrix, its finite check, the factor of its Gram
+    sample, the design matrix, its finite check, the inverse factor of its Gram
     matrix and the 120-jet verification block.  Each target is then solved,
     gated, rounded and verified on its own, so its result is the one of its
     own fit.  A design has max(400, 3 * columns) rows; an empty call samples
@@ -298,7 +338,7 @@ def _fit_many(
     slots = sample(seed, max(400, 3 * len(columns)))
     a_mat = ex.evaluate_many(images, slots).T
     rows_finite = np.isfinite(a_mat).all(axis=1)
-    low = _gram_factor(a_mat)
+    inv_low = _gram_factor(a_mat)
     verify_slots = None
     found: list[Expr | None] = [None] * len(targets)
     for i, target in enumerate(targets):
@@ -307,7 +347,7 @@ def _fit_many(
         if not finite.all():
             bad = ex.JetPoint.from_slots(slots[:, int(np.argmin(finite))])
             raise ex.EvalError("design-matrix row is not finite", bad)
-        coeffs = _solve(a_mat, b_vec, low)
+        coeffs = _solve(a_mat, b_vec, inv_low)
         with np.errstate(all="ignore"):
             rel = np.linalg.norm(a_mat @ coeffs - b_vec) / (1.0 + np.linalg.norm(b_vec))
         if not (rel <= _FIT_TOL):

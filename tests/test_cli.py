@@ -1,6 +1,9 @@
 import builtins
+import contextlib
+import itertools
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -853,6 +856,64 @@ def test_recurse_with_a_weight_ratio_that_overflows_is_a_config_error(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, code", [
+    ("transform", cli.EXIT_OK), ("simulate", cli.EXIT_NUMERIC), ("noether", cli.EXIT_NUMERIC),
+    ("check-identity", cli.EXIT_OK), ("recurse", cli.EXIT_OK),
+])
+def test_a_lagrangian_with_tiny_coefficients_ends_without_a_traceback(tmp_path, capsys, command, code):
+    # a2 = a1*gamma/beta: a1*gamma = 1e-600 underflows to 0 before the
+    # division, and so did the degenerate b = a1*a1/beta; both are the exact
+    # 1e-300 rounded once.  The degenerate canonical pair then blows up.
+    lagrangian = {"alpha": 1e-300, "beta": 1e-300, "gamma": 1e-300, "phi": "q*qm"}
+    rc, out = _run_model(tmp_path, command, lagrangian=lagrangian)
+    err = "" if code == cli.EXIT_OK else "numeric failure: state or rate is not finite at t=0.0625\n"
+    assert (rc, capsys.readouterr().err) == (code, err)
+    assert out.exists() is (code == cli.EXIT_OK)
+    if command == "transform":
+        payload = json.loads(out.read_text())
+        assert payload["H"] == "(1e-150*p + 1e-150*pm)^2/2 + q*qm"
+        assert payload["alphas"] == [1e-300] * 4
+
+
+def test_a_degenerate_hamiltonian_whose_alpha1_square_underflows(tmp_path, capsys):
+    # the expanded coefficients a1*a1/gamma underflowed to 0 at a1 = 1e-170
+    model = {"tau": 1.0, "lagrangian": {"alpha": 1e-100, "beta": 1e-100, "gamma": 1e-100, "phi": "q*qm"}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert cli.main(["transform", "--config", str(path), "--alpha1", "1e-170"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["H"] == "(1e-120*p + 1e-120*pm)^2/2 + q*qm"
+
+
+_EXTREMES = (0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, 1, -1, 1e200, -1e200, 1e308, -1e308)
+
+
+@pytest.mark.parametrize("command", ["transform", "simulate", "noether", "check-identity", "recurse"])
+def test_no_extreme_lagrangian_coefficients_end_in_a_traceback(tmp_path, capsys, command):
+    # transform on every (alpha, beta, gamma) of 12 extreme values; the other
+    # commands on alpha and gamma from 5e-324, 1e-300 and 1e-160 with beta
+    # from 5e-324 and 1e-300, which holds every triple of the 12 that
+    # crashed them by an underflow
+    if command == "transform":
+        grid = itertools.product(_EXTREMES, repeat=3)
+    else:
+        tiny = (5e-324, 1e-300, 1e-160)
+        grid = itertools.product(tiny, tiny[:2], tiny)
+    codes = set()
+    for alpha, beta, gamma in grid:
+        lagrangian = {"alpha": alpha, "beta": beta, "gamma": gamma, "phi": "q*qm"}
+        if command == "transform":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({"tau": 1.0, "lagrangian": lagrangian}))
+            rc = cli.main([command, "--config", str(path)])
+            if rc == cli.EXIT_OK:
+                json.loads(capsys.readouterr().out)
+        else:
+            rc, _ = _run_model(tmp_path, command, lagrangian=lagrangian)
+        codes.add(rc)
+    capsys.readouterr()
+    assert codes <= {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_VERIFY}
+
+
 _COMMANDS = {
     "transform": [],
     "simulate": [],
@@ -1008,6 +1069,21 @@ def test_noether_on_five_generators_is_byte_identical(tmp_path):
     out = tmp_path / "noether.json"
     assert cli.main(["noether", "--config", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIVE_GENERATORS_NOETHER
+
+
+def test_a_readme_noether_run_factors_each_design_once_and_runs_no_lu(tmp_path):
+    # 5 designs, each factored once: 4 pass the condition bound, and the
+    # rank-deficient on-shell V design fails Cholesky and is solved by gelsd
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_CONFIG))
+    names = ("eigvalsh", "solve", "cholesky", "lstsq")
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name)))
+                 for name in names]
+        assert cli.main(["noether", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert dict(zip(names, (spy.call_count for spy in spies))) == {
+        "eigvalsh": 0, "solve": 0, "cholesky": 5, "lstsq": 1,
+    }
 
 
 # Classification and integrals of the README `noether` output; the fitted

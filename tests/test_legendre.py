@@ -127,6 +127,38 @@ def test_reverse_errors():
         M.QuadraticHamiltonian(1, 0, 1, E.ZERO)
 
 
+def test_a_weight_in_the_normal_range_keeps_its_double_bits():
+    # 1.4*8.5/7.7 rounds twice to 1.5454545454545452; the exact quotient
+    # rounds once to 1.5454545454545454
+    lag = M.QuadraticLagrangian(1, 7.7, 8.5, E.ZERO)
+    assert L.pairing_weights(lag, 1.4)[1] == 1.4 * 8.5 / 7.7 != float(Fraction(14 * 85, 10 * 77))
+
+
+def test_a_weight_whose_double_arithmetic_underflows_is_the_exact_value():
+    # a3 = a1*alpha/beta: a1*alpha = 5e-324*5e-324 underflows to 0 before the division
+    lag = M.QuadraticLagrangian(5e-324, 5e-324, 1, E.ZERO)
+    assert L.pairing_weights(lag, 5e-324) == (5e-324, 1.0, 5e-324, 5e-324)
+    quad = M.QuadraticHamiltonian(5e-324, 5e-324, 1, E.ZERO)
+    assert L.legendre_reverse(quad, 5e-324)[1] == (5e-324, 1.0, 5e-324, 5e-324)
+
+
+def test_a_weight_whose_exact_value_rounds_to_0_is_a_legendre_error():
+    # a3 = 5e-324*5e-324/1 is below half the smallest subnormal
+    with pytest.raises(L.LegendreError, match="^the pairing weight a3 underflows to 0$"):
+        L.pairing_weights(M.QuadraticLagrangian(5e-324, 1, 1, E.ZERO), 5e-324)
+    with pytest.raises(L.LegendreError, match="^the pairing weight a3 underflows to 0$"):
+        L.legendre_reverse(M.QuadraticHamiltonian(5e-324, 1, 1, E.ZERO), 5e-324)
+
+
+def test_a_degenerate_hamiltonian_coefficient_whose_square_underflows_is_exact():
+    # a1*a1/gamma with a1 = 1e-170: a1*a1 underflows to 0, so b read 0
+    lag = M.QuadraticLagrangian(1e-100, 1e-100, 1e-100, E.parse("q*qm"))
+    res = L.legendre_forward(lag, 1e-170)
+    exact = float(Fraction(1e-170) ** 2 / Fraction(1e-100))
+    assert (res.quadratic.a, res.quadratic.b, res.quadratic.c) == (exact, exact, exact)
+    assert E.to_source(res.hamiltonian.h) == "(1e-120*p + 1e-120*pm)^2/2 + q*qm"
+
+
 # ---------------------------------------------------------------------------
 # dynamics equivalence
 # ---------------------------------------------------------------------------

@@ -48,6 +48,18 @@ def test_degeneracy_of_coefficients_whose_products_overflow(alpha, beta, gamma, 
     assert M.QuadraticLagrangian(alpha, beta, gamma, E.ZERO).degenerate is degenerate
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, gamma, degenerate",
+    [(1e-300, 5e-324, 1e-300, False), (5e-324, 1e-300, 5e-324, False), (0, 1e-300, 1, False),
+     (1e-300, 1e-300, 1e-300, True), (5e-324, 5e-324, 5e-324, True),
+     (2.0**-1000, 2.0**-600, 2.0**-200, True), (2.0**-1000, 2.0**-600, 2.0**-201, False)],
+)
+def test_degeneracy_of_coefficients_whose_products_underflow(alpha, beta, gamma, degenerate):
+    # alpha*gamma and beta^2 underflow a double, to 0 or below the normal
+    # range; the exact values decide
+    assert M.QuadraticLagrangian(alpha, beta, gamma, E.ZERO).degenerate is degenerate
+
+
 def test_hamiltonian_rejects_derivative_symbols():
     with pytest.raises(ValueError):
         M.DelayHamiltonian(E.parse("p*qd"), (1, 0, 0, 1))

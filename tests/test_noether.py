@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
 from delayham import model as M
@@ -653,6 +654,103 @@ def test_solve_falls_back_quietly_when_the_gram_matrix_overflows():
         warnings.simplefilter("error", RuntimeWarning)
         got = N._solve(a, b, N._gram_factor(a))
     assert_same_bits(got, _lstsq(a, b))
+
+
+def _old_verdict(a):
+    """Whether the spectrum rule accepts the design `a`: a finite Gram
+    matrix, 0 < eig[0], eig[-1] <= _GRAM_COND_MAX * eig[0] and a Cholesky
+    factorisation that succeeds."""
+    with np.errstate(all="ignore"):
+        gram = a.T @ a
+        if not np.isfinite(gram).all():
+            return False
+        try:
+            eig = np.linalg.eigvalsh(gram)
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return False
+    return bool(0.0 < eig[0] and eig[-1] <= N._GRAM_COND_MAX * eig[0])
+
+
+seeded = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+_BASIS_RNG = np.random.default_rng(22)
+_ROW_BASIS = np.linalg.qr(_BASIS_RNG.standard_normal((90, 90)))[0]
+_COLUMN_BASIS = np.linalg.qr(_BASIS_RNG.standard_normal((70, 70)))[0]
+
+
+def _design(rows, columns, log_cond, scale):
+    """rows x columns design with singular values spaced geometrically from
+    `scale` down to scale / sqrt(10**log_cond), so that its Gram matrix has
+    condition number 10**log_cond when rows >= columns."""
+    singular = scale * np.logspace(0, -log_cond / 2, columns)
+    k = min(rows, columns)
+    left = np.linalg.qr(_ROW_BASIS[:rows, :k])[0]
+    right = np.linalg.qr(_COLUMN_BASIS[:columns, :columns])[0][:, :k]
+    return (left * singular[:k]) @ right.T
+
+
+_CONDITIONS = st.one_of(
+    st.floats(0, 20),
+    # just below and above 1e8, and around the bound's threshold 5e7
+    st.sampled_from([np.log10(c) for c in (0.98e8, 0.999e8, 1.001e8, 1.02e8, 4.9e7, 5.1e7, 9e7)]),
+)
+
+
+@seeded
+@given(
+    st.integers(2, 70),
+    st.integers(-10, 40),
+    _CONDITIONS,
+    # Gram matrices at 1, near either end of the bound's scale range, below
+    # it, and past the double range
+    st.sampled_from([1.0, 1e-74, 1e74, 1e-150, 1e160]),
+    st.sampled_from(["plain", "duplicate", "near-duplicate"]),
+    st.data(),
+)
+def test_the_gram_guard_keeps_the_spectrum_verdict(columns, extra_rows, log_cond, scale, kind, data):
+    rows = max(1, min(90, columns + extra_rows))
+    a = _design(rows, columns, log_cond, scale)
+    if kind in ("duplicate", "near-duplicate"):
+        i, j = data.draw(st.lists(st.integers(0, columns - 1), min_size=2, max_size=2, unique=True))
+        noise = 0.0 if kind == "duplicate" else 10.0 ** data.draw(st.integers(-12, -2))
+        a[:, j] = a[:, i] + noise * _ROW_BASIS[:rows, -1]
+    assert (N._gram_factor(a) is not None) is _old_verdict(a)
+
+
+@pytest.mark.parametrize("shape, cond, scale, accepted, spectra", [
+    ((60, 20), 1e1, 1.0, True, 0),  # the bound settles it
+    ((60, 20), 9e7, 1.0, True, 1),  # the bound is past 5e7: the spectrum accepts
+    ((60, 20), 1e9, 1.0, False, 1),  # Cholesky succeeds, the spectrum rejects
+    # G ~ 1e-300: the squares in ||G||_F underflow, so the bound would read 0
+    ((2, 2), 1.001e8, 1e-150, False, 1),
+])
+def test_the_spectrum_runs_only_when_the_bound_is_inconclusive(shape, cond, scale, accepted, spectra,
+                                                               monkeypatch):
+    a = _design(*shape, np.log10(cond), scale)
+    np.linalg.cholesky(a.T @ a)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def spy(gram):
+        calls.append(gram.shape)
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert (N._gram_factor(a) is not None) is accepted is _old_verdict(a)
+    assert len(calls) == spectra + 1  # _old_verdict computes the spectrum too
+
+
+@pytest.mark.parametrize("n", [8, 33, 162, 204])
+def test_the_block_inverse_of_a_triangular_factor(n):
+    # correlated columns put entries larger than the diagonal below it, so
+    # LAPACK's pivoted inverse of a leaf is not exactly lower triangular
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3 * n, n))
+    a[:, 1:] += a[:, :1]
+    low = np.linalg.cholesky(a.T @ a)
+    inv_low = N._lower_inverse(low)
+    assert not np.triu(inv_low, 1).any()
+    assert np.abs(inv_low @ low - np.eye(n)).max() <= 1e-13
+    assert np.array_equal(N._gram_factor(a), inv_low)
 
 
 # ---------------------------------------------------------------------------

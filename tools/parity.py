@@ -12,14 +12,20 @@ through `delayham.cli.main`:
 
 - `check-identity` and `noether --skip-drift` on 40 configs drawn by
   `bench/workloads.random_identity_model` from `random.Random(--start)`;
-- `noether` on the README config at the 5 seeds from `--start` on;
+- `noether` on the README config at the 5 seeds from `--start` on, and at
+  the same seeds on four configs whose fits take every solver path: the five
+  generators of the README's `noether` golden, the degenerate oscillator and
+  the cubic potential `p*pm + q*qm + q^3/3` with those five generators, and
+  (with `--skip-drift`) the `exp(200*q*p) + p*pm + q*qm` config, whose
+  sampling overflows;
 - `simulate` in both formulations, `recurse`, `compare` and `transform` on
   the README config;
 - the sha256 of the generated kernel source of the V and W fit dictionaries
   and of the residuals `check-identity` checks on the first model, as it
   hands them to `zero_checks`;
 - three configs whose Lagrangian coefficients or pairing weights overflow a
-  double, on the commands they reach.
+  double and two whose coefficient products underflow one, on the commands
+  they reach.
 
 Every run records its exit code (a raised exception counts as exit 1, with
 its type and message), standard output, standard error, the bytes of its
@@ -27,9 +33,9 @@ its type and message), standard output, standard error, the bytes of its
 Paths in the runs are relative to a fresh directory, so messages that name a
 file read the same on both trees.  On any difference the tool prints the
 first differing runs field by field, from the first character that differs,
-names every differing run and exits 1; otherwise it prints one sha256 over
-all runs and exits 0.  Pick a `--start` no earlier run has used, so the
-seeds were not the ones developed against.
+names every differing run and exits 1; otherwise it exits 0.  Either way it
+prints one sha256 over the runs that are equal.  Pick a `--start` no earlier
+run has used, so the seeds were not the ones developed against.
 """
 
 from __future__ import annotations
@@ -54,8 +60,34 @@ README_SEEDS = 5
 SHOWN = 5  # differing runs printed in full
 
 
+FIVE_GENERATORS = [
+    {"name": "sin", "eta": "sin(t)", "nu": "cos(t)"},
+    {"name": "cos", "eta": "cos(t)", "nu": "-sin(t)"},
+    {"name": "time", "xi": "1"},
+    {"name": "scale", "eta": "q", "nu": "p"},
+    {"name": "rotate", "eta": "p", "nu": "-q"},
+]
+
+
+def _fit_configs(readme: dict) -> list[tuple[str, dict, list[str]]]:
+    """(name, config, `noether` options) of runs whose fits take every solver
+    path: the normal equations, gelsd on a rank-deficient design, and
+    sampling that overflows (past a trajectory that would overflow first)."""
+    hamiltonian = {k: v for k, v in readme.items() if k != "lagrangian"}
+    return [
+        ("readme", readme, []),
+        ("five", dict(readme, generators=FIVE_GENERATORS), []),
+        ("degenerate", dict(readme, generators=FIVE_GENERATORS,
+                            lagrangian={"alpha": 1, "beta": 1, "gamma": 1, "phi": "(q+qm)^2/2"}), []),
+        ("cubic", dict(hamiltonian, generators=FIVE_GENERATORS,
+                       hamiltonian={"H": "p*pm + q*qm + q^3/3", "alphas": [1, 0, 0, 1]}), []),
+        ("exp-overflow", dict(hamiltonian, hamiltonian={"H": "exp(200*q*p) + p*pm + q*qm",
+                                                        "alphas": [1, 0, 0, 1]}), ["--skip-drift"]),
+    ]
+
+
 def _families(readme: dict) -> list[tuple[str, dict, list[str]]]:
-    """Configs whose coefficient arithmetic overflows a double, and the commands they reach."""
+    """Configs whose coefficient arithmetic overflows or underflows a double, and the commands they reach."""
     steps = ["transform", "simulate", "noether", "check-identity", "recurse"]
     base = {k: v for k, v in readme.items() if k != "lagrangian"}
     base.update(horizon=2, steps_per_delay=16)
@@ -66,6 +98,10 @@ def _families(readme: dict) -> list[tuple[str, dict, list[str]]]:
         ("weights-ratio-overflow",
          dict(base, hamiltonian={"H": "p*pm + q*qm", "alphas": [1e-300, 1e300, 1e300, 1e-300]}),
          ["recurse"]),
+        ("tiny-1e-300", dict(base, lagrangian={"alpha": 1e-300, "beta": 1e-300, "gamma": 1e-300,
+                                               "phi": "q*qm"}), steps),
+        ("tiny-mixed", dict(base, lagrangian={"alpha": 1e-300, "beta": 5e-324, "gamma": 1e-300,
+                                              "phi": "q*qm"}), steps),
     ]
 
 
@@ -80,8 +116,9 @@ def _matrix(start: int) -> list[tuple[str, dict | None, list[str]]]:
         model = random_identity_model(rng)
         runs.append((f"model-{k}/check-identity", model, ["check-identity"]))
         runs.append((f"model-{k}/noether", model, ["noether", "--skip-drift"]))
-    for seed in range(start, start + README_SEEDS):
-        runs.append((f"readme/noether-seed-{seed}", README_CONFIG, ["noether", "--seed", str(seed)]))
+    for name, config, options in _fit_configs(README_CONFIG):
+        for seed in range(start, start + README_SEEDS):
+            runs.append((f"{name}/noether-seed-{seed}", config, ["noether", *options, "--seed", str(seed)]))
     runs += [
         ("readme/simulate", README_CONFIG, ["simulate", "--out", "ham.csv"]),
         ("readme/simulate-lagrangian", README_CONFIG,
@@ -212,12 +249,12 @@ def main(argv: list[str] | None = None) -> int:
     if differing:
         print(f"parity: {len(differing)} of {len(results[0]['runs'])} runs differ: "
               + ", ".join(a["run"] for a, _ in differing))
-        return 1
-    digest = hashlib.sha256(json.dumps(results[0]["runs"], sort_keys=True).encode()).hexdigest()
+    equal = [a for a, b in zip(*(r["runs"] for r in results)) if a == b]
+    digest = hashlib.sha256(json.dumps(equal, sort_keys=True).encode()).hexdigest()
     last = results[0]["runs"][-1]
-    print(f"parity: all {len(results[0]['runs'])} runs equal; sha256 {digest}; "
-          f"_INTERN {last['intern']}, _PARTIAL_CACHE {last['partial']}")
-    return 0
+    print(f"parity: {'all ' * (not differing)}{len(equal)} runs equal; sha256 {digest} over them; "
+          f"_INTERN {last['intern']}, _PARTIAL_CACHE {last['partial']} on the parent")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
