@@ -182,7 +182,8 @@ def load_config(raw: dict) -> RunConfig:
     tau, seed, tol, samples, steps_per_delay, horizon, t0 = _build(raw, "/", None, _SCALARS)
     if horizon is not None:
         delays = horizon / tau  # inf when the quotient overflows
-        if delays > 0 and not (delays + 2) * steps_per_delay + 1 <= _GRID_NODES:
+        # min caps a step count that would overflow the float product; past _GRID_NODES it fails anyway
+        if delays > 0 and not (delays + 2) * min(steps_per_delay, _GRID_NODES) + 1 <= _GRID_NODES:
             raise ConfigError("/horizon", f"needs more than {_GRID_NODES} grid nodes")
         k = round(delays) if delays > 0 else 0
         if k < 1 or abs(horizon - k * tau) > 1e-9 * max(1.0, abs(horizon)):

@@ -76,11 +76,11 @@ _ROUNDING = 2.0**-50
 
 
 def _derived(what: str, f, *args: Number) -> Number:
-    """f(*args), a product or quotient of the coefficients `args` in their own
-    arithmetic.  When double arithmetic underflows it, leaving it further
-    from its exact value than rounding can, it is the exact value rounded
-    once instead.  `LegendreError` when double arithmetic overflows it, or
-    when its nonzero exact value rounds to 0."""
+    """f(*args): a coefficient `what` that the transform derives from the
+    coefficients `args`, in their own arithmetic.  Where double arithmetic
+    underflows on the way, leaving it further from its exact value than
+    rounding can, it is the exact value rounded once.  `LegendreError` on
+    double overflow, or when its nonzero exact value rounds to 0."""
     value = f(*args)
     if isinstance(value, float):
         if not math.isfinite(value):
@@ -113,13 +113,20 @@ def pairing_weights(l: QuadraticLagrangian, alpha1: Number) -> tuple[Number, ...
     return _weights(_num(alpha1), l.gamma, l.alpha, l.beta)
 
 
-def _check_scaled(a1: Number, model: str, names, values, unscaled) -> None:
-    """Raise `LegendreError` when scaling by alpha1 makes a nonzero
-    coefficient of the transformed model vanish, or any of them overflow."""
-    for name, value, source in zip(names, values, unscaled):
-        if value == 0 and source != 0 or not math.isfinite(value):
-            fault = "vanish" if value == 0 else "overflow"
-            raise LegendreError(f"alpha1={a1} makes the {model} coefficient {name} {fault}")
+def _squared_ratio(a1: Number, x: Number, y: Number) -> Number:
+    return a1 / y * (a1 / y) * x
+
+
+def _carried(a1: Number, x: Number, y: Number, z: Number, model: str, names) -> tuple[Number, ...]:
+    """(r^2*x, r*a1, r^2*z) with r = a1/y, each named by `names` of `model` and
+    computed as `_derived`: the quadratic form carried across with scale a1,
+    a Lagrangian's (alpha, beta, gamma) to a Hamiltonian's (a, b, c) or back."""
+    what = [f"the {model} coefficient {name}" for name in names]
+    return (
+        _derived(what[0], _squared_ratio, a1, x, y),
+        _derived(what[1], lambda a1, y: a1 / y * a1, a1, y),
+        _derived(what[2], _squared_ratio, a1, z, y),
+    )
 
 
 def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> LegendreResult:
@@ -132,14 +139,9 @@ def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> Le
     if a1 == 0:
         raise LegendreError("alpha1 must be nonzero")
     alphas = pairing_weights(l, a1)
-    ratio = a1 / l.beta
-    coeff_a = ratio * ratio * l.alpha
-    coeff_b = ratio * a1
-    coeff_c = ratio * ratio * l.gamma
-    _check_scaled(a1, "Hamiltonian", "abc", (coeff_a, coeff_b, coeff_c), (l.alpha, a1, l.gamma))
 
     if not l.degenerate:
-        quad = QuadraticHamiltonian(coeff_a, coeff_b, coeff_c, l.phi)
+        quad = QuadraticHamiltonian(*_carried(a1, l.alpha, l.beta, l.gamma, "Hamiltonian", "abc"), l.phi)
         ham = DelayHamiltonian(quad.expr(), alphas)
         p_map = mul(div(l.beta, a1), ex.qd)
         pm_map = mul(div(l.beta, a1), ex.qdm)
@@ -159,6 +161,7 @@ def legendre_forward(l: QuadraticLagrangian, alpha1: Number | None = None) -> Le
     c_lag = div(a1, ra)
     combo = add(mul(c_here, ex.p), mul(c_lag, ex.pm))
     h_expr = add(div(powi(combo, 2), 2), l.phi)
+    # `_carried` under beta^2 = alpha*gamma, with fewer roundings
     quad = QuadraticHamiltonian(
         *(_derived(f"the Hamiltonian coefficient {name}", _scaled_ratio, a1, a1, x)
           for name, x in zip("abc", (l.gamma, l.beta, l.alpha))),
@@ -177,10 +180,7 @@ def legendre_reverse(
     if a1 == 0:
         raise LegendreError("alpha1 must be nonzero")
     alphas = _weights(a1, h.c, h.a, h.b)
-    ratio = a1 / h.b
-    coeffs = (ratio * ratio * h.a, ratio * a1, ratio * ratio * h.c)
-    _check_scaled(a1, "Lagrangian", ("alpha", "beta", "gamma"), coeffs, (h.a, a1, h.c))
-    lag = QuadraticLagrangian(*coeffs, h.phi)
+    lag = QuadraticLagrangian(*_carried(a1, h.a, h.b, h.c, "Lagrangian", ("alpha", "beta", "gamma")), h.phi)
     vel_map = (mul(div(h.b, a1), ex.p), mul(div(h.b, a1), ex.pm))
     return lag, alphas, vel_map
 

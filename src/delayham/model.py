@@ -213,44 +213,39 @@ def action_density(h: DelayHamiltonian) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _vary_pair(e: Expr, base: str, extended: bool) -> Expr:
-    """delta/delta<base> = d/d<x> - D d/d<xdot>, summed over shifted copies."""
-    x0 = symbol(base, 0, 0)
-    x1 = symbol(base, 0, 1)
-    out = sub(partial(e, x0), total_derivative(partial(e, x1)))
-    xm0 = symbol(base, -1, 0)
-    xm1 = symbol(base, -1, 1)
-    out = add(out, shift(sub(partial(e, xm0), total_derivative(partial(e, xm1))), +1))
-    if extended:
-        xp0 = symbol(base, 1, 0)
-        xp1 = symbol(base, 1, 1)
-        piece = sub(partial(e, xp0), total_derivative(partial(e, xp1)))
-        if not ex._is_const(piece, 0):
-            out = add(out, shift(piece, -1))
-    return out
+def _three_copies(piece) -> Expr:
+    """piece(0) + S+ piece(-1) + S- piece(+1): a variation at one point reaches
+    three shifted copies of a three-point density, and `piece(s)`, the one
+    through the coordinates at shift s, is moved back to the current point."""
+    return add(piece(0), shift(piece(-1), +1), shift(piece(+1), -1))
 
 
-def variational_p(e: Expr, extended: bool = False) -> Expr:
-    return _vary_pair(e, "p", extended)
+def _vary_pair(e: Expr, base: str) -> Expr:
+    return _three_copies(
+        lambda s: sub(partial(e, symbol(base, s, 0)), total_derivative(partial(e, symbol(base, s, 1))))
+    )
 
 
-def variational_q(e: Expr, extended: bool = False) -> Expr:
-    return _vary_pair(e, "q", extended)
+def variational_p(e: Expr) -> Expr:
+    """delta/delta p = d/dp - D d/dpd of the three-point expression e, over its copies."""
+    return _vary_pair(e, "p")
+
+
+def variational_q(e: Expr) -> Expr:
+    """delta/delta q = d/dq - D d/dqd of the three-point expression e, over its copies."""
+    return _vary_pair(e, "q")
 
 
 def variational_t(e: Expr) -> Expr:
-    """Horizontal variation: d/dt + D(qd d/dqd + pd d/dpd) + shifted copy - D."""
-    inner = add(
-        mul(ex.qd, partial(e, ex.qd)),
-        mul(ex.pd, partial(e, ex.pd)),
-    )
-    out = add(partial(e, ex.t), total_derivative(inner))
-    inner_m = add(
-        mul(ex.qdm, partial(e, ex.qdm)),
-        mul(ex.pdm, partial(e, ex.pdm)),
-    )
-    out = add(out, shift(add(partial(e, ex.tm), total_derivative(inner_m)), +1))
-    return sub(out, total_derivative(e))
+    """Horizontal variation of the three-point expression e: d/dt +
+    D(qd d/dqd + pd d/dpd) over its copies, minus D(e)."""
+
+    def piece(s: int) -> Expr:
+        qd, pd = symbol("q", s, 1), symbol("p", s, 1)
+        inner = add(mul(qd, partial(e, qd)), mul(pd, partial(e, pd)))
+        return add(partial(e, symbol("t", s)), total_derivative(inner))
+
+    return sub(_three_copies(piece), total_derivative(e))
 
 
 # ---------------------------------------------------------------------------

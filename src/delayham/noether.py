@@ -189,6 +189,11 @@ def _trig_factors() -> list[Expr]:
 _Dictionary = tuple[tuple[Expr, ...], tuple[Expr, ...]]
 
 
+def _shift_difference(e: Expr) -> Expr:
+    """(S+ - 1)e."""
+    return sub(shift(e, +1), e)
+
+
 def _dictionary(columns: list[Expr], image: Callable[[Expr], Expr]) -> _Dictionary:
     """The columns and their images under the fitted operator."""
     return tuple(columns), tuple(image(c) for c in columns)
@@ -218,7 +223,7 @@ def _w_dictionary() -> _Dictionary:
         for v in values:
             monos.append(mul(r, v))
     columns = [mul(m, f) for m in monos for f in _trig_factors()]
-    return _dictionary(columns, lambda c: sub(shift(c, +1), c))
+    return _dictionary(columns, _shift_difference)
 
 
 # Largest cond(A^T A) at which the normal equations are solved.  Their forward
@@ -440,17 +445,37 @@ def classify_invariance(
 # ---------------------------------------------------------------------------
 
 
-def _verified_integral(
-    parts: NoetherQuantities, kind: str, integral: Expr, residual: Expr | None,
-    ham: DelayHamiltonian | None, samples: int, tol: float, seed: int, failure: str,
+def _splitting_target(parts: NoetherQuantities, kind: str, v_div: Expr, w_div: Expr) -> Expr:
+    """The image of the fitted part of the `kind` splitting's potential.  On
+    shell D(C - V_div) = (S+ - 1)(P - W_div), so I = C - V is conserved when
+    (S+ - 1)(P - W_div) = D(V - V_div), and J = P - W when D(C - V_div) = (S+ - 1)(W - W_div)."""
+    if kind == "differential":
+        return _shift_difference(sub(parts.p_quantity, w_div))
+    return D(sub(parts.c, v_div))
+
+
+def _integral(
+    parts: NoetherQuantities, kind: str, potential: Expr, v_div: Expr | None = None,
+    w_div: Expr | None = None, ham: DelayHamiltonian | None = None,
+    samples: int = 80, tol: float = 1e-8, seed: int = 0,
 ) -> Expr:
-    """Store `integral` as `parts.<kind>_integral` once `residual`, the premise
-    it rests on, vanishes on sampled on-shell jets of `ham` (unchecked
-    without `ham`)."""
+    """C - V (differential) or P - W (difference), stored as `parts.<kind>_integral`;
+    with `ham`, once the splitting's premise holds on sampled on-shell jets."""
+    potential = as_expr(potential)
+    differential = kind == "differential"
     if ham is not None:
-        check = is_zero_on(residual, on_shell_jets(ham, seed, samples), tol=tol)
+        v_div, w_div = (as_expr(x if x is not None else 0) for x in (v_div, w_div))
+        if differential:
+            image = D(sub(potential, v_div))
+            failure = "difference part does not telescope into the supplied total derivative"
+        else:
+            image = _shift_difference(sub(potential, w_div))
+            failure = "total-derivative part is not the supplied shift difference"
+        check = is_zero_on(sub(_splitting_target(parts, kind, v_div, w_div), image),
+                           on_shell_jets(ham, seed, samples), tol=tol)
         if not check.ok:
             raise IntegralVerificationError(failure, check.worst)
+    integral = sub(parts.c if differential else parts.p_quantity, potential)
     setattr(parts, f"{kind}_integral", integral)
     return integral
 
@@ -466,19 +491,10 @@ def differential_integral(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> Expr:
-    """I = C - V, where V collects the divergence part and the telescoped
-    difference part.  With `ham` given, the telescoping premise is re-checked
-    on sampled on-shell jets before the integral is returned."""
-    v = as_expr(v)
-    residual = None
-    if ham is not None:
-        p_eff = sub(parts.p_quantity, as_expr(w_div if w_div is not None else 0))
-        v_extra = sub(v, as_expr(v_div if v_div is not None else 0))
-        residual = sub(sub(shift(p_eff, +1), p_eff), D(v_extra))
-    return _verified_integral(
-        parts, "differential", sub(parts.c, v), residual, ham, samples, tol, seed,
-        "difference part does not telescope into the supplied total derivative",
-    )
+    """I = C - V, where V collects the divergence part V_div and the
+    telescoped difference part.  With `ham` given, its premise
+    (S+ - 1)(P - W_div) = D(V - V_div) must hold on sampled on-shell jets."""
+    return _integral(parts, "differential", v, v_div, w_div, ham, samples, tol, seed)
 
 
 def difference_integral(
@@ -492,17 +508,10 @@ def difference_integral(
     tol: float = 1e-8,
     seed: int = 0,
 ) -> Expr:
-    """J = P - W, the two-point conserved quantity of the opposite splitting."""
-    w = as_expr(w)
-    residual = None
-    if ham is not None:
-        c_eff = sub(parts.c, as_expr(v_div if v_div is not None else 0))
-        w_extra = sub(w, as_expr(w_div if w_div is not None else 0))
-        residual = sub(D(c_eff), sub(shift(w_extra, +1), w_extra))
-    return _verified_integral(
-        parts, "difference", sub(parts.p_quantity, w), residual, ham, samples, tol, seed,
-        "total-derivative part is not the supplied shift difference",
-    )
+    """J = P - W, the two-point conserved quantity of the opposite splitting.
+    With `ham` given, its premise D(C - V_div) = (S+ - 1)(W - W_div) must
+    hold on sampled on-shell jets."""
+    return _integral(parts, "difference", w, v_div, w_div, ham, samples, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +534,7 @@ def variational_identity_residuals(h: DelayHamiltonian, g: Generator) -> dict[st
     on the variational residuals, keyed "p", "q", "t" and "orbit".
 
     They vanish for generators whose time coefficient depends on t alone
-    (affine plus delay-periodic); the variational operators in q and p are
-    the three-point extended ones.
+    (affine plus delay-periodic).
     """
     density = action_density(h)
     rp = variational_p(density)
@@ -535,13 +543,13 @@ def variational_identity_residuals(h: DelayHamiltonian, g: Generator) -> dict[st
     om = invariance_residual(h, g)
     xid = D(g.xi)
 
-    lhs_p = variational_p(om, extended=True)
+    lhs_p = variational_p(om)
     rhs_p = add(
         g.apply(rp),
         mul(partial(g.eta, "p"), rq),
         mul(add(partial(g.nu, "p"), xid), rp),
     )
-    lhs_q = variational_q(om, extended=True)
+    lhs_q = variational_q(om)
     rhs_q = add(
         g.apply(rq),
         mul(add(partial(g.eta, "q"), xid), rq),
@@ -752,24 +760,20 @@ def _analyze_many(
             continue
         v_div = inv.v if inv.v is not None else ex.ZERO
         w_div = inv.w if inv.w is not None else ex.ZERO
-        p_eff = sub(report.parts.p_quantity, w_div)
-        active[i] = {
-            "v": v_div,
-            "w": w_div,
-            "differential": sub(shift(p_eff, +1), p_eff),
-            "difference": D(sub(report.parts.c, v_div)),
-        }
+        active[i] = {"v": v_div, "w": w_div}
+        for kind in ("differential", "difference"):
+            active[i][kind] = _splitting_target(report.parts, kind, v_div, w_div)
     can_shell = h.alphas[0] != 0 and h.alphas[3] != 0
 
-    # (kind, dictionary, its known divergence, integral builder, fit seed and
-    # zero-check seed offsets, note when no fit is found)
+    # (kind, dictionary, its known divergence, fit seed and zero-check seed
+    # offsets, note when no fit is found)
     splittings = (
-        ("differential", _v_dictionary(), "v", differential_integral, 11, 3,
+        ("differential", _v_dictionary(), "v", 11, 3,
          "difference part not convertible: no differential integral found"),
-        ("difference", _w_dictionary(), "w", difference_integral, 13, 5,
+        ("difference", _w_dictionary(), "w", 13, 5,
          "derivative part not convertible: no difference integral found"),
     )
-    for kind, dictionary, known, integral_of, fit_seed, zero_seed, missing in splittings:
+    for kind, dictionary, known, fit_seed, zero_seed, missing in splittings:
         targets = {i: split[kind] for i, split in active.items()}
         extras = dict(zip(targets, _fit_many(
             list(targets.values()), dictionary, seed=seed + fit_seed, on_shell=None
@@ -784,8 +788,7 @@ def _analyze_many(
             if extra is None:
                 report.notes.append(missing)
                 continue
-            split = active[i]
-            integral = integral_of(report.parts, add(split[known], extra))
+            integral = _integral(report.parts, kind, add(active[i][known], extra))
             if is_zero(integral, samples=40, tol=1e-10, seed=seed + zero_seed).ok:
                 # the fit absorbed everything through the equations of motion
                 setattr(report.parts, f"{kind}_integral", None)

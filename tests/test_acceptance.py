@@ -224,12 +224,12 @@ def test_criterion_07_negative_controls():
     assert identities.ok
     density = M.action_density(OSC_HAM)
     omega = N.invariance_residual(OSC_HAM, GEN_SCALE)
-    gap_p = E.sub(M.variational_p(omega, extended=True), E.mul(2, M.variational_p(density)))
-    gap_q = E.sub(M.variational_q(omega, extended=True), E.mul(2, M.variational_q(density)))
+    gap_p = E.sub(M.variational_p(omega), E.mul(2, M.variational_p(density)))
+    gap_q = E.sub(M.variational_q(omega), E.mul(2, M.variational_q(density)))
     assert E.is_zero(gap_p, samples=80, tol=1e-9, seed=48).ok
     assert E.is_zero(gap_q, samples=80, tol=1e-9, seed=48).ok
     assert is_zero_on_shell(
-        M.variational_p(omega, extended=True), OSC_HAM, samples=40, tol=1e-9, seed=49
+        M.variational_p(omega), OSC_HAM, samples=40, tol=1e-9, seed=49
     ).ok
 
     # incompatible pairing weights: the residual is twice the action density,

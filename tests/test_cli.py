@@ -1,12 +1,17 @@
 import builtins
 import contextlib
+import io
 import itertools
 import json
+import random
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delayham import cli, noether
 from delayham import expr as E
@@ -208,11 +213,26 @@ def test_a_grid_beyond_one_numpy_array_is_a_config_error(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["transform", "simulate", "recurse", "noether"])
+def test_a_step_count_beyond_the_float_range_is_a_config_error(tmp_path, capsys, command):
+    # the node count (horizon/tau + 2) * steps_per_delay + 1 overflowed
+    # converting 10**400 to a float, a traceback with exit 1
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, steps_per_delay=10**400)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    line = f"config error at /horizon: needs more than {sys.maxsize // 8} grid nodes\n"
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
-    "h", ["p^2/2 + q^2/2", "p*pm + sin(t)*q"], ids=["no-cross-term", "phi-reads-t"]
+    "h", ["p^2/2 + q^2/2", "p*pm + sin(t)*q", "p^3*pm + q*qm"],
+    ids=["no-cross-term", "phi-reads-t", "cubic-in-p"],
 )
 def test_reverse_transform_outside_the_quadratic_family_is_a_config_error(tmp_path, capsys, h):
-    # both pass the quadratic shape probe: b = 0, or phi reads t
+    # the first two fail the quadratic shape probe: b = 0, or phi reads t;
+    # the cubic one passes it and fails the sampled check of H against it
     path = tmp_path / "ham.json"
     path.write_text(json.dumps({"tau": 1.0, "hamiltonian": {"H": h}}))
     assert cli.main(["transform", "--config", str(path)]) == cli.EXIT_CONFIG
@@ -445,10 +465,26 @@ DIRECTORY = object()  # a document path that names a directory
          "/history: cannot read {tmp}/history.json: Is a directory"),
         (["simulate", "--config", b"\xff{}"],
          "/: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (["noether", "--config", '{"extended_lagrangian": {}}'],
+         "/: needs a 'hamiltonian' or 'lagrangian' section"),
+        (["transform", "--config", '{"history": {"q": "sin(t)"}}'], "/: transform needs a model section"),
+        (["simulate", "--config", '{"horizon": 2, "lagrangian": {}}'],
+         "/history: simulate needs a history section"),
+        (["simulate", "--config", '{"history": {}, "lagrangian": {}}'], "/horizon: simulate needs a horizon"),
+        (["simulate", "--formulation", "lagrangian", "--config",
+          '{"horizon": 2, "history": {"q": "sin(t)", "p": "cos(t)"}, "hamiltonian": {}}'],
+         "/lagrangian: lagrangian formulation requested"),
+        (["recurse", "--config", '{"horizon": 2, "lagrangian": {}}'], "/: recurse needs history and horizon"),
+        (["recurse", "--config", '{"history": {}, "lagrangian": {}}'],
+         "/: recurse needs history and horizon"),
+        (["recurse", "--config", '{"horizon": 2, "history": {}, "hamiltonian": {"alphas": [1, 0, 0, 2]}}'],
+         "/hamiltonian/alphas: sum-form recursion needs a1 = a4 != 0"),
     ],
     ids=["model-list", "history-string", "config-list-with-override", "negative-seed",
          "alpha1-nan", "alpha1-inf", "max-diff-nan", "config-directory", "model-directory",
-         "history-directory", "config-not-utf-8"],
+         "history-directory", "config-not-utf-8", "noether-without-model", "transform-without-model",
+         "simulate-without-history", "simulate-without-horizon", "lagrangian-formulation-of-hamiltonian",
+         "recurse-without-history", "recurse-without-horizon", "recurse-with-unequal-outer-weights"],
 )
 def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, line):
     base = tmp_path / "base.json"
@@ -498,6 +534,38 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     rc = cli.main(["simulate", "--config", str(path), "--out", "/dev/null"])
     assert rc == cli.EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_a_hamiltonian_simulation_without_a_momentum_history_is_a_numeric_failure(tmp_path, capsys):
+    path = tmp_path / "q-only.json"
+    path.write_text(json.dumps(dict(OSC_HAMILTONIAN, history={"q": "sin(t)"}, horizon=2, steps_per_delay=8)))
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: the canonical equations need a momentum history\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["bare", "under-history-key"])
+def test_simulate_reads_the_history_from_its_own_file(osc_config, tmp_path, nested):
+    # the history document is the history object, or holds it under "history"
+    history = {"q": "cos(t)", "p": "-sin(t)"}
+    doc = tmp_path / "history.json"
+    doc.write_text(json.dumps({"history": history} if nested else history))
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps(dict(OSC_CONFIG, history=history)))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["simulate", "--config", osc_config, "--history", str(doc), "--out", str(a)]) == 0
+    assert cli.main(["simulate", "--config", str(inline), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_noether_whose_identity_check_fails_exits_4(osc_config, tmp_path):
+    # no sampled value of the identity residual is within 1e-300 of its scale
+    out = tmp_path / "noether.json"
+    argv = ["noether", "--config", osc_config, "--tol", "1e-300", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    reports = json.loads(out.read_text())["generators"]
+    assert len(reports) == 5 and not any(r["identity_ok"] for r in reports)
 
 
 def test_boolean_samples_is_a_config_error(tmp_path, capsys):
@@ -794,9 +862,9 @@ def test_compare_with_a_missing_input_is_a_config_error(
     "model, message",
     [
         ({"hamiltonian": {"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]}},
-         "alpha1=1e-320 makes the Lagrangian coefficient beta vanish"),
+         "the Lagrangian coefficient beta underflows to 0"),
         ({"lagrangian": {"alpha": 0, "beta": 1, "gamma": 0, "phi": "q*qm"}},
-         "alpha1=1e-320 makes the Hamiltonian coefficient b vanish"),
+         "the Hamiltonian coefficient b underflows to 0"),
     ],
     ids=["reverse", "forward"],
 )
@@ -1107,3 +1175,89 @@ def test_readme_noether_verdicts_hold_at_other_seeds(tmp_path, seed):
     got = {g["name"]: (g["classification"], g["I"], g["J"])
            for g in json.loads(out.read_text())["generators"]}
     assert got == README_NOETHER
+
+
+# The seeded config fuzz: the README, Hamiltonian and extended-Lagrangian
+# configs on a short grid, each mutated by one to three edits.
+_FUZZ_RUN = {"steps_per_delay": 8, "horizon": 2, "samples": 20}
+FUZZ_BASES = [
+    dict(README_CONFIG, **_FUZZ_RUN),
+    dict({k: v for k, v in README_CONFIG.items() if k != "lagrangian"}, **_FUZZ_RUN,
+         hamiltonian={"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]}),
+    {k: v for k, v in FAULT_BASE.items() if k not in ("lagrangian", "hamiltonian")},
+]
+DELETE = object()  # an edit that deletes the key
+FUZZ_NUMBERS = [0, -1, 1, 2, 3, 0.5, 2.5, 5e-324, -1e-300, 1e-160, 1e200, 1e308, -1e308, 10**400,
+                float("inf"), float("nan")]
+FUZZ_EXPRESSIONS = ["q*", "sin(", "x", "qd", "q/0", "10^400", "1e400*q", "exp(1000*q)", "exp(q*p)*1e300",
+                    "p^3*pm + q*qm", "q*qm + sin(t)", "p^2/2 + p*pm", "1e-300*q", "3*q"]
+FUZZ_OTHERS = [None, True, [], {}, "1", DELETE]
+FUZZ_COMMANDS = [
+    ["transform"], ["transform", "--alpha1", "1e-320"], ["transform", "--alpha1", "1e-135"],
+    ["transform", "--alpha1=-1e300"], ["simulate"], ["simulate", "--formulation", "lagrangian"],
+    ["noether"], ["recurse"], ["check-identity"], ["check-identity", "--classical", "--pairs", "2"],
+]
+
+
+def _pointers(node, prefix=""):
+    """Every JSON pointer into `node`, sections and leaves alike."""
+    keys = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in keys:
+        yield f"{prefix}/{key}"
+        yield from _pointers(child, f"{prefix}/{key}")
+
+
+def _mutated(seed: int):
+    """(config, command) of fuzz draw `seed`."""
+    rng = random.Random(seed)
+    doc = json.loads(json.dumps(rng.choice(FUZZ_BASES)))
+    for _ in range(rng.randint(1, 3)):
+        pointers = sorted(_pointers(doc))
+        if not pointers:
+            break
+        *path, last = [int(k) if k.isdigit() else k for k in rng.choice(pointers).strip("/").split("/")]
+        node = doc
+        for key in path:
+            node = node[key]
+        # mostly a value of the key's own type, else a wrong type or a deletion
+        pool = FUZZ_NUMBERS if isinstance(node[last], (int, float)) else FUZZ_EXPRESSIONS
+        value = rng.choice(pool if isinstance(node[last], (int, float, str)) and rng.random() < 0.8
+                           else FUZZ_NUMBERS + FUZZ_EXPRESSIONS + FUZZ_OTHERS)
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return doc, rng.choice(FUZZ_COMMANDS)
+
+
+def _cli_run(argv, out: Path):
+    """(exit code, stdout, stderr, bytes of `out` or None) of one `cli.main` run."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*argv, "--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_no_mutated_config_escapes_the_exit_codes(seed):
+    doc, command = _mutated(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(doc))
+        argv = [command[0], "--config", str(config), *command[1:]]
+        first = _cli_run(argv, out)
+        assert _cli_run(argv, out) == first  # a rerun is byte-identical
+    code, _, _, written = first
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_VERIFY)
+    if code in (cli.EXIT_CONFIG, cli.EXIT_NUMERIC):
+        assert written is None
+    elif command[0] in ("simulate", "recurse"):
+        assert written.decode().startswith("t,q,p,qdot,pdot,Rp,Rq,Rt\n")
+    else:
+        json.loads(written.decode(), parse_constant=_refuse)

@@ -1,8 +1,12 @@
+import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from delayham import cli
 from delayham import expr as E
 from delayham import legendre as L
 from delayham import model as M
@@ -157,6 +161,80 @@ def test_a_degenerate_hamiltonian_coefficient_whose_square_underflows_is_exact()
     exact = float(Fraction(1e-170) ** 2 / Fraction(1e-100))
     assert (res.quadratic.a, res.quadratic.b, res.quadratic.c) == (exact, exact, exact)
     assert E.to_source(res.hamiltonian.h) == "(1e-120*p + 1e-120*pm)^2/2 + q*qm"
+
+
+# magnitudes across the double range: subnormals, the edges of the normal
+# range, values whose squares underflow or overflow, and small integers
+MAGNITUDES = st.one_of(
+    st.integers(1, 9),
+    st.sampled_from([5e-324, 3e-320, 1e-310, 2.2e-308, 1e-300, 3e-170, 1e-155, 1e-135, 0.5, 3.0,
+                     1e30, 1e135, 1e155, 1e170, 1e300, 1.7e308]),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+)
+
+
+def coefficients(nonzero: bool = False):
+    signed = st.tuples(MAGNITUDES, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+    return signed if nonzero else st.one_of(st.just(0), signed)
+
+
+def _outcome(run, names):
+    """(coefficients, weights) of one transform direction, or its
+    `LegendreError` with the coefficient `names` read as x, y and z."""
+    try:
+        coeffs, weights = run()
+    except L.LegendreError as err:
+        return re.sub(rf"(Hamiltonian|Lagrangian) coefficient ({'|'.join(names)})\b",
+                      lambda m: "coefficient " + "xyz"[names.index(m.group(2))], str(err))
+    return tuple(coeffs), tuple(weights)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(coefficients(), coefficients(nonzero=True), coefficients(), coefficients(nonzero=True))
+def test_both_directions_carry_the_quadratic_form_by_one_map(x, y, z, a1):
+    lag = M.QuadraticLagrangian(x, y, z, E.ZERO)
+    assume(not lag.degenerate)
+
+    def forward():
+        res = L.legendre_forward(lag, a1)
+        q = res.quadratic
+        return (q.a, q.b, q.c), res.hamiltonian.alphas
+
+    def reverse():
+        back, weights, _ = L.legendre_reverse(M.QuadraticHamiltonian(x, y, z, E.ZERO), a1)
+        return (back.alpha, back.beta, back.gamma), weights
+
+    assert _outcome(forward, ["a", "b", "c"]) == _outcome(reverse, ["alpha", "beta", "gamma"])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9), st.booleans(),
+       st.booleans())
+def test_reverse_after_forward_gives_back_an_integer_lagrangian(x, y, z, a1, flip_y, flip_a1):
+    lag = M.QuadraticLagrangian(x, -y if flip_y else y, z, E.parse("q*qm"))
+    assume(not lag.degenerate or (lag.alpha > 0 and lag.beta > 0 and lag.gamma > 0))
+    scale = -a1 if flip_a1 else a1
+    back, _, _ = L.legendre_reverse(L.legendre_forward(lag, scale).quadratic, scale)
+    assert back == lag
+
+
+@pytest.mark.parametrize(
+    "model, want",
+    [
+        ({"lagrangian": {"alpha": 1e300, "beta": 1e30, "gamma": 0, "phi": "q*qm"}},
+         {"H": "5e-31*p^2 + 1e-300*p*pm + q*qm"}),
+        ({"hamiltonian": {"H": "1e300/2*p^2 + 1e30*p*pm + q*qm", "alphas": [1, 0, 0, 1]}},
+         {"L": "5e-31*qd^2 + 1e-300*qd*qdm - q*qm"}),
+    ],
+    ids=["forward", "reverse"],
+)
+def test_a_coefficient_whose_double_arithmetic_underflows_on_the_way_is_exact(tmp_path, capsys, model, want):
+    # (alpha1/beta)^2 = 1e-330 underflows to 0 before it scales 1e300 to 1e-30
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(model, tau=1.0)))
+    assert cli.main(["transform", "--config", str(path), "--alpha1", "1e-135"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert {key: payload[key] for key in want} == want
 
 
 # ---------------------------------------------------------------------------

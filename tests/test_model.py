@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
 from delayham import model as M
@@ -10,6 +11,7 @@ from conftest import (
     elsgolts_residual_general,
     jet_with_values,
     momentum_substitution,
+    random_expr,
     random_quadratic_hamiltonian,
 )
 
@@ -131,6 +133,43 @@ def test_residuals_agree_with_variational_operators():
         assert z(E.sub(M.variational_p(density), rp), seed=k).ok
         assert z(E.sub(M.variational_q(density), rq), seed=k).ok
         assert z(E.sub(M.variational_t(density), rt), seed=k).ok
+
+
+# first-order coordinates at shifts -1 and 0: one forward shift stays in the jet space
+_BACK_AND_HERE = [E.t, E.tm, E.q, E.qm, E.p, E.pm, E.qd, E.qdm, E.pd, E.pdm]
+
+
+def three_point_expressions():
+    """A first-order expression in the backward and current coordinates plus
+    the forward shift of another, so it reaches all three points and each of
+    its shifted copies stays in the jet space."""
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        here = random_expr(rng, _BACK_AND_HERE, depth=3)
+        return E.add(here, E.shift(random_expr(rng, _BACK_AND_HERE, depth=3), +1))
+
+    return st.integers(0, 2**32 - 1).map(build)
+
+
+def _copies(piece):
+    """The sum over the shifts s of the copy's piece(s), moved back by s."""
+    return E.add(*[piece(s) if s == 0 else E.shift(piece(s), -s) for s in (-1, 0, 1)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(three_point_expressions())
+def test_the_variational_operators_sum_over_three_shifted_copies(e):
+    def euler(base):
+        return lambda s: E.sub(E.partial(e, E.symbol(base, s, 0)),
+                               E.total_derivative(E.partial(e, E.symbol(base, s, 1))))
+
+    def horizontal(s):
+        rates = [E.mul(E.symbol(b, s, 1), E.partial(e, E.symbol(b, s, 1))) for b in "qp"]
+        return E.add(E.partial(e, E.symbol("t", s)), E.total_derivative(E.add(*rates)))
+
+    assert z(E.sub(M.variational_p(e), _copies(euler("p"))), seed=5).ok
+    assert z(E.sub(M.variational_q(e), _copies(euler("q"))), seed=5).ok
+    assert z(E.sub(M.variational_t(e), E.sub(_copies(horizontal), E.total_derivative(e))), seed=5).ok
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
+from delayham import legendre as L
 from delayham import model as M
 from delayham import noether as N
 from delayham import solver as S
@@ -12,6 +13,7 @@ from delayham import solver as S
 from conftest import (
     assert_same_bits,
     first_exp_overflow,
+    identity_models,
     observed_orders,
     random_generator,
     random_quadratic_hamiltonian,
@@ -286,8 +288,8 @@ def test_variation_identities_oscillator_scale(oscillator, oscillator_generators
     # equations themselves, certifying equation invariance
     om = N.invariance_residual(ham, oscillator_generators["scale"])
     density = M.action_density(ham)
-    assert z(E.sub(M.variational_p(om, extended=True), E.mul(2, M.variational_p(density)))).ok
-    assert z(E.sub(M.variational_q(om, extended=True), E.mul(2, M.variational_q(density)))).ok
+    assert z(E.sub(M.variational_p(om), E.mul(2, M.variational_p(density)))).ok
+    assert z(E.sub(M.variational_q(om), E.mul(2, M.variational_q(density)))).ok
 
 
 def test_variation_identities_zero_generator(oscillator):
@@ -342,6 +344,25 @@ def test_drift_rejects_second_derivatives(oscillator_trajectory):
 def test_drift_difference_kind_rejects_forward_symbols(oscillator_trajectory):
     with pytest.raises(N.DriftError):
         N.drift(E.qp, oscillator_trajectory, "difference")
+
+
+@pytest.mark.parametrize(
+    "integral, kind, strip, error, message",
+    [
+        (E.q, "both", (), ValueError, "kind must be 'differential' or 'difference'"),
+        (E.p, "differential", ("p",), N.DriftError, "trajectory carries no momentum samples"),
+        (E.qd, "difference", ("qd",), N.DriftError, "trajectory carries no derivative samples"),
+        (E.q, "differential", ("t",), N.DriftError, "trajectory is shorter than the span of the integral"),
+    ],
+    ids=["unknown-kind", "no-momenta", "no-rates", "too-short"],
+)
+def test_drift_faults(oscillator_trajectory, integral, kind, strip, error, message):
+    # stripping "t" keeps the first 2 delays of nodes, one node short of the span
+    n = oscillator_trajectory.steps_per_delay
+    cut = {"p": None, "qd": None, "t": oscillator_trajectory.t[: 2 * n]}
+    traj = dataclasses.replace(oscillator_trajectory, **{key: cut[key] for key in strip})
+    with pytest.raises(error, match=f"^{message}$"):
+        N.drift(integral, traj, kind)
 
 
 def test_drift_needs_enough_history(oscillator, sincos_history):
@@ -434,6 +455,57 @@ def test_differential_integral_checks_second_order_premise_on_shell(oscillator, 
     v_total = E.add(inv.v, E.parse("cos(t)*qp - cos(tm)*q"), x)
     integral = N.differential_integral(parts, v_total, v_div=inv.v, ham=ham)
     assert parts.differential_integral is integral
+
+
+def oscillator_models():
+    """The README oscillator beta*(qd*qdm - q*qm) transformed with a free
+    scale alpha1, so p = r*qd with r = beta/alpha1: sin(t) solves it, and the
+    generators (sin(t), r*cos(t)) and (cos(t), -r*sin(t)) carry differential
+    integrals.  A random generator with affine xi rides along."""
+    def build(draw):
+        beta, alpha1, seed = draw
+        lag = M.QuadraticLagrangian(0, beta, 0, E.mul(beta, E.q, E.qm))
+        ham = L.legendre_forward(lag, alpha1).hamiltonian
+        r = E.div(beta, alpha1)
+        carriers = [("sin", M.Generator(0, E.sin(E.t), E.mul(r, E.cos(E.t)))),
+                    ("cos", M.Generator(0, E.cos(E.t), E.neg(E.mul(r, E.sin(E.t)))))]
+        return ham, [*carriers, ("random", random_generator(np.random.default_rng(seed), affine_xi=True))]
+
+    nonzero = st.integers(-3, 3).filter(bool)
+    return st.tuples(nonzero, nonzero, st.integers(0, 2**32 - 1)).map(build)
+
+
+def _named(model):
+    ham, generators = model
+    return ham, [(f"G{k}", g) for k, g in enumerate(generators)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=16)
+@given(st.one_of(
+    identity_models().filter(lambda m: m[0].alphas[0] != 0 and m[0].alphas[3] != 0).map(_named),
+    oscillator_models(),
+), st.integers(0, 1000))
+def test_every_reported_integral_is_conserved_on_shell(model, seed):
+    ham, generators = model
+    reports = N.analyze_generators(ham, [(name, g, None, None) for name, g in generators], samples=40,
+                                   seed=seed)
+    jets = M.on_shell_jets(ham, seed + 17, 60)
+    for rep, (name, g) in zip(reports, generators):
+        if name in ("sin", "cos"):
+            assert rep.parts.differential_integral is not None, rep.notes
+        integral = rep.parts.differential_integral
+        if integral is not None:
+            assert E.is_zero_on(E.total_derivative(integral), jets, tol=1e-8).ok
+            # the premise check of the public function accepts the fitted V
+            v = E.sub(rep.parts.c, integral)
+            N.differential_integral(N.noether_parts(ham, g), v, v_div=rep.invariance.v,
+                                    w_div=rep.invariance.w, ham=ham, seed=seed)
+        integral = rep.parts.difference_integral
+        if integral is not None:
+            assert E.is_zero_on(E.sub(E.shift(integral, +1), integral), jets, tol=1e-8).ok
+            w = E.sub(rep.parts.p_quantity, integral)
+            N.difference_integral(N.noether_parts(ham, g), w, v_div=rep.invariance.v,
+                                  w_div=rep.invariance.w, ham=ham, seed=seed)
 
 
 def _constrained_difference_check(parts, traj):

@@ -25,7 +25,13 @@ through `delayham.cli.main`:
   hands them to `zero_checks`;
 - three configs whose Lagrangian coefficients or pairing weights overflow a
   double and two whose coefficient products underflow one, on the commands
-  they reach.
+  they reach;
+- `check-identity --classical` on the README config;
+- `transform` on a quadratic Hamiltonian (the reverse direction) and on an
+  `extended_lagrangian` config; with `--alpha1` 0.5, 3 and 1e-135 on that
+  Hamiltonian and on the README config; and with `--alpha1 1e-135` on a
+  Lagrangian and a Hamiltonian whose coefficient arithmetic underflows on
+  the way (`(alpha1/beta)^2*alpha` with `alpha` 1e300, `beta` 1e30).
 
 Every run records its exit code (a raised exception counts as exit 1, with
 its type and message), standard output, standard error, the bytes of its
@@ -105,6 +111,28 @@ def _families(readme: dict) -> list[tuple[str, dict, list[str]]]:
     ]
 
 
+def _transforms(readme: dict) -> list[tuple[str, dict, list[str]]]:
+    """(run id, config, `transform` options) of the Legendre transform runs
+    that the README's `readme/transform` run leaves out."""
+    base = {k: v for k, v in readme.items() if k != "lagrangian"}
+    reverse = dict(base, hamiltonian={"H": "3/2*p^2 + 2*p*pm + pm^2/2 + q*qm", "alphas": [1, 0, 0, 1]})
+    extended = {"alpha": "2", "beta": "1 + q^2/4", "gamma": "1/3", "lambda": "sin(q)",
+                "mu": "2 + q^2", "phi": "q*qm"}
+    runs = [("reverse/transform", reverse, []),
+            ("extended/transform", dict(base, extended_lagrangian=extended), [])]
+    runs += [(f"{name}/transform-alpha1-{scale}", config, ["--alpha1", scale])
+             for name, config in (("readme", readme), ("reverse", reverse))
+             for scale in ("0.5", "3", "1e-135")]
+    # (alpha1/beta)^2 underflows to 0 on the way to the representable 1e-300*alpha
+    underflow = (
+        ("forward", {"lagrangian": {"alpha": 1e300, "beta": 1e30, "gamma": 0, "phi": "q*qm"}}),
+        ("reverse", {"hamiltonian": {"H": "1e300/2*p^2 + 1e30*p*pm + q*qm", "alphas": [1, 0, 0, 1]}}),
+    )
+    runs += [(f"underflow-{name}/transform-alpha1-1e-135", dict(base, **model), ["--alpha1", "1e-135"])
+             for name, model in underflow]
+    return runs
+
+
 def _matrix(start: int) -> list[tuple[str, dict | None, list[str]]]:
     """(run id, config or None, argv without `--config`) in run order."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -130,6 +158,9 @@ def _matrix(start: int) -> list[tuple[str, dict | None, list[str]]]:
     ]
     for name, config, commands in _families(README_CONFIG):
         runs += [(f"{name}/{command}", config, [command]) for command in commands]
+    runs.append(("readme/check-identity-classical", README_CONFIG, ["check-identity", "--classical"]))
+    # last, as the `_INTERN` counts of later runs would differ with theirs
+    runs += [(name, config, ["transform", *options]) for name, config, options in _transforms(README_CONFIG)]
     return runs
 
 
