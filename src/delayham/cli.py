@@ -52,6 +52,13 @@ def _expression(value: Any, pointer: str) -> Expr:
         raise ConfigError(pointer, "a constant overflows the double range") from None
 
 
+def _potential(value: Any, pointer: str, key: str) -> Expr:
+    try:
+        return noether.check_potential(key, _expression(value, pointer))
+    except ValueError as err:
+        raise ConfigError(pointer, str(err)) from None
+
+
 def _number(value: Any, pointer: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(pointer, "expected a number")
@@ -147,8 +154,8 @@ _GENERATOR = (
     ("xi", ex.ZERO, _expression),
     ("eta", ex.ZERO, _expression),
     ("nu", ex.ZERO, _expression),
-    ("V", None, _expression),
-    ("W", None, _expression),
+    ("V", None, partial(_potential, key="V")),
+    ("W", None, partial(_potential, key="W")),
 )
 # numeric command-line flags that are no config key, checked the same way
 _FLAGS = (
@@ -326,7 +333,7 @@ def cmd_noether(cfg: RunConfig, args) -> int:
     ham = _resolved_hamiltonian(cfg)
     traj = None
     if cfg.history is not None and cfg.horizon is not None and not args.skip_drift:
-        if float(ham.alphas[0]) != 0.0 and float(ham.alphas[3]) != 0.0:
+        if ham.solvable:
             traj = solver.step_hamiltonian(
                 ham, cfg.history, cfg.t0 + cfg.horizon, cfg.steps_per_delay
             )
@@ -526,8 +533,34 @@ def _load_json(path: str, pointer: str) -> dict:
         raise ConfigError(pointer, f"invalid JSON: {err}") from None
 
 
+def _reads_as_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _negative_values_joined(argv: list[str]) -> list[str]:
+    """`argv` with `--flag VALUE` written `--flag=VALUE` wherever VALUE starts
+    with '-' and reads as a float: argparse takes such a token for an option
+    unless it is a plain negative number, so `--alpha1 -1e-135` would lose
+    its value."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _reads_as_float(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
+    except SystemExit as err:  # argparse's usage error (2), or --help (0)
+        return err.code
     handlers = {
         "transform": cmd_transform,
         "simulate": cmd_simulate,

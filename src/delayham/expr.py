@@ -750,10 +750,19 @@ _TOKEN_RE = re.compile(
 
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp}
 
+# The deepest nesting `parse` accepts, counting parentheses, function calls,
+# parentheses in exponents and each division in a product (`a/b/c` nests its
+# divisions in the tree): each level costs the recursive descent, or the
+# recursive passes over the tree, a few Python frames, so any deeper input is
+# a `ParseError` well before the interpreter's recursion limit.  Runs of unary
+# minus signs do not nest.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, source: str):
         self.source = source
+        self.depth = 0
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(source):
@@ -779,6 +788,28 @@ class _Parser:
         if kind != "op" or text != ch:
             raise ParseError(f"expected '{ch}'", off)
 
+    def deeper(self, off: int) -> None:
+        """Go one nesting level down; `ParseError` past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", off)
+        self.depth += 1
+
+    def nested(self, inner, off: int):
+        """`inner()` one nesting level down, closed by ')'."""
+        self.deeper(off)
+        e = inner()
+        self.expect_op(")")
+        self.depth -= 1
+        return e
+
+    def minus_signs(self) -> bool:
+        """Consume a run of '-' tokens; whether their count is odd."""
+        odd = False
+        while self.peek()[:2] == ("op", "-"):
+            self.next()
+            odd = not odd
+        return odd
+
     def parse(self) -> Expr:
         e = self.expression()
         kind, text, off = self.peek()
@@ -798,22 +829,24 @@ class _Parser:
                 return e
 
     def term(self) -> Expr:
+        depth = self.depth
         e = self.unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, off = self.peek()
             if kind == "op" and text in "*/":
                 self.next()
+                if text == "/":
+                    self.deeper(off)
                 rhs = self.unary()
                 e = mul(e, rhs) if text == "*" else div(e, rhs)
             else:
+                self.depth = depth
                 return e
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
-            return neg(self.unary())
-        return self.power()
+        negative = self.minus_signs()
+        e = self.power()
+        return neg(e) if negative else e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -824,15 +857,12 @@ class _Parser:
         return base
 
     def exponent(self) -> int:
+        sign = -1 if self.minus_signs() else 1
         kind, text, off = self.next()
         if kind == "op" and text == "(":
-            n = self.exponent()
-            self.expect_op(")")
-            return n
-        if kind == "op" and text == "-":
-            return -self.exponent()
+            return sign * self.nested(self.exponent, off)
         if kind == "num" and re.fullmatch(r"\d+", text):
-            return int(text)
+            return sign * int(text)
         raise ParseError("exponent must be an integer", off)
 
     def atom(self) -> Expr:
@@ -844,18 +874,14 @@ class _Parser:
         if kind == "ident":
             if text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expression()
-                self.expect_op(")")
-                return _FUNCTIONS[text](arg)
+                return _FUNCTIONS[text](self.nested(self.expression, off))
             if text == "tau":
                 return TAU
             if text in SYMBOL_BY_NAME:
                 return SYMBOL_BY_NAME[text]
             raise UnknownIdentifierError(text, off)
         if kind == "op" and text == "(":
-            e = self.expression()
-            self.expect_op(")")
-            return e
+            return self.nested(self.expression, off)
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", off)
 
 

@@ -35,6 +35,7 @@ from .model import (
     _PHI_SYMBOLS,
     _check_symbols,
     _num,
+    quadratic_form,
 )
 
 
@@ -246,9 +247,7 @@ class ExtendedLagrangian:
     def expr(self) -> Expr:
         lam_m = shift(self.lam, -1)
         return add(
-            mul(div(self.alpha, 2), powi(ex.qd, 2)),
-            mul(self.beta, ex.qd, ex.qdm),
-            mul(div(self.gamma, 2), powi(ex.qdm, 2)),
+            *quadratic_form(self.alpha, self.beta, self.gamma, ex.qd, ex.qdm),
             neg(mul(add(mul(self.alpha, self.lam), mul(self.beta, lam_m)), ex.qd)),
             neg(mul(add(mul(self.beta, self.lam), mul(self.gamma, lam_m)), ex.qdm)),
             neg(self.phi),
@@ -268,11 +267,6 @@ def legendre_extended(l: ExtendedLagrangian) -> ExtendedLegendreResult:
     lam_m = shift(l.lam, -1)
     r_here = add(mul(l.mu, ex.p), l.lam)
     r_lag = add(mul(mu_m, ex.pm), lam_m)
-    h_expr = add(
-        mul(div(l.alpha, 2), powi(r_here, 2)),
-        mul(l.beta, r_here, r_lag),
-        mul(div(l.gamma, 2), powi(r_lag, 2)),
-        l.phi,
-    )
+    h_expr = add(*quadratic_form(l.alpha, l.beta, l.gamma, r_here, r_lag), l.phi)
     alphas = (mul(l.beta, mu_m), mul(l.gamma, mu_m), mul(l.alpha, l.mu), mul(l.beta, l.mu))
     return ExtendedLegendreResult(h_expr, alphas, (r_here, r_lag))

@@ -74,6 +74,24 @@ def _out_of_range(x: Number, y: Number) -> bool:
     )
 
 
+def quadratic_form(x, y, z, u, v) -> tuple[Expr, Expr, Expr]:
+    """The three terms x/2*u^2, y*u*v and z/2*v^2 of the quadratic kinetic
+    form: of L in (qd, qdm), of H in (p, pm), and of the extended family with
+    expression coefficients.  Callers splice them into one `add`."""
+    return mul(div(x, 2), powi(u, 2)), mul(y, u, v), mul(div(z, 2), powi(v, 2))
+
+
+def _check_quadratic(model, names) -> None:
+    """The coefficient rule of both quadratic models: the coefficients `names`
+    of the frozen `model` become numbers (`_num`), the middle one must be
+    nonzero, and its phi may read only q and qm."""
+    for name in names:
+        object.__setattr__(model, name, _num(getattr(model, name)))
+    if getattr(model, names[1]) == 0:
+        raise ValueError(f"{names[1]} must be nonzero")
+    _check_symbols(model.phi, _PHI_SYMBOLS, "phi")
+
+
 @dataclass(frozen=True)
 class QuadraticLagrangian:
     """alpha/2*qd^2 + beta*qd*qdm + gamma/2*qdm^2 - phi(q, qm), with beta != 0."""
@@ -84,12 +102,7 @@ class QuadraticLagrangian:
     phi: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _num(self.alpha))
-        object.__setattr__(self, "beta", _num(self.beta))
-        object.__setattr__(self, "gamma", _num(self.gamma))
-        if self.beta == 0:
-            raise ValueError("beta must be nonzero")
-        _check_symbols(self.phi, _PHI_SYMBOLS, "phi")
+        _check_quadratic(self, ("alpha", "beta", "gamma"))
 
     @property
     def degenerate(self) -> bool:
@@ -103,12 +116,7 @@ class QuadraticLagrangian:
         return self.alpha * self.gamma == self.beta * self.beta
 
     def expr(self) -> Expr:
-        return add(
-            mul(div(self.alpha, 2), powi(ex.qd, 2)),
-            mul(self.beta, ex.qd, ex.qdm),
-            mul(div(self.gamma, 2), powi(ex.qdm, 2)),
-            neg(self.phi),
-        )
+        return add(*quadratic_form(self.alpha, self.beta, self.gamma, ex.qd, ex.qdm), neg(self.phi))
 
 
 @dataclass(frozen=True)
@@ -121,20 +129,10 @@ class QuadraticHamiltonian:
     phi: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _num(self.a))
-        object.__setattr__(self, "b", _num(self.b))
-        object.__setattr__(self, "c", _num(self.c))
-        if self.b == 0:
-            raise ValueError("b must be nonzero")
-        _check_symbols(self.phi, _PHI_SYMBOLS, "phi")
+        _check_quadratic(self, "abc")
 
     def expr(self) -> Expr:
-        return add(
-            mul(div(self.a, 2), powi(ex.p, 2)),
-            mul(self.b, ex.p, ex.pm),
-            mul(div(self.c, 2), powi(ex.pm, 2)),
-            self.phi,
-        )
+        return add(*quadratic_form(self.a, self.b, self.c, ex.p, ex.pm), self.phi)
 
 
 @dataclass(frozen=True)
@@ -149,6 +147,13 @@ class DelayHamiltonian:
         if len(self.alphas) != 4:
             raise ValueError("alphas must have exactly four entries")
         object.__setattr__(self, "alphas", tuple(_num(a) for a in self.alphas))
+
+    @property
+    def solvable(self) -> bool:
+        """Whether the canonical pair solves for its newest rates qdp and pdp:
+        the outer weights a1 and a4 are nonzero as the doubles that the solver
+        and `on_shell_jets` divide by."""
+        return float(self.alphas[0]) != 0.0 and float(self.alphas[3]) != 0.0
 
 
 @dataclass(frozen=True)
@@ -182,9 +187,7 @@ class Generator:
         }
         terms = []
         for s in sorted(symbols_of(e), key=lambda s: s.index):
-            base_coeff = coeff.get((s.base, s.order))
-            if base_coeff is None:
-                continue
+            base_coeff = coeff[(s.base, s.order)]
             shifted = base_coeff if s.shift == 0 else shift(base_coeff, s.shift)
             terms.append(mul(shifted, partial(e, s)))
         return add(*terms)
@@ -261,6 +264,17 @@ def shifted_pair_partial(h_expr: Expr, base: str) -> Expr:
     return add(here, lagged)
 
 
+def flux(h: DelayHamiltonian) -> Expr:
+    """a2*(p*qd - pm*qdm) + a4*(pp*qd - p*qdm): the pairing terms that the
+    horizontal residual Rt differentiates and that the part C of the Noether
+    decomposition (`noether.noether_parts`) carries with -xi."""
+    _, a2, _, a4 = h.alphas
+    return add(
+        mul(a2, sub(mul(ex.p, ex.qd), mul(ex.pm, ex.qdm))),
+        mul(a4, sub(mul(ex.pp, ex.qd), mul(ex.p, ex.qdm))),
+    )
+
+
 def variational_residuals(h: DelayHamiltonian) -> tuple[Expr, Expr, Expr]:
     """Residuals (Rp, Rq, Rt) of the three delay variational equations."""
     a1, a2, a3, a4 = h.alphas
@@ -269,23 +283,18 @@ def variational_residuals(h: DelayHamiltonian) -> tuple[Expr, Expr, Expr]:
     dt = shifted_pair_partial(h.h, "t")
     rp = add(mul(a1, ex.qdp), mul(a2 + a3, ex.qd), mul(a4, ex.qdm), neg(dp))
     rq = neg(add(mul(a4, ex.pdp), mul(a2 + a3, ex.pd), mul(a1, ex.pdm), dq))
-    flux = add(
-        mul(a2, sub(mul(ex.p, ex.qd), mul(ex.pm, ex.qdm))),
-        mul(a4, sub(mul(ex.pp, ex.qd), mul(ex.p, ex.qdm))),
-    )
-    rt = add(total_derivative(flux), total_derivative(h.h), neg(dt))
+    rt = add(total_derivative(flux(h)), total_derivative(h.h), neg(dt))
     return rp, rq, rt
 
 
 def elsgolts_residual(l: QuadraticLagrangian) -> Expr:
     """Second-order delay variational residual of a quadratic Lagrangian."""
-    dphi = add(partial(l.phi, "q"), shift(partial(l.phi, "qm"), +1))
     return neg(
         add(
             mul(l.beta, ex.qddp),
             mul(l.alpha + l.gamma, ex.qdd),
             mul(l.beta, ex.qddm),
-            dphi,
+            shifted_pair_partial(l.phi, "q"),
         )
     )
 
@@ -324,9 +333,9 @@ def on_shell_jets(h: DelayHamiltonian, seed: int, n: int, start: int = 0) -> np.
     equations (this needs a1 != 0 and a4 != 0); the second solve writes no
     other slot.  The horizontal equation is *not* imposed.
     """
-    a1, a2, a3, a4 = h.alphas
-    if a1 == 0 or a4 == 0:
+    if not h.solvable:
         raise ValueError("on-shell construction needs a1 != 0 and a4 != 0")
+    a1, a2, a3, a4 = h.alphas
     c1, c23, c4 = float(a1), float(a2 + a3), float(a4)
     A = random_jets(seed, n, start)
     dp = shifted_pair_partial(h.h, "p")

@@ -50,6 +50,7 @@ from .model import (
     DelayHamiltonian,
     Generator,
     action_density,
+    flux,
     on_shell_jets,
     variational_p,
     variational_q,
@@ -132,14 +133,7 @@ def noether_parts(h: DelayHamiltonian, g: Generator) -> NoetherQuantities:
     mixed = add(mul(a2, ex.pm), mul(a4, ex.p))
     c = sub(
         mul(g.eta, add(mul(a4, ex.pp), mul(a2 + a3, ex.p), mul(a1, ex.pm))),
-        mul(
-            g.xi,
-            add(
-                mul(a2, sub(mul(ex.p, ex.qd), mul(ex.pm, ex.qdm))),
-                mul(a4, sub(mul(ex.pp, ex.qd), mul(ex.p, ex.qdm))),
-                h.h,
-            ),
-        ),
+        mul(g.xi, add(flux(h), h.h)),
     )
     p_quantity = add(
         mul(mixed, D(eta_m)),
@@ -387,11 +381,30 @@ def fit_shift_difference(
     return _fit_many([target], _w_dictionary(), seed=seed, on_shell=on_shell)[0]
 
 
+# What a supplied potential may not read, and why: classification takes D(V)
+# and S+ W, which must stay on the jet of the three points and of derivatives
+# up to order two.
+_POTENTIAL_LIMITS = {
+    "V": (lambda s: s.order == 2, "its total derivative would need third derivatives"),
+    "W": (lambda s: s.shift == 1, "its forward shift would leave the three points"),
+}
+
+
+def check_potential(key: str, e: Expr) -> Expr:
+    """`e` as the supplied potential `key`: "V" may not read a second
+    derivative, and "W" may not read a forward-shifted coordinate.
+    ValueError names the coordinates that break the rule."""
+    reads, why = _POTENTIAL_LIMITS[key]
+    bad = sorted(s.name for s in symbols_of(e) if reads(s))
+    if bad:
+        raise ValueError(f"{key} must not contain: {', '.join(bad)} ({why})")
+    return e
+
+
 def _classify_many(
     h: DelayHamiltonian,
     cases: list[tuple[Generator, Expr | None, Expr | None]],
     *,
-    fit: bool,
     samples: int,
     tol: float,
     seed: int,
@@ -414,7 +427,7 @@ def _classify_many(
         if result.classification is Classification.NONE:
             unresolved.append(len(results))
         results.append(result)
-    if fit and unresolved:
+    if unresolved:
         targets = [results[i].omega for i in unresolved]
         for i, fitted in zip(unresolved, _fit_many(targets, _v_dictionary(), seed=seed + 1, on_shell=None)):
             if fitted is not None:
@@ -428,7 +441,6 @@ def classify_invariance(
     v: Expr | None = None,
     w: Expr | None = None,
     *,
-    fit: bool = True,
     samples: int = 100,
     tol: float = 1e-9,
     seed: int = 0,
@@ -437,7 +449,7 @@ def classify_invariance(
     or none.  User-supplied V/W are checked as given; otherwise V is searched
     automatically over the monomial dictionary (off-shell, so a reported
     divergence form is an identity, not merely an on-shell coincidence)."""
-    return _classify_many(h, [(g, v, w)], fit=fit, samples=samples, tol=tol, seed=seed)[0]
+    return _classify_many(h, [(g, v, w)], samples=samples, tol=tol, seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +688,6 @@ def analyze_generator(
     v: Expr | None = None,
     w: Expr | None = None,
     traj=None,
-    fit: bool = True,
     samples: int = 100,
     tol: float = 1e-9,
     seed: int = 0,
@@ -684,9 +695,7 @@ def analyze_generator(
     """Full treatment of one generator: identity check, classification,
     conserved-quantity derivation, optional drift monitoring and the
     admissibility of its time coefficient (`model.xi_admissible`)."""
-    return _analyze_many(
-        h, [(name, g, v, w)], traj=traj, fit=fit, samples=samples, tol=tol, seed=seed
-    )[0]
+    return _analyze_many(h, [(name, g, v, w)], traj=traj, samples=samples, tol=tol, seed=seed)[0]
 
 
 def analyze_generators(
@@ -694,7 +703,6 @@ def analyze_generators(
     generators: list[_Case],
     *,
     traj=None,
-    fit: bool = True,
     samples: int = 100,
     tol: float = 1e-9,
     seed: int = 0,
@@ -708,13 +716,11 @@ def analyze_generators(
     rerun one at a time in order, so the error is the one that the first
     failing generator raises on its own."""
     try:
-        return _analyze_many(h, generators, traj=traj, fit=fit, samples=samples, tol=tol, seed=seed)
+        return _analyze_many(h, generators, traj=traj, samples=samples, tol=tol, seed=seed)
     except Exception:
         if len(generators) > 1:
             for name, g, v, w in generators:
-                analyze_generator(
-                    h, g, name, v=v, w=w, traj=traj, fit=fit, samples=samples, tol=tol, seed=seed
-                )
+                analyze_generator(h, g, name, v=v, w=w, traj=traj, samples=samples, tol=tol, seed=seed)
         raise
 
 
@@ -723,7 +729,6 @@ def _analyze_many(
     generators: list[_Case],
     *,
     traj,
-    fit: bool,
     samples: int,
     tol: float,
     seed: int,
@@ -733,9 +738,7 @@ def _analyze_many(
         verify_hamiltonian_identity(h, g, samples=samples, tol=tol, seed=seed)
         for _, g, _, _ in generators
     ]
-    classes = _classify_many(
-        h, [(g, v, w) for _, g, v, w in generators], fit=fit, samples=samples, tol=tol, seed=seed
-    )
+    classes = _classify_many(h, [(g, v, w) for _, g, v, w in generators], samples=samples, tol=tol, seed=seed)
     reports = [
         GeneratorReport(name, inv, noether_parts(h, g), identity)
         for (name, g, _, _), inv, identity in zip(generators, classes, identities)
@@ -763,7 +766,6 @@ def _analyze_many(
         active[i] = {"v": v_div, "w": w_div}
         for kind in ("differential", "difference"):
             active[i][kind] = _splitting_target(report.parts, kind, v_div, w_div)
-    can_shell = h.alphas[0] != 0 and h.alphas[3] != 0
 
     # (kind, dictionary, its known divergence, fit seed and zero-check seed
     # offsets, note when no fit is found)
@@ -779,7 +781,7 @@ def _analyze_many(
             list(targets.values()), dictionary, seed=seed + fit_seed, on_shell=None
         )))
         retry = [i for i, extra in extras.items() if extra is None]
-        if retry and can_shell:
+        if retry and h.solvable:
             extras.update(zip(retry, _fit_many(
                 [targets[i] for i in retry], dictionary, seed=seed + fit_seed, on_shell=h
             )))

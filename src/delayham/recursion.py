@@ -130,10 +130,7 @@ def recurse(
             f"(gaps q={gq:.3e}, p={gp:.3e}); the recursed solution jumps there",
             stacklevel=2,
         )
-    return Trajectory(
-        hist.tau, n, t, q, p, qd, pd,
-        qd_left=qd.copy(), pd_left=pd.copy(), start_index=2 * n,
-    )
+    return Trajectory(hist.tau, n, t, q, p, qd, pd, qd_left=qd.copy(), pd_left=pd.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -121,11 +121,15 @@ class Trajectory:
     pd_left: np.ndarray | None = None
     qdd: np.ndarray | None = None
     qdd_left: np.ndarray | None = None
-    start_index: int = 0
 
     @property
     def h(self) -> float:
         return self.tau / self.steps_per_delay
+
+    @property
+    def start_index(self) -> int:
+        """Index of the node t0: the history fills the two delays before it."""
+        return 2 * self.steps_per_delay
 
     def slots(self, lo: int, hi: int, qdd=None, pdd=None) -> np.ndarray:
         """Slot array whose column i - lo is the jet at grid node i, lo <= i < hi.
@@ -311,7 +315,7 @@ def step_hamiltonian(
     is possible exactly when the outermost pairing weights are nonzero.
     """
     a1, a2, a3, a4 = (float(a) for a in ham.alphas)
-    if a1 == 0.0 or a4 == 0.0:
+    if not ham.solvable:
         raise SolverError(
             "cannot rebase the canonical equations: the outermost pairing "
             f"weights must be nonzero (got a1={a1}, a4={a4})"
@@ -332,10 +336,7 @@ def step_hamiltonian(
     t, q, p, qd, qd_l, pd, pd_l = _method_of_steps(
         hist, t_end, steps_per_delay, fill, interval, (a1, a2 + a3, a4)
     )
-    return Trajectory(
-        hist.tau, steps_per_delay, t, q, p, qd, pd,
-        qd_left=qd_l, pd_left=pd_l, start_index=2 * steps_per_delay,
-    )
+    return Trajectory(hist.tau, steps_per_delay, t, q, p, qd, pd, qd_left=qd_l, pd_left=pd_l)
 
 
 def step_elsgolts(
@@ -358,8 +359,7 @@ def step_elsgolts(
     fill = hist.fill(second_order=True)
     t, q, v, _, _, qdd, qdd_l = _method_of_steps(hist, t_end, steps_per_delay, fill, interval, weights)
     return Trajectory(
-        hist.tau, steps_per_delay, t, q, None, v, None,
-        qd_left=v.copy(), qdd=qdd, qdd_left=qdd_l, start_index=2 * steps_per_delay,
+        hist.tau, steps_per_delay, t, q, None, v, None, qd_left=v.copy(), qdd=qdd, qdd_left=qdd_l
     )
 
 

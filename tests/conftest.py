@@ -136,6 +136,26 @@ def identity_models(generators: int = 2):
     return st.integers(0, 2**32 - 1).map(build)
 
 
+def lagrangian_models(generators: int = 3):
+    """Hypothesis strategy: a nondegenerate quadratic delay Lagrangian with
+    integer coefficients and a random phi(q, qm), its `legendre_forward`
+    result at an integer scale alpha1, and `generators` generators as in
+    `identity_models`.  Its pairing weights a2 and a3 are nonzero unless gamma
+    or alpha is."""
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        while True:
+            alpha, gamma = (int(x) for x in rng.integers(-3, 4, size=2))
+            beta = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            if alpha * gamma != beta * beta:
+                break
+        lag = M.QuadraticLagrangian(alpha, beta, gamma, random_polynomial(rng, [E.q, E.qm], terms=2))
+        res = L.legendre_forward(lag, int(rng.choice([-2, -1, 1, 2, 3])))
+        return lag, res, [random_generator(rng, affine_xi=True) for _ in range(generators)]
+
+    return st.integers(0, 2**32 - 1).map(build)
+
+
 # ---------------------------------------------------------------------------
 # jets on smooth curves
 # ---------------------------------------------------------------------------

@@ -418,6 +418,10 @@ SINGLE_FAULTS = [
     ("/generators/0/V", "+", "/generators/0/V: unexpected token '+' (at offset 0)"),
     ("/generators/0/W", [], "/generators/0/W: expected an expression string"),
     ("/generators/0/W", "*q", "/generators/0/W: unexpected token '*' (at offset 0)"),
+    ("/generators/0/V", "pddp*q",
+     "/generators/0/V: V must not contain: pddp (its total derivative would need third derivatives)"),
+    ("/generators/0/W", "tp + qdp",
+     "/generators/0/W: W must not contain: qdp, tp (its forward shift would leave the three points)"),
 ]
 
 
@@ -479,12 +483,23 @@ DIRECTORY = object()  # a document path that names a directory
          "/: recurse needs history and horizon"),
         (["recurse", "--config", '{"horizon": 2, "history": {}, "hamiltonian": {"alphas": [1, 0, 0, 2]}}'],
          "/hamiltonian/alphas: sum-form recursion needs a1 = a4 != 0"),
+        (["noether", "--skip-drift", "--config", '{"hamiltonian": {"H": "p*pm + q*qm"}, "generators": '
+          '[{"name": "X", "eta": "sin(t)", "nu": "cos(t)", "V": "qdd"}]}'],
+         "/generators/0/V: V must not contain: qdd (its total derivative would need third derivatives)"),
+        (["noether", "--skip-drift", "--config", '{"hamiltonian": {"H": "p*pm + q*qm"}, "generators": '
+          '[{"name": "X", "eta": "sin(t)", "nu": "cos(t)", "W": "qp"}]}'],
+         "/generators/0/W: W must not contain: qp (its forward shift would leave the three points)"),
+        (["transform", "--config", '{"hamiltonian": {"H": "p*pm + ' + "sin(" * 250 + "q" + ")" * 250 + '"}}'],
+         "/hamiltonian/H: nesting deeper than 100 levels (at offset 407)"),
+        (["transform", "--tol", "-1e-3"], "/tol: must be positive"),
     ],
     ids=["model-list", "history-string", "config-list-with-override", "negative-seed",
          "alpha1-nan", "alpha1-inf", "max-diff-nan", "config-directory", "model-directory",
          "history-directory", "config-not-utf-8", "noether-without-model", "transform-without-model",
          "simulate-without-history", "simulate-without-horizon", "lagrangian-formulation-of-hamiltonian",
-         "recurse-without-history", "recurse-without-horizon", "recurse-with-unequal-outer-weights"],
+         "recurse-without-history", "recurse-without-horizon", "recurse-with-unequal-outer-weights",
+         "V-reads-a-second-derivative", "W-reads-a-forward-shift", "nesting-250",
+         "negative-tol-in-exponent-form"],
 )
 def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, line):
     base = tmp_path / "base.json"
@@ -511,6 +526,35 @@ def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, li
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"config error at {line}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("transform", "--alpha1", "-1e-135"), ("transform", "--alpha1", "-2.5E+1"),
+     ("compare", "--max-diff", "-1e-5")],
+)
+def test_a_negative_flag_value_in_exponent_form_is_a_value(tmp_path, capsys, command, flag, value):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({k: v for k, v in FAULT_BASE.items()
+                                if k not in ("hamiltonian", "extended_lagrangian")}))
+    argv = [command, "--config", str(base)]
+    if command == "compare":
+        run = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", str(base), "--out", str(run)]) == 0
+        argv += ["--a", str(run), "--b", str(run)]
+    outcomes = []
+    for flag_args in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / "out"
+        out.unlink(missing_ok=True)
+        code = cli.main([*argv, *flag_args, "--out", str(out)])
+        outcomes.append((code, capsys.readouterr(), out.read_bytes()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (cli.EXIT_VERIFY if command == "compare" else cli.EXIT_OK)
+
+
+def test_an_argparse_usage_error_is_returned_not_raised(capsys):
+    assert cli.main(["transform", "--seed", "x"]) == cli.EXIT_CONFIG
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_extended_lagrangian_that_cannot_be_sampled_is_a_numeric_failure(tmp_path, capsys):
@@ -1183,19 +1227,26 @@ _FUZZ_RUN = {"steps_per_delay": 8, "horizon": 2, "samples": 20}
 FUZZ_BASES = [
     dict(README_CONFIG, **_FUZZ_RUN),
     dict({k: v for k, v in README_CONFIG.items() if k != "lagrangian"}, **_FUZZ_RUN,
-         hamiltonian={"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]}),
+         hamiltonian={"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]},
+         generators=[{"name": "X1", "eta": "sin(t)", "nu": "cos(t)", "V": "q*cos(tm) + qm*cos(t)", "W": "0"},
+                     README_CONFIG["generators"][1]]),
     {k: v for k, v in FAULT_BASE.items() if k not in ("lagrangian", "hamiltonian")},
 ]
 DELETE = object()  # an edit that deletes the key
 FUZZ_NUMBERS = [0, -1, 1, 2, 3, 0.5, 2.5, 5e-324, -1e-300, 1e-160, 1e200, 1e308, -1e308, 10**400,
                 float("inf"), float("nan")]
 FUZZ_EXPRESSIONS = ["q*", "sin(", "x", "qd", "q/0", "10^400", "1e400*q", "exp(1000*q)", "exp(q*p)*1e300",
-                    "p^3*pm + q*qm", "q*qm + sin(t)", "p^2/2 + p*pm", "1e-300*q", "3*q"]
+                    "p^3*pm + q*qm", "q*qm + sin(t)", "p^2/2 + p*pm", "1e-300*q", "3*q",
+                    "qp", "qdd", "pddp*q",
+                    # Hypothesis raises the recursion limit while a test runs: a parser
+                    # that recursed per level would exhaust it on 1,000 levels, not on 250
+                    "sin(" * 250 + "q" + ")" * 250, "(" * 1000 + "q" + ")" * 1000]
 FUZZ_OTHERS = [None, True, [], {}, "1", DELETE]
 FUZZ_COMMANDS = [
     ["transform"], ["transform", "--alpha1", "1e-320"], ["transform", "--alpha1", "1e-135"],
-    ["transform", "--alpha1=-1e300"], ["simulate"], ["simulate", "--formulation", "lagrangian"],
-    ["noether"], ["recurse"], ["check-identity"], ["check-identity", "--classical", "--pairs", "2"],
+    ["transform", "--alpha1=-1e300"], ["transform", "--alpha1", "-1e-135"], ["simulate"],
+    ["simulate", "--formulation", "lagrangian"], ["noether"], ["recurse"], ["check-identity"],
+    ["check-identity", "--classical", "--pairs", "2"],
 ]
 
 

@@ -92,6 +92,32 @@ def test_parse_rejects_float_exponent():
         E.parse("q^2.5")
 
 
+@pytest.mark.parametrize(
+    "source",
+    ["(" * 250 + "q" + ")" * 250, "sin(" * 250 + "q" + ")" * 250, "q^" + "(" * 250 + "2" + ")" * 250,
+     "q" + "/q" * 250, "(" * 101 + "q" + ")" * 101, "sin(" * 50 + "(" * 51 + "q" + ")" * 101],
+    ids=["parentheses-250", "sin-250", "exponent-250", "divisions-250", "parentheses-101", "mixed-101"],
+)
+def test_nesting_beyond_the_limit_is_a_parse_error(source):
+    with pytest.raises(E.ParseError, match=f"nesting deeper than {E.MAX_NESTING} levels"):
+        E.parse(source)
+
+
+def test_nesting_up_to_the_limit_parses():
+    assert E.parse("(" * 100 + "q" + ")" * 100) is E.q
+    assert E.parse("q^" + "(" * 100 + "2" + ")" * 100) is E.parse("q^2")
+    deep = E.parse("sin(" * 50 + "(" * 50 + "q" + ")" * 100)
+    assert E.to_source(deep) == "sin(" * 50 + "q" + ")" * 50
+    assert E.to_source(E.parse("q" + "/q" * 100)) == "q" + "/q" * 100
+
+
+def test_any_run_of_minus_signs_parses():
+    assert E.parse("-" * 2000 + "q") is E.q
+    assert E.parse("-" * 2001 + "q") is E.neg(E.q)
+    assert E.parse("q^" + "-" * 2001 + "2") is E.parse("q^(-2)")
+    assert E.parse("-(-(-(q)))") is E.neg(E.q)
+
+
 def test_division_by_literal_zero_rejected():
     with pytest.raises(E.ExprError):
         E.parse("q/0")

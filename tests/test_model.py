@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,3 +383,13 @@ def test_batched_on_shell_columns_match_single_jets(oscillator, second_order):
             assert [x for i, x in enumerate(column) if i not in skip] == [
                 x for i, x in enumerate(reference) if i not in skip
             ]
+
+
+@pytest.mark.parametrize("weights", [(0, 0, 0, 1), (1, 0, 0, 0), (Fraction(1, 10**400), 0, 0, 1),
+                                     (1, 0, 0, Fraction(-1, 10**400))])
+def test_on_shell_jets_need_outer_weights_that_are_nonzero_doubles(weights):
+    # a weight that rounds to 0.0 would be divided by in double arithmetic
+    ham = M.DelayHamiltonian(E.parse("p*pm + q*qm"), weights)
+    assert not ham.solvable
+    with pytest.raises(ValueError, match="on-shell construction needs a1 != 0 and a4 != 0"):
+        M.on_shell_jets(ham, 3, 4)

@@ -550,7 +550,7 @@ def _reference_hamiltonian(ham, hist, t_end, n):
 
     fill = hist.fill(second_order=False)
     t, q, p, qd, qd_l, pd, pd_l = _reference_method_of_steps(hist, t_end, n, fill, rhs)
-    return S.Trajectory(tau, n, t, q, p, qd, pd, qd_left=qd_l, pd_left=pd_l, start_index=2 * n)
+    return S.Trajectory(tau, n, t, q, p, qd, pd, qd_left=qd_l, pd_left=pd_l)
 
 
 def _reference_elsgolts(lag, hist, t_end, n):
@@ -572,7 +572,7 @@ def _reference_elsgolts(lag, hist, t_end, n):
     t, q, v, _, _, qdd, qdd_l = _reference_method_of_steps(hist, t_end, n, fill, rhs)
     return S.Trajectory(
         hist.tau, n, t, q, None, v, None,
-        qd_left=v.copy(), qdd=qdd, qdd_left=qdd_l, start_index=2 * n,
+        qd_left=v.copy(), qdd=qdd, qdd_left=qdd_l,
     )
 
 

@@ -22,7 +22,8 @@ through `delayham.cli.main`:
   the README config;
 - the sha256 of the generated kernel source of the V and W fit dictionaries
   and of the residuals `check-identity` checks on the first model, as it
-  hands them to `zero_checks`;
+  hands them to `zero_checks`, and of the solver's generated interval step
+  of each formulation (`solver._interval_step`) on the README model;
 - three configs whose Lagrangian coefficients or pairing weights overflow a
   double and two whose coefficient products underflow one, on the commands
   they reach;
@@ -31,10 +32,16 @@ through `delayham.cli.main`:
   `extended_lagrangian` config; with `--alpha1` 0.5, 3 and 1e-135 on that
   Hamiltonian and on the README config; and with `--alpha1 1e-135` on a
   Lagrangian and a Hamiltonian whose coefficient arithmetic underflows on
-  the way (`(alpha1/beta)^2*alpha` with `alpha` 1e300, `beta` 1e30).
+  the way (`(alpha1/beta)^2*alpha` with `alpha` 1e300, `beta` 1e30);
+- three input families that the parent may reject differently: a
+  generator's `V` that reads a second derivative or `W` that reads a
+  forward-shifted coordinate, expressions nested past the parser's limit or
+  led by 2,000 minus signs, and negative flag values in exponent form
+  (`--alpha1 -1e-135`, `--max-diff -1e-5`, `--tol -1e-3`) with an argparse
+  usage error (`--seed x`).
 
 Every run records its exit code (a raised exception counts as exit 1, with
-its type and message), standard output, standard error, the bytes of its
+its type and message, and a `SystemExit` as its code), standard output, standard error, the bytes of its
 `--out` file, and `len(_INTERN)` and `len(_PARTIAL_CACHE)` right after it.
 Paths in the runs are relative to a fresh directory, so messages that name a
 file read the same on both trees.  On any difference the tool prints the
@@ -133,6 +140,35 @@ def _transforms(readme: dict) -> list[tuple[str, dict, list[str]]]:
     return runs
 
 
+def _input_families(readme: dict) -> list[tuple[str, dict | None, list[str]]]:
+    """(run id, config, argv) of the inputs that a generator's potentials,
+    deep nesting and negative flag values in exponent form give: last, as a
+    parent that fails on them may build other nodes first."""
+    base = {k: v for k, v in readme.items() if k != "lagrangian"}
+    base.update(horizon=2, steps_per_delay=16)
+
+    def hamiltonian(h: str, **generator) -> dict:
+        generators = [dict({"name": "X", "eta": "sin(t)", "nu": "cos(t)"}, **generator)]
+        return dict(base, hamiltonian={"H": h, "alphas": [1, 0, 0, 1]}, generators=generators)
+
+    # an argparse usage error builds no node on either tree, so it runs first
+    runs = [("flags/transform-seed-x", readme, ["transform", "--seed", "x"])]
+    runs += [(f"potential-{key}-{value}/{command}", hamiltonian("p*pm + q*qm", **{key: value}), argv)
+            for key, value in (("V", "qdd"), ("V", "pddp*q"), ("W", "qp"))
+            for command, argv in (("noether", ["noether", "--skip-drift"]), ("transform", ["transform"]))]
+    deep = {"sin-250": "sin(" * 250 + "q" + ")" * 250, "parentheses-250": "(" * 250 + "q" + ")" * 250,
+            "divisions-250": "q" + "/q" * 250, "minus-2000": "-" * 2000 + "q"}
+    runs += [(f"nesting-{name}/transform", hamiltonian(f"p*pm + {h}"), ["transform"])
+             for name, h in deep.items()]
+    runs += [
+        ("flags/transform-alpha1--1e-135", readme, ["transform", "--alpha1", "-1e-135"]),
+        ("flags/transform-tol--1e-3", readme, ["transform", "--tol", "-1e-3"]),
+        ("flags/compare-max-diff--1e-5", None,
+         ["compare", "--a", "ham.csv", "--b", "rec.csv", "--max-diff", "-1e-5"]),
+    ]
+    return runs
+
+
 def _matrix(start: int) -> list[tuple[str, dict | None, list[str]]]:
     """(run id, config or None, argv without `--config`) in run order."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -155,12 +191,14 @@ def _matrix(start: int) -> list[tuple[str, dict | None, list[str]]]:
         ("readme/compare", None, ["compare", "--a", "ham.csv", "--b", "rec.csv"]),
         ("readme/transform", README_CONFIG, ["transform"]),
         ("sources", runs[0][1], ["check-identity"]),
+        ("interval-sources", README_CONFIG, ["simulate"]),
     ]
     for name, config, commands in _families(README_CONFIG):
         runs += [(f"{name}/{command}", config, [command]) for command in commands]
     runs.append(("readme/check-identity-classical", README_CONFIG, ["check-identity", "--classical"]))
     # last, as the `_INTERN` counts of later runs would differ with theirs
     runs += [(name, config, ["transform", *options]) for name, config, options in _transforms(README_CONFIG)]
+    runs += _input_families(README_CONFIG)
     return runs
 
 
@@ -184,6 +222,22 @@ def _sources(argv: list[str]) -> str:
     return "".join(lines)
 
 
+def _interval_sources(argv: list[str]) -> str:
+    """sha256 lines of the generated interval step source of each
+    formulation, as the `simulate` run `argv` hands it to `compiled_source`."""
+    from delayham import expr as ex
+
+    with mock.patch.object(ex, "compiled_source", wraps=ex.compiled_source) as spy:
+        for formulation in ("hamiltonian", "lagrangian"):
+            _run([*argv, "--formulation", formulation])
+    lines = []
+    for call in spy.call_args_list:
+        key, source = call.args[:2]
+        if key[-1] in ("hamiltonian", "elsgolts"):
+            lines.append(f"interval[{key[-1]}] {hashlib.sha256(source().encode()).hexdigest()}\n")
+    return "".join(lines)
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
     """`cli.main(argv)` in this process: exit code, stdout, stderr."""
     from delayham import cli
@@ -195,7 +249,12 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
         except Exception as exc:  # an uncaught exception exits 1 with a traceback
             code = 1
             err.write(f"{type(exc).__name__}: {exc}\n")
+        except SystemExit as exc:  # a parent whose argparse ends the process
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+SPIES = {"sources": _sources, "interval-sources": _interval_sources}
 
 
 def worker(args) -> int:
@@ -212,8 +271,8 @@ def worker(args) -> int:
             argv = [*argv, "--out", "out"]
         target = Path(argv[argv.index("--out") + 1])
         target.unlink(missing_ok=True)
-        if run_id == "sources":
-            code, stdout, stderr = 0, _sources(argv), ""
+        if run_id in SPIES:
+            code, stdout, stderr = 0, SPIES[run_id](argv), ""
         else:
             code, stdout, stderr = _run(argv)
         records.append({
