@@ -181,20 +181,13 @@ class RunConfig:
     generators: list[tuple[str, Generator, Expr | None, Expr | None]]
 
 
-# the most grid nodes one float64 numpy array can hold
-_GRID_NODES = sys.maxsize // 8
-
-
 def load_config(raw: dict) -> RunConfig:
     tau, seed, tol, samples, steps_per_delay, horizon, t0 = _build(raw, "/", None, _SCALARS)
     if horizon is not None:
-        delays = horizon / tau  # inf when the quotient overflows
-        # min caps a step count that would overflow the float product; past _GRID_NODES it fails anyway
-        if delays > 0 and not (delays + 2) * min(steps_per_delay, _GRID_NODES) + 1 <= _GRID_NODES:
-            raise ConfigError("/horizon", f"needs more than {_GRID_NODES} grid nodes")
-        k = round(delays) if delays > 0 else 0
-        if k < 1 or abs(horizon - k * tau) > 1e-9 * max(1.0, abs(horizon)):
-            raise ConfigError("/horizon", "must be a positive integer multiple of tau")
+        try:  # the solver's grid rule, on the t_end that every command passes
+            solver.whole_delays(t0, t0 + horizon, tau, steps_per_delay)
+        except ValueError as err:
+            raise ConfigError("/horizon", str(err)) from None
     history = partial(_build, make=partial(solver.History, t0, tau), rows=_HISTORY)
     sections = (*_MODELS, ("history", None, history), ("generators", [], _generators))
     return RunConfig(
@@ -599,6 +592,9 @@ def main(argv: list[str] | None = None) -> int:
     except (solver.SolverError, recursion.RecursionError_, legendre.LegendreError,
             noether.DriftError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as err:  # e.g. a grid or a block of sampled jets numpy cannot allocate
+        print(f"numeric failure: out of memory: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -123,9 +123,11 @@ class Expr:
     """Immutable expression node, built only by the module helpers.
 
     `_intern` is the one constructor: calling a node class raises
-    `TypeError`, and assigning or deleting a slot raises `AttributeError`."""
+    `TypeError`, and assigning or deleting a slot raises `AttributeError`.
+    Every node's `mask` is the bit set of the coordinate slots its subtree
+    reads, fixed when the node is built."""
 
-    __slots__ = ()
+    __slots__ = ("mask",)
 
     def __new__(cls, *args, **kwargs):
         raise TypeError(f"{cls.__name__} nodes are built by the expr module helpers")
@@ -222,14 +224,35 @@ class Func(Expr):
 _INTERN: dict[tuple, Expr] = {}
 
 
+def _children(e: Expr) -> tuple[Expr, ...]:
+    cls = type(e)
+    if cls is Add:
+        return e.terms
+    if cls is Mul:
+        return e.factors
+    if cls is Neg or cls is Func:
+        return (e.arg,)
+    if cls is Div:
+        return (e.num, e.den)
+    if cls is Pow:
+        return (e.base,)
+    return ()
+
+
 def _intern(key: tuple, cls: type, *fields) -> Expr:
     """The node interned under `key`; on a miss, a new `cls` node whose slots
-    take `fields` in order.  Keys hold ids and plain values, never nodes."""
+    take `fields` in order, and whose `mask` has bit k set when its subtree
+    reads the coordinate of slot k.  Keys hold ids and plain values, never
+    nodes."""
     node = _INTERN.get(key)
     if node is None:
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
+        mask = 1 << node.index if cls is Sym else 0
+        for c in _children(node):
+            mask |= c.mask
+        object.__setattr__(node, "mask", mask)
         _INTERN[key] = node
     return node
 
@@ -477,34 +500,16 @@ ONE = const(1)
 # structure queries
 # ---------------------------------------------------------------------------
 
+# One frozenset per distinct coordinate set, keyed by its mask.
 _SYMBOLS_CACHE: dict[int, frozenset[Sym]] = {}
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    cls = type(e)
-    if cls is Add:
-        return e.terms
-    if cls is Mul:
-        return e.factors
-    if cls is Neg or cls is Func:
-        return (e.arg,)
-    if cls is Div:
-        return (e.num, e.den)
-    if cls is Pow:
-        return (e.base,)
-    return ()
-
-
 def symbols_of(e: Expr) -> frozenset[Sym]:
-    cached = _SYMBOLS_CACHE.get(id(e))
-    if cached is not None:
-        return cached
-    if isinstance(e, Sym):
-        out = frozenset((e,))
-    else:
-        out = frozenset().union(*(symbols_of(c) for c in _children(e))) if _children(e) else frozenset()
-    _SYMBOLS_CACHE[id(e)] = out
-    return out
+    """The coordinates that `e` reads: the atoms of the bits of its mask."""
+    got = _SYMBOLS_CACHE.get(e.mask)
+    if got is None:
+        got = _SYMBOLS_CACHE[e.mask] = frozenset(s for s in SYMBOLS if e.mask >> s.index & 1)
+    return got
 
 
 def _rebuild(e: Expr, rec: Callable[[Expr], Expr]) -> Expr:
@@ -596,12 +601,10 @@ def partial(e: Expr, s: Sym | str) -> Expr:
     if got is not None:
         return got
     cls = type(e)
-    if cls is Const or cls is TauConst:
+    if not e.mask >> s.index & 1:
         out: Expr = ZERO
     elif cls is Sym:
-        out = ONE if e is s else ZERO
-    elif s not in symbols_of(e):
-        out = ZERO
+        out = ONE
     elif cls is Add:
         out = add(*[partial(c, s) for c in e.terms])
     elif cls is Neg:
@@ -636,6 +639,7 @@ def partial(e: Expr, s: Sym | str) -> Expr:
 
 
 _TOTAL_CACHE: dict[int, Expr] = {}
+_SECOND_ORDER = sum(1 << s.index for s in SYMBOLS if s.order == 2)
 
 
 def total_derivative(e: Expr) -> Expr:
@@ -644,15 +648,17 @@ def total_derivative(e: Expr) -> Expr:
     All three time coordinates advance at unit rate; positions and momenta at
     every shift advance through their stored derivative symbols.  Input must
     not contain second-derivative symbols (the result would need third
-    derivatives, which the jet space does not carry).
+    derivatives, which the jet space does not carry): `DerivativeOrderError`
+    names the one in the lowest slot.
     """
     got = _TOTAL_CACHE.get(id(e))
     if got is not None:
         return got
-    bad = [s for s in symbols_of(e) if s.order >= 2]
+    bad = e.mask & _SECOND_ORDER
     if bad:
+        first = SYMBOLS[(bad & -bad).bit_length() - 1]
         raise DerivativeOrderError(
-            f"total derivative of an expression containing {bad[0].name} would "
+            f"total derivative of an expression containing {first.name} would "
             "need third derivatives"
         )
     terms = []
@@ -704,8 +710,6 @@ def _render_raw(e: Expr) -> tuple[str, int]:
         first = e.terms[0]
         if isinstance(first, Neg):
             out = "-" + _render(first.arg, 16)
-        elif isinstance(first, Const) and first.value < 0:
-            out = "-" + _render(const(-first.value), 16)
         else:
             out = _render(first, 11)
         for term in e.terms[1:]:

@@ -11,6 +11,7 @@ pairing weights (a1, a2, a3, a4) up to one free scale a1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,17 +82,16 @@ def _derived(what: str, f, *args: Number) -> Number:
     coefficients `args`, in their own arithmetic.  Where double arithmetic
     underflows on the way, leaving it further from its exact value than
     rounding can, it is the exact value rounded once.  `LegendreError` on
-    double overflow, or when its nonzero exact value rounds to 0."""
+    overflow, in either arithmetic, or when its nonzero exact value rounds to 0."""
     value = f(*args)
+    if not abs(value) <= sys.float_info.max:  # a float inf, or a rational beyond the double range
+        raise LegendreError(f"{what} overflows in double arithmetic")
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise LegendreError(f"{what} overflows in double arithmetic")
-        if not any(isinstance(a, float) and not math.isfinite(a) for a in args):
-            exact = f(*map(Fraction, args))
-            if abs(Fraction(value) - exact) > _ROUNDING * abs(exact):
-                value = float(exact)
-                if value == 0:
-                    raise LegendreError(f"{what} underflows to 0")
+        exact = f(*map(Fraction, args))
+        if abs(Fraction(value) - exact) > _ROUNDING * abs(exact):
+            value = float(exact)
+            if value == 0:
+                raise LegendreError(f"{what} underflows to 0")
     return value
 
 

@@ -56,13 +56,22 @@ def _check_symbols(e: Expr, allowed: frozenset, what: str):
 
 
 def _num(x: Number) -> Number:
+    """A model coefficient as a number: an int becomes a `Fraction`, and its
+    double must be finite (a rational below the double range reads as 0)."""
     if isinstance(x, bool):
         raise TypeError("coefficients must be numbers")
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (float, Fraction)):
-        return x
-    raise TypeError(f"coefficients must be numbers, got {type(x).__name__}")
+        x = Fraction(x)
+    elif not isinstance(x, (float, Fraction)):
+        raise TypeError(f"coefficients must be numbers, got {type(x).__name__}")
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # a rational beyond the double range
+        finite = False
+    if not finite:
+        got = repr(x) if isinstance(x, float) else "a rational beyond the double range"
+        raise ValueError(f"coefficients must be finite doubles, got {got}")
+    return x
 
 
 def _out_of_range(x: Number, y: Number) -> bool:
@@ -108,10 +117,7 @@ class QuadraticLagrangian:
     def degenerate(self) -> bool:
         if _out_of_range(self.alpha, self.gamma) or _out_of_range(self.beta, self.beta):
             # a float product overflowed or underflowed: decide on the exact values
-            try:
-                alpha, beta, gamma = map(Fraction, (self.alpha, self.beta, self.gamma))
-            except (OverflowError, ValueError):  # a coefficient is itself inf or nan
-                return False
+            alpha, beta, gamma = map(Fraction, (self.alpha, self.beta, self.gamma))
             return alpha * gamma == beta * beta
         return self.alpha * self.gamma == self.beta * self.beta
 

@@ -11,7 +11,9 @@ lines that combine them with the lagged values and rates one and two delays
 back.
 
 The driver owns everything else.  The grid step is an exact divisor of the
-delay, so shifted values sit on nodes.  It samples the history on
+delay, so shifted values sit on nodes, and the grid spans a whole number of
+delays from t0 (`whole_delays`, the one grid rule, which the CLI checks
+configs with).  It samples the history on
 [t0 - 2*tau, t0] with `History.sample`, one array pass per expression (also
 used by `recursion`).  It integrates each delay-length interval with
 classical fixed-step fourth-order Runge-Kutta, and takes lagged values at
@@ -41,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +67,8 @@ class History:
     p: Expr | None = None
 
     def __post_init__(self):
+        if not abs(self.t0) <= sys.float_info.max:  # inf, nan or an int beyond the double range
+            raise ValueError("t0 must be a finite double")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         bad = symbols_of(self.q) - {ex.t}
@@ -174,15 +179,34 @@ def _lagged(y, d_right, d_left, hi: int, n: int, h: float) -> tuple[np.ndarray, 
     return value, rate
 
 
+def whole_delays(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int:
+    """The whole number k >= 1 of delays from t0 to t_end: the one grid rule
+    of the method of steps.  t_end must be a finite double, t_end - t0 must be
+    k*tau to within 1e-9*max(1, |t_end - t0|) plus the rounding of t_end, and
+    the grid of (k + 2)*steps_per_delay + 1 nodes must fit one float64 numpy
+    array.  `ValueError` otherwise, worded as a predicate on the span."""
+    if not abs(t_end) <= sys.float_info.max:  # inf, nan or an int beyond the double range
+        raise ValueError("must end at a finite double")
+    span = float(t_end) - t0  # a float, so that a span of two large ints cannot overflow `/`
+    delays = span / tau  # inf when the quotient overflows, nan when the span is nan
+    most = sys.maxsize // 8  # the most nodes one float64 numpy array can hold
+    # min caps a step count that would overflow the float product; past `most` it fails anyway
+    if delays > 0 and not (delays + 2) * min(steps_per_delay, most) + 1 <= most:
+        raise ValueError(f"needs more than {most} grid nodes")
+    k = round(delays) if delays > 0 else 0
+    # the tolerance scales with the span, so a large |t0| forgives only the rounding of t_end
+    if k < 1 or abs(span - k * tau) > 1e-9 * max(1.0, abs(span)) + 4 * math.ulp(t_end):
+        raise ValueError("must be a positive integer multiple of tau")
+    return k
+
+
 def _grid(hist: History, t_end: float, n: int) -> tuple[int, float, np.ndarray]:
     if n < 8:
         raise SolverError("steps_per_delay must be at least 8")
-    span = t_end - hist.t0
-    k = round(span / hist.tau)
-    if k < 1 or abs(span - k * hist.tau) > 1e-9 * max(1.0, abs(t_end)):
-        raise SolverError(
-            f"t_end must be t0 + k*tau for an integer k >= 1 (got span {span}, tau {hist.tau})"
-        )
+    try:
+        k = whole_delays(hist.t0, t_end, hist.tau, n)
+    except ValueError as err:
+        raise SolverError(f"the span from t0 {hist.t0} to t_end {t_end} {err} (tau {hist.tau})") from None
     h = hist.tau / n
     m = (k + 2) * n
     t = hist.t0 + (np.arange(m + 1) - 2 * n) * h

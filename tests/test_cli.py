@@ -3,6 +3,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
 import sys
 import tempfile
@@ -11,10 +12,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from delayham import cli, noether
+from delayham import cli, noether, solver
 from delayham import expr as E
+from delayham import model as M
 
 OSC_CONFIG = {
     "tau": 1.0,
@@ -224,6 +226,110 @@ def test_a_step_count_beyond_the_float_range_is_a_config_error(tmp_path, capsys,
     line = f"config error at /horizon: needs more than {sys.maxsize // 8} grid nodes\n"
     assert capsys.readouterr().err == line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "recurse", "noether"])
+def test_a_horizon_within_the_tolerance_of_its_span_runs_away_from_t0_0(tmp_path, command):
+    # 1000.0000005 is within 1e-9*|horizon| of 1000 delays, but t0 + horizon is
+    # 5e-7, so the solver's old tolerance 1e-9*|t_end| was 1e-9: this passed
+    # load_config and exited 3 from the solver
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, t0=-1000, horizon=1000.0000005, steps_per_delay=8)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+    assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "simulate"])
+def test_a_horizon_that_ends_beyond_the_double_range_is_a_config_error(tmp_path, capsys, command):
+    # JSON integers: t0 + horizon is an int past the double range, where the
+    # grid would end at inf; `simulate` raised a raw OverflowError from the
+    # solver's tolerance 1e-9*|t_end|, and `transform` ignored it
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, t0=17 * 10**307, horizon=10**308, tau=1e300)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error at /horizon: must end at a finite double\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t0, horizon", [(-3e9, 3.5), (1e9, 2.5), (1e9, 0.6), (1e6, 10.0000001)])
+def test_a_horizon_off_whole_delays_is_rejected_however_far_t0_is_from_0(tmp_path, capsys, t0, horizon):
+    # a tolerance of 1e-9*|t_end| is wider than half a delay at |t0| 3e9 or
+    # 1e9, where the solver integrated to t0 + round(horizon) instead
+    hist = solver.History(t0, 1.0, E.parse("sin(t)"), E.parse("cos(t)"))
+    ham = M.DelayHamiltonian(E.parse("p*pm + q*qm"), (1, 0, 0, 1))
+    with pytest.raises(solver.SolverError, match="integer multiple of tau"):
+        solver.step_hamiltonian(ham, hist, t0 + horizon, 8)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, t0=t0, horizon=horizon, steps_per_delay=8)))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error at /horizon: must be a positive integer multiple of tau\n"
+
+
+GRID_T0 = [0.0, -1000.0, 1e6, 2.5, -3e9]
+GRID_TAU = [1.0, 0.5, 0.1, 3.0, 1e-300]
+GRID_OFFSET = [0.0, 5e-10, -4e-10, 3e-7, -2e-6, 1e-4, 0.5]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(GRID_T0), st.sampled_from(GRID_TAU), st.integers(-1, 6),
+       st.sampled_from(GRID_OFFSET), st.sampled_from([8, 9, 16]))
+@example(-1000.0, 1.0, 1000, 5e-7, 8)  # horizon 1000.0000005: accepted by both
+@example(1e6, 1.0, 10, 1e-7, 8)  # horizon 10.0000001: rejected by both
+@example(-3e9, 1.0, 3, 0.5, 8)  # horizon 3.5: rejected by both
+def test_load_config_accepts_exactly_the_horizons_the_solver_integrates(t0, tau, delays, offset, n):
+    horizon = delays * tau + offset
+    t_end = t0 + horizon
+    hist = solver.History(t0, tau, E.parse("sin(t)"), E.parse("cos(t)"))
+    ham = M.DelayHamiltonian(E.parse("p*pm + q*qm"), (1, 0, 0, 1))
+    try:
+        traj = solver.step_hamiltonian(ham, hist, t_end, n)
+    except solver.SolverError as err:
+        assert str(err).startswith(f"the span from t0 {t0} to t_end {t_end} ")
+        traj = None
+    else:  # the grid ends where it was asked to, up to the tolerance and rounding
+        assert abs(traj.t[-1] - t_end) <= 1e-8 * max(1.0, abs(horizon)) + 8 * math.ulp(t_end)
+    if (t0, tau, delays, offset) == (-3e9, 1.0, 3, 0.5):
+        assert traj is None
+    raw = {"tau": tau, "t0": t0, "horizon": horizon, "steps_per_delay": n}
+    try:
+        cli.load_config(raw)
+        accepted = True
+    except cli.ConfigError as err:
+        assert err.pointer == "/horizon"
+        accepted = False
+    assert accepted is (traj is not None)
+
+
+@pytest.mark.parametrize(
+    "command, key, value, size",
+    [("simulate", "horizon", 1e15, "56.8 PiB"), ("recurse", "horizon", 1e15, "56.8 PiB"),
+     ("noether", "horizon", 1e15, "56.8 PiB"), ("check-identity", "samples", 10**15, "7.11 PiB"),
+     ("noether", "samples", 10**15, "7.11 PiB")],
+    ids=["simulate-grid", "recurse-grid", "noether-grid", "check-identity-samples", "noether-samples"],
+)
+def test_an_array_numpy_cannot_allocate_is_a_numeric_failure(tmp_path, capsys, command, key, value, size):
+    # each passes every config rule, and its first array has >= 1e15 elements,
+    # which numpy refuses at once; this was a traceback with exit 1
+    config = dict(OSC_CONFIG, steps_per_delay=8, **{key: value})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: out of memory: Unable to allocate {size} ")
+    assert not out.exists()
+
+
+def test_a_reverse_transform_whose_sampled_coefficient_overflows_is_a_config_error(tmp_path, capsys):
+    # d2H/dp2 = 2e308 is inf as a double: `model._num` rejects the coefficient
+    path = tmp_path / "ham.json"
+    path.write_text(json.dumps({"tau": 1.0, "hamiltonian": {"H": "1e308*p^2 + p*pm + q*qm"}}))
+    assert cli.main(["transform", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at /hamiltonian/H: reverse transform: coefficients must be finite doubles, got inf\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1233,8 +1339,9 @@ FUZZ_BASES = [
     {k: v for k, v in FAULT_BASE.items() if k not in ("lagrangian", "hamiltonian")},
 ]
 DELETE = object()  # an edit that deletes the key
+# 10**15 sizes only arrays of >= 1e15 elements, which numpy refuses at once
 FUZZ_NUMBERS = [0, -1, 1, 2, 3, 0.5, 2.5, 5e-324, -1e-300, 1e-160, 1e200, 1e308, -1e308, 10**400,
-                float("inf"), float("nan")]
+                float("inf"), float("nan"), 10**15]
 FUZZ_EXPRESSIONS = ["q*", "sin(", "x", "qd", "q/0", "10^400", "1e400*q", "exp(1000*q)", "exp(q*p)*1e300",
                     "p^3*pm + q*qm", "q*qm + sin(t)", "p^2/2 + p*pm", "1e-300*q", "3*q",
                     "qp", "qdd", "pddp*q",

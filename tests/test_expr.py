@@ -262,6 +262,15 @@ def test_total_derivative_rejects_second_order_input():
         E.total_derivative(E.qdd)
 
 
+@pytest.mark.parametrize("source, named", [
+    ("pdd*qdd + qddm*pddp", "qddm"), ("pddp + pdd*qddp", "qddp"), ("sin(pddm)*pddp + q", "pddm"),
+    ("exp(pddp/qdd)", "qdd"),
+])
+def test_total_derivative_names_the_second_order_coordinate_in_the_lowest_slot(source, named):
+    with pytest.raises(E.DerivativeOrderError, match=f"containing {named} would need"):
+        E.total_derivative(E.parse(source))
+
+
 def test_total_derivative_matches_curve_finite_difference():
     atoms = [E.q, E.qm, E.qp, E.p, E.pm, E.t, E.qd, E.pdm]
     h = 1e-5

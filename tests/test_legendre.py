@@ -154,6 +154,16 @@ def test_a_weight_whose_exact_value_rounds_to_0_is_a_legendre_error():
         L.legendre_reverse(M.QuadraticHamiltonian(5e-324, 1, 1, E.ZERO), 5e-324)
 
 
+@pytest.mark.parametrize("a1", [1e10, 10**10], ids=["double", "exact"])
+def test_a_derived_coefficient_beyond_the_double_range_is_a_legendre_error(a1):
+    # a3 = a1*alpha/beta = 1e310: inf in double arithmetic, and a Fraction
+    # beyond the double range in exact arithmetic, which reached
+    # `model._num` as a ValueError
+    lag = M.QuadraticLagrangian(10**300, 1, 1, E.ZERO)
+    with pytest.raises(L.LegendreError, match="^the pairing weight a3 overflows in double arithmetic$"):
+        L.legendre_forward(lag, a1)
+
+
 def test_a_degenerate_hamiltonian_coefficient_whose_square_underflows_is_exact():
     # a1*a1/gamma with a1 = 1e-170: a1*a1 underflows to 0, so b read 0
     lag = M.QuadraticLagrangian(1e-100, 1e-100, 1e-100, E.parse("q*qm"))

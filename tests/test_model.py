@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
+from delayham import legendre as L
 from delayham import model as M
 
 from conftest import (
@@ -44,11 +45,39 @@ def test_degeneracy_flag():
 @pytest.mark.parametrize(
     "alpha, beta, gamma, degenerate",
     [(0, 1e200, 0, False), (1e200, 1e200, 1e200, True), (4 * 1e200, 2 * 1e200, 1e200, True),
-     (1e300, 1e200, 1e300, False), (10**308, 1, 10**308, False), (math.inf, 1, 1, False)],
+     (1e300, 1e200, 1e300, False), (10**308, 1, 10**308, False)],
 )
 def test_degeneracy_of_coefficients_whose_products_overflow(alpha, beta, gamma, degenerate):
     # alpha*gamma or beta^2 overflows a double; the exact values decide
     assert M.QuadraticLagrangian(alpha, beta, gamma, E.ZERO).degenerate is degenerate
+
+
+# an inf alpha used to reach `degenerate`, and a Fraction(10**400) weight
+# `solvable`, which raised a raw OverflowError
+NOT_FINITE = [math.inf, -math.inf, math.nan, 10**400, Fraction(10**400)]
+# each coercing constructor with the coefficient x in one of its coefficient positions
+COERCING = {
+    "lagrangian-alpha": lambda x: M.QuadraticLagrangian(x, 1, 0, E.ZERO),
+    "lagrangian-beta": lambda x: M.QuadraticLagrangian(0, x, 0, E.ZERO),
+    "hamiltonian-c": lambda x: M.QuadraticHamiltonian(0, 1, x, E.ZERO),
+    "hamiltonian-b": lambda x: M.QuadraticHamiltonian(0, x, 0, E.ZERO),
+    "delay-a1": lambda x: M.DelayHamiltonian(E.parse("p*pm + q*qm"), (x, 0, 0, 1)),
+    "delay-a3": lambda x: M.DelayHamiltonian(E.parse("p*pm + q*qm"), (1, 0, x, 1)),
+    "forward-alpha1": lambda x: L.legendre_forward(M.QuadraticLagrangian(2, 1, 1, E.ZERO), x),
+}
+
+
+@pytest.mark.parametrize("make", COERCING.values(), ids=COERCING.keys())
+@pytest.mark.parametrize("x", NOT_FINITE, ids=["inf", "-inf", "nan", "int-10^400", "Fraction-10^400"])
+def test_a_coefficient_whose_double_is_not_finite_is_rejected(make, x):
+    with pytest.raises(ValueError, match="^coefficients must be finite doubles, got ") as err:
+        make(x)
+    assert len(str(err.value)) < 80  # never the digits of a huge rational
+
+
+@pytest.mark.parametrize("make", COERCING.values(), ids=COERCING.keys())
+def test_a_rational_below_the_double_range_is_a_valid_coefficient(make):
+    make(Fraction(1, 10**400))
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,30 @@ def test_total_derivative_commutes_with_shift(e):
     assert vanishes(E.sub(E.shift(D(e), +1), D(E.shift(e, +1))))
 
 
+def _coordinates_read(e: E.Expr) -> set:
+    """The coordinates of `e` by a walk over its node fields."""
+    if isinstance(e, E.Sym):
+        return {e}
+    children = {E.Add: ("terms",), E.Mul: ("factors",), E.Neg: ("arg",), E.Func: ("arg",),
+                E.Div: ("num", "den"), E.Pow: ("base",)}.get(type(e), ())
+    out = set()
+    for name in children:
+        value = getattr(e, name)
+        for c in value if isinstance(value, tuple) else (value,):
+            out |= _coordinates_read(c)
+    return out
+
+
+@seeded
+@given(st.one_of(trees(depth=4, extended=True), non_finite_trees()))
+def test_the_coordinates_of_a_tree_are_those_its_nodes_read(e):
+    read = _coordinates_read(e)
+    assert E.symbols_of(e) == read
+    for s in E.SYMBOLS:
+        if s not in read:
+            assert E.partial(e, s) is E.ZERO
+
+
 @seeded
 @given(trees(), trees(depth=2))
 def test_leibniz_rule(a, b):

@@ -8,6 +8,7 @@ import pytest
 
 from delayham import expr as E
 from delayham import model as M
+from delayham import recursion as R
 from delayham import solver as S
 
 import conftest
@@ -140,6 +141,41 @@ def test_rejects_non_commensurate_horizon(oscillator, sincos_history):
     _, ham = oscillator
     with pytest.raises(S.SolverError):
         S.step_hamiltonian(ham, sincos_history, 2.5, 16)
+
+
+@pytest.mark.parametrize("integrate", ["hamiltonian", "elsgolts", "recurse"])
+@pytest.mark.parametrize(
+    "tau, t_end, why",
+    [(1.0, math.inf, "finite double"), (1.0, -math.inf, "finite double"),
+     (1.0, math.nan, "finite double"), (1.0, 10**400, "finite double"), (1e-300, 1e10, "grid nodes")],
+    ids=["inf", "-inf", "nan", "int-10^400", "delays-overflow"],
+)
+def test_a_span_with_no_grid_is_a_solver_error(oscillator, integrate, tau, t_end, why):
+    # these ended in a raw OverflowError or ValueError from round()
+    lag, ham = oscillator
+    hist = S.History(0.0, tau, E.parse("sin(t)"), E.parse("cos(t)"))
+    run = {
+        "hamiltonian": lambda: S.step_hamiltonian(ham, hist, t_end, 8),
+        "elsgolts": lambda: S.step_elsgolts(lag, hist, t_end, 8),
+        "recurse": lambda: R.recurse(R.relation_from_history(hist, 0), hist, t_end, 8),
+    }[integrate]
+    with pytest.raises(S.SolverError, match=f"^the span from t0 0.0 to t_end .* {why}.* \\(tau {tau}\\)$"):
+        run()
+
+
+@pytest.mark.parametrize("t0", [math.inf, math.nan, -10**400], ids=["inf", "nan", "int--10^400"])
+def test_a_history_starts_at_a_finite_double(t0):
+    # the span arithmetic of the grid raised a raw OverflowError on the int
+    with pytest.raises(ValueError, match="^t0 must be a finite double$"):
+        S.History(t0, 1.0, E.parse("sin(t)"))
+
+
+def test_a_span_of_two_ints_beyond_the_double_range_is_a_solver_error(oscillator):
+    # t_end - t0 is the int 2*10**308, whose quotient by tau raised a raw OverflowError
+    _, ham = oscillator
+    hist = S.History(-(10**308), 1.0, E.parse("sin(t)"), E.parse("cos(t)"))
+    with pytest.raises(S.SolverError, match="needs more than .* grid nodes"):
+        S.step_hamiltonian(ham, hist, 10**308, 8)
 
 
 def test_rejects_small_step_count(oscillator, sincos_history):

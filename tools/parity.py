@@ -33,12 +33,15 @@ through `delayham.cli.main`:
   Hamiltonian and on the README config; and with `--alpha1 1e-135` on a
   Lagrangian and a Hamiltonian whose coefficient arithmetic underflows on
   the way (`(alpha1/beta)^2*alpha` with `alpha` 1e300, `beta` 1e30);
-- three input families that the parent may reject differently: a
-  generator's `V` that reads a second derivative or `W` that reads a
-  forward-shifted coordinate, expressions nested past the parser's limit or
-  led by 2,000 minus signs, and negative flag values in exponent form
-  (`--alpha1 -1e-135`, `--max-diff -1e-5`, `--tol -1e-3`) with an argparse
-  usage error (`--seed x`).
+- input families that the parent may reject differently: a generator's `V`
+  that reads a second derivative or `W` that reads a forward-shifted
+  coordinate, expressions nested past the parser's limit or led by 2,000
+  minus signs, negative flag values in exponent form (`--alpha1 -1e-135`,
+  `--max-diff -1e-5`, `--tol -1e-3`) with an argparse usage error
+  (`--seed x`), a horizon of 1000.0000005 from `t0` -1000 on `simulate`,
+  `recurse` and `noether`, `horizon` 1e15 on the same three, `samples`
+  10**15 on `check-identity` and `noether`, and the reverse `transform` of
+  `1e308*p^2 + p*pm + q*qm`, whose sampled coefficient is inf.
 
 Every run records its exit code (a raised exception counts as exit 1, with
 its type and message, and a `SystemExit` as its code), standard output, standard error, the bytes of its
@@ -142,8 +145,9 @@ def _transforms(readme: dict) -> list[tuple[str, dict, list[str]]]:
 
 def _input_families(readme: dict) -> list[tuple[str, dict | None, list[str]]]:
     """(run id, config, argv) of the inputs that a generator's potentials,
-    deep nesting and negative flag values in exponent form give: last, as a
-    parent that fails on them may build other nodes first."""
+    deep nesting, negative flag values in exponent form, the grid rule,
+    allocation failures and a non-finite coefficient give: last, as a parent
+    that fails on them may build other nodes first."""
     base = {k: v for k, v in readme.items() if k != "lagrangian"}
     base.update(horizon=2, steps_per_delay=16)
 
@@ -166,6 +170,17 @@ def _input_families(readme: dict) -> list[tuple[str, dict | None, list[str]]]:
         ("flags/compare-max-diff--1e-5", None,
          ["compare", "--a", "ham.csv", "--b", "rec.csv", "--max-diff", "-1e-5"]),
     ]
+    # the grid rule measured from t0, arrays numpy cannot allocate, and a
+    # sampled reverse-transform coefficient that is not a finite double
+    edge = dict(readme, t0=-1000, horizon=1000.0000005, steps_per_delay=8)
+    runs += [(f"t0-edge/{command}", edge, [command]) for command in ("simulate", "recurse", "noether")]
+    runs += [(f"horizon-1e15/{command}", dict(readme, horizon=1e15, steps_per_delay=8), [command])
+             for command in ("simulate", "recurse", "noether")]
+    runs += [(f"samples-1e15/{command}", dict(readme, samples=10**15), [command])
+             for command in ("check-identity", "noether")]
+    runs.append(("reverse-inf-coefficient/transform",
+                 dict(base, hamiltonian={"H": "1e308*p^2 + p*pm + q*qm", "alphas": [1, 0, 0, 1]}),
+                 ["transform"]))
     return runs
 
 
