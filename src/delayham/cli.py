@@ -9,6 +9,7 @@ fixed config and seed.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -550,6 +551,18 @@ def _negative_values_joined(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.  First the young
+    generations are collected, which frees the command's cyclic garbage,
+    and what survives is frozen: the interned nodes, derived caches and
+    compiled kernels live as long as the process, so no later collection
+    walks them again.  A command that raises skips both steps."""
+    code = _command(argv)
+    gc.collect(1)
+    gc.freeze()
+    return code
+
+
+def _command(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
     except SystemExit as err:  # argparse's usage error (2), or --help (0)

@@ -1113,10 +1113,11 @@ def _plan(roots: tuple[Expr, ...], with_magnitude: bool = False) -> tuple[list, 
     magnitude as row `len(roots) + j`, right after root j is complete.
 
     The plan makes no work for the garbage collector, whose full
-    collections cost more with every node `_INTERN` holds: its steps are
-    parallel lists rather than a tuple per step, since a tuple holding a
-    node is tracked by the collector, and it leaves no reference cycle, so
-    its lists are freed as soon as the kernel is built."""
+    collections walk every node `_INTERN` holds until `cli.main` freezes
+    them at the end of a command: its steps are parallel lists rather than
+    a tuple per step, since a tuple holding a node is tracked by the
+    collector, and it leaves no reference cycle, so its lists are freed as
+    soon as the kernel is built."""
     at: dict[int, int] = {}  # a node's id -> its value step
     magnitude: dict[int, int] = {}  # a value step -> its magnitude step
     heads: list = []

@@ -182,7 +182,7 @@ def _lagged(y, d_right, d_left, hi: int, n: int, h: float) -> tuple[np.ndarray, 
 def whole_delays(t0: float, t_end: float, tau: float, steps_per_delay: int) -> int:
     """The whole number k >= 1 of delays from t0 to t_end: the one grid rule
     of the method of steps.  t_end must be a finite double, t_end - t0 must be
-    k*tau to within 1e-9*max(1, |t_end - t0|) plus the rounding of t_end, and
+    k*tau to within 1e-9*|t_end - t0| plus the rounding of t_end, and
     the grid of (k + 2)*steps_per_delay + 1 nodes must fit one float64 numpy
     array.  `ValueError` otherwise, worded as a predicate on the span."""
     if not abs(t_end) <= sys.float_info.max:  # inf, nan or an int beyond the double range
@@ -194,8 +194,9 @@ def whole_delays(t0: float, t_end: float, tau: float, steps_per_delay: int) -> i
     if delays > 0 and not (delays + 2) * min(steps_per_delay, most) + 1 <= most:
         raise ValueError(f"needs more than {most} grid nodes")
     k = round(delays) if delays > 0 else 0
-    # the tolerance scales with the span, so a large |t0| forgives only the rounding of t_end
-    if k < 1 or abs(span - k * tau) > 1e-9 * max(1.0, abs(span)) + 4 * math.ulp(t_end):
+    # the tolerance scales with the span and has no absolute floor, so a large |t0| forgives
+    # only the rounding of t_end, and a span of a few tiny delays is not rounded to whole ones
+    if k < 1 or abs(span - k * tau) > 1e-9 * abs(span) + 4 * math.ulp(t_end):
         raise ValueError("must be a positive integer multiple of tau")
     return k
 

@@ -1,7 +1,8 @@
 """How expression trees are built: the constructors fold constants exactly as
 a left fold in `Fraction` arithmetic does, building and checking a model
-leaves no reference cycle for the garbage collector, and one model's trees
-are pinned by their node count and kernel source."""
+leaves no reference cycle for the garbage collector, one model's trees are
+pinned by their node count and kernel source, and each CLI command frees its
+cyclic garbage and freezes what survives it."""
 
 import gc
 import hashlib
@@ -174,3 +175,51 @@ def test_the_model_residuals_are_the_pinned_trees():
     assert done.returncode == 0, done.stderr
     nodes, digest = done.stdout.split()
     assert (int(nodes), digest) == (GOLDEN_NEW_NODES, GOLDEN_SOURCE_SHA256)
+
+
+# ---------------------------------------------------------------------------
+# what a command leaves for the cycle collector
+# ---------------------------------------------------------------------------
+
+_FREEZE_SCRIPT = """
+import gc, json, random, sys
+sys.path.insert(0, sys.argv[1])
+from workloads import README_CONFIG, random_identity_model
+from delayham import cli
+
+def run(argv, code=0):
+    assert cli.main(argv) == code, argv
+
+rng = random.Random(27)
+unfrozen = []
+for _ in range(8):
+    with open("model.json", "w") as fh:
+        json.dump(random_identity_model(rng), fh)
+    run(["check-identity", "--config", "model.json", "--out", "out.json"])
+    unfrozen.append(len(gc.get_objects()))
+with open("readme.json", "w") as fh:
+    json.dump(dict(README_CONFIG, horizon=2, steps_per_delay=16), fh)
+for argv in (["transform", "--out", "out.json"], ["simulate", "--out", "ham.csv"],
+             ["simulate", "--formulation", "lagrangian", "--out", "lag.csv"], ["recurse", "--out", "rec.csv"],
+             ["noether", "--skip-drift", "--out", "out.json"], ["check-identity", "--out", "out.json"]):
+    run([argv[0], "--config", "readme.json", *argv[1:]])
+run(["compare", "--a", "ham.csv", "--b", "rec.csv", "--out", "out.json"])
+run(["transform", "--config", "missing.json"], cli.EXIT_CONFIG)
+run(["transform", "--config", "readme.json", "--alpha1", "1e-320"], cli.EXIT_NUMERIC)
+gc.unfreeze()
+print(json.dumps({"unfrozen": unfrozen, "garbage": gc.collect()}))
+"""
+
+
+def test_each_command_frees_its_cyclic_garbage_and_freezes_what_survives(tmp_path):
+    # without the freeze the collector tracks ~3,600 more objects after each
+    # model, and every full collection walks them all; without the young
+    # collection first, the freeze would keep the cycles the JSON encoder leaves
+    root = pathlib.Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _FREEZE_SCRIPT, str(root / "bench")], capture_output=True,
+                          text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert max(report["unfrozen"]) <= 50 and report["unfrozen"][-1] <= report["unfrozen"][0], report
+    assert report["garbage"] == 0

@@ -267,6 +267,19 @@ def test_a_horizon_off_whole_delays_is_rejected_however_far_t0_is_from_0(tmp_pat
     assert capsys.readouterr().err == "config error at /horizon: must be a positive integer multiple of tau\n"
 
 
+@pytest.mark.parametrize("tau, horizon", [(1e-12, 3.5e-12), (1e-9, 1.5e-9), (0.1, 0.1000000005)])
+def test_a_small_tau_rounds_no_horizon_to_whole_delays(tmp_path, capsys, tau, horizon):
+    # the tolerance had an absolute floor of 1e-9, so below tau 2e-9 every
+    # span was whole delays: 3.5e-12 over tau 1e-12 integrated to 4e-12
+    with pytest.raises(ValueError, match="integer multiple of tau"):
+        solver.whole_delays(0.0, horizon, tau, 8)
+    assert solver.whole_delays(0.0, 4 * tau, tau, 8) == 4
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, tau=tau, horizon=horizon, steps_per_delay=8)))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error at /horizon: must be a positive integer multiple of tau\n"
+
+
 GRID_T0 = [0.0, -1000.0, 1e6, 2.5, -3e9]
 GRID_TAU = [1.0, 0.5, 0.1, 3.0, 1e-300]
 GRID_OFFSET = [0.0, 5e-10, -4e-10, 3e-7, -2e-6, 1e-4, 0.5]

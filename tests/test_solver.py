@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from delayham import expr as E
 from delayham import model as M
@@ -93,6 +94,22 @@ def test_degenerate_cross_validation(degenerate_oscillator, sincos_history):
     a = S.step_hamiltonian(ham, sincos_history, 10.0, 64)
     b = S.step_elsgolts(lag, sincos_history, 10.0, 64)
     assert np.max(np.abs(a.q - b.q)) <= 1e-6
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(conftest.lagrangian_models(generators=0))
+def test_the_hamiltonian_and_lagrangian_routes_agree_at_fourth_order(model):
+    # history p is the momentum map (beta/a1)*qd of history q, so both routes
+    # integrate one solution; each is O(h^4), so their gap is too
+    lag, res, _ = model
+    momentum = E.mul(E.div(lag.beta, res.hamiltonian.alphas[0]), E.cos(E.t))
+    hist = S.History(0.0, 1.0, E.sin(E.t), momentum)
+    gaps = []
+    for n in (16, 32):
+        a = S.step_hamiltonian(res.hamiltonian, hist, 2.0, n)
+        b = S.step_elsgolts(lag, hist, 2.0, n)
+        gaps.append(float(np.max(np.abs(a.q - b.q))))
+    assert gaps[0] >= 8 * gaps[1] or max(gaps) < 1e-11, gaps
 
 
 def test_convergence_with_derivative_jumps(oscillator):
