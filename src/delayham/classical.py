@@ -72,7 +72,7 @@ def classical_first_integral(
     integral = sub(mul(ex.p, g.eta), mul(g.xi, ch.h))
     if check:
         inv = classical_invariance(ch, g)
-        chk = ex.is_zero_on(inv, classical_on_shell_jets(ch, seed, samples), tol=tol)
+        chk = ex.zero_checks((inv,), classical_on_shell_jets(ch, seed, samples), tol)[0]
         if not chk.ok:
             warnings.warn(
                 f"generator is not an invariance of this Hamiltonian "

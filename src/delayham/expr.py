@@ -35,11 +35,11 @@ interval.  `_tape` runs it as a tape.  A kernel's source is bound twice:
 the scalar binding takes a list of floats (one jet point), the array binding
 a `(NSLOTS, N)` float array with one jet point per column.  `evaluate`,
 `compiled` and the RK4 right-hand sides run the scalar binding;
-`evaluate_many`, `evaluate_array` (its one-root case), zero checks, fits,
-on-shell jets, grids and drift monitors the array one.  The first array use
-of a kernel not compiled yet runs its tape on the array binding's operations
-instead and compiles nothing; a later one compiles it, so a tree checked once
-costs no `compile()` and one that is reused runs compiled.  Every path gives
+`evaluate_many`, zero checks, fits, on-shell jets, grids and drift monitors
+the array one.  The first array use of a kernel not compiled yet runs its
+tape on the array binding's operations instead and compiles nothing; a later
+one compiles it, so a tree checked once costs no `compile()` and one that is
+reused runs compiled.  Every path gives
 the same bits: `+ - * /`, `sin` and `cos` run in numpy, whose results match
 Python's, while integer powers and `exp`, where numpy and Python round
 differently, run elementwise on Python floats.  A root whose array rows are
@@ -303,8 +303,16 @@ def symbol(base: str, shift: int, order: int = 0) -> Sym:
         raise ValueError(f"no jet symbol with base={base!r} shift={shift} order={order}")
 
 
+def _coordinate(key: Sym | str) -> Sym:
+    """The coordinate atom that `key` is or names; `TypeError` for anything else."""
+    s = SYMBOL_BY_NAME.get(key, key) if isinstance(key, str) else key
+    if type(s) is not Sym:
+        raise TypeError(f"not one of the {len(SYMBOLS)} jet coordinates: {key!r}")
+    return s
+
+
 def sym(name: str) -> Sym:
-    return SYMBOL_BY_NAME[name]
+    return _coordinate(name)
 
 
 TAU: TauConst = _intern(("tau",), TauConst)  # type: ignore[assignment]
@@ -577,14 +585,6 @@ def substitute(e: Expr, mapping: Mapping[Sym | str, Expr | Number]) -> Expr:
         del rec  # `rec` reaches itself through its closure; drop that cycle
 
 
-def _coordinate(key: Sym | str) -> Sym:
-    """The coordinate atom that `key` is or names; `TypeError` for anything else."""
-    s = SYMBOL_BY_NAME.get(key, key) if isinstance(key, str) else key
-    if type(s) is not Sym:
-        raise TypeError(f"only the {len(SYMBOLS)} jet coordinates can be substituted, not {key!r}")
-    return s
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
@@ -594,17 +594,17 @@ _PARTIAL_CACHE: dict[tuple[int, int], Expr] = {}
 
 def partial(e: Expr, s: Sym | str) -> Expr:
     """Partial derivative treating every jet symbol as an independent coordinate."""
-    if isinstance(s, str):
-        s = SYMBOL_BY_NAME[s]
+    if type(s) is not Sym:
+        s = _coordinate(s)
+    if not e.mask >> s.index & 1:
+        return ZERO
     key = (id(e), s.index)
     got = _PARTIAL_CACHE.get(key)
     if got is not None:
         return got
     cls = type(e)
-    if not e.mask >> s.index & 1:
-        out: Expr = ZERO
-    elif cls is Sym:
-        out = ONE
+    if cls is Sym:
+        out: Expr = ONE
     elif cls is Add:
         out = add(*[partial(c, s) for c in e.terms])
     elif cls is Neg:
@@ -924,7 +924,7 @@ class JetPoint:
         if values:
             shifted = []  # tm and tp, checked once t is known
             for key, val in values.items():
-                s = SYMBOL_BY_NAME[key] if isinstance(key, str) else key
+                s = _coordinate(key)
                 val = float(val)
                 if not math.isfinite(val):
                     raise ValueError(f"non-finite value for '{s.name}'")
@@ -960,8 +960,7 @@ class JetPoint:
         return self._vals[t.index]
 
     def value(self, s: Sym | str) -> float:
-        if isinstance(s, str):
-            s = SYMBOL_BY_NAME[s]
+        s = _coordinate(s)
         v = self._vals[s.index]
         if math.isnan(v):
             raise MissingSymbolError(s, self)
@@ -1003,7 +1002,7 @@ _DRAW_OFFSETS = np.arange(1, _DRAWS + 1, dtype=np.uint64)[:, None]
 
 def _draw_units(seed: int, n: int, start: int) -> np.ndarray:
     """`(_DRAWS, n)` unit draws in [0, 1); column k holds those of sample `start + k`."""
-    if start < 0 or start + n > _SAMPLES_END:
+    if n < 0 or start < 0 or start + n > _SAMPLES_END:
         raise ValueError(f"sample indices [{start}, {start + n}) are outside [0, 2**64 // {_DRAWS})")
     counters = (np.arange(n, dtype=np.uint64) + np.uint64(start)) * np.uint64(_DRAWS) + _DRAW_OFFSETS
     z = np.uint64(seed) + counters * _GAMMA
@@ -1391,24 +1390,15 @@ def evaluate(e: Expr, jet: JetPoint) -> float:
     return next(_scalar_columns(e, np.reshape(jet._vals, (NSLOTS, 1)), jet_at=lambda k: jet))
 
 
-def evaluate_array(e: Expr, slots: np.ndarray) -> np.ndarray:
-    """Values of `e` at every column of a `(NSLOTS, N)` slot array: the
-    one-root case of `evaluate_many`.
-
-    Bit-identical to `evaluate` column by column; the first column (in order)
-    where evaluation fails raises its `EvalError`.
-    """
-    return evaluate_many((e,), slots)[0]
-
-
 def evaluate_many(roots: Iterable[Expr], slots: np.ndarray) -> np.ndarray:
-    """`(len(roots), N)` array whose row j is `evaluate_array(roots[j], slots)`.
+    """`(len(roots), N)` array whose row j holds the values of `roots[j]` at
+    every column of a `(NSLOTS, N)` slot array.
 
     One kernel (`compiled_many`) computes every distinct subtree of the roots
-    once, so the rows are bit-identical to the per-root calls.  A row that is
-    not finite, every row when the kernel raised, re-runs its root jet by jet
-    on the scalar binding, in root order, so the first failing root raises
-    its `EvalError`.
+    once, and row j is bit-identical to `evaluate` of root j column by
+    column.  A row that is not finite, every row when the kernel raised,
+    re-runs its root jet by jet on the scalar binding, in root order, so the
+    first failing root raises the `EvalError` of its first failing column.
     """
     roots = tuple(roots)
     out = _array_rows(roots, slots)
@@ -1452,16 +1442,22 @@ def _scalar_zero_check(e: Expr, slots: np.ndarray, tol: float,
 
 def zero_checks(roots: Iterable[Expr], slots: np.ndarray, tol: float = 1e-9,
                 jet_at: Callable[[int], JetPoint] | None = None) -> list[ZeroCheck]:
-    """`is_zero_on` of every root over the columns of `slots`, in one kernel.
+    """Sampled zero check of every root over the columns of a `(NSLOTS, N)`
+    slot array (e.g. on-shell jets), in one kernel.
 
-    The kernel gives each root its value and its magnitude, the largest
-    |value| in that root's own subtree, so every root whose rows are finite
-    gets the bits of its own one-root check.  A root whose rows are not
-    finite, every root when the kernel raised, is checked jet by jet on the
-    scalar binding, in root order, so the first failing root raises its
-    `EvalError`.  A witness is `jet_at(k)`, by default column k as a jet
-    point.
+    Root j is accepted when |value| <= tol * (1 + magnitude) at every column,
+    where its magnitude is the largest |value| in its own subtree, so every
+    root whose rows are finite gets the bits of its own one-root check.  A
+    root whose rows are not finite, every root when the kernel raised, is
+    checked jet by jet on the scalar binding, in root order, so the first
+    failing root raises its `EvalError`.  A witness is `jet_at(k)`, by
+    default column k as a jet point.  A block with no column or a `tol` that
+    is not positive is a `ValueError`.
     """
+    if slots.shape[1] == 0:
+        raise ValueError("a zero check needs at least one jet")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     roots = tuple(roots)
     jet_at = jet_at or (lambda k: JetPoint.from_slots(slots[:, k]))
     out = _array_rows(roots, slots, with_magnitude=True)
@@ -1483,23 +1479,12 @@ def is_zero(e: Expr, samples: int = 100, tol: float = 1e-9, seed: int = 0) -> Ze
     only on (seed, k), so how the samples are batched cannot change the
     verdict.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    return is_zero_on(e, random_jets(seed, samples), tol)
-
-
-def is_zero_on(e: Expr, slots: np.ndarray, tol: float = 1e-9) -> ZeroCheck:
-    """Like `is_zero` but over the columns of a caller-supplied `(NSLOTS, N)`
-    slot array (e.g. on-shell jets); a witness is its column as a jet point.
-    The one-root case of `zero_checks`."""
-    return zero_checks((e,), slots, tol)[0]
+    return zero_checks((e,), random_jets(seed, samples), tol)[0]
 
 
 # no library caller; kept because bench/tracing.py wraps it by name
 def is_zero_at(e: Expr, jets: Iterable[JetPoint], tol: float = 1e-9) -> ZeroCheck:
-    """`is_zero_on` over a list of jet points; a witness is one of them."""
+    """`zero_checks` of `e` over a list of jet points; a witness is one of them."""
     jets = list(jets)
     slots = np.array([jet._vals for jet in jets], dtype=float).reshape(len(jets), NSLOTS).T
     return zero_checks((e,), slots, tol, jets.__getitem__)[0]

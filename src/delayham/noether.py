@@ -36,7 +36,6 @@ from .expr import (
     add,
     as_expr,
     is_zero,
-    is_zero_on,
     mul,
     neg,
     partial,
@@ -341,7 +340,7 @@ def _fit_many(
     verify_slots = None
     found: list[Expr | None] = [None] * len(targets)
     for i, target in enumerate(targets):
-        b_vec = ex.evaluate_array(target, slots)
+        b_vec = ex.evaluate_many((target,), slots)[0]
         finite = rows_finite & np.isfinite(b_vec)
         if not finite.all():
             bad = ex.JetPoint.from_slots(slots[:, int(np.argmin(finite))])
@@ -362,7 +361,7 @@ def _fit_many(
         residual = sub(target, add(*[mul(ex.const(c), images[k]) for k, c in cleaned]))
         if verify_slots is None:
             verify_slots = sample(seed + 7919, 120)
-        if is_zero_on(residual, verify_slots, tol=_VERIFY_TOL).ok:
+        if ex.zero_checks((residual,), verify_slots, _VERIFY_TOL)[0].ok:
             found[i] = candidate
     return found
 
@@ -483,8 +482,8 @@ def _integral(
         else:
             image = _shift_difference(sub(potential, w_div))
             failure = "total-derivative part is not the supplied shift difference"
-        check = is_zero_on(sub(_splitting_target(parts, kind, v_div, w_div), image),
-                           on_shell_jets(ham, seed, samples), tol=tol)
+        check = ex.zero_checks((sub(_splitting_target(parts, kind, v_div, w_div), image),),
+                               on_shell_jets(ham, seed, samples), tol)[0]
         if not check.ok:
             raise IntegralVerificationError(failure, check.worst)
     integral = sub(parts.c if differential else parts.p_quantity, potential)
@@ -616,7 +615,7 @@ class DriftReport:
 
 def _values_along(e: Expr, traj, lo: int, hi: int) -> np.ndarray:
     """Values of `e` at grid nodes lo <= i < hi; non-finite ones are a `DriftError`."""
-    values = ex.evaluate_array(e, traj.slots(lo, hi))
+    values = ex.evaluate_many((e,), traj.slots(lo, hi))[0]
     finite = np.isfinite(values)
     if not finite.all():
         bad = lo + int(np.argmin(finite))

@@ -86,7 +86,7 @@ class History:
         """
         ts = np.asarray(ts, dtype=float)
         try:
-            values = ex.evaluate_array(e, ex.grid_slots(self.tau, {ex.t: ts}))
+            values = ex.evaluate_many((e,), ex.grid_slots(self.tau, {ex.t: ts}))[0]
         except ex.EvalError as err:
             raise SolverError(f"{to_source(e)} failed at t={err.jet.t}: {err}") from None
         bad = ~np.isfinite(values)
@@ -439,7 +439,7 @@ def residual_report(traj: Trajectory, ham: DelayHamiltonian) -> ResidualTable:
         first = 1 if syms & _SECOND[-1] else 0
         last = hi - lo - (1 if syms & _SECOND[1] else 0)
         out = np.full(hi - lo, math.nan)
-        out[first:last] = ex.evaluate_array(e, slots[:, first:last])
+        out[first:last] = ex.evaluate_many((e,), slots[:, first:last])[0]
         finite = np.isfinite(out[first:last])
         if not finite.all():
             bad.append((first + int(np.argmin(finite)), name))

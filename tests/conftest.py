@@ -331,7 +331,7 @@ def extended_elsgolts_display(l: L.ExtendedLagrangian) -> E.Expr:
 def is_zero_on_shell(e: E.Expr, h: M.DelayHamiltonian, samples: int = 100,
                      tol: float = 1e-9, seed: int = 0) -> E.ZeroCheck:
     """Sampled vanishing of `e` on jets satisfying the canonical equations."""
-    return E.is_zero_on(e, M.on_shell_jets(h, seed, samples), tol)
+    return E.zero_checks((e,), M.on_shell_jets(h, seed, samples), tol)[0]
 
 
 def momentum_substitution(p_of_qd: E.Expr) -> dict:
@@ -376,7 +376,7 @@ def relation_residuals(rel: R.SumFormRelation, traj: S.Trajectory) -> tuple[floa
     mid = slice(n, size - n)
     worst = []
     for values, g in ((traj.q, rel.g_q), (traj.p, rel.g_p)):
-        g_values = E.evaluate_array(g, E.grid_slots(traj.tau, {E.symbol("t", 0, 0): traj.t[mid]}))
+        g_values = E.evaluate_many((g,), E.grid_slots(traj.tau, {E.symbol("t", 0, 0): traj.t[mid]}))[0]
         gap = values[2 * n :] + rel.c_mid * values[mid] + values[: size - 2 * n] - g_values
         worst.append(float(np.fmax.reduce(np.abs(gap), initial=0.0)))
     return worst[0], worst[1]
@@ -429,7 +429,7 @@ def integral_drift(
     ts = np.asarray(ts, dtype=float)
     rows = {E.symbol("t", sh, 0): ts + sh * tau_value for sh in (-1, 1)}
     rows.update({E.symbol("t", 0, 0): ts, E.symbol("q", 0, 0): qs, E.symbol("p", 0, 0): ps})
-    values = E.evaluate_array(integral, E.grid_slots(tau_value, rows))
+    values = E.evaluate_many((integral,), E.grid_slots(tau_value, rows))[0]
     # like a running max, fmax passes over a nan deviation
     return float(np.fmax.reduce(np.abs(values[1:] - values[0]), initial=0.0))
 

@@ -255,6 +255,7 @@ def test_criterion_08_variation_identity_suite():
         for gen in gens:
             rep = N.variational_derivative_identities(ham, gen, 100, 1e-9, 57)
             assert rep.ok, (label, rep.checks)
+            assert bool(rep) == rep.ok
     for k in range(10):
         rng = np.random.default_rng(8600 + k)
         ham = random_quadratic_hamiltonian(rng)

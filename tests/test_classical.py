@@ -110,6 +110,8 @@ def test_first_integral_warns_without_invariance():
     assert integral is E.mul(E.p, E.sin(E.t))
     assert len(caught) == 1
     assert "not an invariance" in str(caught[0].message)
+    with pytest.raises(ValueError, match="at least one jet"):
+        C.classical_first_integral(OSC, g, samples=0)
 
 
 def test_energy_drift_along_rk4_solution():

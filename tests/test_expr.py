@@ -116,6 +116,10 @@ def test_any_run_of_minus_signs_parses():
     assert E.parse("-" * 2001 + "q") is E.neg(E.q)
     assert E.parse("q^" + "-" * 2001 + "2") is E.parse("q^(-2)")
     assert E.parse("-(-(-(q)))") is E.neg(E.q)
+    # a negated or negative-constant denominator moves its sign out front
+    assert E.parse("q/-p") is E.parse("-(q/p)")
+    assert E.parse("q/-2") is E.parse("-(q/2)")
+    assert E.parse("-q/-p") is E.parse("q/p")
 
 
 def test_division_by_literal_zero_rejected():
@@ -358,6 +362,15 @@ def test_is_zero_validates_arguments():
         E.is_zero(E.q, samples=0)
     with pytest.raises(ValueError):
         E.is_zero(E.q, tol=0.0)
+    # every zero check needs at least one jet and a positive tol
+    jets = E.random_jets(0, 3)
+    for check in (lambda s, tol: E.zero_checks([E.ZERO], s, tol),
+                  lambda s, tol: E.is_zero_at(E.ZERO, [E.JetPoint.from_slots(c) for c in s.T], tol)):
+        with pytest.raises(ValueError, match="at least one jet"):
+            check(jets[:, :0], 1e-9)
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                check(jets, tol)
 
 
 def test_is_zero_deterministic_per_seed():
@@ -379,10 +392,19 @@ def test_substitute_momentum_expression():
     assert out is E.parse("qd*qdm + q*qm")
 
 
-@pytest.mark.parametrize("key", [E.TAU, "tau", "x", E.parse("q*p")], ids=["TAU", "tau", "x", "q*p"])
+@pytest.mark.parametrize("key", [E.TAU, "tau", "x", E.parse("q*p"), 3], ids=["TAU", "tau", "x", "q*p", "3"])
 def test_substitute_takes_only_jet_coordinates(key):
-    with pytest.raises(TypeError, match="only the 21 jet coordinates can be substituted"):
-        E.substitute(E.parse("q*tau"), {key: 1})
+    # every entry that takes a coordinate resolves it the same way
+    jet = E.JetPoint(1.0, {"q": 1.0}, t_value=0.0)
+    for call in (
+        lambda: E.substitute(E.parse("q*tau"), {key: 1}),
+        lambda: E.partial(E.parse("q*tau"), key),
+        lambda: E.JetPoint(1.0, {key: 1.0}),
+        lambda: jet.value(key),
+        lambda: E.sym(key),
+    ):
+        with pytest.raises(TypeError, match="not one of the 21 jet coordinates"):
+            call()
 
 
 def test_fraction_constants_survive_roundtrip():
@@ -536,9 +558,11 @@ def test_random_jets_index_range_edges():
     assert E._SAMPLES_END == 2**64 // 20
     slots = E.random_jets(5, 1, last)
     assert _same_bits(slots[:, 0], reference_jet_slots(5, last))
-    for n, start in ((1, last + 1), (2, last), (1, -1)):
+    for n, start in ((1, last + 1), (2, last), (1, -1), (-1, 0)):
         with pytest.raises(ValueError, match="outside"):
             E.random_jets(5, n, start)
+    with pytest.raises(ValueError, match="outside"):
+        M.on_shell_jets(M.DelayHamiltonian(E.parse("p*pm + q*qm"), (1, 0, 0, 1)), 5, -1)
     with pytest.raises(ValueError, match="outside"):
         E.random_jet(5, last + 1)
 
@@ -564,7 +588,7 @@ def test_array_binding_matches_scalar_kernel_bit_for_bit():
             want_mag = [scalar_mag(c) for c in columns]
         except (OverflowError, ZeroDivisionError, ValueError):
             with pytest.raises(E.EvalError):
-                E.evaluate_array(e, slots)
+                E.evaluate_many((e,), slots)[0]
             with np.errstate(**E._ARRAY_ERRSTATE):
                 array_binding((e,), slots, with_magnitude=True)
             continue
@@ -575,14 +599,14 @@ def test_array_binding_matches_scalar_kernel_bit_for_bit():
         assert _same_bits(got_value, [v for v, _ in want_mag]), E.to_source(e)
         finite = np.isfinite(got)
         assert _same_bits(got_mag[finite], [m for (_, m), f in zip(want_mag, finite) if f])
-        assert _same_bits(E.evaluate_array(e, slots), want)
+        assert _same_bits(E.evaluate_many((e,), slots)[0], want)
         compared += 1
     assert compared > 300
 
 
 def test_constant_expression_evaluates_to_every_column():
     e = E.mul(E.const(3), E.sin(E.const(1)))
-    values = E.evaluate_array(e, E.random_jets(1, 5))
+    values = E.evaluate_many((e,), E.random_jets(1, 5))[0]
     assert values.shape == (5,)
     assert _same_bits(values, [E.evaluate(e, E.random_jet(1, 0))] * 5)
 
@@ -664,7 +688,7 @@ def test_evaluate_array_names_the_first_failing_jet():
     slots[E.SYMBOL_BY_NAME["qm"].index, 2] = slots[E.SYMBOL_BY_NAME["q"].index, 2]
     slots[E.SYMBOL_BY_NAME["qm"].index, 4] = slots[E.SYMBOL_BY_NAME["q"].index, 4]
     with pytest.raises(E.EvalError, match="division by zero") as err:
-        E.evaluate_array(E.parse("1/(q - qm)"), slots)
+        E.evaluate_many((E.parse("1/(q - qm)"),), slots)[0]
     assert err.value.jet.slots() == slots[:, 2].tolist()
 
 
@@ -675,7 +699,7 @@ def test_evaluate_array_names_the_first_failing_jet():
 
 def _loop_rows(roots, slots):
     """The per-root evaluation `evaluate_many` must agree with."""
-    return np.array([E.evaluate_array(r, slots) for r in roots]).reshape(len(roots), slots.shape[1])
+    return np.array([E.evaluate_many((r,), slots)[0] for r in roots]).reshape(len(roots), slots.shape[1])
 
 
 def _roots_with_shared_subtrees(rng, count):
@@ -705,7 +729,7 @@ def _assert_kernel_matches_per_root(roots, slots):
     # root j's magnitude is the largest |value| of any subtree of root j
     assert_same_bits(rows[n:, finite], np.array(magnitudes).reshape(n, -1)[:, finite])
     subtrees = {id(s): s for r in roots for s in _walk(r)}
-    values = {key: np.abs(E.evaluate_array(s, slots[:, finite])) for key, s in subtrees.items()}
+    values = {key: np.abs(E.evaluate_many((s,), slots[:, finite])[0]) for key, s in subtrees.items()}
     for j, r in enumerate(roots):
         own = {id(s) for s in _walk(r)}
         assert_same_bits(rows[n + j, finite], np.max([values[key] for key in own], axis=0))
@@ -722,7 +746,7 @@ def test_evaluate_many_matches_per_root_calls_bit_for_bit():
         roots = []
         for r in _roots_with_shared_subtrees(rng, 8):
             try:
-                E.evaluate_array(r, slots)
+                E.evaluate_many((r,), slots)[0]
             except E.EvalError:
                 continue
             roots.append(r)
@@ -800,7 +824,7 @@ def test_a_raising_kernel_makes_one_array_pass_then_runs_the_scalar_reference(mo
 
     for roots in ([fine[0], inf_minus_inf, *fine[1:]], [fine[0], divide, inf_minus_inf, fine[1]]):
         want_rows = _outcome(lambda: _loop_rows(roots, slots))
-        want_checks = _outcome(lambda: [_check_outcome(E.is_zero_on(r, slots)) for r in roots])
+        want_checks = _outcome(lambda: [_check_outcome(E.zero_checks((r,), slots)[0]) for r in roots])
         with monkeypatch.context() as patch:
             patch.setattr(E, "_array_rows", counting)
             for _ in range(2):  # the tape, then the compiled kernel

@@ -278,6 +278,14 @@ def test_differential_integral_verifies_premise(oscillator, oscillator_generator
     parts = N.noether_parts(ham, g)
     with pytest.raises(N.IntegralVerificationError):
         N.differential_integral(parts, E.parse("q*p"), ham=ham)
+    # a premise that fails on 80 samples is never verified on none
+    scale = N.noether_parts(ham, M.Generator(E.ZERO, E.q, E.p))
+    for integral in (N.differential_integral, N.difference_integral):
+        with pytest.raises(N.IntegralVerificationError):
+            integral(scale, E.ZERO, ham=ham, samples=80)
+        for samples in (0, -5):
+            with pytest.raises(ValueError):
+                integral(scale, E.ZERO, ham=ham, samples=samples)
 
 
 def test_difference_integral_trivial_splitting(oscillator):
@@ -531,14 +539,14 @@ def test_every_reported_integral_is_conserved_on_shell(model, seed):
             assert rep.parts.differential_integral is not None, rep.notes
         integral = rep.parts.differential_integral
         if integral is not None:
-            assert E.is_zero_on(E.total_derivative(integral), jets, tol=1e-8).ok
+            assert E.zero_checks((E.total_derivative(integral),), jets, 1e-8)[0].ok
             # the premise check of the public function accepts the fitted V
             v = E.sub(rep.parts.c, integral)
             N.differential_integral(N.noether_parts(ham, g), v, v_div=rep.invariance.v,
                                     w_div=rep.invariance.w, ham=ham, seed=seed)
         integral = rep.parts.difference_integral
         if integral is not None:
-            assert E.is_zero_on(E.sub(E.shift(integral, +1), integral), jets, tol=1e-8).ok
+            assert E.zero_checks((E.sub(E.shift(integral, +1), integral),), jets, 1e-8)[0].ok
             w = E.sub(rep.parts.p_quantity, integral)
             N.difference_integral(N.noether_parts(ham, g), w, v_div=rep.invariance.v,
                                   w_div=rep.invariance.w, ham=ham, seed=seed)
@@ -551,7 +559,7 @@ def _constrained_difference_check(parts, traj):
     report = N.drift(parts.c, traj, kind="differential")
     n = traj.steps_per_delay
     m = len(traj.t) - 1
-    values = E.evaluate_array(parts.p_quantity, traj.slots(n, m + 1))
+    values = E.evaluate_many((parts.p_quantity,), traj.slots(n, m + 1))[0]
     gap = np.abs(values[n:] - values[: m - 2 * n + 1])
     return report, float(gap.max(initial=0.0))
 
@@ -621,7 +629,7 @@ def test_fit_rejects_a_nan_residual():
     import warnings
 
     target = E.parse("exp(200*q*qm)")
-    values = E.evaluate_array(target, E.random_jets(1, _fit_rows()))
+    values = E.evaluate_many((target,), E.random_jets(1, _fit_rows()))[0]
     assert np.isfinite(values).all() and values.max() > 1e154
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -674,8 +682,8 @@ def test_design_matrix_equals_the_column_loop(fit, dictionary, oscillator, monke
             slots = E.random_jets(5, n)
         else:
             slots = M.on_shell_jets(ham, 5, n)
-        assert_same_bits(a_mat, np.column_stack([E.evaluate_array(e, slots) for e in images]))
-        assert_same_bits(b_vec, E.evaluate_array(target, slots))
+        assert_same_bits(a_mat, np.column_stack([E.evaluate_many((e,), slots)[0] for e in images]))
+        assert_same_bits(b_vec, E.evaluate_many((target,), slots)[0])
     assert len(seen) == 3
 
 

@@ -21,6 +21,12 @@ The tool prints each side's median request time and its tail (the
 here over the fixed request count), then the median of the paired ratios
 tree/parent with a 95% bootstrap interval seeded by `--seed`.  The last line
 is the same figures as one JSON object.
+
+One run can be off by a few percent when the host changes speed during it:
+an interval of 1.025 [1.022-1.032] once read 1.000 on a repeat, 0.997 with
+the sides swapped and 1.002 on an A/A run.  Confirm an interval that
+excludes 1 with a swapped run (this checkout as `--parent`, run from the
+other tree) before reporting it.
 """
 
 from __future__ import annotations

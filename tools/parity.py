@@ -49,9 +49,11 @@ its type and message, and a `SystemExit` as its code), standard output, standard
 Paths in the runs are relative to a fresh directory, so messages that name a
 file read the same on both trees.  On any difference the tool prints the
 first differing runs field by field, from the first character that differs,
-names every differing run and exits 1; otherwise it exits 0.  Either way it
-prints one sha256 over the runs that are equal.  Pick a `--start` no earlier
-run has used, so the seeds were not the ones developed against.
+counts the differing runs per field (`167 of 167 runs differ (partial:
+167)`), names every differing run and exits 1; otherwise it exits 0.  Either
+way it prints one sha256 over the runs that are equal and both trees' cache
+counts after the last run.  Pick a `--start` no earlier run has used, so the
+seeds were not the ones developed against.
 """
 
 from __future__ import annotations
@@ -352,13 +354,16 @@ def main(argv: list[str] | None = None) -> int:
             if a[field] != b[field]:
                 print(f"  {field}: {_first_difference(a[field], b[field])}")
     if differing:
-        print(f"parity: {len(differing)} of {len(results[0]['runs'])} runs differ: "
+        per_field = ", ".join(f"{field}: {n}" for field in FIELDS
+                              if (n := sum(a[field] != b[field] for a, b in differing)))
+        print(f"parity: {len(differing)} of {len(results[0]['runs'])} runs differ ({per_field}): "
               + ", ".join(a["run"] for a, _ in differing))
     equal = [a for a, b in zip(*(r["runs"] for r in results)) if a == b]
     digest = hashlib.sha256(json.dumps(equal, sort_keys=True).encode()).hexdigest()
-    last = results[0]["runs"][-1]
+    last = [r["runs"][-1] for r in results]
     print(f"parity: {'all ' * (not differing)}{len(equal)} runs equal; sha256 {digest} over them; "
-          f"_INTERN {last['intern']}, _PARTIAL_CACHE {last['partial']} on the parent")
+          f"_INTERN {last[0]['intern']} -> {last[1]['intern']}, "
+          f"_PARTIAL_CACHE {last[0]['partial']} -> {last[1]['partial']} (parent -> tree, after the last run)")
     return 1 if differing else 0
 
 
