@@ -223,6 +223,10 @@ class Func(Expr):
 
 _INTERN: dict[tuple, Expr] = {}
 
+# One shared int per distinct mask value, so nodes that read the same
+# coordinates hold the same mask object.
+_MASKS: dict[int, int] = {}
+
 
 def _children(e: Expr) -> tuple[Expr, ...]:
     cls = type(e)
@@ -242,8 +246,9 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 def _intern(key: tuple, cls: type, *fields) -> Expr:
     """The node interned under `key`; on a miss, a new `cls` node whose slots
     take `fields` in order, and whose `mask` has bit k set when its subtree
-    reads the coordinate of slot k.  Keys hold ids and plain values, never
-    nodes."""
+    reads the coordinate of slot k.  A key holds the node's children
+    themselves, not their ids, so it keeps them alive and cannot alias a
+    dead node; an `Add` or `Mul` key shares the node's own children tuple."""
     node = _INTERN.get(key)
     if node is None:
         node = object.__new__(cls)
@@ -252,7 +257,7 @@ def _intern(key: tuple, cls: type, *fields) -> Expr:
         mask = 1 << node.index if cls is Sym else 0
         for c in _children(node):
             mask |= c.mask
-        object.__setattr__(node, "mask", mask)
+        object.__setattr__(node, "mask", _MASKS.setdefault(mask, mask))
         _INTERN[key] = node
     return node
 
@@ -351,7 +356,8 @@ def add(*terms) -> Expr:
         return const(acc)
     if len(flat) == 1:
         return flat[0]
-    return _intern(("+", *map(id, flat)), Add, tuple(flat))
+    terms = tuple(flat)
+    return _intern(("+", terms), Add, terms)
 
 
 def neg(x) -> Expr:
@@ -360,7 +366,7 @@ def neg(x) -> Expr:
         return const(-x.value)
     if isinstance(x, Neg):
         return x.arg
-    return _intern(("neg", id(x)), Neg, x)
+    return _intern(("neg", x), Neg, x)
 
 
 def sub(a, b) -> Expr:
@@ -400,7 +406,8 @@ def mul(*factors) -> Expr:
     elif len(parts) == 1:
         out = parts[0]
     else:
-        out = _intern(("*", *map(id, parts)), Mul, tuple(parts))
+        factors = tuple(parts)
+        out = _intern(("*", factors), Mul, factors)
     return neg(out) if negative else out
 
 
@@ -432,7 +439,7 @@ def div(a, b) -> Expr:
     elif isinstance(b, Const) and isinstance(a, Mul) and isinstance(a.factors[0], Const):
         out = mul(div(a.factors[0], b), *a.factors[1:])
     else:
-        out = _intern(("/", id(a), id(b)), Div, a, b)
+        out = _intern(("/", a, b), Div, a, b)
     return neg(out) if negative else out
 
 
@@ -456,12 +463,12 @@ def powi(base, exponent: int) -> Expr:
     if isinstance(base, Neg):
         inner = powi(base.arg, exponent)
         return inner if exponent % 2 == 0 else neg(inner)
-    return _intern(("^", id(base), exponent), Pow, base, exponent)
+    return _intern(("^", base, exponent), Pow, base, exponent)
 
 
 def _func(name: str, arg) -> Expr:
     a = as_expr(arg)
-    return _intern(("fn", name, id(a)), Func, name, a)
+    return _intern(("fn", name, a), Func, name, a)
 
 
 def sin(arg) -> Expr:
@@ -536,10 +543,9 @@ def _rebuild(e: Expr, rec: Callable[[Expr], Expr]) -> Expr:
     return e
 
 
-# Keyed like `_TOTAL_CACHE`, by node id (and direction); `_INTERN` keeps every
-# node alive, so no id is reused.  A shift out of range is not stored, so it
-# raises again on every call.
-_SHIFT_CACHE: dict[tuple[int, int], Expr] = {}
+# Keyed like `_PARTIAL_CACHE`, by the node itself and the direction.  A shift
+# out of range is not stored, so it raises again on every call.
+_SHIFT_CACHE: dict[tuple[Expr, int], Expr] = {}
 
 
 def shift(e: Expr, direction: int) -> Expr:
@@ -550,7 +556,7 @@ def shift(e: Expr, direction: int) -> Expr:
 
 
 def _shift(e: Expr, direction: int) -> Expr:
-    key = (id(e), direction)
+    key = (e, direction)
     got = _SHIFT_CACHE.get(key)
     if got is None:
         if isinstance(e, Sym):
@@ -589,7 +595,7 @@ def substitute(e: Expr, mapping: Mapping[Sym | str, Expr | Number]) -> Expr:
 # differentiation
 # ---------------------------------------------------------------------------
 
-_PARTIAL_CACHE: dict[tuple[int, int], Expr] = {}
+_PARTIAL_CACHE: dict[tuple[Expr, int], Expr] = {}
 
 
 def partial(e: Expr, s: Sym | str) -> Expr:
@@ -598,7 +604,7 @@ def partial(e: Expr, s: Sym | str) -> Expr:
         s = _coordinate(s)
     if not e.mask >> s.index & 1:
         return ZERO
-    key = (id(e), s.index)
+    key = (e, s.index)
     got = _PARTIAL_CACHE.get(key)
     if got is not None:
         return got
@@ -638,7 +644,7 @@ def partial(e: Expr, s: Sym | str) -> Expr:
     return out
 
 
-_TOTAL_CACHE: dict[int, Expr] = {}
+_TOTAL_CACHE: dict[Expr, Expr] = {}
 _SECOND_ORDER = sum(1 << s.index for s in SYMBOLS if s.order == 2)
 
 
@@ -651,7 +657,7 @@ def total_derivative(e: Expr) -> Expr:
     derivatives, which the jet space does not carry): `DerivativeOrderError`
     names the one in the lowest slot.
     """
-    got = _TOTAL_CACHE.get(id(e))
+    got = _TOTAL_CACHE.get(e)
     if got is not None:
         return got
     bad = e.mask & _SECOND_ORDER
@@ -672,7 +678,7 @@ def total_derivative(e: Expr) -> Expr:
             if not _is_const(d1, 0):
                 terms.append(mul(symbol(base, sh, 2), d1))
     out = add(*terms)
-    _TOTAL_CACHE[id(e)] = out
+    _TOTAL_CACHE[e] = out
     return out
 
 
@@ -1032,10 +1038,12 @@ def random_jets(seed: int, n: int, start: int = 0) -> np.ndarray:
     SplitMix64 hash of `seed mod 2**32`, so it depends only on those two
     numbers, and the whole block is drawn in one vectorised pass.  Coordinate
     values are uniform in [-2, 2], tau in [0.3, 1.5], t in [-3, 3].  Sample
-    indices must lie in [0, 2**64 // 20) (`ValueError` otherwise).  The
-    array is the caller's to modify.
+    indices must lie in [0, 2**64 // 20) (`ValueError` otherwise).  `seed`,
+    `n` and `start` are integers, numpy's included; any other type, a float
+    among them, is a `TypeError`.  The array is the caller's to modify.
     """
-    return _jet_slots(_draw_units(int(seed) & _MASK32, int(n), int(start)))
+    seed, n, start = map(operator.index, (seed, n, start))
+    return _jet_slots(_draw_units(seed & _MASK32, n, start))
 
 
 def random_jet(seed: int, index: int = 0) -> JetPoint:
@@ -1082,8 +1090,10 @@ _ARRAY_BINDING = {
 
 # Keyed by the roots' ids and the flag, so one root's key is `(id(e),
 # with_magnitude)`; generated code inlining kernel lines (`compiled_source`)
-# ends its key with a string tag instead.  `_INTERN` keeps every node, so no
-# id is reused.  A kernel whose only array use is its first one is never
+# ends its key with a string tag instead.  Unlike the `_INTERN` and derivative
+# cache keys, these keys hold ids, not nodes: they are sound only because
+# `_INTERN` keeps every node alive, so no id is reused (the same holds for
+# `_TAPED`).  A kernel whose only array use is its first one is never
 # compiled (`_array_rows`), so a one-off tree adds no entry here: the one
 # shared kernel of all residuals of a `check-identity` run (`zero_checks`),
 # with each root's magnitude taken over its own subtree, is such a kernel.
@@ -1333,6 +1343,17 @@ def compiled(e: Expr, with_magnitude: bool = False) -> Callable:
     return f
 
 
+def _check_slot_block(slots) -> None:
+    """Check that `slots` is a slot block, a `(NSLOTS, N)` float64 numpy
+    array: `TypeError` for any other type or dtype, `ValueError` for any
+    other shape.  `evaluate_many` and `zero_checks` check every block here."""
+    if not isinstance(slots, np.ndarray) or slots.dtype != np.float64:
+        got = f"{slots.dtype} array" if isinstance(slots, np.ndarray) else type(slots).__name__
+        raise TypeError(f"a slot block is a float64 numpy array, not a {got}")
+    if slots.ndim != 2 or slots.shape[0] != NSLOTS:
+        raise ValueError(f"a slot block has shape ({NSLOTS}, N), not {slots.shape}")
+
+
 _ARRAY_ERRSTATE = dict(divide="raise", invalid="raise", over="ignore", under="ignore")
 
 
@@ -1399,7 +1420,10 @@ def evaluate_many(roots: Iterable[Expr], slots: np.ndarray) -> np.ndarray:
     column.  A row that is not finite, every row when the kernel raised,
     re-runs its root jet by jet on the scalar binding, in root order, so the
     first failing root raises the `EvalError` of its first failing column.
+    A `slots` that is not such an array is a `TypeError` (not a float64
+    numpy array) or a `ValueError` (any other shape).
     """
+    _check_slot_block(slots)
     roots = tuple(roots)
     out = _array_rows(roots, slots)
     for j in np.flatnonzero(~np.isfinite(out).all(axis=1)):
@@ -1451,9 +1475,12 @@ def zero_checks(roots: Iterable[Expr], slots: np.ndarray, tol: float = 1e-9,
     root whose rows are not finite, every root when the kernel raised, is
     checked jet by jet on the scalar binding, in root order, so the first
     failing root raises its `EvalError`.  A witness is `jet_at(k)`, by
-    default column k as a jet point.  A block with no column or a `tol` that
-    is not positive is a `ValueError`.
+    default column k as a jet point.  A `slots` that is not such an array is
+    a `TypeError` (not a float64 numpy array) or a `ValueError` (any other
+    shape), and a block with no column or a `tol` that is not positive is a
+    `ValueError`.
     """
+    _check_slot_block(slots)
     if slots.shape[1] == 0:
         raise ValueError("a zero check needs at least one jet")
     if not tol > 0:

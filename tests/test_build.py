@@ -29,7 +29,8 @@ seeded = settings(derandomize=True, database=None, deadline=None, max_examples=3
 
 
 def _node(op: str, cls: type, parts: list) -> E.Expr:
-    return E._intern((op, *map(id, parts)), cls, tuple(parts))
+    children = tuple(parts)
+    return E._intern((op, children), cls, children)
 
 
 def reference_mul(*factors) -> E.Expr:

@@ -357,6 +357,21 @@ def test_is_zero_rejects_with_witness():
     assert abs(value) > 0
 
 
+@pytest.mark.parametrize("block, error", [
+    (np.zeros((5, 3)), ValueError),
+    (np.zeros((E.NSLOTS, 3, 2)), ValueError),
+    (np.zeros(E.NSLOTS), ValueError),
+    (np.zeros((E.NSLOTS, 3), dtype=int), TypeError),
+    (np.zeros((E.NSLOTS, 3), dtype=np.float32), TypeError),
+    ([[0.0] * 3] * E.NSLOTS, TypeError),
+], ids=["5-rows", "3-d", "1-d", "int", "float32", "nested-list"])
+def test_array_evaluation_takes_only_a_float_slot_block(block, error):
+    for call in (lambda r: E.evaluate_many((r,), block), lambda r: E.zero_checks((r,), block)):
+        for root in (E.q, E.pdp):
+            with pytest.raises(error, match="slot block"):
+                call(root)
+
+
 def test_is_zero_validates_arguments():
     with pytest.raises(ValueError):
         E.is_zero(E.q, samples=0)
@@ -493,9 +508,22 @@ def test_constants_are_one_node_per_exact_value():
     assert E.const(float("nan")) is E.const(float("nan"))
 
 
-def test_intern_keys_hold_no_nodes_or_classes():
-    E.parse("sin(q)*qm^2/(1 + pm) - exp(tau*q)")
-    assert not any(isinstance(part, (E.Expr, type)) for key in E._INTERN for part in key)
+def test_intern_and_derivative_keys_hold_nodes_not_ids():
+    e = E.parse("sin(q)*qm^2/(1 + pm) - exp(tau*q)")
+    E.total_derivative(E.shift(e, +1))
+    node_ids = {id(n) for n in E._INTERN.values()}
+
+    def holds_no_id(key) -> bool:
+        parts = key if type(key) is tuple else (key,)
+        return not any(isinstance(x, type) or (type(x) is int and x in node_ids) for x in parts)
+
+    for key, node in E._INTERN.items():
+        assert holds_no_id(key), key
+        if type(node) in (E.Add, E.Mul):
+            assert key[1] is E._children(node)  # the key shares the node's own tuple
+        assert node.mask is E._MASKS[node.mask]
+    for table in (E._PARTIAL_CACHE, E._SHIFT_CACHE, E._TOTAL_CACHE):
+        assert table and all(holds_no_id(key) for key in table)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +579,17 @@ def test_random_jets_draw_the_reference_splitmix64_stream():
     published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
     units = E._draw_units(0, 1, 0)[:3, 0]
     assert units.tolist() == [(x >> 11) * 2.0**-53 for x in published]
+
+
+def test_random_jets_take_integers_only():
+    assert _same_bits(E.random_jets(np.int64(5), np.int32(3), np.uint8(2)), E.random_jets(5, 3, 2))
+    for args in ((1, 2.5), (1.7, 2), (1, 2, 0.0), (1, 2, "0")):
+        with pytest.raises(TypeError):
+            E.random_jets(*args)
+    with pytest.raises(TypeError):
+        E.is_zero(E.q, samples=2.5)
+    with pytest.raises(TypeError):
+        E.is_zero(E.q, seed=1.7)
 
 
 def test_random_jets_index_range_edges():

@@ -18,9 +18,10 @@ another count, as `bench/run.py` does.
 
 The tool prints each side's median request time and its tail (the
 `bench/run.py` tail: the highest percentile with ten requests beyond it,
-here over the fixed request count), then the median of the paired ratios
-tree/parent with a 95% bootstrap interval seeded by `--seed`.  The last line
-is the same figures as one JSON object.
+here over the fixed request count) and its worker's peak RSS after the
+warm-up and 10 requests (the `bench/run.py` rule, read the same way), then
+the median of the paired ratios tree/parent with a 95% bootstrap interval
+seeded by `--seed`.  The last line is the same figures as one JSON object.
 
 One run can be off by a few percent when the host changes speed during it:
 an interval of 1.025 [1.022-1.032] once read 1.000 on a repeat, 0.997 with
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -43,7 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-from run import run_request, tail  # noqa: E402  (first: it pins one BLAS thread before numpy loads)
+from run import RSS_AFTER_REQUESTS, run_request, tail  # noqa: E402  (first: it pins one BLAS thread before numpy loads)
 from workloads import WORKLOADS  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -53,7 +55,8 @@ SIDES = ("parent", "tree")
 
 
 def worker(args) -> int:
-    """Serve requests of one tree: a JSON reply line per request line on stdin."""
+    """Serve requests of one tree: a JSON reply line per request line on stdin,
+    with the request's time and the worker's peak RSS after it."""
     tree = args.worker.resolve()
     sys.path.insert(0, str(tree / "src"))
     from delayham import cli
@@ -70,6 +73,7 @@ def worker(args) -> int:
         try:
             reply = {"s": run_request(cli, req)}
             req.check()
+            reply["rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         except Exception as err:  # a failed request ends the run, on the controller's side
             traceback.print_exc()
             reply = {"error": f"{type(err).__name__}: {err}"}
@@ -83,8 +87,9 @@ def _spawn(tree: Path, args, work: Path) -> subprocess.Popen:
     return subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
 
-def _request(proc: subprocess.Popen, side: str) -> float:
-    """One timed request on a worker; `RuntimeError` naming the side if it failed."""
+def _request(proc: subprocess.Popen, side: str) -> dict:
+    """One timed request on a worker, its reply `{"s", "rss_mb"}`; `RuntimeError`
+    naming the side if it failed."""
     try:
         proc.stdin.write("\n")
         proc.stdin.flush()
@@ -94,19 +99,20 @@ def _request(proc: subprocess.Popen, side: str) -> float:
     reply = json.loads(line) if line else {"error": f"worker exited with {proc.wait()}"}
     if "error" in reply:
         raise RuntimeError(f"{side}: {reply['error']}")
-    return reply["s"]
+    return reply
 
 
-def summary(parent: list[float], tree: list[float], seed: int) -> dict:
-    """Each side's p50 and tail, and the median paired ratio with its bootstrap interval."""
+def summary(parent: list[float], tree: list[float], rss_mb: list[float], seed: int) -> dict:
+    """Each side's p50, tail and peak RSS (`rss_mb`, parent first), and the
+    median paired ratio with its bootstrap interval."""
     ratios = np.array(tree) / np.array(parent)
     picks = np.random.default_rng(seed).integers(0, len(ratios), size=(BOOTSTRAP, len(ratios)))
     low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
     sides = {}
-    for name, times in zip(SIDES, (parent, tree)):
+    for name, times, rss in zip(SIDES, (parent, tree), rss_mb):
         pct, value = tail(times)
         sides[name] = {"p50_s": statistics.median(times), "tail_s": value, "tail_percentile": pct,
-                       "total_s": sum(times)}
+                       "total_s": sum(times), "peak_rss_mb": rss}
     return dict(sides, ratio={"median": float(np.median(ratios)), "ci95": [float(low), float(high)],
                               "pairs": len(ratios)})
 
@@ -134,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{tree} holds no src/delayham")
 
     times: tuple[list[float], list[float]] = ([], [])
+    rss_mb = [0.0, 0.0]  # each worker's peak RSS after the warm-up and RSS_AFTER_REQUESTS requests
     with tempfile.TemporaryDirectory() as tmp:
         procs = [_spawn(tree, args, Path(tmp) / side) for tree, side in zip(trees, SIDES)]
         try:
@@ -142,7 +149,10 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.requests):
                 order = (0, 1) if i % 2 == 0 else (1, 0)
                 for k in order:
-                    times[k].append(_request(procs[k], SIDES[k]))
+                    reply = _request(procs[k], SIDES[k])
+                    times[k].append(reply["s"])
+                    if i < RSS_AFTER_REQUESTS:
+                        rss_mb[k] = reply["rss_mb"]
         except RuntimeError as err:
             print(f"duet: request failed on {err}", file=sys.stderr)
             return 1
@@ -151,12 +161,13 @@ def main(argv: list[str] | None = None) -> int:
                 proc.stdin.close()
                 proc.wait()
 
-    result = summary(*times, args.seed)
+    result = summary(*times, rss_mb, args.seed)
     print(f"duet {args.workload}, seed {args.seed}, {args.requests} requests per side")
     for name, tree in zip(SIDES, trees):
         side = result[name]
         print(f"{name} {tree}: p50 {side['p50_s']:.4f} s, tail (p{side['tail_percentile']:.1f}) "
-              f"{side['tail_s']:.4f} s, total {side['total_s']:.2f} s")
+              f"{side['tail_s']:.4f} s, total {side['total_s']:.2f} s, "
+              f"peak RSS {side['peak_rss_mb']:.2f} MB")
     ratio = result["ratio"]
     print(f"paired ratio tree/parent: median {ratio['median']:.3f} "
           f"[95% CI {ratio['ci95'][0]:.3f}-{ratio['ci95'][1]:.3f}] over {ratio['pairs']} pairs")
