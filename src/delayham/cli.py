@@ -364,20 +364,17 @@ def cmd_noether(cfg: RunConfig, args) -> int:
 def cmd_recurse(cfg: RunConfig, args) -> int:
     if cfg.history is None or cfg.horizon is None:
         raise ConfigError("/", "recurse needs history and horizon")
-    c_mid = args.c_mid
-    if c_mid is None:
-        ham = _resolved_hamiltonian(cfg)
-        a1, a2, a3, a4 = (float(a) for a in ham.alphas)
-        if a1 == 0 or a1 != a4:
-            raise ConfigError("/hamiltonian/alphas", "sum-form recursion needs a1 = a4 != 0")
-        ratio = (a2 + a3) / a1  # inf when the sum or the quotient overflows
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-12 or round(ratio) not in (0, 2):
-            raise ConfigError(
-                "/hamiltonian/alphas",
-                "only the middle coefficients 0 and 2 are supported",
-            )
-        c_mid = int(round(ratio))
-    rel = recursion.relation_from_history(cfg.history, c_mid)
+    ham = _resolved_hamiltonian(cfg)
+    a1, a2, a3, a4 = (float(a) for a in ham.alphas)
+    if a1 == 0 or a1 != a4:
+        raise ConfigError("/hamiltonian/alphas", "sum-form recursion needs a1 = a4 != 0")
+    ratio = (a2 + a3) / a1  # inf when the sum or the quotient overflows
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-12 or round(ratio) not in (0, 2):
+        raise ConfigError(
+            "/hamiltonian/alphas",
+            "only the middle coefficients 0 and 2 are supported",
+        )
+    rel = recursion.relation_from_history(cfg.history, int(round(ratio)))
     traj = recursion.recurse(rel, cfg.history, cfg.t0 + cfg.horizon, cfg.steps_per_delay)
     solver.write_csv(traj, args.out or sys.stdout)
     return EXIT_OK
@@ -396,7 +393,7 @@ def _read_trajectory(path: str, flag: str) -> solver.CsvTrajectory:
         raise _unreadable(err, path, flag) from None
 
 
-def cmd_compare(cfg: RunConfig | None, args) -> int:
+def cmd_compare(cfg: None, args) -> int:
     a = _read_trajectory(args.a, "--a")
     b = _read_trajectory(args.b, "--b")
     report = recursion.compare(a, b)
@@ -472,59 +469,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--tol", type=float, help="override the config tolerance")
+    def command(name, summary, config=True):
+        p = sub.add_parser(name, help=summary)
+        if config:
+            p.add_argument("--config", help="JSON configuration file")
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output path (default: stdout)")
+        return p
 
-    p = sub.add_parser("transform", help="Legendre transform of the configured model")
-    common(p)
+    p = command("transform", "Legendre transform of the configured model")
     p.add_argument("--alpha1", type=float, default=None, help="free scale of the pairing weights")
 
-    p = sub.add_parser("simulate", help="method-of-steps integration")
-    common(p)
-    p.add_argument("--model", help="JSON file with the model section (merged into config)")
-    p.add_argument("--history", help="JSON file with the history section (merged)")
-    p.add_argument("--tau", type=float, help="override tau")
-    p.add_argument("--steps-per-delay", type=int, dest="steps_per_delay")
-    p.add_argument("--horizon", type=float)
+    p = command("simulate", "method-of-steps integration")
     p.add_argument(
         "--formulation",
         choices=["hamiltonian", "lagrangian"],
         default="hamiltonian",
     )
 
-    p = sub.add_parser("noether", help="invariance analysis and first integrals")
-    common(p)
+    p = command("noether", "invariance analysis and first integrals")
     p.add_argument("--skip-drift", action="store_true")
 
-    p = sub.add_parser("recurse", help="integration-free propagation")
-    common(p)
-    p.add_argument("--c-mid", type=int, choices=[0, 2], default=None, dest="c_mid")
+    command("recurse", "integration-free propagation")
 
-    p = sub.add_parser("compare", help="compare two trajectory CSV files")
-    common(p)
+    p = command("compare", "compare two trajectory CSV files", config=False)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--max-diff", type=float, default=None, dest="max_diff")
 
-    p = sub.add_parser("check-identity", help="off-shell identity suites")
-    common(p)
+    p = command("check-identity", "off-shell identity suites")
     p.add_argument("--classical", action="store_true")
     p.add_argument("--pairs", type=int, default=10)
 
     return parser
 
 
-def _load_json(path: str, pointer: str) -> dict:
+def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _object(json.load(fh), pointer)
+            return _object(json.load(fh), "/")
     except OSError as err:
-        raise _unreadable(err, path, pointer) from None
+        raise _unreadable(err, path, "/") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ConfigError(pointer, f"invalid JSON: {err}") from None
+        raise ConfigError("/", f"invalid JSON: {err}") from None
 
 
 def _reads_as_float(token: str) -> bool:
@@ -576,16 +563,12 @@ def _command(argv: list[str] | None) -> int:
         "check-identity": cmd_check_identity,
     }
     try:
-        raw = _load_json(args.config, "/") if args.config else {}
-        if getattr(args, "model", None):
-            raw.update(_load_json(args.model, "/model"))
-        if getattr(args, "history", None):
-            hist_doc = _load_json(args.history, "/history")
-            raw["history"] = hist_doc.get("history", hist_doc)
-        for key in ("tau", "steps_per_delay", "horizon", "seed", "tol"):
-            if getattr(args, key, None) is not None:
-                raw[key] = getattr(args, key)
-        cfg = load_config(raw) if (raw or args.command != "compare") else None
+        cfg = None  # compare reads no config
+        if args.command != "compare":
+            raw = _load_json(args.config) if args.config else {}
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            cfg = load_config(raw)
         for dest, check in _FLAGS:
             if getattr(args, dest, None) is not None:
                 check(getattr(args, dest), "--" + dest.replace("_", "-"))

@@ -308,16 +308,12 @@ def symbol(base: str, shift: int, order: int = 0) -> Sym:
         raise ValueError(f"no jet symbol with base={base!r} shift={shift} order={order}")
 
 
-def _coordinate(key: Sym | str) -> Sym:
+def sym(key: Sym | str) -> Sym:
     """The coordinate atom that `key` is or names; `TypeError` for anything else."""
     s = SYMBOL_BY_NAME.get(key, key) if isinstance(key, str) else key
     if type(s) is not Sym:
         raise TypeError(f"not one of the {len(SYMBOLS)} jet coordinates: {key!r}")
     return s
-
-
-def sym(name: str) -> Sym:
-    return _coordinate(name)
 
 
 TAU: TauConst = _intern(("tau",), TauConst)  # type: ignore[assignment]
@@ -571,7 +567,7 @@ def _shift(e: Expr, direction: int) -> Expr:
 
 def substitute(e: Expr, mapping: Mapping[Sym | str, Expr | Number]) -> Expr:
     """Replace symbols, keyed by atom or name, by expressions everywhere in `e`."""
-    table = {_coordinate(k).index: as_expr(v) for k, v in mapping.items()}
+    table = {sym(k).index: as_expr(v) for k, v in mapping.items()}
     memo: dict[int, Expr] = {}
 
     def rec(x: Expr) -> Expr:
@@ -601,7 +597,7 @@ _PARTIAL_CACHE: dict[tuple[Expr, int], Expr] = {}
 def partial(e: Expr, s: Sym | str) -> Expr:
     """Partial derivative treating every jet symbol as an independent coordinate."""
     if type(s) is not Sym:
-        s = _coordinate(s)
+        s = sym(s)
     if not e.mask >> s.index & 1:
         return ZERO
     key = (e, s.index)
@@ -930,7 +926,7 @@ class JetPoint:
         if values:
             shifted = []  # tm and tp, checked once t is known
             for key, val in values.items():
-                s = _coordinate(key)
+                s = sym(key)
                 val = float(val)
                 if not math.isfinite(val):
                     raise ValueError(f"non-finite value for '{s.name}'")
@@ -966,7 +962,7 @@ class JetPoint:
         return self._vals[t.index]
 
     def value(self, s: Sym | str) -> float:
-        s = _coordinate(s)
+        s = sym(s)
         v = self._vals[s.index]
         if math.isnan(v):
             raise MissingSymbolError(s, self)

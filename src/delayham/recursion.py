@@ -156,9 +156,10 @@ class ComparisonReport:
 def compare(a, b) -> ComparisonReport:
     """Per-component max and discrete L2 differences on a shared grid.
 
-    A component is skipped when either trajectory lacks it: absent, or not
-    finite in any row (as the momenta of a Lagrangian run).  A non-finite
-    value in a component both carry raises `SolverError` naming its t.
+    A component is skipped when either trajectory does not carry it (None,
+    as the momenta of a Lagrangian run or an all-nan CSV column).  A
+    non-finite value in a component both carry raises `SolverError` naming
+    its t.
     """
     if len(a.t) != len(b.t) or not np.allclose(a.t, b.t, rtol=0, atol=1e-12):
         raise SolverError("trajectories are not on the same grid")
@@ -169,10 +170,7 @@ def compare(a, b) -> ComparisonReport:
         xb = getattr(b, name, None)
         if xa is None or xb is None:
             continue
-        fa, fb = np.isfinite(xa), np.isfinite(xb)
-        if not fa.any() or not fb.any():
-            continue
-        finite = fa & fb
+        finite = np.isfinite(xa) & np.isfinite(xb)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise SolverError(f"component {name} is not finite at t={a.t[bad]}")

@@ -394,16 +394,12 @@ def test_constant_folding_that_fails_is_a_config_error(tmp_path, capsys, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "horizon, argv",
-    [(float("inf"), []), (float("nan"), []), (4, ["--horizon", "inf"])],
-    ids=["json-infinity", "json-nan", "flag-inf"],
-)
-def test_non_finite_number_is_a_config_error(tmp_path, capsys, horizon, argv):
+@pytest.mark.parametrize("horizon", [float("inf"), float("nan")], ids=["json-infinity", "json-nan"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, horizon):
     path = tmp_path / "inf.json"
     path.write_text(json.dumps(dict(OSC_CONFIG, horizon=horizon)))  # writes Infinity / NaN
     out = tmp_path / "traj.csv"
-    assert cli.main(["simulate", "--config", str(path), "--out", str(out), *argv]) == cli.EXIT_CONFIG
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
     assert "/horizon" in capsys.readouterr().err
     assert not out.exists()
 
@@ -575,17 +571,12 @@ DIRECTORY = object()  # a document path that names a directory
 @pytest.mark.parametrize(
     "argv, line",
     [
-        (["simulate", "--model", "[1]"], "/model: must be an object"),
-        (["simulate", "--history", '"x"'], "/history: must be an object"),
-        (["simulate", "--config", "[]", "--tau", "1"], "/: top level must be an object"),
+        (["simulate", "--config", "[]"], "/: top level must be an object"),
         (["check-identity", "--seed", "-1"], "/seed: must be a non-negative integer"),
         (["transform", "--alpha1", "nan"], "--alpha1: expected a finite number"),
         (["transform", "--alpha1", "inf"], "--alpha1: expected a finite number"),
         (["compare", "--max-diff", "nan"], "--max-diff: expected a finite number"),
         (["simulate", "--config", DIRECTORY], "/: cannot read {tmp}/config.json: Is a directory"),
-        (["simulate", "--model", DIRECTORY], "/model: cannot read {tmp}/model.json: Is a directory"),
-        (["simulate", "--history", DIRECTORY],
-         "/history: cannot read {tmp}/history.json: Is a directory"),
         (["simulate", "--config", b"\xff{}"],
          "/: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (["noether", "--config", '{"extended_lagrangian": {}}'],
@@ -602,6 +593,8 @@ DIRECTORY = object()  # a document path that names a directory
          "/: recurse needs history and horizon"),
         (["recurse", "--config", '{"horizon": 2, "history": {}, "hamiltonian": {"alphas": [1, 0, 0, 2]}}'],
          "/hamiltonian/alphas: sum-form recursion needs a1 = a4 != 0"),
+        (["recurse", "--config", '{"horizon": 2, "history": {"q": "sin(t)", "p": "cos(t)"}}'],
+         "/: needs a 'hamiltonian' or 'lagrangian' section"),
         (["noether", "--skip-drift", "--config", '{"hamiltonian": {"H": "p*pm + q*qm"}, "generators": '
           '[{"name": "X", "eta": "sin(t)", "nu": "cos(t)", "V": "qdd"}]}'],
          "/generators/0/V: V must not contain: qdd (its total derivative would need third derivatives)"),
@@ -610,23 +603,20 @@ DIRECTORY = object()  # a document path that names a directory
          "/generators/0/W: W must not contain: qp (its forward shift would leave the three points)"),
         (["transform", "--config", '{"hamiltonian": {"H": "p*pm + ' + "sin(" * 250 + "q" + ")" * 250 + '"}}'],
          "/hamiltonian/H: nesting deeper than 100 levels (at offset 407)"),
-        (["transform", "--tol", "-1e-3"], "/tol: must be positive"),
     ],
-    ids=["model-list", "history-string", "config-list-with-override", "negative-seed",
-         "alpha1-nan", "alpha1-inf", "max-diff-nan", "config-directory", "model-directory",
-         "history-directory", "config-not-utf-8", "noether-without-model", "transform-without-model",
+    ids=["config-list-with-override", "negative-seed", "alpha1-nan", "alpha1-inf", "max-diff-nan",
+         "config-directory", "config-not-utf-8", "noether-without-model", "transform-without-model",
          "simulate-without-history", "simulate-without-horizon", "lagrangian-formulation-of-hamiltonian",
          "recurse-without-history", "recurse-without-horizon", "recurse-with-unequal-outer-weights",
-         "V-reads-a-second-derivative", "W-reads-a-forward-shift", "nesting-250",
-         "negative-tol-in-exponent-form"],
+         "recurse-without-model", "V-reads-a-second-derivative", "W-reads-a-forward-shift", "nesting-250"],
 )
 def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, line):
     base = tmp_path / "base.json"
     base.write_text(json.dumps(FAULT_BASE))
     argv = list(argv)
     for i, arg in enumerate(argv[:-1]):
-        if arg in ("--config", "--model", "--history"):
-            doc = tmp_path / f"{arg[2:]}.json"
+        if arg == "--config":
+            doc = tmp_path / "config.json"
             if argv[i + 1] is DIRECTORY:
                 doc.mkdir()
             elif isinstance(argv[i + 1], bytes):
@@ -635,12 +625,12 @@ def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, li
                 doc.write_text(argv[i + 1])
             argv[i + 1] = str(doc)
     line = line.format(tmp=tmp_path)
-    if "--config" not in argv:
-        argv += ["--config", str(base)]
     if argv[0] == "compare":
         run = tmp_path / "run.csv"
         assert cli.main(["simulate", "--config", str(base), "--out", str(run)]) == 0
         argv += ["--a", str(run), "--b", str(run)]
+    elif "--config" not in argv:
+        argv += ["--config", str(base)]
     out = tmp_path / "out"
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"config error at {line}\n"
@@ -660,7 +650,7 @@ def test_a_negative_flag_value_in_exponent_form_is_a_value(tmp_path, capsys, com
     if command == "compare":
         run = tmp_path / "run.csv"
         assert cli.main(["simulate", "--config", str(base), "--out", str(run)]) == 0
-        argv += ["--a", str(run), "--b", str(run)]
+        argv = [command, "--a", str(run), "--b", str(run)]
     outcomes = []
     for flag_args in ([flag, value], [f"{flag}={value}"]):
         out = tmp_path / "out"
@@ -674,6 +664,27 @@ def test_a_negative_flag_value_in_exponent_form_is_a_value(tmp_path, capsys, com
 def test_an_argparse_usage_error_is_returned_not_raised(capsys):
     assert cli.main(["transform", "--seed", "x"]) == cli.EXIT_CONFIG
     assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+
+_COMPARE = ["compare", "--a", "a.csv", "--b", "b.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*([command, "--tol", "1e-3"] for command in
+       ("transform", "simulate", "noether", "recurse", "check-identity")),
+     ["simulate", "--tau", "0.5"], ["simulate", "--steps-per-delay", "16"], ["simulate", "--horizon", "3"],
+     ["simulate", "--model", "model.json"], ["simulate", "--history", "history.json"],
+     ["recurse", "--c-mid", "0"],
+     [*_COMPARE, "--config", "config.json"], [*_COMPARE, "--seed", "1"], [*_COMPARE, "--tol", "1e-3"]],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_a_run_value_has_one_source_the_config(tmp_path, capsys, argv):
+    # a value the config holds, or the model fixes, has no flag; compare reads no config
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extended_lagrangian_that_cannot_be_sampled_is_a_numeric_failure(tmp_path, capsys):
@@ -708,24 +719,12 @@ def test_a_hamiltonian_simulation_without_a_momentum_history_is_a_numeric_failur
     assert not out.exists()
 
 
-@pytest.mark.parametrize("nested", [False, True], ids=["bare", "under-history-key"])
-def test_simulate_reads_the_history_from_its_own_file(osc_config, tmp_path, nested):
-    # the history document is the history object, or holds it under "history"
-    history = {"q": "cos(t)", "p": "-sin(t)"}
-    doc = tmp_path / "history.json"
-    doc.write_text(json.dumps({"history": history} if nested else history))
-    inline = tmp_path / "inline.json"
-    inline.write_text(json.dumps(dict(OSC_CONFIG, history=history)))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(["simulate", "--config", osc_config, "--history", str(doc), "--out", str(a)]) == 0
-    assert cli.main(["simulate", "--config", str(inline), "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_noether_whose_identity_check_fails_exits_4(osc_config, tmp_path):
+def test_noether_whose_identity_check_fails_exits_4(tmp_path):
     # no sampled value of the identity residual is within 1e-300 of its scale
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, tol=1e-300)))
     out = tmp_path / "noether.json"
-    argv = ["noether", "--config", osc_config, "--tol", "1e-300", "--out", str(out)]
+    argv = ["noether", "--config", str(path), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_VERIFY
     reports = json.loads(out.read_text())["generators"]
     assert len(reports) == 5 and not any(r["identity_ok"] for r in reports)
@@ -963,6 +962,22 @@ def test_compare_fails_on_a_non_finite_row(osc_config, tmp_path, capsys):
     assert f"q is not finite at t={float(row[0])}" in capsys.readouterr().err
 
 
+def test_compare_fails_on_a_component_that_is_never_finite(osc_config, tmp_path, capsys):
+    # only an all-nan column is a component the file does not carry
+    a = tmp_path / "a.csv"
+    assert cli.main(["simulate", "--config", osc_config, "--out", str(a)]) == 0
+    header, *rows = a.read_text().splitlines()
+    rows = [",".join([cells[0], cells[1], "inf", *cells[3:]]) for cells in (r.split(",") for r in rows)]
+    b = tmp_path / "b.csv"
+    b.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "report.json"
+    rc = cli.main(["compare", "--a", str(a), "--b", str(b), "--max-diff", "1e-5", "--out", str(out)])
+    assert rc == cli.EXIT_NUMERIC
+    # the first row, two delays before t0
+    assert capsys.readouterr().err == "numeric failure: component p is not finite at t=-2.0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "cells",
     [["1", "2", "3"], None, "x", "\udcff"],
@@ -1172,7 +1187,8 @@ def test_out_in_a_missing_directory_is_rejected_before_any_work(
     out = folder / "out"
     if directory:
         out.mkdir(parents=True)
-    rc = cli.main([command, "--config", osc_config, *argv, "--out", str(out)])
+    config = [] if command == "compare" else ["--config", osc_config]
+    rc = cli.main([command, *config, *argv, "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
     if directory:
         assert capsys.readouterr().err == f"config error at --out: is a directory: {out}\n"

@@ -74,6 +74,9 @@ def test_parse_syntax_error_offset():
     with pytest.raises(E.ParseError) as err:
         E.parse("q + * p")
     assert err.value.offset == 4
+    with pytest.raises(E.ParseError, match="unexpected character '\\$'") as err:
+        E.parse("q $ p")
+    assert err.value.offset == 2
 
 
 def test_parse_unknown_identifier_named():
@@ -168,6 +171,16 @@ def test_eval_division_by_zero():
 def test_jet_rejects_conflicting_shifted_time():
     with pytest.raises(ValueError):
         E.JetPoint(1.0, {"tm": 5.0}, t_value=0.0)
+
+
+def test_jet_rejects_a_bad_tau_or_value_and_names_a_missing_one():
+    with pytest.raises(ValueError, match="tau must be a positive finite number"):
+        E.JetPoint(0.0)
+    with pytest.raises(ValueError, match="non-finite value for 'q'"):
+        E.JetPoint(1.0, {"q": math.inf})
+    with pytest.raises(E.MissingSymbolError) as err:
+        E.JetPoint(1.0).value("q")
+    assert err.value.symbol is E.q
 
 
 @pytest.mark.parametrize(
@@ -313,6 +326,11 @@ def test_shift_golden():
 def test_shift_inverse_pair():
     e = E.parse("sin(t)*q + p*qd")
     assert E.shift(E.shift(e, +1), -1) is e
+
+
+def test_shift_direction_is_one_delay():
+    with pytest.raises(ValueError, match="shift direction must be"):
+        E.shift(E.q, 2)
 
 
 def test_shift_overflow_names_symbol():
@@ -486,6 +504,8 @@ def test_each_jet_coordinate_is_one_atom():
         assert (atom.name, atom.base, atom.shift, atom.order) == (name, base, shift, order)
     for k, atom in enumerate(E.SYMBOLS):
         assert atom.index == k
+    with pytest.raises(ValueError, match="no jet symbol with base='x'"):
+        E.symbol("x", 0)
     e = E.parse("q*qm^2 + sin(t)*pd")
     assert E.symbols_of(e) == {E.q, E.qm, E.t, E.pd}
     assert all(s is E.SYMBOL_BY_NAME[s.name] for s in E.symbols_of(e))
@@ -500,12 +520,33 @@ def test_each_jet_coordinate_is_one_atom():
     assert err.value.symbol is E.qdp
 
 
+def test_operators_build_the_nodes_of_the_functions():
+    q, p = E.q, E.p
+    assert 2 + q is E.add(2, q)
+    assert q - p is E.sub(q, p)
+    assert 2 - q is E.sub(2, q)
+    assert 2 * q is E.mul(2, q)
+    assert q / p is E.div(q, p)
+    assert 2 / q is E.div(2, q)
+    assert -q is E.neg(q)
+    assert str(q * p + 1) == E.to_source(q * p + 1)
+
+
+def test_powi_takes_integral_exponents_only():
+    assert E.powi(E.q, Fraction(3)) is E.powi(E.q, 3) is E.parse("q^3")
+    assert E.powi(E.q, 0) is E.ONE
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        E.powi(E.q, 1.5)
+
+
 def test_constants_are_one_node_per_exact_value():
     assert E.const(1) is E.const(Fraction(2, 2)) is E.ONE
     assert E.const(1) is not E.const(1.0)
     assert E.const(0.0) is not E.const(-0.0)
     assert E.const(0.1) is not E.const(math.nextafter(0.1, 1.0))
     assert E.const(float("nan")) is E.const(float("nan"))
+    with pytest.raises(TypeError, match="unsupported constant type str"):
+        E.const("1")
 
 
 def test_intern_and_derivative_keys_hold_nodes_not_ids():

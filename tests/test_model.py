@@ -92,6 +92,17 @@ def test_degeneracy_of_coefficients_whose_products_underflow(alpha, beta, gamma,
     assert M.QuadraticLagrangian(alpha, beta, gamma, E.ZERO).degenerate is degenerate
 
 
+@pytest.mark.parametrize("x", [True, "1"], ids=["bool", "str"])
+def test_a_coefficient_that_is_no_number_is_rejected(x):
+    with pytest.raises(TypeError, match="coefficients must be numbers"):
+        M._num(x)
+
+
+def test_hamiltonian_takes_four_weights():
+    with pytest.raises(ValueError, match="alphas must have exactly four entries"):
+        M.DelayHamiltonian(E.parse("p*pm + q*qm"), (1, 0, 1))
+
+
 def test_hamiltonian_rejects_derivative_symbols():
     with pytest.raises(ValueError):
         M.DelayHamiltonian(E.parse("p*qd"), (1, 0, 0, 1))

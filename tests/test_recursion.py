@@ -151,6 +151,8 @@ def test_relation_validation():
     hist = S.History(0.0, 1.0, E.parse("sin(t)"), None)
     with pytest.raises(R.RecursionError_):
         R.recover_constants(hist, 0)
+    with pytest.raises(R.RecursionError_, match="only the middle coefficients 0 and 2"):
+        R.recover_constants(hist, 1)
 
 
 def _at(e, t_value, tau=1.0):

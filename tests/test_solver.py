@@ -78,6 +78,9 @@ def test_elsgolts_matches_hamiltonian_route(oscillator, sincos_history):
     a = S.step_hamiltonian(ham, sincos_history, 10.0, 64)
     b = S.step_elsgolts(lag, sincos_history, 10.0, 64)
     assert np.max(np.abs(a.q - b.q)) <= 1e-6
+    # a Lagrangian run carries no momenta, so it has no canonical residuals
+    with pytest.raises(S.SolverError, match="needs a phase-space trajectory"):
+        S.residual_report(b, ham)
 
 
 def test_elsgolts_pure_kinetic_second_derivative_wave():

@@ -8,7 +8,8 @@ Usage, from the root of a checkout:
 The tree under test is the checkout holding this script; `--parent` naming
 that same checkout gives an A/A run.  Each tree runs the same fixed matrix in
 one fresh process whose `PYTHONPATH` is that tree's `src`, all in-process
-through `delayham.cli.main`:
+through `delayham.cli.main`; a worker that imported `delayham` from anywhere
+else exits 2, so no run can compare a tree with itself by mistake:
 
 - `check-identity` and `noether --skip-drift` on 40 configs drawn by
   `bench/workloads.random_identity_model` from `random.Random(--start)`;
@@ -37,11 +38,11 @@ through `delayham.cli.main`:
   that reads a second derivative or `W` that reads a forward-shifted
   coordinate, expressions nested past the parser's limit or led by 2,000
   minus signs, negative flag values in exponent form (`--alpha1 -1e-135`,
-  `--max-diff -1e-5`, `--tol -1e-3`) with an argparse usage error
-  (`--seed x`), a horizon of 1000.0000005 from `t0` -1000 on `simulate`,
-  `recurse` and `noether`, `horizon` 1e15 on the same three, `samples`
-  10**15 on `check-identity` and `noether`, and the reverse `transform` of
-  `1e308*p^2 + p*pm + q*qm`, whose sampled coefficient is inf.
+  `--max-diff -1e-5`) with an argparse usage error (`--seed x`), a horizon
+  of 1000.0000005 from `t0` -1000 on `simulate`, `recurse` and `noether`,
+  `horizon` 1e15 on the same three, `samples` 10**15 on `check-identity`
+  and `noether`, and the reverse `transform` of `1e308*p^2 + p*pm + q*qm`,
+  whose sampled coefficient is inf.
 
 Every run records its exit code (a raised exception counts as exit 1, with
 its type and message, and a `SystemExit` as its code), standard output, standard error, the bytes of its
@@ -49,8 +50,8 @@ its type and message, and a `SystemExit` as its code), standard output, standard
 Paths in the runs are relative to a fresh directory, so messages that name a
 file read the same on both trees.  On any difference the tool prints the
 first differing runs field by field, from the first character that differs,
-counts the differing runs per field (`167 of 167 runs differ (partial:
-167)`), names every differing run and exits 1; otherwise it exits 0.  Either
+counts the differing runs per field (`166 of 166 runs differ (partial:
+166)`), names every differing run and exits 1; otherwise it exits 0.  Either
 way it prints one sha256 over the runs that are equal and both trees' cache
 counts after the last run.  Pick a `--start` no earlier run has used, so the
 seeds were not the ones developed against.
@@ -168,7 +169,6 @@ def _input_families(readme: dict) -> list[tuple[str, dict | None, list[str]]]:
              for name, h in deep.items()]
     runs += [
         ("flags/transform-alpha1--1e-135", readme, ["transform", "--alpha1", "-1e-135"]),
-        ("flags/transform-tol--1e-3", readme, ["transform", "--tol", "-1e-3"]),
         ("flags/compare-max-diff--1e-5", None,
          ["compare", "--a", "ham.csv", "--b", "rec.csv", "--max-diff", "-1e-5"]),
     ]
@@ -275,9 +275,15 @@ SPIES = {"sources": _sources, "interval-sources": _interval_sources}
 
 
 def worker(args) -> int:
-    """Run the matrix in this process (the tree's `src` on `PYTHONPATH`) and write the records."""
+    """Run the matrix in this process on the tree `args.worker` (its `src` on
+    `PYTHONPATH`) and write the records to `result.json`; exit 2 if
+    `delayham` was imported from anywhere else."""
+    tree = Path(args.worker)
     from delayham import expr as ex
 
+    if Path(ex.__file__).resolve().parent != tree / "src" / "delayham":
+        print(f"parity: imported delayham from {ex.__file__}, not from {tree}", file=sys.stderr)
+        return 2
     records = []
     runs = _matrix(args.start)
     for run_id, config, argv in runs:
@@ -301,7 +307,7 @@ def worker(args) -> int:
             "intern": len(ex._INTERN),
             "partial": len(ex._PARTIAL_CACHE),
         })
-    Path(args.worker).write_text(json.dumps({"module": ex.__file__, "runs": records}), encoding="utf-8")
+    Path("result.json").write_text(json.dumps({"module": ex.__file__, "runs": records}), encoding="utf-8")
     return 0
 
 
@@ -316,10 +322,11 @@ def _first_difference(a, b) -> str:
 def _spawn(tree: Path, args, work: Path) -> subprocess.Popen:
     """A worker process running the matrix on `tree` in the fresh directory `work`."""
     work.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    tree = tree.resolve()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")
-    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(work / "result.json"),
+    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree),
             "--start", str(args.start)]
     return subprocess.Popen(argv, cwd=work, env=env)
 
