@@ -471,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, summary, config=True):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(parser=p)  # which reports an unrecognized argument, with its own usage
         if config:
             p.add_argument("--config", help="JSON configuration file")
             p.add_argument("--seed", type=int, help="override the config seed")
@@ -551,7 +552,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _command(argv: list[str] | None) -> int:
     try:
-        args = build_parser().parse_args(_negative_values_joined(sys.argv[1:] if argv is None else argv))
+        args, unknown = build_parser().parse_known_args(
+            _negative_values_joined(sys.argv[1:] if argv is None else argv))
+        if unknown:
+            args.parser.error("unrecognized arguments: " + " ".join(unknown))
     except SystemExit as err:  # argparse's usage error (2), or --help (0)
         return err.code
     handlers = {

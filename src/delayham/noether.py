@@ -12,11 +12,11 @@ sampling; user-supplied candidates are always accepted for checking.  Each
 dictionary and its images are built once per process.  An on-shell fit
 samples jets of the prolonged canonical pair (the equations and their total
 derivatives), so one set of jets serves every target of a fit, whatever its
-order.  The generators of one run fit on the same seeded jets, so
-`analyze_generators` runs each stage across all of them: each fit call
-evaluates (one kernel call over the images) and factors one design, shared
-by every generator in it, while each fit keeps its own solve, gate and
-verification.
+order.  The generators of one run sample the same seeded jets, so each stage
+of `analyze_generators` is one batched call over all of them: one
+`zero_checks` call per set of sampled checks, and one design per fit call,
+evaluated (one kernel call over the images) and factored once, while each
+fit keeps its own solve, gate and verification.
 """
 
 from __future__ import annotations
@@ -403,34 +403,32 @@ def check_potential(key: str, e: Expr) -> Expr:
 def _classify_many(
     h: DelayHamiltonian,
     cases: list[tuple[Generator, Expr | None, Expr | None]],
-    *,
-    samples: int,
+    jets: np.ndarray,
     tol: float,
     seed: int,
 ) -> list[InvarianceResidual]:
-    """`classify_invariance` of every (g, v, w) case; the cases left to the
-    V fit share its design."""
-    results = []
-    unresolved = []
-    for g, v, w in cases:
-        om = invariance_residual(h, g)
-        result = InvarianceResidual(om, Classification.NONE)
-        if is_zero(om, samples=samples, tol=tol, seed=seed).ok:
-            result = InvarianceResidual(om, Classification.VARIATIONAL)
-        elif v is not None or w is not None:
-            vv = as_expr(v if v is not None else 0)
-            ww = as_expr(w if w is not None else 0)
-            residual = sub(om, add(D(vv), sub(ww, shift(ww, +1))))
-            if is_zero(residual, samples=samples, tol=tol, seed=seed).ok:
-                result = InvarianceResidual(om, Classification.DIVERGENCE, vv, ww)
-        if result.classification is Classification.NONE:
-            unresolved.append(len(results))
-        results.append(result)
-    if unresolved:
-        targets = [results[i].omega for i in unresolved]
-        for i, fitted in zip(unresolved, _fit_many(targets, _v_dictionary(), seed=seed + 1, on_shell=None)):
-            if fitted is not None:
-                results[i] = InvarianceResidual(results[i].omega, Classification.DIVERGENCE, fitted, ex.ZERO)
+    """`classify_invariance` of every (g, v, w) case on the off-shell slot
+    array `jets`: one zero check of every residual, one of every supplied
+    V/W gap, and one V fit shared by the cases left."""
+    omegas = [invariance_residual(h, g) for g, _, _ in cases]
+    results = [
+        InvarianceResidual(om, Classification.VARIATIONAL if check.ok else Classification.NONE)
+        for om, check in zip(omegas, ex.zero_checks(omegas, jets, tol))
+    ]
+    supplied = {
+        i: (as_expr(v if v is not None else 0), as_expr(w if w is not None else 0))
+        for i, (_, v, w) in enumerate(cases)
+        if results[i].classification is Classification.NONE and (v is not None or w is not None)
+    }
+    gaps = [sub(results[i].omega, add(D(vv), sub(ww, shift(ww, +1)))) for i, (vv, ww) in supplied.items()]
+    for (i, (vv, ww)), check in zip(supplied.items(), ex.zero_checks(gaps, jets, tol)):
+        if check.ok:
+            results[i] = InvarianceResidual(results[i].omega, Classification.DIVERGENCE, vv, ww)
+    unresolved = [i for i, r in enumerate(results) if r.classification is Classification.NONE]
+    targets = [results[i].omega for i in unresolved]
+    for i, fitted in zip(unresolved, _fit_many(targets, _v_dictionary(), seed=seed + 1, on_shell=None)):
+        if fitted is not None:
+            results[i] = InvarianceResidual(results[i].omega, Classification.DIVERGENCE, fitted, ex.ZERO)
     return results
 
 
@@ -448,7 +446,7 @@ def classify_invariance(
     or none.  User-supplied V/W are checked as given; otherwise V is searched
     automatically over the monomial dictionary (off-shell, so a reported
     divergence form is an identity, not merely an on-shell coincidence)."""
-    return _classify_many(h, [(g, v, w)], samples=samples, tol=tol, seed=seed)[0]
+    return _classify_many(h, [(g, v, w)], ex.random_jets(seed, samples), tol, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +589,10 @@ def variational_derivative_identities(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> IdentityReport:
-    """Sampled checks that the `variational_identity_residuals` vanish."""
-    checks = {
-        key: is_zero(residual, samples=samples, tol=tol, seed=seed)
-        for key, residual in variational_identity_residuals(h, g).items()
-    }
+    """Sampled checks that the `variational_identity_residuals` vanish, in
+    one `zero_checks` call."""
+    residuals = variational_identity_residuals(h, g)
+    checks = dict(zip(residuals, ex.zero_checks(residuals.values(), ex.random_jets(seed, samples), tol)))
     return IdentityReport(all(c.ok for c in checks.values()), checks)
 
 
@@ -694,7 +691,7 @@ def analyze_generator(
     """Full treatment of one generator: identity check, classification,
     conserved-quantity derivation, optional drift monitoring and the
     admissibility of its time coefficient (`model.xi_admissible`)."""
-    return _analyze_many(h, [(name, g, v, w)], traj=traj, samples=samples, tol=tol, seed=seed)[0]
+    return analyze_generators(h, [(name, g, v, w)], traj=traj, samples=samples, tol=tol, seed=seed)[0]
 
 
 def analyze_generators(
@@ -708,52 +705,36 @@ def analyze_generators(
 ) -> list[GeneratorReport]:
     """`analyze_generator` of every `(name, g, v, w)`, stage by stage.
 
-    Every generator fits with the same seed, so their fits sample the same
-    jets: each stage runs across all generators before the next starts, and
-    the fits of one stage share their designs (`_fit_many`).  The reports
-    equal the per-generator ones.  When a stage raises, the generators are
-    rerun one at a time in order, so the error is the one that the first
-    failing generator raises on its own."""
-    try:
-        return _analyze_many(h, generators, traj=traj, samples=samples, tol=tol, seed=seed)
-    except Exception:
-        if len(generators) > 1:
-            for name, g, v, w in generators:
-                analyze_generator(h, g, name, v=v, w=w, traj=traj, samples=samples, tol=tol, seed=seed)
-        raise
-
-
-def _analyze_many(
-    h: DelayHamiltonian,
-    generators: list[_Case],
-    *,
-    traj,
-    samples: int,
-    tol: float,
-    seed: int,
-) -> list[GeneratorReport]:
-    """The stages of `analyze_generators`, without its rerun on failure."""
-    identities = [
-        verify_hamiltonian_identity(h, g, samples=samples, tol=tol, seed=seed)
-        for _, g, _, _ in generators
-    ]
-    classes = _classify_many(h, [(g, v, w) for _, g, v, w in generators], samples=samples, tol=tol, seed=seed)
+    Every stage is one batched call over all generators: each set of sampled
+    checks is one `zero_checks` call on the jets that one generator's check
+    draws, and each fit is one `_fit_many` call whose design the generators
+    share.  `zero_checks` gives every root the bits of its own check and
+    `_fit_many` every target the result of its own fit, so the reports equal
+    the per-generator ones.  A run that fails raises the first error in stage
+    order: that of the first failing stage, and in it of the first failing
+    generator."""
+    if not generators:
+        return []
+    off_shell = ex.random_jets(seed, samples)
+    identities = ex.zero_checks([hamiltonian_identity_residual(h, g) for _, g, _, _ in generators], off_shell, tol)
+    classes = _classify_many(h, [(g, v, w) for _, g, v, w in generators], off_shell, tol, seed)
     reports = [
         GeneratorReport(name, inv, noether_parts(h, g), identity)
         for (name, g, _, _), inv, identity in zip(generators, classes, identities)
     ]
 
+    invariant = [i for i, r in enumerate(reports) if r.invariance.classification is not Classification.NONE]
+    coefficients = [getattr(generators[i][1], c) for i in invariant for c in ("eta", "nu", "xi")]
+    zero = iter(ex.zero_checks(coefficients, ex.random_jets(seed, 10), 1e-12))
     # report index -> its V ("v"), its W ("w") and the target of each kind of
     # fit, for every generator with a conserved quantity to derive
     active: dict[int, dict[str, Expr]] = {}
-    for i, ((_, g, _, _), report) in enumerate(zip(generators, reports)):
+    for i, report in enumerate(reports):
         inv = report.invariance
         if inv.classification is Classification.NONE:
             report.notes.append("not a variational or divergence invariance; no conserved quantity")
             continue
-        eta_zero, nu_zero, xi_zero = (
-            c.ok for c in ex.zero_checks((g.eta, g.nu, g.xi), ex.random_jets(seed, 10), 1e-12)
-        )
+        eta_zero, nu_zero, xi_zero = (next(zero).ok for _ in range(3))
         if eta_zero and nu_zero and not xi_zero:
             report.notes.append(
                 "purely temporal generator: the canonical pair alone yields no "
@@ -784,16 +765,18 @@ def _analyze_many(
             extras.update(zip(retry, _fit_many(
                 [targets[i] for i in retry], dictionary, seed=seed + fit_seed, on_shell=h
             )))
+        integrals = {}
         for i, extra in extras.items():
-            report = reports[i]
             if extra is None:
-                report.notes.append(missing)
-                continue
-            integral = _integral(report.parts, kind, add(active[i][known], extra))
-            if is_zero(integral, samples=40, tol=1e-10, seed=seed + zero_seed).ok:
+                reports[i].notes.append(missing)
+            else:
+                integrals[i] = _integral(reports[i].parts, kind, add(active[i][known], extra))
+        checks = ex.zero_checks(integrals.values(), ex.random_jets(seed + zero_seed, 40), 1e-10)
+        for i, check in zip(integrals, checks):
+            if check.ok:
                 # the fit absorbed everything through the equations of motion
-                setattr(report.parts, f"{kind}_integral", None)
-                report.notes.append(f"{kind} conversion yields only the zero quantity")
+                setattr(reports[i].parts, f"{kind}_integral", None)
+                reports[i].notes.append(f"{kind} conversion yields only the zero quantity")
 
     for report, (_, g, _, _) in zip(reports, generators):
         if traj is not None:

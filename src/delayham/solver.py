@@ -136,17 +136,17 @@ class Trajectory:
         """Index of the node t0: the history fills the two delays before it."""
         return 2 * self.steps_per_delay
 
-    def slots(self, lo: int, hi: int, qdd=None, pdd=None) -> np.ndarray:
+    def slots(self, lo: int, hi: int, qdd=None) -> np.ndarray:
         """Slot array whose column i - lo is the jet at grid node i, lo <= i < hi.
 
         Shifted slots are the same samples one delay (`steps_per_delay` nodes)
-        either side; `qdd`/`pdd` are optional node arrays for the second
-        derivatives.  Slots the trajectory does not carry, or that fall off
-        the grid, are nan.
+        either side; `qdd` is an optional node array for the second
+        derivative of q.  Slots the trajectory does not carry, or that fall
+        off the grid, are nan.
         """
         rows = [(b, o, v) for b, o, v in (
             ("t", 0, self.t), ("q", 0, self.q), ("q", 1, self.qd), ("q", 2, qdd),
-            ("p", 0, self.p), ("p", 1, self.pd), ("p", 2, pdd),
+            ("p", 0, self.p), ("p", 1, self.pd),
         ) if v is not None]
         out = ex.grid_slots(self.tau, {symbol(b, 0, o): v[lo:hi] for b, o, v in rows})
         n = self.steps_per_delay
@@ -410,37 +410,32 @@ def _centred(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-_SECOND = {sh: frozenset(symbol(base, sh, 2) for base in "qp") for sh in (-1, 1)}
-
-
 def residual_report(traj: Trajectory, ham: DelayHamiltonian) -> ResidualTable:
     """Evaluate the three variational residuals at every interior node.
 
     First derivatives come from the stored samples (right-limit branch, so
-    the check is one-sidedly consistent at knots); second derivatives, needed
-    only by the horizontal residual, are centred finite differences, missing
-    at the first and last grid node.  A residual that reads a missing one is
-    nan at that row; any other value that is not finite raises `SolverError`
-    naming the first such t.  The horizontal residual is reported, not
-    asserted: it does not vanish on solutions of the canonical pair.
+    the check is one-sidedly consistent at knots).  H reads no derivative, so
+    only the horizontal residual reads second derivatives, and of them only
+    qdd and qddm: centred finite differences, missing at the first and last
+    grid node.  So a residual that reads qddm is nan at the first row; any
+    other value that is not finite raises `SolverError` naming the first
+    such t.  The horizontal residual is reported, not asserted: it does not
+    vanish on solutions of the canonical pair.
     """
     if traj.p is None:
         raise SolverError("residual evaluation needs a phase-space trajectory")
     n = traj.steps_per_delay
     lo, hi = n, len(traj.t) - n
-    slots = traj.slots(lo, hi, _centred(traj.qd, traj.h), _centred(traj.pd, traj.h))
+    slots = traj.slots(lo, hi, _centred(traj.qd, traj.h))
 
     bad = []
 
     def along(name: str, e: Expr) -> np.ndarray:
-        # grid nodes 0 and m are reached only from the first row one delay
-        # back and from the last row one delay forward
-        syms = symbols_of(e)
-        first = 1 if syms & _SECOND[-1] else 0
-        last = hi - lo - (1 if syms & _SECOND[1] else 0)
+        # grid node 0 is reached only from the first row one delay back
+        first = 1 if ex.qddm in symbols_of(e) else 0
         out = np.full(hi - lo, math.nan)
-        out[first:last] = ex.evaluate_many((e,), slots[:, first:last])[0]
-        finite = np.isfinite(out[first:last])
+        out[first:] = ex.evaluate_many((e,), slots[:, first:])[0]
+        finite = np.isfinite(out[first:])
         if not finite.all():
             bad.append((first + int(np.argmin(finite)), name))
         return out

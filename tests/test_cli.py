@@ -669,6 +669,15 @@ def test_an_argparse_usage_error_is_returned_not_raised(capsys):
 _COMPARE = ["compare", "--a", "a.csv", "--b", "b.csv"]
 
 
+@pytest.mark.parametrize("argv, unknown", [([*_COMPARE, "--bogus", "1"], "--bogus 1"),
+                                           (["noether", "--skip-drft"], "--skip-drft")])
+def test_an_unrecognized_argument_is_reported_with_the_subcommands_usage(capsys, argv, unknown):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: delayham {argv[0]} [-h]")
+    assert err.endswith(f"\ndelayham {argv[0]}: error: unrecognized arguments: {unknown}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [*([command, "--tol", "1e-3"] for command in

@@ -49,6 +49,12 @@ def test_forward_degenerate_golden(degenerate_oscillator):
     assert z(E.sub(res.merged_relation, E.parse("p + pm - (qd + qdm)"))).ok
 
 
+def test_forward_takes_the_exact_root_of_a_perfect_square():
+    # the root of alpha = 4 is the integer 2; a float root would print 2.0*p
+    res = L.legendre_forward(M.QuadraticLagrangian(4, 4, 4, E.parse("q*qm")))
+    assert E.to_source(res.hamiltonian.h) == "(2*p + 2*pm)^2/2 + q*qm"
+
+
 def test_forward_mixed_coefficients():
     lag = M.QuadraticLagrangian(2, 1, 0, E.ZERO)
     res = L.legendre_forward(lag, 1)

@@ -1010,26 +1010,26 @@ class _Planted(RuntimeError):
     pass
 
 
-def test_analyze_generators_raises_the_first_generators_own_error(oscillator, monkeypatch):
+def test_analyze_generators_raises_the_first_error_in_stage_order(oscillator, monkeypatch):
+    """A failing run raises the error of its first failing stage: the second
+    generator's identity residual overflows inside the batched identity
+    check, before the first generator reaches its planted last-stage error."""
     _, ham = oscillator
     first, second = README_GENERATORS
-    identity, admissible = N.verify_hamiltonian_identity, N.xi_admissible
+    residual, admissible = N.hamiltonian_identity_residual, N.xi_admissible
 
-    def fails_early(h, g, **options):
-        if g is second[1]:
-            raise _Planted("second generator, identity check")
-        return identity(h, g, **options)
+    def fails_early(h, g):
+        return E.parse("exp(800 + q^2)") if g is second[1] else residual(h, g)
 
     def fails_late(g, **options):
         if g is first[1]:
             raise _Planted("first generator, last stage")
         return admissible(g, **options)
 
-    monkeypatch.setattr(N, "verify_hamiltonian_identity", fails_early)
+    monkeypatch.setattr(N, "hamiltonian_identity_residual", fails_early)
     monkeypatch.setattr(N, "xi_admissible", fails_late)
-    with pytest.raises(_Planted) as want:
-        for name, g, v, w in README_GENERATORS:
-            N.analyze_generator(ham, g, name, v=v, w=w, seed=11)
-    with pytest.raises(_Planted) as got:
+    with pytest.raises(E.EvalError, match="^numeric overflow$") as got:
         N.analyze_generators(ham, README_GENERATORS, seed=11)
-    assert str(got.value) == str(want.value) == "first generator, last stage"
+    assert got.value.jet.slots() == E.random_jet(11, 0).slots()
+    with pytest.raises(_Planted, match="^first generator, last stage$"):  # the late failure is live
+        N.analyze_generator(ham, first[1], first[0], seed=11)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -142,6 +143,15 @@ def test_compare_rejects_grid_mismatch(sincos_history):
     a = R.recurse(rel, sincos_history, 4.0, 32)
     b = R.recurse(rel, sincos_history, 4.0, 64)
     with pytest.raises(S.SolverError):
+        R.compare(a, b)
+
+
+def test_compare_rejects_a_grid_of_the_same_length_on_other_nodes(sincos_history):
+    # each node of the doubled grid lies within a relative 1 of the original one
+    rel = R.relation_from_history(sincos_history, 0)
+    a = R.recurse(rel, sincos_history, 4.0, 32)
+    b = dataclasses.replace(a, t=2 * a.t)
+    with pytest.raises(S.SolverError, match="^trajectories are not on the same grid$"):
         R.compare(a, b)
 
 
