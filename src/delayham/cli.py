@@ -168,32 +168,41 @@ _FLAGS = (
 
 @dataclass
 class RunConfig:
-    tau: float
     seed: int
     tol: float
     samples: int
     steps_per_delay: int
-    horizon: float | None
-    t0: float
-    lagrangian: QuadraticLagrangian | None
-    hamiltonian: DelayHamiltonian | None
-    extended: legendre.ExtendedLagrangian | None
+    t_end: float | None  # t0 + horizon; None without a horizon
+    model: QuadraticLagrangian | DelayHamiltonian | legendre.ExtendedLagrangian | None
     history: solver.History | None
     generators: list[tuple[str, Generator, Expr | None, Expr | None]]
+
+    # the model when it is of that kind, else None
+    @property
+    def lagrangian(self) -> QuadraticLagrangian | None:
+        return self.model if isinstance(self.model, QuadraticLagrangian) else None
+
+    @property
+    def hamiltonian(self) -> DelayHamiltonian | None:
+        return self.model if isinstance(self.model, DelayHamiltonian) else None
 
 
 def load_config(raw: dict) -> RunConfig:
     tau, seed, tol, samples, steps_per_delay, horizon, t0 = _build(raw, "/", None, _SCALARS)
-    if horizon is not None:
+    t_end = None if horizon is None else t0 + horizon
+    if t_end is not None:
         try:  # the solver's grid rule, on the t_end that every command passes
-            solver.whole_delays(t0, t0 + horizon, tau, steps_per_delay)
+            solver.whole_delays(t0, t_end, tau, steps_per_delay)
         except ValueError as err:
             raise ConfigError("/horizon", str(err)) from None
-    history = partial(_build, make=partial(solver.History, t0, tau), rows=_HISTORY)
-    sections = (*_MODELS, ("history", None, history), ("generators", [], _generators))
-    return RunConfig(
-        tau, seed, tol, samples, steps_per_delay, horizon, t0, *_build(raw, "/", None, sections)
-    )
+    check_history = partial(_build, make=partial(solver.History, t0, tau), rows=_HISTORY)
+    sections = (*_MODELS, ("history", None, check_history), ("generators", [], _generators))
+    *models, history, generators = _build(raw, "/", None, sections)
+    named = [key for (key, _, _), model in zip(_MODELS, models) if model is not None]
+    if len(named) > 1:
+        raise ConfigError("/", "more than one model section: " + ", ".join(named))
+    model = next((m for m in models if m is not None), None)
+    return RunConfig(seed, tol, samples, steps_per_delay, t_end, model, history, generators)
 
 
 def _resolved_hamiltonian(cfg: RunConfig) -> DelayHamiltonian:
@@ -202,6 +211,15 @@ def _resolved_hamiltonian(cfg: RunConfig) -> DelayHamiltonian:
     if cfg.lagrangian is not None:
         return legendre.legendre_forward(cfg.lagrangian).hamiltonian
     raise ConfigError("/", "needs a 'hamiltonian' or 'lagrangian' section")
+
+
+def _history_and_end(cfg: RunConfig, command: str) -> tuple[solver.History, float]:
+    """The history and end time that `simulate` and `recurse` integrate from and to."""
+    if cfg.history is None:
+        raise ConfigError("/history", f"{command} needs a history section")
+    if cfg.t_end is None:
+        raise ConfigError("/horizon", f"{command} needs a horizon")
+    return cfg.history, cfg.t_end
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -236,8 +254,8 @@ def _check_entry(name: str, chk: ex.ZeroCheck) -> dict:
 
 
 def cmd_transform(cfg: RunConfig, args) -> int:
-    if cfg.extended is not None:
-        res = legendre.legendre_extended(cfg.extended)
+    if isinstance(cfg.model, legendre.ExtendedLagrangian):
+        res = legendre.legendre_extended(cfg.model)
         payload = {
             "H": to_source(res.h),
             "alphas": [to_source(a) for a in res.alphas],
@@ -305,19 +323,15 @@ def _as_quadratic(h: DelayHamiltonian):
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    if cfg.history is None:
-        raise ConfigError("/history", "simulate needs a history section")
-    if cfg.horizon is None:
-        raise ConfigError("/horizon", "simulate needs a horizon")
-    t_end = cfg.t0 + cfg.horizon
+    history, t_end = _history_and_end(cfg, "simulate")
     if args.formulation == "lagrangian":
         if cfg.lagrangian is None:
             raise ConfigError("/lagrangian", "lagrangian formulation requested")
-        traj = solver.step_elsgolts(cfg.lagrangian, cfg.history, t_end, cfg.steps_per_delay)
+        traj = solver.step_elsgolts(cfg.lagrangian, history, t_end, cfg.steps_per_delay)
         residuals = None
     else:
         ham = _resolved_hamiltonian(cfg)
-        traj = solver.step_hamiltonian(ham, cfg.history, t_end, cfg.steps_per_delay)
+        traj = solver.step_hamiltonian(ham, history, t_end, cfg.steps_per_delay)
         residuals = solver.residual_report(traj, ham)
     solver.write_csv(traj, args.out or sys.stdout, residuals)
     return EXIT_OK
@@ -326,11 +340,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 def cmd_noether(cfg: RunConfig, args) -> int:
     ham = _resolved_hamiltonian(cfg)
     traj = None
-    if cfg.history is not None and cfg.horizon is not None and not args.skip_drift:
-        if ham.solvable:
-            traj = solver.step_hamiltonian(
-                ham, cfg.history, cfg.t0 + cfg.horizon, cfg.steps_per_delay
-            )
+    if cfg.history is not None and cfg.t_end is not None and ham.solvable:
+        traj = solver.step_hamiltonian(ham, cfg.history, cfg.t_end, cfg.steps_per_delay)
     reports = []
     for rep in noether.analyze_generators(
         ham, cfg.generators, traj=traj, samples=cfg.samples, tol=cfg.tol, seed=cfg.seed
@@ -356,14 +367,11 @@ def cmd_noether(cfg: RunConfig, args) -> int:
             }
         )
     _emit({"generators": reports}, args.out)
-    if any(not r["identity_ok"] for r in reports):
-        return EXIT_VERIFY
-    return EXIT_OK
+    return EXIT_OK if all(r["identity_ok"] for r in reports) else EXIT_VERIFY
 
 
 def cmd_recurse(cfg: RunConfig, args) -> int:
-    if cfg.history is None or cfg.horizon is None:
-        raise ConfigError("/", "recurse needs history and horizon")
+    history, t_end = _history_and_end(cfg, "recurse")
     ham = _resolved_hamiltonian(cfg)
     a1, a2, a3, a4 = (float(a) for a in ham.alphas)
     if a1 == 0 or a1 != a4:
@@ -374,8 +382,8 @@ def cmd_recurse(cfg: RunConfig, args) -> int:
             "/hamiltonian/alphas",
             "only the middle coefficients 0 and 2 are supported",
         )
-    rel = recursion.relation_from_history(cfg.history, int(round(ratio)))
-    traj = recursion.recurse(rel, cfg.history, cfg.t0 + cfg.horizon, cfg.steps_per_delay)
+    rel = recursion.relation_from_history(history, int(round(ratio)))
+    traj = recursion.recurse(rel, history, t_end, cfg.steps_per_delay)
     solver.write_csv(traj, args.out or sys.stdout)
     return EXIT_OK
 
@@ -488,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="hamiltonian",
     )
 
-    p = command("noether", "invariance analysis and first integrals")
-    p.add_argument("--skip-drift", action="store_true")
-
+    command("noether", "invariance analysis and first integrals")
     command("recurse", "integration-free propagation")
 
     p = command("compare", "compare two trajectory CSV files", config=False)

@@ -50,10 +50,10 @@ from .model import (
     Generator,
     action_density,
     flux,
+    local_extremal_residual,
     on_shell_jets,
     variational_p,
     variational_q,
-    variational_residuals,
     variational_t,
     xi_admissible,
 )
@@ -151,12 +151,9 @@ def hamiltonian_identity_residual(h: DelayHamiltonian, g: Generator) -> Expr:
     Identically zero for every smooth Hamiltonian and generator; checked by
     off-shell sampling rather than symbolic simplification.
     """
-    rp, rq, rt = variational_residuals(h)
     parts = noether_parts(h, g)
     decomposition = add(
-        mul(g.xi, rt),
-        mul(g.eta, rq),
-        mul(g.nu, rp),
+        local_extremal_residual(h, g),
         D(parts.c),
         parts.p_quantity,
         neg(shift(parts.p_quantity, +1)),

@@ -65,8 +65,6 @@ def recover_constants(hist: History, c_mid: int) -> tuple[float, float]:
     """
     if c_mid not in (0, 2):
         raise RecursionError_("only the middle coefficients 0 and 2 are supported")
-    if hist.p is None:
-        raise RecursionError_("constant recovery needs both q and p history")
     t0, tau = hist.t0, hist.tau
     q, p = _seam(hist)
     u = float(q[0] + c_mid * q[1] + q[2])

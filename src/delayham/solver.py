@@ -345,8 +345,7 @@ def step_hamiltonian(
             "cannot rebase the canonical equations: the outermost pairing "
             f"weights must be nonzero (got a1={a1}, a4={a4})"
         )
-    if hist.p is None:
-        raise SolverError("the canonical equations need a momentum history")
+    fill = hist.fill(second_order=False)
     interval = _interval_step(
         "hamiltonian",
         (shifted_pair_partial(ham.h, "p"), shifted_pair_partial(ham.h, "q")),
@@ -357,7 +356,6 @@ def step_hamiltonian(
         weights="a1, a23, a4",
         rates=("({0} - a23 * dqs - a4 * dqs2) / a1", "(-{1} - a23 * dps - a1 * dps2) / a4"),
     )
-    fill = hist.fill(second_order=False)
     t, q, p, qd, qd_l, pd, pd_l = _method_of_steps(
         hist, t_end, steps_per_delay, fill, interval, (a1, a2 + a3, a4)
     )

@@ -42,6 +42,14 @@ def osc_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def osc_config_without_horizon(tmp_path):
+    """The oscillator config with no end time, so `noether` monitors no drift."""
+    path = tmp_path / "osc-no-horizon.json"
+    path.write_text(json.dumps({k: v for k, v in OSC_CONFIG.items() if k != "horizon"}))
+    return str(path)
+
+
 def test_transform_golden(osc_config, capsys):
     rc = cli.main(["transform", "--config", osc_config])
     assert rc == 0
@@ -72,9 +80,9 @@ def test_transform_reverse_from_hamiltonian(tmp_path, capsys):
     assert payload["L"] == "qd*qdm - q*qm"
 
 
-def test_noether_classifications(osc_config, tmp_path):
+def test_noether_classifications(osc_config_without_horizon, tmp_path):
     out = tmp_path / "noether.json"
-    rc = cli.main(["noether", "--config", osc_config, "--skip-drift", "--out", str(out)])
+    rc = cli.main(["noether", "--config", osc_config_without_horizon, "--out", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
     got = [g["classification"] for g in payload["generators"]]
@@ -94,10 +102,10 @@ def test_noether_with_drift(osc_config, tmp_path):
 
 
 def test_noether_empty_generator_list(tmp_path, capsys):
-    cfg = dict(OSC_CONFIG, generators=[])
+    cfg = {k: v for k, v in OSC_CONFIG.items() if k != "horizon"}
     path = tmp_path / "empty.json"
-    path.write_text(json.dumps(cfg))
-    rc = cli.main(["noether", "--config", str(path), "--skip-drift"])
+    path.write_text(json.dumps(dict(cfg, generators=[])))
+    rc = cli.main(["noether", "--config", str(path)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out) == {"generators": []}
 
@@ -421,7 +429,8 @@ def test_config_error_reports_pointer(tmp_path, capsys):
 
 
 # A config with every section; each single fault below replaces the value at
-# one pointer of it.
+# one pointer of it.  It names all three model sections, so that every key is
+# parsed; a run takes one of them (`_with_models`).
 FAULT_BASE = {
     "tau": 1.0,
     "seed": 1,
@@ -438,7 +447,14 @@ FAULT_BASE = {
     "history": {"q": "sin(t)", "p": "cos(t)"},
     "generators": [{"name": "X1", "xi": "0", "eta": "sin(t)", "nu": "cos(t)", "V": "0", "W": "0"}],
 }
+MODEL_KEYS = ("lagrangian", "hamiltonian", "extended_lagrangian")
 NAN, INF = float("nan"), float("inf")
+
+
+def _with_models(*keys):
+    """FAULT_BASE with only the model sections `keys`."""
+    return {k: v for k, v in FAULT_BASE.items() if k in keys or k not in MODEL_KEYS}
+
 # (pointer, value, stderr line): a type, range, parse or constructor fault for
 # each key.  The lines match the loader before it became table-driven, except
 # /seed (one message for every fault, and a negative seed is now rejected) and
@@ -556,7 +572,8 @@ def _with_value(doc, pointer, value):
 def test_single_fault_config_error_names_pointer_and_message(
     tmp_path, capsys, pointer, value, line
 ):
-    cli.load_config(FAULT_BASE)  # the base itself is valid
+    for key in MODEL_KEYS:  # the base is valid with any one of its model sections
+        cli.load_config(_with_models(key))
     path = tmp_path / "fault.json"
     path.write_text(json.dumps(_with_value(FAULT_BASE, pointer, value)))
     for command in ("check-identity", "simulate"):
@@ -588,17 +605,17 @@ DIRECTORY = object()  # a document path that names a directory
         (["simulate", "--formulation", "lagrangian", "--config",
           '{"horizon": 2, "history": {"q": "sin(t)", "p": "cos(t)"}, "hamiltonian": {}}'],
          "/lagrangian: lagrangian formulation requested"),
-        (["recurse", "--config", '{"horizon": 2, "lagrangian": {}}'], "/: recurse needs history and horizon"),
+        (["recurse", "--config", '{"horizon": 2, "lagrangian": {}}'], "/history: recurse needs a history section"),
         (["recurse", "--config", '{"history": {}, "lagrangian": {}}'],
-         "/: recurse needs history and horizon"),
+         "/horizon: recurse needs a horizon"),
         (["recurse", "--config", '{"horizon": 2, "history": {}, "hamiltonian": {"alphas": [1, 0, 0, 2]}}'],
          "/hamiltonian/alphas: sum-form recursion needs a1 = a4 != 0"),
         (["recurse", "--config", '{"horizon": 2, "history": {"q": "sin(t)", "p": "cos(t)"}}'],
          "/: needs a 'hamiltonian' or 'lagrangian' section"),
-        (["noether", "--skip-drift", "--config", '{"hamiltonian": {"H": "p*pm + q*qm"}, "generators": '
+        (["noether", "--config", '{"hamiltonian": {"H": "p*pm + q*qm"}, "generators": '
           '[{"name": "X", "eta": "sin(t)", "nu": "cos(t)", "V": "qdd"}]}'],
          "/generators/0/V: V must not contain: qdd (its total derivative would need third derivatives)"),
-        (["noether", "--skip-drift", "--config", '{"hamiltonian": {"H": "p*pm + q*qm"}, "generators": '
+        (["noether", "--config", '{"hamiltonian": {"H": "p*pm + q*qm"}, "generators": '
           '[{"name": "X", "eta": "sin(t)", "nu": "cos(t)", "W": "qp"}]}'],
          "/generators/0/W: W must not contain: qp (its forward shift would leave the three points)"),
         (["transform", "--config", '{"hamiltonian": {"H": "p*pm + ' + "sin(" * 250 + "q" + ")" * 250 + '"}}'],
@@ -612,7 +629,7 @@ DIRECTORY = object()  # a document path that names a directory
 )
 def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, line):
     base = tmp_path / "base.json"
-    base.write_text(json.dumps(FAULT_BASE))
+    base.write_text(json.dumps(_with_models("hamiltonian")))
     argv = list(argv)
     for i, arg in enumerate(argv[:-1]):
         if arg == "--config":
@@ -644,8 +661,7 @@ def test_malformed_document_or_flag_is_a_config_error(tmp_path, capsys, argv, li
 )
 def test_a_negative_flag_value_in_exponent_form_is_a_value(tmp_path, capsys, command, flag, value):
     base = tmp_path / "base.json"
-    base.write_text(json.dumps({k: v for k, v in FAULT_BASE.items()
-                                if k not in ("hamiltonian", "extended_lagrangian")}))
+    base.write_text(json.dumps(_with_models("lagrangian")))
     argv = [command, "--config", str(base)]
     if command == "compare":
         run = tmp_path / "run.csv"
@@ -670,7 +686,8 @@ _COMPARE = ["compare", "--a", "a.csv", "--b", "b.csv"]
 
 
 @pytest.mark.parametrize("argv, unknown", [([*_COMPARE, "--bogus", "1"], "--bogus 1"),
-                                           (["noether", "--skip-drft"], "--skip-drft")])
+                                           (["noether", "--skip-drft"], "--skip-drft"),
+                                           (["noether", "--skip-drift"], "--skip-drift")])
 def test_an_unrecognized_argument_is_reported_with_the_subcommands_usage(capsys, argv, unknown):
     assert cli.main(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -698,7 +715,7 @@ def test_a_run_value_has_one_source_the_config(tmp_path, capsys, argv):
 
 def test_extended_lagrangian_that_cannot_be_sampled_is_a_numeric_failure(tmp_path, capsys):
     # mu = 1/q divides by zero on the sample grid of the Legendre checks
-    cfg = _with_value(FAULT_BASE, "/extended_lagrangian/mu", "1/q")
+    cfg = _with_value(_with_models("extended_lagrangian"), "/extended_lagrangian/mu", "1/q")
     path = tmp_path / "ext.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["transform", "--config", str(path)]) == cli.EXIT_NUMERIC
@@ -724,8 +741,42 @@ def test_a_hamiltonian_simulation_without_a_momentum_history_is_a_numeric_failur
     path.write_text(json.dumps(dict(OSC_HAMILTONIAN, history={"q": "sin(t)"}, horizon=2, steps_per_delay=8)))
     out = tmp_path / "run.csv"
     assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
-    assert capsys.readouterr().err == "numeric failure: the canonical equations need a momentum history\n"
+    assert capsys.readouterr().err == "numeric failure: history carries no momentum expression\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["recurse", "noether"])
+def test_every_phase_space_run_of_a_history_without_p_fails_with_the_one_message(tmp_path, capsys, command):
+    # `History.fill` is the one check: the recursion and the drift monitor reach it too
+    path = tmp_path / "q-only.json"
+    path.write_text(json.dumps(dict(OSC_CONFIG, history={"q": "sin(t)"}, horizon=2, steps_per_delay=8)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric failure: history carries no momentum expression\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "simulate", "noether", "recurse", "check-identity"])
+@pytest.mark.parametrize("models", [("lagrangian", "hamiltonian"), ("hamiltonian", "extended_lagrangian"),
+                                    MODEL_KEYS], ids=["two", "two-without-lagrangian", "three"])
+def test_a_config_that_names_more_than_one_model_is_a_config_error(tmp_path, capsys, command, models):
+    # once every section parses; the commands would otherwise run different models from one file
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps(_with_models(*models)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error at /: more than one model section: {', '.join(models)}\n"
+    assert not out.exists()
+
+
+def test_noether_monitors_drift_exactly_when_the_config_has_an_end_time(osc_config, osc_config_without_horizon,
+                                                                       capsys):
+    drifts = []
+    for config in (osc_config, osc_config_without_horizon):
+        assert cli.main(["noether", "--config", config]) == 0
+        drifts.append([g["drift"]["I"] for g in json.loads(capsys.readouterr().out)["generators"]])
+    with_end, without_end = drifts
+    assert with_end[0] is not None and without_end == [None] * len(OSC_CONFIG["generators"])
 
 
 def test_noether_whose_identity_check_fails_exits_4(tmp_path):
@@ -883,11 +934,11 @@ def test_check_identity_reports_the_per_generator_checks(tmp_path, capsys, gener
         assert json.loads(out.read_text()) == {"checks": per_generator()}
 
 
-def test_reruns_are_byte_identical(osc_config, tmp_path):
+def test_reruns_are_byte_identical(osc_config, osc_config_without_horizon, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert cli.main(["noether", "--config", osc_config, "--skip-drift", "--out", str(a)]) == 0
-    assert cli.main(["noether", "--config", osc_config, "--skip-drift", "--out", str(b)]) == 0
+    assert cli.main(["noether", "--config", osc_config_without_horizon, "--out", str(a)]) == 0
+    assert cli.main(["noether", "--config", osc_config_without_horizon, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     s1 = tmp_path / "s1.csv"
     s2 = tmp_path / "s2.csv"
@@ -1020,6 +1071,15 @@ def test_compare_skips_components_a_run_does_not_carry(osc_config, tmp_path, cap
     assert cli.main(["compare", "--a", str(ham), "--b", str(lag), "--max-diff", "1e-5"]) == 0
     components = json.loads(capsys.readouterr().out)["components"]
     assert sorted(components) == ["q", "qd"]
+
+
+def test_compare_of_two_one_row_files_takes_a_unit_step(tmp_path, capsys):
+    # one row has no grid step, so the l2 norm weighs it by 1 and equals the difference
+    for name, q in (("a.csv", 1), ("b.csv", 1.25)):
+        (tmp_path / name).write_text(f"{solver.CSV_HEADER}\n0,{q},nan,nan,nan,nan,nan,nan\n")
+    argv = ["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv")]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {"components": {"q": {"max": 0.25, "l2": 0.25, "t_at_max": 0.0}}}
 
 
 @pytest.mark.parametrize(
@@ -1374,7 +1434,7 @@ FUZZ_BASES = [
          hamiltonian={"H": "p*pm + q*qm", "alphas": [1, 0, 0, 1]},
          generators=[{"name": "X1", "eta": "sin(t)", "nu": "cos(t)", "V": "q*cos(tm) + qm*cos(t)", "W": "0"},
                      README_CONFIG["generators"][1]]),
-    {k: v for k, v in FAULT_BASE.items() if k not in ("lagrangian", "hamiltonian")},
+    _with_models("extended_lagrangian"),
 ]
 DELETE = object()  # an edit that deletes the key
 # 10**15 sizes only arrays of >= 1e15 elements, which numpy refuses at once

@@ -14,9 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
+from delayham import model as M
 from delayham import noether as N
 
-from conftest import array_binding, assert_same_bits, identity_models, random_expr, reference_jet_slots
+from conftest import (
+    array_binding, assert_same_bits, identity_models, random_expr, random_generator, random_polynomial,
+    random_quadratic_hamiltonian, reference_jet_slots,
+)
 
 # shifts -1 and 0 only, so one forward shift stays in range; first order at most
 ATOMS = [E.t, E.tm, E.q, E.qm, E.p, E.pm, E.qd, E.qdm, E.pdm, E.tau]
@@ -212,3 +216,42 @@ def test_zero_checks_equal_the_per_root_checks(model):
             assert got[:2] == want[:2]
             assert_same_bits(got[2], want[2])
         assert (*map(id, with_divide), True) in E._COMPILE_CACHE
+
+
+def non_affine_models():
+    """Hypothesis strategy: a random quadratic delay Hamiltonian and a generator
+    whose xi(t, q, p) is an affine part plus a nonzero multiple of t^k (k >= 2)
+    or of q, p, exp(q) or q*p^2 times a monomial in t, q and p; returns the
+    Hamiltonian, the generator and whether its xi reads q or p."""
+    def build(seed):
+        rng = np.random.default_rng(seed)
+        ham = random_quadratic_hamiltonian(rng)
+        scale = E.const(int(rng.choice([-3, -2, -1, 1, 2, 3])))
+        reads_state = bool(rng.integers(2))
+        if reads_state:
+            reader = [E.q, E.p, E.exp(E.q), E.mul(E.q, E.powi(E.p, 2))][rng.integers(4)]
+            monomial = random_polynomial(rng, [E.ONE, E.t, E.q, E.p], terms=1)
+            extra = E.mul(scale, reader, monomial)
+        else:
+            extra = E.mul(scale, E.powi(E.t, int(rng.integers(2, 5))))
+        g = random_generator(rng, affine_xi=True)
+        return ham, M.Generator(E.add(g.xi, extra), g.eta, g.nu), reads_state
+
+    return st.integers(0, 2**32 - 1).map(build)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(non_affine_models())
+def test_a_non_affine_xi_keeps_the_hamiltonian_identity_and_is_not_admissible(model):
+    ham, g, reads_state = model
+    assert N.verify_hamiltonian_identity(ham, g, samples=40, seed=7).ok
+    assert bool(E.symbols_of(g.xi) & {E.q, E.p}) is reads_state
+    assert M.xi_admissible(g) is False
+
+
+@seeded
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_an_affine_xi_plus_a_delay_periodic_term_is_admissible(seed, k):
+    periodic = E.sin(E.div(E.mul(E.const(2 * math.pi * k), E.t), E.tau))
+    xi = E.add(random_generator(np.random.default_rng(seed), affine_xi=True).xi, periodic)
+    assert M.xi_admissible(M.Generator(xi, E.ZERO, E.ZERO)) is True

@@ -159,7 +159,7 @@ def test_relation_validation():
     with pytest.raises(R.RecursionError_):
         R.relation_from_constants(1, 0.0, 0.0)
     hist = S.History(0.0, 1.0, E.parse("sin(t)"), None)
-    with pytest.raises(R.RecursionError_):
+    with pytest.raises(S.SolverError, match="history carries no momentum expression"):
         R.recover_constants(hist, 0)
     with pytest.raises(R.RecursionError_, match="only the middle coefficients 0 and 2"):
         R.recover_constants(hist, 1)

@@ -11,14 +11,15 @@ one fresh process whose `PYTHONPATH` is that tree's `src`, all in-process
 through `delayham.cli.main`; a worker that imported `delayham` from anywhere
 else exits 2, so no run can compare a tree with itself by mistake:
 
-- `check-identity` and `noether --skip-drift` on 40 configs drawn by
-  `bench/workloads.random_identity_model` from `random.Random(--start)`;
+- `check-identity` and `noether` on 40 configs drawn by
+  `bench/workloads.random_identity_model` from `random.Random(--start)`
+  (they carry no history, so `noether` monitors no drift);
 - `noether` on the README config at the 5 seeds from `--start` on, and at
   the same seeds on four configs whose fits take every solver path: the five
   generators of the README's `noether` golden, the degenerate oscillator and
   the cubic potential `p*pm + q*qm + q^3/3` with those five generators, and
-  (with `--skip-drift`) the `exp(200*q*p) + p*pm + q*qm` config, whose
-  sampling overflows;
+  (without a `horizon`, so with no drift monitor) the
+  `exp(200*q*p) + p*pm + q*qm` config, whose sampling overflows;
 - `simulate` in both formulations, `recurse`, `compare` and `transform` on
   the README config;
 - the sha256 of the generated kernel source of the V and W fit dictionaries
@@ -41,8 +42,11 @@ else exits 2, so no run can compare a tree with itself by mistake:
   `--max-diff -1e-5`) with an argparse usage error (`--seed x`), a horizon
   of 1000.0000005 from `t0` -1000 on `simulate`, `recurse` and `noether`,
   `horizon` 1e15 on the same three, `samples` 10**15 on `check-identity`
-  and `noether`, and the reverse `transform` of `1e308*p^2 + p*pm + q*qm`,
-  whose sampled coefficient is inf.
+  and `noether`, the reverse `transform` of `1e308*p^2 + p*pm + q*qm`,
+  whose sampled coefficient is inf, `recurse` without a history or without
+  a horizon, a history without `p` on `simulate`, `recurse` and `noether`,
+  and the README config with a second model section (`hamiltonian`) and
+  with all three on `transform`, `simulate` and `noether`.
 
 Every run records its exit code (a raised exception counts as exit 1, with
 its type and message, and a `SystemExit` as its code), standard output, standard error, the bytes of its
@@ -88,20 +92,25 @@ FIVE_GENERATORS = [
 ]
 
 
-def _fit_configs(readme: dict) -> list[tuple[str, dict, list[str]]]:
-    """(name, config, `noether` options) of runs whose fits take every solver
-    path: the normal equations, gelsd on a rank-deficient design, and
-    sampling that overflows (past a trajectory that would overflow first)."""
+def _without_horizon(config: dict) -> dict:
+    """`config` with no end time: `noether` then monitors no drift."""
+    return {k: v for k, v in config.items() if k != "horizon"}
+
+
+def _fit_configs(readme: dict) -> list[tuple[str, dict]]:
+    """(name, config) of `noether` runs whose fits take every solver path: the
+    normal equations, gelsd on a rank-deficient design, and sampling that
+    overflows (with no horizon, as a drift trajectory would overflow first)."""
     hamiltonian = {k: v for k, v in readme.items() if k != "lagrangian"}
     return [
-        ("readme", readme, []),
-        ("five", dict(readme, generators=FIVE_GENERATORS), []),
+        ("readme", readme),
+        ("five", dict(readme, generators=FIVE_GENERATORS)),
         ("degenerate", dict(readme, generators=FIVE_GENERATORS,
-                            lagrangian={"alpha": 1, "beta": 1, "gamma": 1, "phi": "(q+qm)^2/2"}), []),
+                            lagrangian={"alpha": 1, "beta": 1, "gamma": 1, "phi": "(q+qm)^2/2"})),
         ("cubic", dict(hamiltonian, generators=FIVE_GENERATORS,
-                       hamiltonian={"H": "p*pm + q*qm + q^3/3", "alphas": [1, 0, 0, 1]}), []),
-        ("exp-overflow", dict(hamiltonian, hamiltonian={"H": "exp(200*q*p) + p*pm + q*qm",
-                                                        "alphas": [1, 0, 0, 1]}), ["--skip-drift"]),
+                       hamiltonian={"H": "p*pm + q*qm + q^3/3", "alphas": [1, 0, 0, 1]})),
+        ("exp-overflow", dict(_without_horizon(hamiltonian),
+                              hamiltonian={"H": "exp(200*q*p) + p*pm + q*qm", "alphas": [1, 0, 0, 1]})),
     ]
 
 
@@ -160,9 +169,10 @@ def _input_families(readme: dict) -> list[tuple[str, dict | None, list[str]]]:
 
     # an argparse usage error builds no node on either tree, so it runs first
     runs = [("flags/transform-seed-x", readme, ["transform", "--seed", "x"])]
-    runs += [(f"potential-{key}-{value}/{command}", hamiltonian("p*pm + q*qm", **{key: value}), argv)
-            for key, value in (("V", "qdd"), ("V", "pddp*q"), ("W", "qp"))
-            for command, argv in (("noether", ["noether", "--skip-drift"]), ("transform", ["transform"]))]
+    runs += [(f"potential-{key}-{value}/{command}", config(hamiltonian("p*pm + q*qm", **{key: value})),
+              [command])
+             for key, value in (("V", "qdd"), ("V", "pddp*q"), ("W", "qp"))
+             for command, config in (("noether", _without_horizon), ("transform", dict))]
     deep = {"sin-250": "sin(" * 250 + "q" + ")" * 250, "parentheses-250": "(" * 250 + "q" + ")" * 250,
             "divisions-250": "q" + "/q" * 250, "minus-2000": "-" * 2000 + "q"}
     runs += [(f"nesting-{name}/transform", hamiltonian(f"p*pm + {h}"), ["transform"])
@@ -183,6 +193,17 @@ def _input_families(readme: dict) -> list[tuple[str, dict | None, list[str]]]:
     runs.append(("reverse-inf-coefficient/transform",
                  dict(base, hamiltonian={"H": "1e308*p^2 + p*pm + q*qm", "alphas": [1, 0, 0, 1]}),
                  ["transform"]))
+    # a run's history and end time, a history's momentum, and the one model a config names
+    runs += [("no-history/recurse", {k: v for k, v in readme.items() if k != "history"}, ["recurse"]),
+             ("no-horizon/recurse", _without_horizon(readme), ["recurse"])]
+    q_only = dict(readme, history={"q": "sin(t)"}, horizon=2, steps_per_delay=16)
+    runs += [(f"no-momentum/{command}", q_only, [command]) for command in ("simulate", "recurse", "noether")]
+    extended = {"alpha": "2", "beta": "1", "gamma": "1/3", "lambda": "q", "mu": "2", "phi": "q*qm"}
+    two = dict(readme, hamiltonian={"H": "2*p*pm + q*qm", "alphas": [1, 0, 0, 1]})
+    three = dict(two, extended_lagrangian=extended)
+    runs += [(f"{name}/{command}", config, [command])
+             for name, config in (("two-models", two), ("three-models", three))
+             for command in ("transform", "simulate", "noether")]
     return runs
 
 
@@ -196,10 +217,10 @@ def _matrix(start: int) -> list[tuple[str, dict | None, list[str]]]:
     for k in range(MODELS):
         model = random_identity_model(rng)
         runs.append((f"model-{k}/check-identity", model, ["check-identity"]))
-        runs.append((f"model-{k}/noether", model, ["noether", "--skip-drift"]))
-    for name, config, options in _fit_configs(README_CONFIG):
+        runs.append((f"model-{k}/noether", model, ["noether"]))
+    for name, config in _fit_configs(README_CONFIG):
         for seed in range(start, start + README_SEEDS):
-            runs.append((f"{name}/noether-seed-{seed}", config, ["noether", *options, "--seed", str(seed)]))
+            runs.append((f"{name}/noether-seed-{seed}", config, ["noether", "--seed", str(seed)]))
     runs += [
         ("readme/simulate", README_CONFIG, ["simulate", "--out", "ham.csv"]),
         ("readme/simulate-lagrangian", README_CONFIG,
