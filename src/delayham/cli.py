@@ -373,15 +373,13 @@ def cmd_noether(cfg: RunConfig, args) -> int:
 def cmd_recurse(cfg: RunConfig, args) -> int:
     history, t_end = _history_and_end(cfg, "recurse")
     ham = _resolved_hamiltonian(cfg)
+    weights = "/hamiltonian/alphas" if cfg.hamiltonian is not None else "/lagrangian"
     a1, a2, a3, a4 = (float(a) for a in ham.alphas)
     if a1 == 0 or a1 != a4:
-        raise ConfigError("/hamiltonian/alphas", "sum-form recursion needs a1 = a4 != 0")
+        raise ConfigError(weights, "sum-form recursion needs a1 = a4 != 0")
     ratio = (a2 + a3) / a1  # inf when the sum or the quotient overflows
     if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-12 or round(ratio) not in (0, 2):
-        raise ConfigError(
-            "/hamiltonian/alphas",
-            "only the middle coefficients 0 and 2 are supported",
-        )
+        raise ConfigError(weights, "only the middle coefficients 0 and 2 are supported")
     rel = recursion.relation_from_history(history, int(round(ratio)))
     traj = recursion.recurse(rel, history, t_end, cfg.steps_per_delay)
     solver.write_csv(traj, args.out or sys.stdout)

@@ -63,8 +63,6 @@ def recover_constants(hist: History, c_mid: int) -> tuple[float, float]:
     end); the resulting 2x2 trigonometric system has determinant -1 and is
     solved exactly.
     """
-    if c_mid not in (0, 2):
-        raise RecursionError_("only the middle coefficients 0 and 2 are supported")
     t0, tau = hist.t0, hist.tau
     q, p = _seam(hist)
     u = float(q[0] + c_mid * q[1] + q[2])

@@ -35,7 +35,10 @@ right-hand side or the history, raises `SolverError` naming the first grid
 time t where it happened.  Grid nodes become jet points only in
 `Trajectory.slots`, over which `residual_report` and the `noether` drift
 monitors evaluate each expression in one array pass.  CSV files are written
-and read in row blocks.
+and read in row blocks.  A block of whole rows is parsed by numpy's C reader
+(`np.loadtxt`), which gives the bits Python's `float()` gives; any other
+block goes through a per-line parser, which skips blank lines and writes
+every error message.
 """
 
 from __future__ import annotations
@@ -482,10 +485,18 @@ class CsvTrajectory:
 
 
 def _parse_block(lines: list[str], first: int) -> np.ndarray:
-    """Parse CSV lines, numbered from `first`, into a (rows, 8) array."""
-    if all(line.count(",") == _CSV_CELLS - 1 for line in lines):
-        with contextlib.suppress(ValueError):
-            return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), _CSV_CELLS)
+    """Parse CSV lines, numbered from `first`, into a (rows, 8) array.
+
+    numpy's C reader parses a block of whole rows; any other block (a blank
+    line, a short or long row, a cell it refuses) goes through the per-line
+    loop, which skips blank lines and writes every error message.
+    """
+    # a block led by a blank line is not whole rows, and loadtxt warns on an all-blank one
+    if lines[0].strip():
+        with contextlib.suppress(ValueError):  # UnicodeError included
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if data.shape == (len(lines), _CSV_CELLS):
+                return data
     rows = []
     for number, line in enumerate(lines, first):
         cells = line.strip().split(",")
@@ -504,8 +515,11 @@ def read_csv(path_or_stream) -> CsvTrajectory:
     """Read the fixed schema back: its t, q, p, qdot and pdot columns, each
     of the last three None when it is all nan.
 
-    A malformed row (named by its 1-based line) or a file without rows
-    raises `SolverError`; bytes that are not UTF-8 make their row malformed.
+    A cell is any text Python's `float()` accepts; blank lines are skipped.
+    A block of whole rows is parsed by `np.loadtxt`, any other block line by
+    line, and that per-line parser writes every message: a malformed row
+    (named by its 1-based line) or a file without rows raises `SolverError`.
+    Bytes that are not UTF-8 make their row malformed.
     """
     blocks = [np.empty((0, _CSV_CELLS))]
     with (open(path_or_stream, "r", encoding="utf-8", errors="surrogateescape")

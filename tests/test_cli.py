@@ -1171,6 +1171,17 @@ def test_recurse_with_a_weight_ratio_that_overflows_is_a_config_error(tmp_path, 
     assert not out.exists()
 
 
+def test_recurse_names_the_lagrangian_its_weights_come_from(tmp_path, capsys):
+    # the forward transform pairs alpha 1, beta 2, gamma 1 with the weights (2, 1, 1, 2)
+    lagrangian = {"alpha": 1, "beta": 2, "gamma": 1, "phi": "q*qm"}
+    rc, out = _run_model(tmp_path, "recurse", lagrangian=lagrangian)
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error at /lagrangian: only the middle coefficients 0 and 2 are supported\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, code", [
     ("transform", cli.EXIT_OK), ("simulate", cli.EXIT_NUMERIC), ("noether", cli.EXIT_NUMERIC),
     ("check-identity", cli.EXIT_OK), ("recurse", cli.EXIT_OK),

@@ -161,8 +161,9 @@ def test_relation_validation():
     hist = S.History(0.0, 1.0, E.parse("sin(t)"), None)
     with pytest.raises(S.SolverError, match="history carries no momentum expression"):
         R.recover_constants(hist, 0)
-    with pytest.raises(R.RecursionError_, match="only the middle coefficients 0 and 2"):
-        R.recover_constants(hist, 1)
+    # the relation is the one check of the middle coefficient
+    with pytest.raises(R.RecursionError_, match="^only the middle coefficients 0 and 2 are supported$"):
+        R.relation_from_history(dataclasses.replace(hist, p=E.parse("cos(t)")), 1)
 
 
 def _at(e, t_value, tau=1.0):

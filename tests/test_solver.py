@@ -1,11 +1,15 @@
 import builtins
+import contextlib
 import dataclasses
 import io
+import itertools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from delayham import expr as E
 from delayham import model as M
@@ -520,6 +524,126 @@ def test_read_csv_skips_blank_lines_and_names_bad_ones():
     long_row = ",".join(["1"] * 13)
     with pytest.raises(S.SolverError, match="CSV line 3: expected 8 cells, got 3$"):
         S.read_csv(io.StringIO(f"{S.CSV_HEADER}\n{row}\n1,2,3\n{long_row}\n{row}\n"))
+
+
+# ---------------------------------------------------------------------------
+# CSV reading against the per-line parser
+# ---------------------------------------------------------------------------
+
+
+def _reference_parse_block(lines, first):
+    """The block parser `read_csv` had before numpy's C reader: a
+    comma-count check, one float array over every cell, else line by line."""
+    if all(line.count(",") == S._CSV_CELLS - 1 for line in lines):
+        try:
+            return np.array(",".join(lines).split(","), dtype=float).reshape(len(lines), S._CSV_CELLS)
+        except ValueError:
+            pass
+    rows = []
+    for number, line in enumerate(lines, first):
+        cells = line.strip().split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != S._CSV_CELLS:
+            raise S.SolverError(f"CSV line {number}: expected {S._CSV_CELLS} cells, got {len(cells)}")
+        try:
+            rows.append(np.array(cells, dtype=float))
+        except ValueError as err:
+            raise S.SolverError(f"CSV line {number}: {err}") from None
+    return np.array(rows).reshape(-1, S._CSV_CELLS)
+
+
+def _reference_read_csv(path_or_stream):
+    """`read_csv` with `_reference_parse_block`."""
+    blocks = [np.empty((0, S._CSV_CELLS))]
+    with (open(path_or_stream, "r", encoding="utf-8", errors="surrogateescape")
+          if isinstance(path_or_stream, str) else contextlib.nullcontext(path_or_stream)) as stream:
+        lines = iter(stream)
+        number, header = next(((k, ln) for k, ln in enumerate(lines, 1) if ln.strip()), (0, ""))
+        if header.strip() != S.CSV_HEADER:
+            raise S.SolverError(f"expected header '{S.CSV_HEADER}'")
+        while block := list(itertools.islice(lines, S._CSV_BLOCK)):
+            blocks.append(_reference_parse_block(block, number + 1))
+            number += len(block)
+    data = np.concatenate(blocks)
+    if not len(data):
+        raise S.SolverError("CSV has no data rows")
+    columns = (None if i > 1 and np.all(np.isnan(data[:, i])) else data[:, i] for i in range(5))
+    return S.CsvTrajectory(*columns)
+
+
+FLOAT_CELL = st.floats(width=64).map(lambda x: "%.17g" % x)
+# "\udcff" is the byte 0xff, which is not UTF-8, as a file read by path decodes it
+ODD_CELLS = [
+    "nan", "-nan", "NaN", "inf", "-inf", "infinity", "-Infinity", "+1", " 1.5 ", "\t2\x0c", "1e400",
+    ".5", "5.", "1_0", "2#3", "", " ", "x", "0x10", "1 2", "\"1\"", "\u0661", "\u00a01.5", "1\x00",
+    "1\udcff", "\udcff",
+]
+ODD_CELL = st.sampled_from(ODD_CELLS)
+FLOAT_CELLS = st.lists(FLOAT_CELL, min_size=S._CSV_CELLS, max_size=S._CSV_CELLS)
+CSV_ROW = FLOAT_CELLS.map(",".join)
+CSV_LINE = st.one_of(
+    CSV_ROW,
+    # a whole row but for one odd cell, where a cell read short or refused shows
+    st.tuples(FLOAT_CELLS, st.integers(0, S._CSV_CELLS - 1), ODD_CELL).map(
+        lambda row: ",".join([*row[0][:row[1]], row[2], *row[0][row[1] + 1:]])),
+    st.lists(st.one_of(FLOAT_CELL, ODD_CELL), max_size=S._CSV_CELLS + 3).map(",".join),
+    st.sampled_from(["", "  ", "\t", "\x0c"]),
+)
+
+
+def _read_outcome(read, source):
+    """The columns `read` gives, as bits (None for an absent column), or its exception."""
+    try:
+        back = read(source)
+    except Exception as err:  # compared by type and message
+        return type(err), str(err)
+    return tuple(None if c is None else c.tobytes() for c in (back.t, back.q, back.p, back.qd, back.pd))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    lines=st.lists(CSV_ROW, max_size=12) | st.lists(CSV_LINE, max_size=12),
+    block=st.sampled_from([2, 3, S._CSV_BLOCK]),
+    blank_block_at=st.none() | st.integers(0, 12),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    last_ending=st.booleans(),
+)
+def test_read_csv_gives_the_bits_or_the_error_of_the_per_line_parser(
+    tmp_path_factory, lines, block, blank_block_at, ending, last_ending
+):
+    if blank_block_at is not None:
+        at = min(blank_block_at, len(lines))
+        lines = lines[:at] + [""] * block + lines[at:]
+    text = ending.join([S.CSV_HEADER, *lines]) + ending * last_ending
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with mock.patch.object(S, "_CSV_BLOCK", block), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for source in (lambda: io.StringIO(text), lambda: str(path)):
+            assert _read_outcome(S.read_csv, source()) == _read_outcome(_reference_read_csv, source())
+    assert caught == []
+
+
+def test_read_csv_gives_the_bits_or_the_error_of_the_per_line_parser_on_each_odd_cell():
+    row = ",".join(["1.5"] * S._CSV_CELLS)
+    for odd in ODD_CELLS:
+        for at in range(S._CSV_CELLS):
+            cells = ["0.25"] * S._CSV_CELLS
+            cells[at] = odd
+            text = f"{S.CSV_HEADER}\n{row}\n{','.join(cells)}\n"
+            assert _read_outcome(S.read_csv, io.StringIO(text)) == _read_outcome(
+                _reference_read_csv, io.StringIO(text)), (odd, at)
+
+
+def test_read_csv_raises_no_warning_on_a_block_of_blank_lines():
+    row = ",".join(["1.5"] * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(S.read_csv(io.StringIO(f"{S.CSV_HEADER}\n{row}\n" + "\n" * S._CSV_BLOCK)).t) == 1
+        for blank in ("\n", " \n"):
+            with pytest.raises(S.SolverError, match="CSV has no data rows$"):
+                S.read_csv(io.StringIO(f"{S.CSV_HEADER}\n" + blank * S._CSV_BLOCK))
 
 
 # ---------------------------------------------------------------------------

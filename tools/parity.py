@@ -50,15 +50,16 @@ else exits 2, so no run can compare a tree with itself by mistake:
 
 Every run records its exit code (a raised exception counts as exit 1, with
 its type and message, and a `SystemExit` as its code), standard output, standard error, the bytes of its
-`--out` file, and `len(_INTERN)` and `len(_PARTIAL_CACHE)` right after it.
-Paths in the runs are relative to a fresh directory, so messages that name a
-file read the same on both trees.  On any difference the tool prints the
-first differing runs field by field, from the first character that differs,
-counts the differing runs per field (`166 of 166 runs differ (partial:
-166)`), names every differing run and exits 1; otherwise it exits 0.  Either
-way it prints one sha256 over the runs that are equal and both trees' cache
-counts after the last run.  Pick a `--start` no earlier run has used, so the
-seeds were not the ones developed against.
+`--out` file, and its own growth of `len(_INTERN)` and `len(_PARTIAL_CACHE)`
+(the entries it added), so a node one run interns differently marks that
+run and not every run after it.  Paths in the runs are relative to a fresh
+directory, so messages that name a file read the same on both trees.  On any
+difference the tool prints the first differing runs field by field, from the
+first character that differs, counts the differing runs per field (`3 of
+177 runs differ (intern: 3)`), names every differing run and exits 1;
+otherwise it exits 0.  Either way it prints one sha256 over the runs that
+are equal and both trees' cache sizes after the last run.  Pick a `--start`
+no earlier run has used, so the seeds were not the ones developed against.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _matrix(start: int) -> list[tuple[str, dict | None, list[str]]]:
     for name, config, commands in _families(README_CONFIG):
         runs += [(f"{name}/{command}", config, [command]) for command in commands]
     runs.append(("readme/check-identity-classical", README_CONFIG, ["check-identity", "--classical"]))
-    # last, as the `_INTERN` counts of later runs would differ with theirs
+    # last, as later runs that build the same nodes would grow the caches differently
     runs += [(name, config, ["transform", *options]) for name, config, options in _transforms(README_CONFIG)]
     runs += _input_families(README_CONFIG)
     return runs
@@ -315,6 +316,7 @@ def worker(args) -> int:
             argv = [*argv, "--out", "out"]
         target = Path(argv[argv.index("--out") + 1])
         target.unlink(missing_ok=True)
+        caches = len(ex._INTERN), len(ex._PARTIAL_CACHE)
         if run_id in SPIES:
             code, stdout, stderr = 0, SPIES[run_id](argv), ""
         else:
@@ -325,10 +327,12 @@ def worker(args) -> int:
             "stdout": stdout,
             "stderr": stderr,
             "out": target.read_text(encoding="utf-8") if target.exists() else None,
-            "intern": len(ex._INTERN),
-            "partial": len(ex._PARTIAL_CACHE),
+            "intern": len(ex._INTERN) - caches[0],
+            "partial": len(ex._PARTIAL_CACHE) - caches[1],
         })
-    Path("result.json").write_text(json.dumps({"module": ex.__file__, "runs": records}), encoding="utf-8")
+    result = {"module": ex.__file__, "runs": records,
+              "caches": {"intern": len(ex._INTERN), "partial": len(ex._PARTIAL_CACHE)}}
+    Path("result.json").write_text(json.dumps(result), encoding="utf-8")
     return 0
 
 
@@ -388,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
               + ", ".join(a["run"] for a, _ in differing))
     equal = [a for a, b in zip(*(r["runs"] for r in results)) if a == b]
     digest = hashlib.sha256(json.dumps(equal, sort_keys=True).encode()).hexdigest()
-    last = [r["runs"][-1] for r in results]
+    last = [r["caches"] for r in results]
     print(f"parity: {'all ' * (not differing)}{len(equal)} runs equal; sha256 {digest} over them; "
           f"_INTERN {last[0]['intern']} -> {last[1]['intern']}, "
           f"_PARTIAL_CACHE {last[0]['partial']} -> {last[1]['partial']} (parent -> tree, after the last run)")
