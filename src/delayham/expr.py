@@ -24,8 +24,10 @@ a node class directly raises `TypeError`.
 Evaluation runs one kernel per tuple of roots.  One plan (`_plan`) fixes its
 order: one step per distinct subtree of the roots, children first, root j
 stored to `out[j]` and, for a zero check, root j's magnitude as one more row:
-the largest |value| in its own subtree, built bottom up as the max of each
-node's |value| and its children's magnitudes.  `zero_checks` checks many
+the largest |value| in its own subtree.  A compiled kernel builds it bottom
+up as the max of each node's |value| and its children's magnitudes; a tape
+takes it as one max over the |values| of the subtree's steps, with the same
+bits, since a max is exact.  `zero_checks` checks many
 roots over the same jets in one such shared kernel (`check-identity` checks
 all its residuals in one), and `is_zero` is its one-root case.  The plan has
 two consumers.  `kernel_lines` writes it as straight-line source: over a slot
@@ -1116,6 +1118,8 @@ def _plan(roots: tuple[Expr, ...], with_magnitude: bool = False) -> tuple[list, 
     children's magnitudes.  A step whose head is an int i stores its operand
     as row i: root j's value as row j and, with `with_magnitude`, its
     magnitude as row `len(roots) + j`, right after root j is complete.
+    Only `kernel_lines` plans magnitudes; `_tape` plans values only and
+    places the magnitudes itself (`_magnitude_rows`).
 
     The plan makes no work for the garbage collector, whose full
     collections walk every node `_INTERN` holds until `cli.main` freezes
@@ -1252,36 +1256,113 @@ def _store(A, out, row, value):
     out[row] = value
 
 
-def _magnitude(A, out, head, value, *magnitudes):
-    return _ARRAY_BINDING["_max"](*magnitudes, abs(value))
+# The most rows of a magnitude buffer that one max of a root's magnitude
+# gathers at a time (`_run_tape`), so its copy stays small whatever the size
+# of the root's subtree.
+_GATHER = 256
 
 
-def _tape(roots: tuple[Expr, ...], with_magnitude: bool = False) -> tuple[list, list, list, list]:
+# `_magnitude_rows`' kind of a plan step's head: a store, a `Neg`, or (0) a
+# step that keeps its |value| in a row.
+_ROW_KINDS = {int: 2, Neg: 1}
+
+
+def _magnitude_rows(heads: list, operands: list[tuple[int, ...]], roots: int) -> tuple[list, int]:
+    """Where a tape of the values-only `_plan` of `roots` roots keeps the
+    magnitudes, as `(rows, size)` for `_tape`.
+
+    A root's magnitude is the largest |value| in its subtree, so it is one
+    max over the |values| of its subtree's steps.  Every value step but a
+    `Neg` (|-x| is |x|, and x is in the subtree too) keeps its |value| in a
+    row of a `(size, N)` buffer: `rows[s]` is that row.  Root j's store has
+    `rows[s] = (roots + j, gathers)`: its magnitude's row of `out`, and the
+    buffer rows of its subtree in chunks of at most `_GATHER`.  Every other
+    step's row is None.  Rows are assigned statically, like registers: a
+    step takes a free row when it runs and gives it back after the store of
+    the last root whose subtree holds it.  A subtree is found once, as a bit
+    mask of steps OR-ed up the plan."""
+    masks: list[int] = []  # bit t of masks[s] is set when step t is in step s's subtree
+    for s, reads in enumerate(operands):
+        mask = 1 << s
+        for v in reads:
+            mask |= masks[v]
+        masks.append(mask)
+    kinds = np.array([_ROW_KINDS.get(type(head), 0) for head in heads], np.int8)
+    stores = np.flatnonzero(kinds == 2).tolist()
+    keep = kinds == 0
+    kept = np.flatnonzero(keep)  # the steps that keep a row, in plan order
+    width = len(heads) // 8 + 1
+    packed = b"".join(masks[s].to_bytes(width, "little") for s in stores)
+    member = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(roots, width), axis=1,
+                           count=len(heads), bitorder="little").view(bool)[:, keep]
+    last = (member * np.arange(roots)[:, None]).max(axis=0, initial=0)  # the last root holding a kept step
+    given_back = np.argsort(last, kind="stable")  # kept steps by the root after whose store they free a row
+    back = np.searchsorted(last, np.arange(roots + 1), sorter=given_back)
+    own = np.searchsorted(kept, [-1, *stores])  # root j's own kept steps: own[j]:own[j + 1]
+    row_of = np.empty(len(kept), np.intp)
+    free: list[int] = []
+    size = 0
+    rows: list = [None] * len(heads)
+    for j, s in enumerate(stores):
+        a, b = own[j], own[j + 1]
+        reuse = min(b - a, len(free))
+        row_of[a:b] = free[:reuse] + list(range(size, size + b - a - reuse))
+        size += b - a - reuse
+        del free[:reuse]
+        gather = row_of[member[j]]
+        rows[s] = (roots + j, tuple(gather[k:k + _GATHER] for k in range(0, len(gather), _GATHER)))
+        free += row_of[given_back[back[j]:back[j + 1]]].tolist()
+    for s, row in zip(kept.tolist(), row_of.tolist()):
+        rows[s] = row
+    return rows, size
+
+
+def _tape(roots: tuple[Expr, ...], with_magnitude: bool = False) -> tuple[list, list, list, list, list, int]:
     """The kernel of `_many_source` as a tape on the array binding: the
-    parallel lists `(ops, heads, operands, frees)` of the steps of `_plan`.
-    Step s's value is `ops[s](A, out, heads[s], *values)` of the values of
-    the steps `operands[s]` (None for a store); the values of the steps
-    `frees[s]` are dropped after it, as the source's `del` lines drop them."""
-    heads, operands = _plan(roots, with_magnitude)
+    parallel lists `(ops, heads, operands, frees, rows)` of the steps of the
+    values-only `_plan`, and the magnitude buffer's row count.  Step s's
+    value is `ops[s](A, out, heads[s], *values)` of the values of the steps
+    `operands[s]` (None for a store); the values of the steps `frees[s]` are
+    dropped after it, as the source's `del` lines drop them.
+
+    With `with_magnitude`, `rows` places the magnitudes (`_magnitude_rows`):
+    a step's |value| goes to a buffer row, and root j's magnitude is one max
+    over the rows of its subtree at its store.  The compiled kernel builds
+    the same magnitude node by node, as a max of |value| and the children's
+    magnitudes; a max is exact and passes nan on, so the two give the same
+    bits.  Without it, every row is None."""
+    heads, operands = _plan(roots)
     ops = []
+    rows, size = _magnitude_rows(heads, operands, len(roots)) if with_magnitude else ([None] * len(heads), 0)
     for s, head in enumerate(heads):
         if isinstance(head, int):
             ops.append(_store)
-        elif head is _MAGNITUDE:
-            ops.append(_magnitude)
         else:
             ops.append(_TAPE_OPS[type(head)])
             if isinstance(head, Const):  # converted here, as `_node_source` converts it
                 heads[s] = _double(head.value)
-    return ops, heads, operands, _last_uses(operands)
+    return ops, heads, operands, _last_uses(operands), rows, size
 
 
-def _run_tape(tape: tuple[list, list, list, list], slots: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _run_tape(tape: tuple[list, list, list, list, list, int], slots: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Run a `_tape` over a `(NSLOTS, N)` slot array into `out`: the bits
-    and exceptions of the compiled array binding of the same kernel."""
+    and exceptions of the compiled array binding of the same kernel.  A
+    step with a row writes its |value| there; a store with one takes its
+    root's magnitude as the max over the gathered rows, `_GATHER` at a time."""
+    ops, heads, operands, frees, rows, size = tape
+    buffer = np.empty((size, slots.shape[1]))
+    magnitudes, absolute = list(buffer), np.absolute
     values: list = []
-    for op, head, reads, free in zip(*tape):
-        values.append(op(slots, out, head, *map(values.__getitem__, reads)))
+    for op, head, reads, free, row in zip(ops, heads, operands, frees, rows):
+        value = op(slots, out, head, *map(values.__getitem__, reads))
+        values.append(value)
+        if row.__class__ is int:
+            absolute(value, magnitudes[row])
+        elif row is not None:
+            target, gathers = row
+            np.max(buffer[gathers[0]], axis=0, out=out[target])
+            for gather in gathers[1:]:
+                np.maximum(out[target], buffer[gather].max(axis=0), out=out[target])
         for i in free:
             values[i] = None
     return out
@@ -1350,6 +1431,17 @@ def _check_slot_block(slots) -> None:
         raise ValueError(f"a slot block has shape ({NSLOTS}, N), not {slots.shape}")
 
 
+def _check_roots(roots: Iterable) -> tuple[Expr, ...]:
+    """The roots as a tuple, checked to be expressions: a `TypeError` names
+    the index of the first that is not an `Expr`.  `evaluate_many` and
+    `zero_checks` check their roots here."""
+    roots = tuple(roots)
+    for j, root in enumerate(roots):
+        if not isinstance(root, Expr):
+            raise TypeError(f"root {j} is not an Expr ({type(root).__name__})")
+    return roots
+
+
 _ARRAY_ERRSTATE = dict(divide="raise", invalid="raise", over="ignore", under="ignore")
 
 
@@ -1362,7 +1454,10 @@ def _array_rows(roots: tuple[Expr, ...], slots: np.ndarray, with_magnitude: bool
     and keeps only its key in `_TAPED`; a later use compiles it and runs
     `compiled_many(...).array`.  So a kernel that runs once costs no
     `compile()`, and one that is reused runs compiled.  Both give the same
-    bits and raise the same errors."""
+    bits and raise the same errors.  With `with_magnitude`, row
+    `len(roots) + j` is root j's magnitude, the largest |value| in its
+    subtree: the tape takes it as one max over the subtree's rows of |value|
+    (`_magnitude_rows`), the compiled kernel node by node."""
     key = (*map(id, roots), with_magnitude)
     if key in _TAPED or key in _COMPILE_CACHE:
         kernel = compiled_many(roots, with_magnitude).array
@@ -1417,10 +1512,11 @@ def evaluate_many(roots: Iterable[Expr], slots: np.ndarray) -> np.ndarray:
     re-runs its root jet by jet on the scalar binding, in root order, so the
     first failing root raises the `EvalError` of its first failing column.
     A `slots` that is not such an array is a `TypeError` (not a float64
-    numpy array) or a `ValueError` (any other shape).
+    numpy array) or a `ValueError` (any other shape).  A root that is not an
+    `Expr` is a `TypeError` naming the index of the first such root.
     """
     _check_slot_block(slots)
-    roots = tuple(roots)
+    roots = _check_roots(roots)
     out = _array_rows(roots, slots)
     for j in np.flatnonzero(~np.isfinite(out).all(axis=1)):
         out[j] = list(_scalar_columns(roots[j], slots))
@@ -1467,21 +1563,25 @@ def zero_checks(roots: Iterable[Expr], slots: np.ndarray, tol: float = 1e-9,
 
     Root j is accepted when |value| <= tol * (1 + magnitude) at every column,
     where its magnitude is the largest |value| in its own subtree, so every
-    root whose rows are finite gets the bits of its own one-root check.  A
+    root whose rows are finite gets the bits of its own one-root check.  The
+    magnitude has that one definition on every binding: a kernel's first
+    run, its tape, takes it as one max over the subtree's |values|, and a
+    compiled kernel node by node, each with the same bits.  A
     root whose rows are not finite, every root when the kernel raised, is
     checked jet by jet on the scalar binding, in root order, so the first
     failing root raises its `EvalError`.  A witness is `jet_at(k)`, by
     default column k as a jet point.  A `slots` that is not such an array is
     a `TypeError` (not a float64 numpy array) or a `ValueError` (any other
     shape), and a block with no column or a `tol` that is not positive is a
-    `ValueError`.
+    `ValueError`.  A root that is not an `Expr` is a `TypeError` naming the
+    index of the first such root.
     """
     _check_slot_block(slots)
     if slots.shape[1] == 0:
         raise ValueError("a zero check needs at least one jet")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    roots = tuple(roots)
+    roots = _check_roots(roots)
     jet_at = jet_at or (lambda k: JetPoint.from_slots(slots[:, k]))
     out = _array_rows(roots, slots, with_magnitude=True)
     n = len(roots)

@@ -1214,13 +1214,16 @@ _EXTREMES = (0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, 1, -1, 1e200, -1e200, 
 
 
 @pytest.mark.parametrize("command", ["transform", "simulate", "noether", "check-identity", "recurse"])
-def test_no_extreme_lagrangian_coefficients_end_in_a_traceback(tmp_path, capsys, command):
+def test_no_extreme_lagrangian_coefficients_end_in_a_traceback(tmp_path, capsys, monkeypatch, command):
     # transform on every (alpha, beta, gamma) of 12 extreme values; the other
     # commands on alpha and gamma from 5e-324, 1e-300 and 1e-160 with beta
     # from 5e-324 and 1e-300, which holds every triple of the 12 that
     # crashed them by an underflow
     if command == "transform":
         grid = itertools.product(_EXTREMES, repeat=3)
+        # the 1,728 configs are served as JSON text, not written as files
+        served = {}
+        monkeypatch.setattr(cli, "_load_json", lambda path: json.loads(served[path]))
     else:
         tiny = (5e-324, 1e-300, 1e-160)
         grid = itertools.product(tiny, tiny[:2], tiny)
@@ -1228,9 +1231,8 @@ def test_no_extreme_lagrangian_coefficients_end_in_a_traceback(tmp_path, capsys,
     for alpha, beta, gamma in grid:
         lagrangian = {"alpha": alpha, "beta": beta, "gamma": gamma, "phi": "q*qm"}
         if command == "transform":
-            path = tmp_path / "model.json"
-            path.write_text(json.dumps({"tau": 1.0, "lagrangian": lagrangian}))
-            rc = cli.main([command, "--config", str(path)])
+            served["model.json"] = json.dumps({"tau": 1.0, "lagrangian": lagrangian})
+            rc = cli.main([command, "--config", "model.json"])
             if rc == cli.EXIT_OK:
                 json.loads(capsys.readouterr().out)
         else:

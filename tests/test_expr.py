@@ -390,6 +390,21 @@ def test_array_evaluation_takes_only_a_float_slot_block(block, error):
                 call(root)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: E.is_zero(3), "root 0 is not an Expr (int)"),
+    (lambda s: E.evaluate_many([3], s), "root 0 is not an Expr (int)"),
+    (lambda s: E.zero_checks([E.q, "x"], s), "root 1 is not an Expr (str)"),
+    (lambda s: E.zero_checks([None], s), "root 0 is not an Expr (NoneType)"),
+    (lambda s: E.evaluate_many([2.5], s), "root 0 is not an Expr (float)"),
+    (lambda s: E.is_zero_at("q", [E.random_jet(3)]), "root 0 is not an Expr (str)"),
+], ids=["is_zero-int", "evaluate_many-int", "zero_checks-str", "zero_checks-None",
+        "evaluate_many-float", "is_zero_at-str"])
+def test_a_root_that_is_not_an_expression_is_a_type_error_naming_its_index(call, message):
+    with pytest.raises(TypeError) as err:
+        call(E.random_jets(3, 4))
+    assert str(err.value) == message
+
+
 def test_is_zero_validates_arguments():
     with pytest.raises(ValueError):
         E.is_zero(E.q, samples=0)
@@ -943,7 +958,7 @@ def test_many_kernel_deletes_every_temporary_after_its_last_use():
             assert lines[last + 1].lstrip().startswith("del ") and name in uses[last + 1], name
             assert all(name not in names for names in uses[last + 2:]), name
     # the tape drops each value right after the step that reads it last
-    _, _, operands, frees = E._tape(tuple(roots))
+    _, _, operands, frees, _, _ = E._tape(tuple(roots))
     reads = [set(step) for step in operands]
     for v in set().union(*reads):
         last = max(s for s, read in enumerate(reads) if v in read)
@@ -970,3 +985,124 @@ def test_first_array_use_runs_the_tape_and_the_second_compiles(monkeypatch):
         assert len(compiles) == expect
     assert_same_bits(rows[1], rows[0])
     assert_same_bits(rows[2], rows[0])
+
+
+# ---------------------------------------------------------------------------
+# the magnitude tape: one max over each root's subtree
+# ---------------------------------------------------------------------------
+
+
+def _special_slots(seed, n):
+    """Random jets whose q, p, qm and tm take nan, +-inf, -0.0 and subnormal
+    values in some columns."""
+    slots = E.random_jets(seed, n)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e-320]
+    for name, shift in (("q", 0), ("p", 3), ("qm", 5), ("tm", 1)):
+        for k, value in enumerate(special):
+            slots[E.SYMBOL_BY_NAME[name].index, (k + shift) % n] = value
+    return slots
+
+
+def _assert_tape_magnitudes(roots, slots):
+    """The magnitude tape of `roots` against the compiled array kernel (by
+    `array_binding`) at every column, and against `compiled(root, True)` at
+    every column where the scalar kernel neither raises nor gives nan (its
+    `max` is Python's, which does not pass nan on); the `(2n, N)` rows."""
+    with np.errstate(all="ignore"):
+        rows = array_binding(roots, slots, with_magnitude=True)
+    assert rows is not None
+    n = len(roots)
+    for j, root in enumerate(roots):
+        scalar = E.compiled(root, with_magnitude=True)
+        for k, column in enumerate(slots.T.tolist()):
+            try:
+                value, magnitude = scalar(column)
+            except (OverflowError, ZeroDivisionError, ValueError):
+                continue
+            if not math.isnan(value):
+                assert_same_bits(rows[[j, n + j], k], [value, magnitude])
+    return rows
+
+
+def _kept_rows(roots):
+    """The tape's magnitude steps of `roots` and its buffer's row count."""
+    *_, rows, size = E._tape(tuple(roots), True)
+    return sum(type(row) is int for row in rows), size
+
+
+def test_a_bare_constant_symbol_or_negation_root_has_its_own_magnitude():
+    slots = _special_slots(41, 12)
+    leaves = [E.const(2.5), E.const(-0.0), E.const(Fraction(-7, 3)), E.q, E.tau, E.neg(E.q)]
+    for root in leaves:  # a subtree of one leaf, or a Neg of one: the magnitude is |value|
+        value, magnitude = _assert_tape_magnitudes([root], slots)
+        assert_same_bits(magnitude, np.abs(value))
+    bare = [*leaves, E.neg(E.sin(E.p)), E.neg(E.div(E.q, E.p))]
+    _assert_tape_magnitudes(bare, slots)
+    _assert_tape_magnitudes(bare[::-1], slots)
+
+
+def test_a_magnitude_reached_only_below_a_negation():
+    slots = E.random_jets(42, 16)
+    big = E.mul(E.const(1000), E.q)  # 1000 or |1000*q| exceeds every other |value|
+    q = slots[E.SYMBOL_BY_NAME["q"].index]
+    for root in (E.sin(E.neg(big)), E.add(E.neg(big), E.mul(E.const(999), E.q)), E.cos(E.neg(big))):
+        assert type(root) is not E.Neg and E.neg(big) in E._children(root)
+        _, magnitude = _assert_tape_magnitudes([root], slots)
+        assert_same_bits(magnitude, np.maximum(np.abs(1000 * q), 1000.0))
+
+
+def test_magnitudes_pass_nan_inf_signed_zero_and_subnormal_slots_on():
+    slots = _special_slots(43, 24)
+    rng = np.random.default_rng(4343)
+    atoms = [E.q, E.p, E.qm, E.tm, E.pm, E.t]
+    roots = [random_expr(rng, atoms, depth=3) for _ in range(40)]
+    rows = _assert_tape_magnitudes(roots, slots)
+    n = len(roots)
+    assert np.isnan(rows[n:]).any() and np.isinf(rows[n:]).any()
+    # a root that reads a nan slot has a nan magnitude there, as the compiled kernel's
+    q = E.SYMBOL_BY_NAME["q"].index
+    for j, root in enumerate(roots):
+        if E.q in E.symbols_of(root):
+            assert np.isnan(rows[n + j, np.isnan(slots[q])]).all()
+
+
+def test_roots_that_share_subtrees_get_their_own_magnitudes_in_either_order():
+    slots = _special_slots(44, 20)
+    rng = np.random.default_rng(4444)
+    for _ in range(6):
+        roots = _roots_with_shared_subtrees(rng, 4)
+        rows = _assert_tape_magnitudes(roots, slots)
+        back = _assert_tape_magnitudes(roots[::-1], slots)
+        n = len(roots)
+        assert_same_bits(back[:n][::-1], rows[:n])
+        assert_same_bits(back[n:][::-1], rows[n:])
+
+
+def test_a_subtree_larger_than_one_gather_takes_its_max_in_several():
+    terms = [E.mul(E.const(k), E.sin(E.mul(E.const(k), E.q))) for k in range(1, 200)]
+    big = E.add(*terms)
+    roots = [big, E.mul(E.const(3), big), E.add(E.p, E.mul(E.const(500), E.q))]
+    kept, _ = _kept_rows([big])
+    assert kept > 3 * E._GATHER
+    slots = _special_slots(45, 10)
+    finite = np.isfinite(slots).all(axis=0)
+    q = np.abs(slots[E.SYMBOL_BY_NAME["q"].index, finite])
+    for order in (roots, roots[::-1]):
+        rows = _assert_tape_magnitudes(order, slots)
+        magnitude = rows[len(order) + order.index(big), finite]
+        assert (magnitude >= np.maximum(199.0, 199 * q)).all()
+
+
+def test_a_later_roots_own_nodes_reuse_the_rows_an_earlier_root_gave_back():
+    slots = E.random_jets(46, 16)
+    shared = E.mul(E.const(1000), E.q)  # 1000 or |1000*q| is the magnitude of `first` and `later`
+    first = E.sin(shared)
+    own = [E.add(E.mul(E.const(k), E.p), E.cos(E.mul(E.const(k), E.qm))) for k in range(2, 40)]
+    later = E.add(shared, *own)
+    private = E.add(*[E.exp(E.mul(E.const(Fraction(1, k)), E.pm)) for k in range(2, 40)])
+    for roots in ([first, later], [first, private, later], [private, first, later]):
+        kept, size = _kept_rows(roots)
+        assert size < kept  # the later roots' own steps took rows given back
+        rows = _assert_tape_magnitudes(roots, slots)
+        for j, root in enumerate(roots):
+            assert_same_bits(rows[len(roots) + j], array_binding([root], slots, with_magnitude=True)[1])

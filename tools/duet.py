@@ -14,7 +14,11 @@ untimed warm-up request; then each round times one request on each side,
 the parent first in even rounds and the tree first in odd ones.  A request
 whose exit code or output check fails on either side ends the run with
 exit 1.  The workers use one BLAS thread unless the environment sets
-another count, as `bench/run.py` does.
+another count, as `bench/run.py` does.  Each worker starts with
+`PYTHONPYCACHEPREFIX` set to a new, empty directory of its own, so both
+trees compile every module from source, whatever `.pyc` files the checkouts
+hold: a tree with stale bytecode otherwise reads a different peak RSS (~1 MB
+on `xval-long`) and set-up time than the same code with none.
 
 The tool prints each side's median request time and its tail (the
 `bench/run.py` tail: the highest percentile with ten requests beyond it,
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -82,9 +87,14 @@ def worker(args) -> int:
 
 
 def _spawn(tree: Path, args, work: Path) -> subprocess.Popen:
+    """A worker for `tree`, writing under `work`, with its own empty bytecode
+    cache `<work>-pycache`."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), "--work", str(work),
             "--workload", args.workload, "--seed", str(args.seed)]
-    return subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    pycache = work.with_name(work.name + "-pycache")
+    pycache.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    return subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
 
 
 def _request(proc: subprocess.Popen, side: str) -> dict:
